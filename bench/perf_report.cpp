@@ -291,9 +291,7 @@ runDriftOnce(Env &env, std::vector<DriftWindow> &ws, uint32_t rows,
              int mode)
 {
     DriftRun out;
-    runtime::AdaptiveConfig acfg;
-    acfg.enabled = true;
-    runtime::VariantPolicy policy(acfg);
+    runtime::VariantPolicy policy;
     const uint64_t bytes = uint64_t{rows} * sizeof(KpEntry);
     for (DriftWindow &w : ws) {
         // Restore arrival order outside the timed region — the reset

@@ -329,8 +329,8 @@ runShardPoint(uint32_t tenants, uint32_t shards, bool smoke)
     }
     p.p50_s = pooled.percentile(50);
     p.p99_s = pooled.percentile(99);
-    // The accounting identity: with stealing and migration off,
-    // every shard's executor completed exactly its residents' tasks.
+    // The accounting identity: every shard's executor completed
+    // exactly its residents' tasks.
     for (uint32_t s = 0; s < shards; ++s) {
         if (server.engine(s).exec().completedTasks() != p.rows[s].tasks)
             p.accounting_ok = false;

@@ -27,11 +27,10 @@
  * every victim tenant still drained in full.
  *
  * Part 3 demonstrates sharded scale-out: the same 64-session
- * contending fleet served by one engine shard and then by four
- * (with cross-shard work stealing on). The SHARD lines check that
- * placement spread the fleet over every shard, that every session
- * still drained in full, and that aggregate throughput grew with
- * the shard count.
+ * contending fleet served by one engine shard and then by four. The
+ * SHARD lines check that placement spread the fleet over every shard,
+ * that every session still drained in full, and that aggregate
+ * throughput grew with the shard count.
  *
  * With `--trace <out.json>` the example instead runs only the
  * overload fleet with the unified telemetry plane installed, prints
@@ -116,7 +115,7 @@ struct ShardRun
 
 /**
  * The scale-out scenario: sixty-four short contending sessions arriving
- * at once, served by @p shards engine shards with work stealing on.
+ * at once, served by @p shards engine shards.
  * The per-shard engine is deliberately small (8 cores) so a single
  * shard is clearly compute-bound and extra shards pay off.
  */
@@ -142,7 +141,6 @@ runShardFleet(double scale, uint32_t shards)
     cfg.engine.max_inflight_bundles = 1024;
     cfg.window_ns = 20 * kNsPerMs;
     cfg.shards = shards;
-    cfg.work_stealing = true;
 
     serve::Server server(cfg);
     server.submitFleet(serve::makeFleet(fleet));
@@ -355,7 +353,7 @@ main(int argc, char **argv)
 
     // ---- Part 3: sharded scale-out --------------------------------
     std::printf("\n== scale-out: 64 sessions, 1 vs 4 engine shards "
-                "(8 cores each, work stealing) ==\n");
+                "(8 cores each) ==\n");
     const ShardRun one = runShardFleet(scale, 1);
     const ShardRun four = runShardFleet(scale, 4);
     std::printf("1 shard   : %.2f M records/s, Jain %.3f\n",

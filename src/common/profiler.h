@@ -31,6 +31,9 @@
 
 namespace sbhbm {
 
+/** Smoothing factor of every adaptive-execution EWMA. */
+constexpr double kEwmaAlpha = 0.4;
+
 /** Exponentially weighted moving average over window statistics. */
 struct Ewma
 {
@@ -38,9 +41,9 @@ struct Ewma
     bool init = false;
 
     void
-    add(double x, double alpha)
+    add(double x)
     {
-        v = init ? alpha * x + (1.0 - alpha) * v : x;
+        v = init ? kEwmaAlpha * x + (1.0 - kEwmaAlpha) * v : x;
         init = true;
     }
 
@@ -165,7 +168,6 @@ struct KernelAdapt
     // --- observations (kernel-written, policy-read) ----------------
     Ewma sort_sortedness{};      //!< sampled sortedness at sort time
     Ewma partition_sortedness{}; //!< sampled sortedness at partition
-    double ewma_alpha = 0.4;
 
     // --- counters (telemetry) --------------------------------------
     uint64_t sorts = 0;

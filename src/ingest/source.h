@@ -165,10 +165,9 @@ class Source
      * Stop the stream early: cap total_records at what has already
      * been delivered, so the source drains naturally — the next
      * scheduling decision sees end-of-stream and emits the final
-     * watermark, closing every open window. The serving layer uses
-     * this to hand a session off to another shard (drain here,
-     * restart the remainder there); a bundle already in flight still
-     * lands and is counted, keeping records conservation exact.
+     * watermark, closing every open window. A bundle already in
+     * flight still lands and is counted, keeping records conservation
+     * exact.
      */
     void truncate() { cfg_.total_records = records_ingested_ + records_shed_; }
 
@@ -238,15 +237,6 @@ class Source
 
     /** Injected fault: shed the next @p n bundles. */
     void dropBundles(uint64_t n) { drop_bundles_ += n; }
-
-    /**
-     * SLA-aware load shedding: while set, arriving bundles are
-     * consumed from the stream but dropped (counted in
-     * recordsShed()), relieving memory/compute pressure at the price
-     * of lossy windows. The serving layer flips this on sessions with
-     * SLA headroom while their engine is in allocation distress.
-     */
-    void setShedding(bool on) { shedding_ = on; }
 
     /** One ingestion checkpoint: cumulative records at a sim time. */
     struct Checkpoint
@@ -475,15 +465,13 @@ class Source
                                              + consumed() + n)
                                  : now;
 
-        // Shedding (injected drops, or distress-mode load shedding):
-        // consume the records from the stream without materializing
-        // them. The generator still advances n records, so replay and
-        // later bundles stay bit-identical to their stream position;
-        // watermark progress follows, so windows close (with less
-        // data — lossy by design, and counted).
-        if (drop_bundles_ > 0 || shedding_) {
-            if (drop_bundles_ > 0)
-                --drop_bundles_;
+        // Injected drops: consume the records from the stream without
+        // materializing them. The generator still advances n records,
+        // so replay and later bundles stay bit-identical to their
+        // stream position; watermark progress follows, so windows
+        // close (with less data — lossy by design, and counted).
+        if (drop_bundles_ > 0) {
+            --drop_bundles_;
             shed(n, t1);
             return;
         }
@@ -494,8 +482,7 @@ class Source
         } catch (const mem::AllocFailure &) {
             // Ingest allocation failed (injected OOM or genuine
             // exhaustion under typed-error mode): this bundle is shed
-            // and the engine's distress backoff decides what happens
-            // to the ones after it.
+            // and the next one tries to allocate afresh.
             shed(n, t1);
             return;
         }
@@ -684,7 +671,6 @@ class Source
     bool paused_ = false;
     bool parked_ = false;
     bool halted_ = false;
-    bool shedding_ = false;
     bool delivery_pending_ = false;
     SimTime stalled_until_ = 0;
     uint64_t drop_bundles_ = 0;

@@ -457,7 +457,7 @@ sortKpa(Ctx ctx, Kpa &k)
             ++a.sorts;
             const double s = sampleSortedness(
                 k.entries(), static_cast<uint32_t>(n));
-            a.sort_sortedness.add(s, a.ewma_alpha);
+            a.sort_sortedness.add(s);
             precheck = s >= 1.0 && a.sort_precheck;
         }
         if (precheck && algo::isSortedByKey(k.entries(), n)) {
@@ -853,7 +853,7 @@ partitionByRange(Ctx ctx, const Kpa &src, uint64_t range_width,
         KernelAdapt &a = *ctx.adapt;
         ++a.partitions;
         const double s = sampleSortedness(e, n);
-        a.partition_sortedness.add(s, a.ewma_alpha);
+        a.partition_sortedness.add(s);
         if (!span_layout && a.partition_sorted_scan && s >= 1.0
             && algo::isSortedByKey(e, n)) {
             span_layout = true;

@@ -23,9 +23,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -174,13 +172,6 @@ class PressureDirector
                 last_sweep_[p->providerStream()] += r.charged_bytes;
             }
         }
-        // Demotion alone could not relieve the breach: escalate to
-        // the next action up the control plane (the sharded serving
-        // layer migrates a whole tenant off this engine).
-        if (want > 0 && breach_hook_) {
-            ++breach_escalations_;
-            breach_hook_(want);
-        }
         return log;
     }
 
@@ -221,20 +212,6 @@ class PressureDirector
     uint64_t emergencySweeps() const { return emergency_sweeps_; }
     uint64_t emergencyBytes() const { return emergency_bytes_; }
     uint64_t emergencyKpas() const { return emergency_kpas_; }
-
-    /**
-     * Install the escalation hook, invoked from tick() with the
-     * residual pressure (bytes above the low-water target) whenever a
-     * full demotion sweep could not relieve a high-water breach.
-     */
-    void
-    setBreachHook(std::function<void(uint64_t)> hook)
-    {
-        breach_hook_ = std::move(hook);
-    }
-
-    /** Breaches escalated past demotion since boot. */
-    uint64_t breachEscalations() const { return breach_escalations_; }
 
     /** Ticks that found pressure above the high-water threshold. */
     uint64_t pressureTicks() const { return pressure_ticks_; }
@@ -317,8 +294,6 @@ class PressureDirector
     HybridMemory &hm_;
     PressureConfig cfg_;
     std::vector<ColdStateProvider *> providers_;
-    std::function<void(uint64_t)> breach_hook_;
-    uint64_t breach_escalations_ = 0;
     uint64_t pressure_ticks_ = 0;
     uint64_t demoted_bytes_ = 0;
     uint64_t demoted_kpas_ = 0;

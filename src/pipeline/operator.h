@@ -75,10 +75,8 @@ class Operator : public mem::ColdStateProvider
         sbhbm_assert(num_ports >= 1 && num_ports <= 2,
                      "1 or 2 input ports supported");
         eng_.director().registerProvider(this);
-        if (eng_.config().adaptive.enabled) {
-            adapt_ = std::make_unique<runtime::OpAdapt>(
-                eng_.config().adaptive);
-        }
+        if (eng_.config().adaptive.enabled)
+            adapt_ = std::make_unique<runtime::OpAdapt>();
     }
 
     ~Operator() override { eng_.director().unregisterProvider(this); }

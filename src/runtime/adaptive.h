@@ -53,40 +53,38 @@ variantName(GroupVariant v)
     return v == GroupVariant::kSortMerge ? "sort_merge" : "hash_scatter";
 }
 
-/** Tuning knobs of the adaptive plane (defaults: adaptation off). */
+/** The adaptive plane's configuration (default: adaptation off). */
 struct AdaptiveConfig
 {
     /** Master switch. Off reproduces every historical golden bit for
      *  bit; operators then install no hooks at all. */
     bool enabled = false;
-
-    /** EWMA smoothing for window statistics. */
-    double ewma_alpha = 0.4;
-
-    // Grouping-variant thresholds (dead band between them).
-    /** Desire hash-scatter when the dup-factor EWMA is above this. */
-    double dup_hash_min = 8.0;
-    /** Desire sort-merge when the dup-factor EWMA is below this. */
-    double dup_sort_max = 3.0;
-    /** Desire sort-merge whenever sortedness is above this (sorted
-     *  runs make the sort path nearly free, whatever the dup). */
-    double sorted_sort_min = 0.90;
-    /** Consecutive windows a new desire must persist before the
-     *  policy actually switches (no-flap hysteresis). */
-    uint32_t confirm_windows = 2;
-
-    // Host-only sort/partition scan bits (hysteresis bands).
-    double precheck_on = 0.75;  //!< sort sortedness EWMA >= : precheck
-    double precheck_off = 0.30; //!< <= : skip the presort scan
-    double scan_on = 0.95;  //!< partition sortedness EWMA >= : scan
-    double scan_off = 0.60; //!< <= : stop scanning
-
-    // Probe autotune (host wall clock; results/charges unaffected).
-    /** Measured ns/probe above which prefetching is enabled. */
-    double probe_prefetch_on_ns = 25.0;
-    /** Measured ns/probe below which prefetching is disabled. */
-    double probe_prefetch_off_ns = 12.0;
 };
+
+// Grouping-variant thresholds (dead band between the dup bounds).
+
+/** Desire hash-scatter when the dup-factor EWMA is above this. */
+constexpr double kDupHashMin = 8.0;
+/** Desire sort-merge when the dup-factor EWMA is below this. */
+constexpr double kDupSortMax = 3.0;
+/** Desire sort-merge whenever sortedness is above this (sorted runs
+ *  make the sort path nearly free, whatever the dup). */
+constexpr double kSortedSortMin = 0.90;
+/** Consecutive windows a new desire must persist before the policy
+ *  actually switches (no-flap hysteresis). */
+constexpr uint32_t kConfirmWindows = 2;
+
+// Host-only sort/partition scan bits (hysteresis bands).
+constexpr double kPrecheckOn = 0.75;  //!< sort sortedness EWMA >= : precheck
+constexpr double kPrecheckOff = 0.30; //!< <= : skip the presort scan
+constexpr double kScanOn = 0.95;  //!< partition sortedness EWMA >= : scan
+constexpr double kScanOff = 0.60; //!< <= : stop scanning
+
+// Probe autotune (host wall clock; results/charges unaffected).
+/** Measured ns/probe above which prefetching is enabled. */
+constexpr double kProbePrefetchOnNs = 25.0;
+/** Measured ns/probe below which prefetching is disabled. */
+constexpr double kProbePrefetchOffNs = 12.0;
 
 /** One grouping decision, as returned per window. */
 struct GroupDecision
@@ -104,23 +102,21 @@ struct GroupDecision
 class VariantPolicy
 {
   public:
-    explicit VariantPolicy(const AdaptiveConfig &cfg) : cfg_(cfg) {}
-
     /** Fold one run's sampled statistics into the EWMAs. */
     void
     observeRun(const WindowStats &s)
     {
         if (s.rows == 0)
             return;
-        sortedness_.add(s.sortedness, cfg_.ewma_alpha);
-        dup_.add(s.dup_factor, cfg_.ewma_alpha);
-        groups_.add(s.est_groups, cfg_.ewma_alpha);
+        sortedness_.add(s.sortedness);
+        dup_.add(s.dup_factor);
+        groups_.add(s.est_groups);
     }
 
     /**
      * Pick the grouping variant for the next window. Called once per
      * window (first data seen); the desire must persist for
-     * confirm_windows consecutive decisions before the variant
+     * kConfirmWindows consecutive decisions before the variant
      * actually changes.
      */
     GroupDecision
@@ -129,10 +125,10 @@ class VariantPolicy
         ++decisions_;
         GroupVariant desired = current_;
         if (dup_.initialized()) {
-            if (sortedness_.value() >= cfg_.sorted_sort_min
-                || dup_.value() <= cfg_.dup_sort_max) {
+            if (sortedness_.value() >= kSortedSortMin
+                || dup_.value() <= kDupSortMax) {
                 desired = GroupVariant::kSortMerge;
-            } else if (dup_.value() >= cfg_.dup_hash_min) {
+            } else if (dup_.value() >= kDupHashMin) {
                 desired = GroupVariant::kHashScatter;
             }
             // else: inside the dead band — keep the current variant.
@@ -143,7 +139,7 @@ class VariantPolicy
             pending_count_ =
                 desired == pending_ ? pending_count_ + 1 : 1;
             pending_ = desired;
-            if (pending_count_ >= cfg_.confirm_windows) {
+            if (pending_count_ >= kConfirmWindows) {
                 current_ = desired;
                 pending_count_ = 0;
                 ++switches_;
@@ -165,7 +161,6 @@ class VariantPolicy
     const Ewma &groupsEwma() const { return groups_; }
 
   private:
-    AdaptiveConfig cfg_;
     Ewma sortedness_{};
     Ewma dup_{};
     Ewma groups_{};
@@ -187,8 +182,6 @@ class VariantPolicy
 class ProbeAutotuner
 {
   public:
-    explicit ProbeAutotuner(const AdaptiveConfig &cfg) : cfg_(cfg) {}
-
     /**
      * Feed one measurement; @return the prefetch decision given the
      * current setting (band between off/on thresholds keeps it).
@@ -196,11 +189,11 @@ class ProbeAutotuner
     bool
     observe(double ns_per_probe, bool current_prefetch)
     {
-        ns_.add(ns_per_probe, cfg_.ewma_alpha);
+        ns_.add(ns_per_probe);
         ++measurements_;
-        if (ns_.value() >= cfg_.probe_prefetch_on_ns)
+        if (ns_.value() >= kProbePrefetchOnNs)
             return true;
-        if (ns_.value() <= cfg_.probe_prefetch_off_ns)
+        if (ns_.value() <= kProbePrefetchOffNs)
             return false;
         return current_prefetch;
     }
@@ -209,7 +202,6 @@ class ProbeAutotuner
     uint64_t measurements() const { return measurements_; }
 
   private:
-    AdaptiveConfig cfg_;
     Ewma ns_{};
     uint64_t measurements_ = 0;
 };
@@ -256,17 +248,10 @@ autotuneProbeBatch(algo::HashTable<V> &table,
 class OpAdapt
 {
   public:
-    explicit OpAdapt(const AdaptiveConfig &cfg)
-        : cfg_(cfg), policy_(cfg), probe_(cfg)
-    {
-        hooks_.ewma_alpha = cfg.ewma_alpha;
-    }
-
     VariantPolicy &policy() { return policy_; }
     const VariantPolicy &policy() const { return policy_; }
     KernelAdapt &hooks() { return hooks_; }
     ProbeAutotuner &probeTuner() { return probe_; }
-    const AdaptiveConfig &config() const { return cfg_; }
 
     /**
      * Re-derive the kernel decision bits from the kernel-observed
@@ -278,16 +263,16 @@ class OpAdapt
     {
         if (hooks_.sort_sortedness.initialized()) {
             const double v = hooks_.sort_sortedness.value();
-            if (v >= cfg_.precheck_on)
+            if (v >= kPrecheckOn)
                 hooks_.sort_precheck = true;
-            else if (v <= cfg_.precheck_off)
+            else if (v <= kPrecheckOff)
                 hooks_.sort_precheck = false;
         }
         if (hooks_.partition_sortedness.initialized()) {
             const double v = hooks_.partition_sortedness.value();
-            if (v >= cfg_.scan_on)
+            if (v >= kScanOn)
                 hooks_.partition_sorted_scan = true;
-            else if (v <= cfg_.scan_off)
+            else if (v <= kScanOff)
                 hooks_.partition_sorted_scan = false;
         }
     }
@@ -340,7 +325,6 @@ class OpAdapt
     void markProbeBatchTuned() { probe_batch_tuned_ = true; }
 
   private:
-    AdaptiveConfig cfg_;
     VariantPolicy policy_;
     KernelAdapt hooks_;
     ProbeAutotuner probe_;

@@ -198,19 +198,15 @@ class Engine
     // (an emergency director sweep, charged DMA-style), and only if
     // that still leaves the allocation unsatisfiable, throw
     // mem::AllocFailure so the executor / ingest sheds the one task
-    // or bundle instead of aborting the whole fleet. Each exhaustion
-    // event opens a distress window the serving layer reads to turn
-    // on SLA-aware load shedding.
+    // or bundle instead of aborting the whole fleet.
     // ---------------------------------------------------------------
 
     /** Make exhaustion recoverable (see block comment above). */
     void
-    enableGracefulExhaustion(SimTime distress_window = 100 * kNsPerMs)
+    enableGracefulExhaustion()
     {
-        distress_window_ = distress_window;
         hm_.setThrowOnExhaustion(true);
         hm_.setExhaustionHandler([this](mem::Tier t, uint64_t want) {
-            noteMemoryDistress();
             sim::CostLog relief;
             const mem::DemoteResult r =
                 director_.emergencySweep(t, want, relief);
@@ -240,20 +236,6 @@ class Engine
             return true;
         });
     }
-
-    /** Open (or extend) the memory-distress window. */
-    void
-    noteMemoryDistress()
-    {
-        distress_until_ = machine_.now() + distress_window_;
-        ++distress_events_;
-    }
-
-    /** Inside the distress window following an exhaustion event? */
-    bool inDistress() const { return machine_.now() < distress_until_; }
-
-    /** Exhaustion events since boot (injected and genuine). */
-    uint64_t distressEvents() const { return distress_events_; }
 
     /** Record one per-window output delay (drives knob headroom). */
     void
@@ -403,9 +385,6 @@ class Engine
     uint32_t tele_shard_ = 0;
     SampleSet delays_;
     SimTime last_delay_ = 0;
-    SimTime distress_window_ = 100 * kNsPerMs;
-    SimTime distress_until_ = 0;
-    uint64_t distress_events_ = 0;
     uint32_t inflight_bundles_ = 0;
     uint64_t bundles_released_ = 0;
     std::map<StreamId, StreamFlow> stream_flows_;

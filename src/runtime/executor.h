@@ -314,170 +314,6 @@ class Executor
         hostPool().parallelFor(shards, fn);
     }
 
-    // ---------------------------------------------------------------
-    // Cross-executor work stealing (the sharded serving layer).
-    //
-    // A steal moves one queued task from a victim executor onto a
-    // free core slot of a thief bound to a DIFFERENT machine. The
-    // task still belongs to its home stream: dispatch charges,
-    // completion counts and the done-hook all land on the home
-    // executor — the thief only lends cycles. Completion effects run
-    // as an event on the home machine (they touch home pipelines and
-    // schedule home events), at the thief's completion instant.
-    // ---------------------------------------------------------------
-
-    /** A task popped from a victim executor for stealing. */
-    struct StolenTask
-    {
-        TaskFn fn;
-        DoneFn done;
-        StreamId stream = 0;
-        SimTime enq = 0;
-        const char *label = nullptr;
-    };
-
-    /**
-     * Pop this executor's globally-oldest queued High or Low task for
-     * a thief to run. Urgent tasks are never stolen: they are
-     * latency-critical watermark work whose cost belongs on the home
-     * shard's critical path, not behind a cross-shard handoff.
-     * @return false when nothing stealable is queued.
-     */
-    bool
-    popStealable(StolenTask &out)
-    {
-        uint64_t best = ~uint64_t{0};
-        std::map<StreamId, TagQueues>::iterator best_it = queues_.end();
-        int best_tag = 0;
-        for (auto it = queues_.begin(); it != queues_.end(); ++it) {
-            for (int t = static_cast<int>(ImpactTag::kHigh);
-                 t < kNumTags; ++t) {
-                auto &q = it->second[t];
-                if (!q.empty() && q.front().seq < best) {
-                    best = q.front().seq;
-                    best_it = it;
-                    best_tag = t;
-                }
-            }
-        }
-        if (best_it == queues_.end())
-            return false;
-        auto &q = best_it->second[best_tag];
-        out.fn = std::move(q.front().fn);
-        out.done = std::move(q.front().done);
-        out.stream = best_it->first;
-        out.enq = q.front().enq;
-        out.label = q.front().label;
-        q.pop_front();
-        --queued_;
-        bool empty = true;
-        for (const auto &tq : best_it->second)
-            empty = empty && tq.empty();
-        if (empty)
-            queues_.erase(best_it);
-        ++stolen_out_;
-        return true;
-    }
-
-    /**
-     * Run @p task (popped off @p home via popStealable) on one of
-     * this executor's core slots. The caller must hold the co-sim
-     * invariant: this call happens inside the globally-earliest
-     * event, so every other machine — home's included — can be
-     * synced to this machine's now() first.
-     */
-    void
-    runStolen(StolenTask task, Executor &home)
-    {
-        sbhbm_assert(busy_ < cores_, "stealing without a free slot");
-        sbhbm_assert(&home != this, "stealing from self");
-        // The functional body may spawn follow-up work on the home
-        // executor; bring home's clock to the global instant first so
-        // those spawns dispatch at the right virtual time.
-        home.machine_.syncTo(machine_.now());
-        ++busy_;
-        ++stolen_in_;
-
-        const SimTime t0 = machine_.now();
-        sim::CostLog cost;
-        cost.cpu(sim::cost::kTaskDispatchNs);
-        auto keep = std::make_shared<TaskFn>(std::move(task.fn));
-        StreamStats &ss = home.stats_[task.stream];
-        ss.queue_wait_ns += t0 - task.enq;
-        try {
-            (*keep)(cost);
-        } catch (const mem::AllocFailure &) {
-            // Shed on the home shard's books (see pump()).
-            ++ss.shed;
-            ++home.shed_;
-        }
-        ss.cpu_ns += cost.totalCpuNs();
-        ss.hbm_bytes += cost.bytesOn(sim::Tier::kHbm);
-        ss.dram_bytes += cost.bytesOn(sim::Tier::kDram);
-
-        auto done = std::make_shared<DoneFn>(std::move(task.done));
-        machine_.execute(
-            std::move(cost),
-            [this, &home, stream = task.stream, done, keep, t0,
-             label = task.label] {
-                keep->reset();
-                --busy_;
-                if (tele_ != nullptr) {
-                    // The span sits on the thief's lane (it ran
-                    // here), named for the home stream it served.
-                    tele_->trace.span(t0, machine_.now() - t0, shard_,
-                                      stream, "steal",
-                                      label != nullptr ? label
-                                                       : "stolen_task");
-                }
-                // Completion bookkeeping belongs to the home shard:
-                // it touches home pipelines (watermarks,
-                // back-pressure) and must run in home-machine
-                // context, at this global instant.
-                home.machine_.at(machine_.now(),
-                                 [&home, stream, done] {
-                                     ++home.completed_;
-                                     ++home.stats_[stream].completed;
-                                     if (*done)
-                                         (*done)();
-                                     home.pump();
-                                 });
-                pump();
-            });
-    }
-
-    /**
-     * Install an idle-steal hook, consulted whenever pump() runs out
-     * of local work while core slots are free. The hook either steals
-     * one task onto this executor (occupying a slot via runStolen)
-     * and returns true, or returns false; it is re-invoked until it
-     * declines or the slots fill.
-     */
-    void
-    setStealHook(std::function<bool()> hook)
-    {
-        steal_hook_ = std::move(hook);
-    }
-
-    /**
-     * Offer free core slots to the steal hook right now (also called
-     * from pump() whenever local work runs out). The serving layer
-     * drives this from a periodic tick so a fully-idle shard — no
-     * pending completions to re-enter pump() — still lends cycles.
-     */
-    void
-    pumpSteals()
-    {
-        while (steal_hook_ && busy_ < cores_ && queued_ == 0
-               && steal_hook_()) {
-        }
-    }
-
-    /** Tasks other executors took from this one / this one ran for
-     *  others. */
-    uint64_t stolenOut() const { return stolen_out_; }
-    uint64_t stolenIn() const { return stolen_in_; }
-
     unsigned cores() const { return cores_; }
     unsigned busyCores() const { return busy_; }
 
@@ -591,9 +427,6 @@ class Executor
                 pump();
             });
         }
-        // Local work exhausted with slots to spare: offer the free
-        // capacity to the steal hook (cross-shard work stealing).
-        pumpSteals();
     }
 
     /**
@@ -671,9 +504,6 @@ class Executor
     uint64_t spawned_ = 0;
     uint64_t completed_ = 0;
     uint64_t shed_ = 0;
-    uint64_t stolen_out_ = 0;
-    uint64_t stolen_in_ = 0;
-    std::function<bool()> steal_hook_;
     std::map<StreamId, StreamStats> stats_;
     TagPriorityPolicy default_policy_;
     DispatchPolicy *policy_ = nullptr;

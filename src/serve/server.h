@@ -22,21 +22,16 @@
  * co-simulation always processes the globally-earliest pending event,
  * so inside any event at time t every other shard's clock is at or
  * before t with nothing pending earlier — Machine::syncTo(t) is
- * always legal before acting on another shard. Two optional data
- * paths build on it: work stealing (an idle shard's executor runs the
- * backlogged shard's oldest non-urgent task, costs charged home) and
- * tenant migration (a shard whose pressure director cannot demote its
- * way out of a breach drains its heaviest movable session and
- * restarts the remainder on the emptiest shard).
+ * always legal before acting on another shard (placement, failover).
  *
  * Everything is keyed on tenant ids, never on submission order:
  * arrival events are scheduled in id order (ties at equal arrival
  * times break by id), per-tenant seeds derive from the id, and the
  * fair scheduler tie-breaks by id — so per-tenant results are
  * bit-identical no matter the order sessions were submitted in. With
- * shards == 1 (the default) and both cross-shard paths off, the
- * co-simulation degenerates to the single machine's run() loop and
- * every output is byte-identical to the single-engine server.
+ * shards == 1 (the default) the co-simulation degenerates to the
+ * single machine's run() loop and every output is byte-identical to
+ * the single-engine server.
  *
  * Fault tolerance (ServeConfig::fault) layers four mechanisms on the
  * same invariants: a deterministic FaultInjector armed on the
@@ -101,37 +96,30 @@ struct FaultToleranceConfig
      */
     SimTime checkpoint_period = 0;
 
-    /** Reuse unchanged runs from the previous cut (no copy charge). */
-    bool incremental = true;
-
-    /** Poll interval while waiting for checkpoint quiescence. */
-    SimTime quiesce_poll = kNsPerMs / 10;
-
-    /** Crash detection + failover latency before recovery starts. */
-    SimTime recovery_delay = kNsPerMs;
-
-    /** Recovery placement retries before a session is declared lost
-     *  (bounds termination when no live shard ever has headroom). */
-    uint32_t max_recovery_attempts = 64;
-
-    /** Re-offer a rejected arrival up to this many times... */
+    /** Re-offer a rejected arrival up to this many times, with
+     *  kAdmissionRetryBackoff linear backoff between attempts. */
     uint32_t admission_retries = 0;
-
-    /** ...with this linear backoff between attempts. */
-    SimTime admission_retry_backoff = 20 * kNsPerMs;
-
-    /**
-     * Typed allocation failures instead of aborts: an exhausted tier
-     * first triggers an emergency relocation sweep, and a task whose
-     * allocation still fails is shed (counted, watermarks released)
-     * rather than fatal.
-     */
-    bool graceful_exhaustion = true;
-
-    /** While an engine is in allocation distress, shed load from
-     *  sessions with SLA headroom (lossy windows, counted). */
-    bool distress_shedding = false;
 };
+
+// Fixed fault-tolerance timing. With fault tolerance enabled,
+// checkpoints are always incremental (unchanged runs are reused from
+// the previous cut without a copy charge) and allocation exhaustion is
+// always typed: an exhausted tier first triggers an emergency
+// relocation sweep, and a task whose allocation still fails is shed
+// (counted, watermarks released) rather than fatal.
+
+/** Poll interval while waiting for checkpoint quiescence. */
+constexpr SimTime kQuiescePoll = kNsPerMs / 10;
+
+/** Crash detection + failover latency before recovery starts. */
+constexpr SimTime kRecoveryDelay = kNsPerMs;
+
+/** Recovery placement retries before a session is declared lost
+ *  (bounds termination when no live shard ever has headroom). */
+constexpr uint32_t kMaxRecoveryAttempts = 64;
+
+/** Linear backoff step between re-offers of a rejected arrival. */
+constexpr SimTime kAdmissionRetryBackoff = 20 * kNsPerMs;
 
 /** Serving-layer configuration. */
 struct ServeConfig
@@ -158,10 +146,6 @@ struct ServeConfig
      */
     AdmissionConfig admission{0, 64, 64};
 
-    /** Install the weighted fair scheduler (false = the legacy
-     *  tag-priority FIFO, for A/B comparison). */
-    bool fair_share = true;
-
     /**
      * Demote an SLA-breaching tenant's placement class to DRAM-lean
      * (its non-urgent KPAs stop competing for HBM) until its
@@ -172,23 +156,6 @@ struct ServeConfig
 
     /** Engine shards; 1 reproduces the single-engine server. */
     uint32_t shards = 1;
-
-    /**
-     * Let idle shards run backlogged shards' non-urgent tasks (costs
-     * still charged to the home shard). Only meaningful at shards > 1.
-     */
-    bool work_stealing = false;
-
-    /** Backlog depth a victim must have before it is stolen from. */
-    uint32_t steal_min_backlog = 2;
-
-    /**
-     * Escalate an unrelievable pressure-director breach into tenant
-     * migration: the breaching shard drains its heaviest movable
-     * session and the remainder restarts on the emptiest shard.
-     * Needs engine.pressure.enabled and shards > 1.
-     */
-    bool shard_migration = false;
 
     /** Fault injection, checkpointing and failover. */
     FaultToleranceConfig fault;
@@ -253,7 +220,9 @@ struct TenantReport
     /** Shard the session (last) ran on. */
     uint32_t shard = 0;
 
-    /** Cross-shard migrations this session went through. */
+    /** Cross-shard migrations of the live session. The server moves
+     *  sessions only through failover (counted in recoveries), so
+     *  this reads 0; it stays for report readers. */
     uint32_t migrations = 0;
 
     // Fault-tolerance accounting.
@@ -276,7 +245,8 @@ struct TenantReport
      *  nothing was shed. */
     uint64_t records_replayed = 0;
 
-    /** Records consumed but dropped (injected drops + load shedding). */
+    /** Records consumed but dropped (injected drops, failed ingest
+     *  allocations). */
     uint64_t records_shed = 0;
 
     /** Tasks shed on allocation failure (graceful exhaustion). */
@@ -341,8 +311,9 @@ class Server
             EngineShard &sh = *shards_.back();
             if (cfg_.telemetry != nullptr)
                 sh.eng->setTelemetry(cfg_.telemetry, s);
-            if (cfg_.fair_share)
-                sh.eng->exec().setDispatchPolicy(&sh.sched);
+            sh.eng->exec().setDispatchPolicy(&sh.sched);
+            if (cfg_.fault.enabled)
+                sh.eng->enableGracefulExhaustion();
             if (cfg_.admission.mode == AdmissionMode::kLivePressure) {
                 // Gauge-aware admission: headroom is the windowed
                 // high-water of the tier sessions actually allocate
@@ -354,20 +325,6 @@ class Server
                         .highWaterSinceMark();
                 });
             }
-        }
-        if (cfg_.shard_migration && cfg_.shards > 1) {
-            for (uint32_t s = 0; s < cfg_.shards; ++s)
-                shards_[s]->eng->director().setBreachHook(
-                    [this, s](uint64_t) { onShardBreach(s); });
-        }
-        if (cfg_.work_stealing && cfg_.shards > 1) {
-            for (uint32_t s = 0; s < cfg_.shards; ++s)
-                shards_[s]->eng->exec().setStealHook(
-                    [this, s] { return stealInto(s); });
-        }
-        if (cfg_.fault.enabled && cfg_.fault.graceful_exhaustion) {
-            for (auto &sh : shards_)
-                sh->eng->enableGracefulExhaustion();
         }
     }
 
@@ -424,10 +381,6 @@ class Server
             sh->eng->monitor().start();
         if (cfg_.admission.mode == AdmissionMode::kLivePressure)
             admissionTick();
-        if (cfg_.work_stealing && cfg_.shards > 1) {
-            for (uint32_t s = 0; s < cfg_.shards; ++s)
-                stealTick(s);
-        }
         if (cfg_.fault.enabled && !cfg_.fault.plan.empty()) {
             // Faults fire on the control-plane machine (the
             // globally-earliest event when they do), so handlers may
@@ -477,8 +430,8 @@ class Server
      * Jain index over weight-normalized service (tasks completed /
      * weight) of the sessions that ran: 1.0 = perfectly
      * weighted-fair. Computed from the executors' per-stream totals,
-     * not the FairScheduler's counters, so the legacy tag-priority
-     * mode (fair_share = false) is measured — not vacuously fair.
+     * not the FairScheduler's counters, so it measures the service
+     * sessions actually received.
      */
     double
     fairnessIndex() const
@@ -560,7 +513,7 @@ class Server
     };
 
     /**
-     * A migrated session's report spans segments on several shards;
+     * A recovered session's report spans segments on several shards;
      * executor / scheduler / director counters are cumulative per
      * shard, so each segment snapshots its baselines at start and
      * contributes deltas at drain. First segments on a fresh stream
@@ -658,8 +611,8 @@ class Server
             if (cfg_.fault.enabled
                 && rep.admission_retries < cfg_.fault.admission_retries) {
                 ++rep.admission_retries;
-                const SimTime backoff = cfg_.fault.admission_retry_backoff
-                                        * rep.admission_retries;
+                const SimTime backoff =
+                    kAdmissionRetryBackoff * rep.admission_retries;
                 shards_[0]->eng->machine().after(
                     backoff, [this, spec] { arrive(spec); });
             }
@@ -667,11 +620,6 @@ class Server
         }
     }
 
-    /**
-     * Start a session (segment) on shard @p s at global time @p now.
-     * Callers hold the co-sim invariant (they are inside the
-     * globally-earliest event), so syncing s's clock forward is legal.
-     */
     /** Snapshot shard @p s's cumulative counters as the baseline of a
      *  new segment of session @p id. */
     void
@@ -694,6 +642,12 @@ class Server
         reports_[id].shard = s;
     }
 
+    /**
+     * Start a newly admitted session on shard @p s at global time
+     * @p now. Callers hold the co-sim invariant (they are inside the
+     * globally-earliest event), so syncing s's clock forward is legal.
+     * A crashed session's later segments start through recover().
+     */
     void
     start(uint32_t s, const TenantSpec &spec, SimTime now)
     {
@@ -705,9 +659,9 @@ class Server
             *sh.eng, spec, cfg_.window_ns, seedFor(spec));
         Tenant &t = *tenant;
         sh.tenants[spec.id] = std::move(tenant);
-        if (cfg_.fair_share)
-            sh.sched.setWeight(spec.id, spec.weight);
+        sh.sched.setWeight(spec.id, spec.weight);
         t.start();
+        reports_[spec.id].started_at = t.startedAt();
         // The shard's cumulative stall counters may carry history
         // (earlier segments, other incarnations): attribution for
         // this segment measures growth from here.
@@ -740,21 +694,6 @@ class Server
         }
         shards_[0]->eng->machine().after(
             cfg_.engine.monitor_period, [this] { admissionTick(); },
-            /*daemon=*/true);
-    }
-
-    /**
-     * Periodic steal pump for shard @p s: a shard whose event queue
-     * ran completely dry never re-enters its executor's pump(), so
-     * without this tick it would stop lending cycles the moment it
-     * went idle. Daemon-scheduled — it keeps no machine alive.
-     */
-    void
-    stealTick(uint32_t s)
-    {
-        shards_[s]->eng->exec().pumpSteals();
-        shards_[s]->eng->machine().after(
-            cfg_.engine.monitor_period, [this, s] { stealTick(s); },
             /*daemon=*/true);
     }
 
@@ -811,12 +750,6 @@ class Server
             return; // session crashed off this shard mid-poll
         Tenant &t = *it->second;
         t.sla().observe(t.pipe(), t.stallSnapshot());
-        if (cfg_.fault.enabled && cfg_.fault.distress_shedding) {
-            // SLA-aware shedding under allocation distress: sessions
-            // with latency headroom go lossy so breaching ones keep
-            // their windows whole. Clears when the distress does.
-            t.setShedding(sh.eng->inDistress() && !t.sla().breached());
-        }
         if (cfg_.sla_demotion) {
             // SLA feedback into placement: a breaching tenant's
             // non-urgent KPAs go DRAM-lean until it recovers.
@@ -860,8 +793,6 @@ class Server
         EngineShard &sh = *shards_[s];
         t.sla().observe(t.pipe(), t.stallSnapshot());
         TenantReport &rep = reports_[id];
-        if (rep.migrations == 0)
-            rep.started_at = t.startedAt();
         rep.records += t.recordsIngested();
 
         const auto &wrec = t.egress().windowRecords();
@@ -909,8 +840,8 @@ class Server
         rep.downtime_ns += sla.downtimeNs();
 
         // Breach attribution: fold the segment tracker's decomposed
-        // latency into the report (a migrated / recovered session
-        // sums its segments; components still sum to total latency).
+        // latency into the report (a recovered session sums its
+        // segments; components still sum to total latency).
         for (uint32_t c = 0; c < kStallCauses; ++c) {
             const auto cause = static_cast<StallCause>(c);
             rep.attribution_ns[c] += sla.componentNs(cause);
@@ -965,50 +896,8 @@ class Server
     {
         const SimTime now = shards_[s]->eng->machine().now();
         TenantReport &rep = reports_[id];
-
-        // A session marked for migration drains early (its stream was
-        // truncated); if records remain, restart them on the target.
-        const uint64_t position =
-            t.migratable() ? t.sourceA().streamPosition() : 0;
-        uint32_t target = 0;
-        bool migrate = false;
-        if (auto mig = migrating_.find(id); mig != migrating_.end()) {
-            target = mig->second;
-            migrating_.erase(mig);
-            // Logical-time sessions chain by absolute stream position
-            // (offsets compose across segments and crashes); legacy
-            // sessions keep the cumulative-ingest arithmetic.
-            migrate = rep.spec.logical_time
-                          ? position < rep.spec.total_records
-                          : rep.records + t.recordsIngested()
-                                < rep.spec.total_records;
-        }
-        if (migrate && shard_dead_[target]) {
-            // The target died while this session drained: re-route to
-            // a live shard, or finish early when none has headroom.
-            const uint32_t alt = pickRecoveryShard();
-            if (alt != kNoShard && registry_.migrate(id, alt))
-                target = alt;
-            else
-                migrate = false;
-        }
-
         accumulate(s, id, t);
         teardown(s, id); // destroys t
-
-        if (migrate) {
-            ++rep.migrations;
-            TenantSpec cont = rep.spec;
-            if (rep.spec.logical_time) {
-                cont.start_record = position;
-                cont.total_records = rep.spec.total_records - position;
-            } else {
-                cont.total_records = rep.spec.total_records - rep.records;
-            }
-            start(target, cont, now);
-            return;
-        }
-
         ckpts_.erase(id);
 
         rep.admission = Admission::kAdmitted;
@@ -1043,101 +932,6 @@ class Server
         // sessions right now, at this virtual time, on any shard.
         for (const TenantSpec &next : registry_.release(id))
             start(registry_.shardOf(next.id), next, now);
-    }
-
-    /**
-     * Shard @p s's pressure director could not demote its way out of
-     * a high-water breach: drain the shard's heaviest movable session
-     * (largest charged HBM footprint, ties to the lowest id) and mark
-     * it for restart on the emptiest shard. Fired from the breaching
-     * shard's monitor tick — the globally-earliest event, so registry
-     * re-accounting and stream truncation are safe here; the actual
-     * handoff happens when the truncated stream drains.
-     */
-    void
-    onShardBreach(uint32_t s)
-    {
-        if (shard_dead_[s])
-            return; // a dead shard's pressure no longer matters
-        EngineShard &sh = *shards_[s];
-        runtime::StreamId victim = 0;
-        uint64_t victim_used = 0;
-        for (const auto &[id, t] : sh.tenants) {
-            if (!t->migratable() || migrating_.count(id) != 0)
-                continue;
-            const uint64_t used =
-                sh.eng->memory().streamUsed(id, mem::Tier::kHbm);
-            if (used > victim_used) {
-                victim_used = used;
-                victim = id;
-            }
-        }
-        if (victim == 0)
-            return;
-
-        uint32_t target = s;
-        double target_frac = 2.0;
-        for (uint32_t u = 0; u < cfg_.shards; ++u) {
-            if (u == s || shard_dead_[u])
-                continue;
-            const double f = shards_[u]
-                                 ->eng->memory()
-                                 .gauge(mem::Tier::kHbm)
-                                 .usedFraction();
-            if (f < target_frac) {
-                target_frac = f;
-                target = u;
-            }
-        }
-        if (target == s)
-            return;
-        // Move the declared reservation now (static-mode headroom is
-        // checked here); the running state drains through the normal
-        // output path — drain-and-restart migrates identity, not
-        // resident bytes.
-        if (!registry_.migrate(victim, target))
-            return;
-        migrating_[victim] = target;
-        sh.tenants[victim]->truncate();
-        if (obs::Telemetry *tp = cfg_.telemetry) {
-            tp->trace.instant(sh.eng->machine().now(), s, victim,
-                              "migration", "migrate_out",
-                              {{"target", target},
-                               {"hbm_used", victim_used}});
-        }
-    }
-
-    /**
-     * Idle-steal hook body for thief shard @p s: pop the oldest
-     * non-urgent task off the most backlogged other shard (if its
-     * backlog clears the threshold) and run it here, costs charged
-     * home. @return true when a task was stolen (the executor
-     * re-invokes until slots fill or this declines).
-     */
-    bool
-    stealInto(uint32_t s)
-    {
-        if (shard_dead_[s])
-            return false; // dead shards lend no cycles...
-        uint32_t victim = s;
-        uint64_t victim_backlog = 0;
-        for (uint32_t u = 0; u < cfg_.shards; ++u) {
-            if (u == s || shard_dead_[u])
-                continue; // ...and their zombie work is not stolen
-            const uint64_t q = shards_[u]->eng->exec().queuedTasks();
-            if (q >= cfg_.steal_min_backlog && q > victim_backlog) {
-                victim_backlog = q;
-                victim = u;
-            }
-        }
-        if (victim == s)
-            return false;
-        runtime::Executor &vex = shards_[victim]->eng->exec();
-        runtime::Executor::StolenTask task;
-        if (!vex.popStealable(task))
-            return false;
-        shards_[s]->eng->exec().runStolen(std::move(task), vex);
-        return true;
     }
 
     // ---------------------------------------------------------------
@@ -1247,8 +1041,8 @@ class Server
      * on the survivors. The dead engine's event queue is NOT cleared —
      * in-flight (zombie) work drains naturally, since bandwidth-flow
      * callbacks keep task state alive — but its output is no longer
-     * observed, and the shard takes no new sessions, lends no cycles
-     * and is skipped by placement forever after. Shard 0 hosts the
+     * observed, and the shard takes no new sessions and is skipped by
+     * placement forever after. Shard 0 hosts the
      * control plane (modelled as replicated) and never crashes.
      */
     void
@@ -1273,7 +1067,6 @@ class Server
             sh.tenants.erase(id);
             Tenant &t = *dead;
             t.halt();
-            migrating_.erase(id); // recovery supersedes any handoff
 
             TenantReport &rep = reports_[id];
             ++rep.crashes;
@@ -1358,15 +1151,15 @@ class Server
         recovery_scheduled_ = true;
         // Non-daemon: a pending failover is live work — the fleet
         // must not drain out from under it.
-        shards_[0]->eng->machine().after(
-            cfg_.fault.recovery_delay, [this] { recoveryTick(); });
+        shards_[0]->eng->machine().after(kRecoveryDelay,
+                                         [this] { recoveryTick(); });
     }
 
     /**
      * Try to place every pending recovery on a live shard (moving the
      * session's reservation with it). Placements that do not fit yet
      * retry with the recovery delay as backoff; after
-     * max_recovery_attempts the session is declared lost so the run
+     * kMaxRecoveryAttempts the session is declared lost so the run
      * always terminates.
      */
     void
@@ -1379,7 +1172,7 @@ class Server
             const uint32_t target = pickRecoveryShard();
             if (target == kNoShard
                 || !registry_.migrate(pr.id, target)) {
-                if (++pr.attempts >= cfg_.fault.max_recovery_attempts) {
+                if (++pr.attempts >= kMaxRecoveryAttempts) {
                     TenantReport &rep = reports_[pr.id];
                     rep.lost = true;
                     rep.finished_at = now;
@@ -1421,8 +1214,7 @@ class Server
         t.pipe().resumeFrom(pr.dedup_before);
         t.egress().setDedupBefore(pr.dedup_before);
         sh.tenants[pr.id] = std::move(tenant);
-        if (cfg_.fair_share)
-            sh.sched.setWeight(pr.id, rep.spec.weight);
+        sh.sched.setWeight(pr.id, rep.spec.weight);
         t.start();
         // Prime BEFORE noting the outage so the downtime lands in the
         // fresh tracker's recovery delta at the next observe.
@@ -1465,7 +1257,7 @@ class Server
         EngineShard &sh = *shards_[s];
         auto it = sh.tenants.find(id);
         if (it == sh.tenants.end())
-            return; // drained, crashed or migrated away
+            return; // drained or crashed
         it->second->sourceA().pause();
         quiesceWait(s, id, sh.eng->machine().now());
     }
@@ -1484,13 +1276,12 @@ class Server
             // Non-daemon: an in-progress cut holds the fleet until it
             // lands and the source resumes.
             sh.eng->machine().after(
-                cfg_.fault.quiesce_poll,
+                kQuiescePoll,
                 [this, s, id, began] { quiesceWait(s, id, began); });
             return;
         }
         sim::CostLog log;
-        TenantCheckpoint c = t.capture(
-            cfg_.fault.incremental ? ckpts_.find(id) : nullptr, log);
+        TenantCheckpoint c = t.capture(ckpts_.find(id), log);
         TenantReport &rep = reports_[id];
         ++rep.checkpoints;
         rep.checkpoint_copied_bytes += c.copiedBytes();
@@ -1518,7 +1309,6 @@ class Server
     std::vector<TenantSpec> pending_;
     std::map<runtime::StreamId, TenantReport> reports_;
     std::map<runtime::StreamId, SegmentBase> seg_base_;
-    std::map<runtime::StreamId, uint32_t> migrating_;
     std::vector<TenantReport> report_list_;
     bool ran_ = false;
 

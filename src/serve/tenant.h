@@ -195,25 +195,12 @@ class Tenant
     }
 
     /**
-     * Only single-source sessions migrate between shards: a
-     * two-stream query's sources drain at different offsets, so the
-     * continuation could not split the remaining records between them
-     * without breaking per-stream conservation.
+     * Only single-source sessions can restart on another shard (crash
+     * failover): a two-stream query's sources drain at different
+     * offsets, so a continuation could not split the remaining records
+     * between them without breaking per-stream conservation.
      */
     bool migratable() const { return src_b_ == nullptr; }
-
-    /**
-     * Begin handing this session off: stop its stream early (see
-     * ingest::Source::truncate) so it drains at the records already
-     * delivered; the serving layer then restarts the remainder on the
-     * destination shard under the same identity and seed.
-     */
-    void
-    truncate()
-    {
-        sbhbm_assert(migratable(), "two-stream sessions do not migrate");
-        src_a_->truncate();
-    }
 
     // ---------------------------------------------------------------
     // Fault tolerance.
@@ -240,15 +227,6 @@ class Tenant
     /** The pipeline sink (output counts, checksums, dedup horizon). */
     pipeline::EgressOp &egress() { return *built_.egress; }
     const pipeline::EgressOp &egress() const { return *built_.egress; }
-
-    /** SLA-aware load shedding on every source of the session. */
-    void
-    setShedding(bool on)
-    {
-        src_a_->setShedding(on);
-        if (src_b_)
-            src_b_->setShedding(on);
-    }
 
     /** Records consumed from the stream but dropped unprocessed. */
     uint64_t

@@ -242,7 +242,7 @@ class TenantRegistry
 
     /**
      * Re-account a resident session from its shard to @p to_shard
-     * (the serving layer's tenant migration). Mirrors
+     * (the serving layer's crash failover). Mirrors
      * HybridMemory::migrate's discipline: the charged bytes are
      * conserved — released from the source gauge and reserved on the
      * destination in one step, load vector following. In live mode

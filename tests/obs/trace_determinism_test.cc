@@ -69,7 +69,6 @@ tracedShardJson(uint32_t shards)
     cfg.engine.max_inflight_bundles = 1024;
     cfg.window_ns = 20 * kNsPerMs;
     cfg.shards = shards;
-    cfg.work_stealing = true;
     cfg.telemetry = &tele;
 
     Server server(cfg);

@@ -142,16 +142,14 @@ stats(double dup, double sortedness, double groups = 100)
 
 TEST(AdaptivePolicyTest, DefaultsToSortMergeWithNoObservations)
 {
-    AdaptiveConfig cfg;
-    VariantPolicy p(cfg);
+    VariantPolicy p;
     EXPECT_EQ(p.decideWindow().variant, GroupVariant::kSortMerge);
     EXPECT_EQ(p.switches(), 0u);
 }
 
 TEST(AdaptivePolicyTest, SwitchesToHashOnlyAfterConfirmation)
 {
-    AdaptiveConfig cfg; // confirm_windows = 2
-    VariantPolicy p(cfg);
+    VariantPolicy p; // kConfirmWindows = 2
     p.observeRun(stats(/*dup=*/30.0, /*sortedness=*/0.2));
     const GroupDecision d1 = p.decideWindow();
     EXPECT_EQ(d1.variant, GroupVariant::kSortMerge)
@@ -166,8 +164,7 @@ TEST(AdaptivePolicyTest, SwitchesToHashOnlyAfterConfirmation)
 
 TEST(AdaptivePolicyTest, SortedStreamsStayOnSortMergeDespiteDup)
 {
-    AdaptiveConfig cfg;
-    VariantPolicy p(cfg);
+    VariantPolicy p;
     for (int i = 0; i < 10; ++i) {
         p.observeRun(stats(/*dup=*/50.0, /*sortedness=*/1.0));
         EXPECT_EQ(p.decideWindow().variant, GroupVariant::kSortMerge);
@@ -177,8 +174,7 @@ TEST(AdaptivePolicyTest, SortedStreamsStayOnSortMergeDespiteDup)
 
 TEST(AdaptivePolicyTest, NoFlapUnderOscillatingStats)
 {
-    AdaptiveConfig cfg;
-    VariantPolicy p(cfg);
+    VariantPolicy p;
     // Raw stats oscillate hard every window; the EWMA plus the
     // confirmation requirement must not translate that into variant
     // churn: at most one switch in 200 windows.
@@ -192,8 +188,7 @@ TEST(AdaptivePolicyTest, NoFlapUnderOscillatingStats)
 
 TEST(AdaptivePolicyTest, DriftIsFollowedWithBoundedSwitches)
 {
-    AdaptiveConfig cfg;
-    VariantPolicy p(cfg);
+    VariantPolicy p;
     std::vector<GroupVariant> log;
     // Three phases: heavy dup -> unique -> heavy dup. The policy must
     // land on hash, sort, hash — one switch per phase boundary plus
@@ -211,12 +206,11 @@ TEST(AdaptivePolicyTest, DriftIsFollowedWithBoundedSwitches)
 
 TEST(AdaptivePolicyTest, TwoThousandStepRunIsBitIdentical)
 {
-    AdaptiveConfig cfg;
     // One deterministic stat stream, two independent policies: the
     // recorded decision log must replay bit-identically (decisions
     // are pure functions of the observed stats).
-    auto run = [&cfg] {
-        VariantPolicy p(cfg);
+    auto run = [] {
+        VariantPolicy p;
         Rng rng(1234);
         std::vector<uint8_t> log;
         for (int i = 0; i < 2000; ++i) {
@@ -242,8 +236,7 @@ TEST(AdaptivePolicyTest, TwoThousandStepRunIsBitIdentical)
 
 TEST(AdaptivePolicyTest, OpAdaptMemoizesPerWindowDecisions)
 {
-    AdaptiveConfig cfg;
-    OpAdapt op(cfg);
+    OpAdapt op;
     for (int i = 0; i < 3; ++i)
         op.policy().observeRun(stats(30.0, 0.2));
     bool sw = false;
@@ -260,13 +253,12 @@ TEST(AdaptivePolicyTest, OpAdaptMemoizesPerWindowDecisions)
 
 TEST(AdaptivePolicyTest, HookRefreshAppliesHysteresisBands)
 {
-    AdaptiveConfig cfg;
-    OpAdapt op(cfg);
+    OpAdapt op;
     KernelAdapt &h = op.hooks();
     EXPECT_TRUE(h.sort_precheck);
     // Collapse the sortedness EWMA: the precheck turns off...
     for (int i = 0; i < 10; ++i)
-        h.sort_sortedness.add(0.1, cfg.ewma_alpha);
+        h.sort_sortedness.add(0.1);
     op.refreshHooks();
     EXPECT_FALSE(h.sort_precheck);
     // ...a value inside the dead band keeps it off...
@@ -420,8 +412,7 @@ TEST_F(ProbeTuningTest, ResultsIdenticalAcrossBatchAndPrefetch)
 
 TEST_F(ProbeTuningTest, AutotunerHysteresisBands)
 {
-    AdaptiveConfig cfg; // on >= 25 ns, off <= 12 ns
-    ProbeAutotuner tuner(cfg);
+    ProbeAutotuner tuner; // on >= 25 ns, off <= 12 ns
     EXPECT_TRUE(tuner.observe(40.0, false)) << "slow probes: enable";
     // EWMA still above the band: stays on through one fast reading.
     EXPECT_TRUE(tuner.observe(18.0, true));
@@ -550,7 +541,7 @@ class AdaptiveEndToEndTest : public ::testing::Test
 TEST_F(AdaptiveEndToEndTest, SameResultsOnAndOffAndDeterministic)
 {
     // Heavy duplication (5 keys: sampled dup factor ~25, far above
-    // dup_hash_min): adaptation routes windows through the
+    // kDupHashMin): adaptation routes windows through the
     // hash-scatter close, yet every emitted result is identical.
     const RunResult off = run(false, 100000, 5);
     const RunResult on1 = run(true, 100000, 5);

@@ -162,6 +162,9 @@ TEST(Failover, CheckpointRecoveryIsBitIdenticalToFaultFreeRun)
     for (size_t i = 0; i < 2; ++i) {
         const TenantReport &b = base->reports()[i];
         const TenantReport &f = fault->reports()[i];
+        // A recovered session started when it was first admitted,
+        // not when its restart began.
+        EXPECT_EQ(f.started_at, b.started_at) << "tenant " << b.spec.id;
         EXPECT_EQ(f.output_records, b.output_records)
             << "tenant " << b.spec.id;
         EXPECT_EQ(f.window_records, b.window_records)

@@ -212,22 +212,6 @@ TEST(Server, OversizedSessionRejected)
     EXPECT_EQ(server.reports()[1].admission, Admission::kAdmitted);
 }
 
-TEST(Server, LegacyFifoPolicyStillDrains)
-{
-    ServeConfig cfg = smallConfig();
-    cfg.fair_share = false;
-    Server server(cfg);
-    for (uint32_t i = 1; i <= 3; ++i)
-        server.submit(smallTenant(i));
-    server.run();
-    for (const TenantReport &r : server.reports()) {
-        EXPECT_EQ(r.admission, Admission::kAdmitted);
-        EXPECT_EQ(r.records, 40'000u);
-        EXPECT_EQ(r.served_slots, 0u)
-            << "fair scheduler not installed, so it saw no tasks";
-    }
-}
-
 TEST(Server, LoadDriverFleetIsDeterministic)
 {
     FleetConfig fc;

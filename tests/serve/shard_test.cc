@@ -1,29 +1,22 @@
 /**
  * @file
- * The sharded serving layer:
- *  - ShardRegistry: load-vector placement onto the least-loaded shard
- *    under per-shard budget slices, cross-shard migration accounting,
- *    and the server-level determinism contract (same fleet, any
- *    submission order => identical placement and per-tenant results);
- *  - ShardPressure: the breach-escalation path — a pressure-director
- *    sweep that cannot demote its way out of a high-water breach
- *    fires the breach hook, and at the server level migrates the
- *    shard's heaviest movable session to the emptiest shard with
- *    record conservation across segments;
- *  - Steal: idle shards run backlogged shards' non-urgent tasks with
- *    every cost and completion charged to the home shard, without
- *    breaking bit-identical repeatability.
+ * The sharded serving layer (ShardRegistry): load-vector placement
+ * onto the least-loaded shard under per-shard budget slices,
+ * cross-shard reservation moves, the server-level determinism
+ * contract (same fleet, any submission order => identical placement
+ * and per-tenant results), and a pressured session on a two-shard
+ * fleet delivering exactly the windows of the one-shard fleet.
  */
 
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "common/units.h"
-#include "mem/pressure_director.h"
 #include "serve/load_driver.h"
 
 namespace sbhbm::serve {
@@ -244,7 +237,7 @@ TEST(ShardRegistry, FleetSpreadsAcrossShardsAndDrains)
     EXPECT_EQ(used.size(), 4u) << "8 equal sessions over 4 shards "
                                   "must use every shard";
     // Per-shard accounting closes: each executor completed exactly
-    // its residents' tasks (no stealing, no migration here).
+    // its residents' tasks.
     for (uint32_t s = 0; s < 4; ++s)
         EXPECT_EQ(server.engine(s).exec().completedTasks(),
                   shard_tasks[s])
@@ -311,62 +304,14 @@ TEST(ShardRegistry, RepeatedShardedRunsAreBitIdentical)
     EXPECT_TRUE(Fingerprint::of(a) == Fingerprint::of(b));
 }
 
-// -------------------------------------------------------------------
-// ShardPressure: breach escalation
-// -------------------------------------------------------------------
-
-TEST(ShardPressure, BreachHookFiresWithResidualWhenNothingDemotes)
+/** The pressured fleet: one hot SumPerKey session whose open window
+ *  overruns a 4 MiB HBM, so the director runs a sweep every tick. */
+std::unique_ptr<Server>
+runPressuredFleet(uint32_t shards)
 {
-    auto mc = sim::MachineConfig::knl();
-    mc.hbm.capacity_bytes = 1_MiB;
-    mem::HybridMemory hm(mc, sim::MemoryMode::kFlat);
-    mem::PressureConfig pc;
-    pc.enabled = true;
-    pc.high_water = 0.80;
-    pc.low_water = 0.50;
-    mem::PressureDirector dir(hm, pc);
-
-    uint32_t fires = 0;
-    uint64_t residual = 0;
-    dir.setBreachHook([&](uint64_t want) {
-        ++fires;
-        residual = want;
-    });
-
-    // 15 x 64 KiB charged = 93.75% used, above high water — and no
-    // registered providers, so a full sweep demotes nothing.
-    std::vector<mem::Block> blocks;
-    for (int i = 0; i < 15; ++i)
-        blocks.push_back(hm.alloc(60_KiB, mem::Tier::kHbm, false, 1));
-
-    dir.tick();
-    EXPECT_EQ(fires, 1u);
-    EXPECT_EQ(dir.breachEscalations(), 1u);
-    // Residual pressure = used minus the low-water target.
-    EXPECT_EQ(residual, 960_KiB - 512_KiB);
-
-    // Below high water the hook stays quiet.
-    for (int i = 0; i < 10; ++i) {
-        hm.free(blocks.back());
-        blocks.pop_back();
-    }
-    dir.tick();
-    EXPECT_EQ(fires, 1u);
-    for (auto &b : blocks)
-        hm.free(b);
-}
-
-TEST(ShardPressure, UnrelievableBreachMigratesTenantAcrossShards)
-{
-    // One hot SumPerKey session whose single open window overruns a
-    // tiny HBM: with the default watermark cadence all state belongs
-    // to the target window, so the director finds nothing cold to
-    // demote and every breach escalates — the serving layer must
-    // migrate the session to the empty shard and still conserve its
-    // records across the drain-and-restart segments.
     ServeConfig cfg;
     cfg.engine.machine = sim::MachineConfig::knl();
-    cfg.engine.machine.hbm.capacity_bytes = 4ull << 20;
+    cfg.engine.machine.hbm.capacity_bytes = 4_MiB;
     cfg.engine.cores = 4;
     cfg.engine.max_inflight_bundles = 2048;
     cfg.engine.monitor_period = kNsPerMs;
@@ -374,8 +319,7 @@ TEST(ShardPressure, UnrelievableBreachMigratesTenantAcrossShards)
     cfg.engine.pressure.high_water = 0.50;
     cfg.engine.pressure.low_water = 0.40;
     cfg.admission.hbm_budget_bytes = 64_MiB;
-    cfg.shards = 2;
-    cfg.shard_migration = true;
+    cfg.shards = shards;
 
     TenantSpec t;
     t.id = 1;
@@ -387,155 +331,36 @@ TEST(ShardPressure, UnrelievableBreachMigratesTenantAcrossShards)
     t.hbm_reserve_bytes = 1_MiB;
     t.max_inflight_bundles = 64;
 
-    Server server(cfg);
-    server.submit(t);
-    server.run();
-
-    ASSERT_EQ(server.reports().size(), 1u);
-    const TenantReport &r = server.reports()[0];
-    EXPECT_EQ(r.admission, Admission::kAdmitted);
-    EXPECT_GE(r.migrations, 1u) << "an unrelievable breach must "
-                                   "escalate into a shard migration";
-    EXPECT_EQ(server.registry().migrations(), uint64_t{r.migrations});
-    EXPECT_GE(server.engine(0).director().breachEscalations(), 1u);
-    // Conservation across segments: every record of the original
-    // session was ingested exactly once, somewhere in the fleet.
-    EXPECT_EQ(r.records, 200'000u);
-    EXPECT_GT(r.output_records, 0u);
-    EXPECT_LT(r.shard, 2u);
+    auto server = std::make_unique<Server>(cfg);
+    server->submit(t);
+    server->run();
+    return server;
 }
 
-TEST(ShardPressure, MigrationRunsAreBitIdentical)
+TEST(ShardRegistry, PressuredTwoShardFleetDeliversOneShardWindows)
 {
-    auto run = [] {
-        ServeConfig cfg;
-        cfg.engine.machine = sim::MachineConfig::knl();
-        cfg.engine.machine.hbm.capacity_bytes = 4ull << 20;
-        cfg.engine.cores = 4;
-        cfg.engine.max_inflight_bundles = 2048;
-        cfg.engine.monitor_period = kNsPerMs;
-        cfg.engine.pressure.enabled = true;
-        cfg.engine.pressure.high_water = 0.50;
-        cfg.engine.pressure.low_water = 0.40;
-        cfg.admission.hbm_budget_bytes = 64_MiB;
-        cfg.shards = 2;
-        cfg.shard_migration = true;
+    // The pressure director on at more than one shard: the session
+    // stays on its placement shard under sustained high-water pressure
+    // and delivers every window whole — the same rows and checksums
+    // as the one-shard fleet, one row per key of its 10,000-key range.
+    auto one = runPressuredFleet(1);
+    auto two = runPressuredFleet(2);
+    ASSERT_EQ(two->reports().size(), 1u);
+    const TenantReport &r1 = one->reports()[0];
+    const TenantReport &r2 = two->reports()[0];
+    EXPECT_EQ(r2.admission, Admission::kAdmitted);
+    EXPECT_EQ(r2.records, 200'000u);
+    EXPECT_EQ(r2.migrations, 0u);
+    EXPECT_GT(two->engine(r2.shard).director().pressureTicks(), 0u)
+        << "the fleet must actually run under HBM pressure";
 
-        TenantSpec t;
-        t.id = 1;
-        t.query = queries::QueryId::kSumPerKey;
-        t.total_records = 200'000;
-        t.bundle_records = 5'000;
-        t.offered_rate = 2e7;
-        t.hbm_reserve_bytes = 1_MiB;
-        t.max_inflight_bundles = 64;
-
-        auto server = std::make_unique<Server>(cfg);
-        server->submit(t);
-        server->run();
-        return server;
-    };
-
-    auto a = run();
-    auto b = run();
-    EXPECT_TRUE(Fingerprint::of(*a) == Fingerprint::of(*b));
-    EXPECT_EQ(a->reports()[0].migrations, b->reports()[0].migrations);
-}
-
-// -------------------------------------------------------------------
-// Steal: cross-shard work stealing
-// -------------------------------------------------------------------
-
-ServeConfig
-stealConfig()
-{
-    ServeConfig cfg;
-    cfg.engine.cores = 2;
-    cfg.engine.max_inflight_bundles = 256;
-    cfg.engine.monitor_period = kNsPerMs;
-    cfg.window_ns = 20 * kNsPerMs;
-    cfg.shards = 2;
-    cfg.work_stealing = true;
-    return cfg;
-}
-
-std::vector<TenantSpec>
-stealFleet()
-{
-    // A heavy session saturates shard 0's two cores; a light one
-    // placed on shard 1 (smaller load vector) drains quickly and
-    // leaves that shard idle with most of the heavy backlog left.
-    TenantSpec heavy;
-    heavy.id = 1;
-    heavy.name = "heavy";
-    heavy.total_records = 100'000;
-    heavy.bundle_records = 1'000;
-    heavy.offered_rate = 5e7;
-    heavy.poisson_arrivals = true;
-    heavy.hbm_reserve_bytes = 8_MiB;
-    heavy.max_inflight_bundles = 32;
-
-    TenantSpec light;
-    light.id = 2;
-    light.name = "light";
-    light.total_records = 5'000;
-    light.bundle_records = 1'000;
-    light.offered_rate = 5e6;
-    light.poisson_arrivals = true;
-    light.hbm_reserve_bytes = 1_MiB;
-    light.max_inflight_bundles = 8;
-
-    return {heavy, light};
-}
-
-TEST(Steal, IdleShardLendsCyclesChargedHome)
-{
-    Server server(stealConfig());
-    server.submitFleet(stealFleet());
-    server.run();
-
-    ASSERT_EQ(server.reports().size(), 2u);
-    const TenantReport &heavy = server.reports()[0];
-    const TenantReport &light = server.reports()[1];
-    EXPECT_EQ(heavy.shard, 0u);
-    EXPECT_EQ(light.shard, 1u);
-    EXPECT_EQ(heavy.records, 100'000u);
-    EXPECT_EQ(light.records, 5'000u);
-
-    const auto &exec0 = server.engine(0).exec();
-    const auto &exec1 = server.engine(1).exec();
-    EXPECT_GT(exec1.stolenIn(), 0u)
-        << "the drained shard must steal from the backlogged one";
-    // Conservation: every task stolen out of some shard ran on some
-    // other shard, fleet-wide.
-    EXPECT_EQ(exec0.stolenOut() + exec1.stolenOut(),
-              exec0.stolenIn() + exec1.stolenIn());
-
-    // Charged home: the thief books no work against the victim's
-    // stream — spawn, completion, and cost totals all stay with the
-    // home executor, so the report equals the home stream count.
-    EXPECT_EQ(exec1.streamStats(1).spawned, 0u);
-    EXPECT_EQ(exec1.streamStats(1).completed, 0u);
-    EXPECT_EQ(exec0.streamStats(1).completed, heavy.tasks);
-    EXPECT_EQ(exec0.streamStats(1).spawned,
-              exec0.streamStats(1).completed);
-}
-
-TEST(Steal, StealingRunsAreBitIdentical)
-{
-    auto run = [] {
-        auto server = std::make_unique<Server>(stealConfig());
-        server->submitFleet(stealFleet());
-        server->run();
-        return server;
-    };
-    auto a = run();
-    auto b = run();
-    EXPECT_TRUE(Fingerprint::of(*a) == Fingerprint::of(*b));
-    EXPECT_EQ(a->engine(1).exec().stolenIn(),
-              b->engine(1).exec().stolenIn());
-    EXPECT_EQ(a->engine(0).exec().stolenOut(),
-              b->engine(0).exec().stolenOut());
+    ASSERT_EQ(r1.window_records.count(0), 1u);
+    ASSERT_EQ(r2.window_records.count(0), 1u);
+    EXPECT_EQ(r1.window_records.at(0), 10'000u);
+    EXPECT_EQ(r2.window_records.at(0), r1.window_records.at(0));
+    EXPECT_EQ(r2.window_checksums.at(0), r1.window_checksums.at(0));
+    EXPECT_EQ(r2.window_records, r1.window_records);
+    EXPECT_EQ(r2.window_checksums, r1.window_checksums);
 }
 
 } // namespace
