@@ -10,8 +10,9 @@
  * the host while charging their traffic to the simulated machine:
  *
  *  - Sort: parallel merge-sort of key/pointer pairs — per-core chunk
- *    sorts (bitonic blocks + local merge passes) followed by pairwise
- *    merge rounds sliced across all cores at key boundaries
+ *    sorts, charged as bitonic blocks + local merge passes (the host
+ *    sorts each chunk with algo::sortRun's radix sort), followed by
+ *    pairwise merge rounds sliced across all cores at key boundaries
  *    (algo::mergePathSplit). All traffic is sequential.
  *  - Hash: sequential partitioning pass, then parallel inserts into
  *    per-partition open-addressing tables. Inserts are dependent

@@ -105,13 +105,52 @@ naiveJoin(Ctx ctx, const Kpa &l, const Kpa &r,
     return BundleHandle::adopt(out);
 }
 
+namespace {
+
+/** Branchless compare-exchange: afterwards a holds the smaller key. */
+void
+compareExchange(KpEntry &a, KpEntry &b)
+{
+    const bool swap = b.key < a.key;
+    const KpEntry lo = swap ? b : a;
+    const KpEntry hi = swap ? a : b;
+    a = lo;
+    b = hi;
+}
+
+/** Bitonic sorting network over exactly kSortBlock entries. */
+void
+bitonicSortBlock(KpEntry *e)
+{
+    constexpr size_t n = algo::kSortBlock;
+    for (size_t k = 2; k <= n; k <<= 1) {
+        for (size_t j = k >> 1; j > 0; j >>= 1) {
+            for (size_t i = 0; i < n; ++i) {
+                const size_t l = i ^ j;
+                if (l <= i)
+                    continue;
+                if ((i & k) == 0)
+                    compareExchange(e[i], e[l]);
+                else
+                    compareExchange(e[l], e[i]);
+            }
+        }
+    }
+}
+
+} // namespace
+
 void
 naiveSortRun(KpEntry *data, size_t n, KpEntry *scratch)
 {
     if (n <= 1)
         return;
-    for (size_t i = 0; i < n; i += algo::kSortBlock)
-        algo::sortBlock(data + i, std::min(algo::kSortBlock, n - i));
+    for (size_t i = 0; i < n; i += algo::kSortBlock) {
+        if (n - i >= algo::kSortBlock)
+            bitonicSortBlock(data + i);
+        else
+            algo::insertionSort(data + i, n - i);
+    }
     KpEntry *src = data;
     KpEntry *dst = scratch;
     for (size_t width = algo::kSortBlock; width < n; width <<= 1) {

@@ -32,8 +32,10 @@ naiveJoin(kpa::Ctx ctx, const kpa::Kpa &l, const kpa::Kpa &r,
           const std::vector<columnar::ColumnId> &r_cols);
 
 /**
- * Fixed data->scratch ping-pong with an unconditional full sort and a
- * final copy-back, as before.
+ * The paper's merge sort as the host ran it before the radix sort:
+ * 64-entry bitonic blocks, bottom-up merge passes with a fixed
+ * data->scratch ping-pong, an unconditional full sort and a final
+ * copy-back.
  */
 void naiveSortRun(columnar::KpEntry *data, size_t n,
                   columnar::KpEntry *scratch);

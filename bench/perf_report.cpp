@@ -14,22 +14,17 @@
  * builds and runs wherever the test suite does, including CI.
  *
  * Usage: perf_report [--smoke] [--drift|--drift-only] [--out <path>]
- *                    [--threads <n>]
  *   --smoke      small inputs / few reps (CI per-PR signal)
  *   --drift      also run the drifting-distribution adaptive bench
  *   --drift-only run only the drift bench (ctest shape guard)
  *   --out        JSON output path (default BENCH_kernels.json)
- *   --threads    host worker threads for the parallel-kernel entries
- *                (default: sweep 1, 4 and the hardware concurrency)
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "algo/hash_table.h"
@@ -37,7 +32,6 @@
 #include "bench_util.h"
 #include "common/profiler.h"
 #include "common/rng.h"
-#include "common/worker_pool.h"
 #include "kpa/primitives.h"
 #include "perf_naive.h"
 #include "runtime/adaptive.h"
@@ -491,7 +485,6 @@ main(int argc, char **argv)
     bool drift = false;
     bool drift_only = false;
     std::string out_path = "BENCH_kernels.json";
-    unsigned threads_flag = 0; // 0 = sweep {1, 4, hardware}
     for (int a = 1; a < argc; ++a) {
         if (std::strcmp(argv[a], "--smoke") == 0)
             smoke = true;
@@ -501,14 +494,10 @@ main(int argc, char **argv)
             drift = drift_only = true;
         else if (std::strcmp(argv[a], "--out") == 0 && a + 1 < argc)
             out_path = argv[++a];
-        else if (std::strcmp(argv[a], "--threads") == 0 && a + 1 < argc)
-            threads_flag = static_cast<unsigned>(
-                std::max(1, std::atoi(argv[++a])));
         else {
             std::fprintf(stderr,
                          "usage: perf_report [--smoke] "
-                         "[--drift|--drift-only] [--out <path>] "
-                         "[--threads <n>]\n");
+                         "[--drift|--drift-only] [--out <path>]\n");
             return 2;
         }
     }
@@ -631,37 +620,39 @@ main(int argc, char **argv)
         report.add(result("join/wide-dup", t, matches, reps));
     }
 
-    // --- sortRun, both merge-pass parities --------------------------
-    // With an even level count the old code already finished in
-    // `data`; the copy-back it paid at odd parity is what the
-    // precomputed ping-pong start eliminates. Bench both.
-    for (const bool odd : {false, true}) {
-        const size_t sn = odd ? size_t{n} + n / 2 : size_t{n};
+    // --- sortRun, by key width ---------------------------------------
+    // The radix sort makes one pass per key byte that varies: 7-bit
+    // keys (YSB campaign ids) take one pass, 20-bit keys (up to 1 M
+    // distinct) three, and full 64-bit keys eight, its worst case.
+    for (const int bits : {7, 20, 64}) {
         Rng rng(5);
-        std::vector<KpEntry> input(sn);
-        for (size_t i = 0; i < sn; ++i)
-            input[i] = KpEntry{rng.next(), nullptr};
-        std::vector<KpEntry> work(sn), scratch(sn);
-        const uint64_t bytes = sn * sizeof(KpEntry);
+        std::vector<KpEntry> input(n);
+        for (uint32_t i = 0; i < n; ++i)
+            input[i] = KpEntry{bits == 64 ? rng.next()
+                                          : rng.nextBounded(
+                                              uint64_t{1} << bits),
+                               nullptr};
+        std::vector<KpEntry> work(n), scratch(n);
+        const uint64_t bytes = uint64_t{n} * sizeof(KpEntry);
         const TimedPair t = bestNsVs(
             reps,
             [&] {
                 std::memcpy(work.data(), input.data(), bytes);
-                algo::sortRun(work.data(), sn, scratch.data());
+                algo::sortRun(work.data(), n, scratch.data());
             },
             [&] {
                 std::memcpy(work.data(), input.data(), bytes);
-                naiveSortRun(work.data(), sn, scratch.data());
+                naiveSortRun(work.data(), n, scratch.data());
             });
-        report.add(result(odd ? "sortRun/odd-levels"
-                              : "sortRun/even-levels",
-                          t, sn, reps));
+        char name[32];
+        std::snprintf(name, sizeof(name), "sortRun/keys-%dbit", bits);
+        report.add(result(name, t, n, reps));
     }
 
     // --- sortRun, already-sorted input (adaptive fast path) ---------
     // Streaming pipelines sort timestamp-extracted KPAs that arrive
     // in order; the rewritten kernel detects this in one scan where
-    // the old one re-ran every merge pass.
+    // the reference re-runs every merge pass.
     {
         Rng rng(10);
         std::vector<KpEntry> input(n);
@@ -685,51 +676,6 @@ main(int argc, char **argv)
                 naiveSortRun(work.data(), n, scratch.data());
             });
         report.add(result("sortRun/presorted", t, n, reps));
-    }
-
-    // --- sortRun, parallel thread scaling ---------------------------
-    // The same 1 M-random-entry sort as above, sharded across a host
-    // WorkerPool: parallel run formation, per-pair merge dispatch,
-    // merge-path-sliced final rounds. Output is bit-identical to the
-    // serial kernel at every thread count; only the wall clock moves.
-    {
-        std::vector<unsigned> sweep;
-        if (threads_flag > 0) {
-            sweep.push_back(threads_flag);
-        } else {
-            const unsigned hw = std::max(
-                1u, std::thread::hardware_concurrency());
-            for (unsigned t : {1u, 4u, hw})
-                if (std::find(sweep.begin(), sweep.end(), t)
-                    == sweep.end())
-                    sweep.push_back(t);
-        }
-        Rng rng(5);
-        std::vector<KpEntry> input(n);
-        for (uint32_t i = 0; i < n; ++i)
-            input[i] = KpEntry{rng.next(), nullptr};
-        std::vector<KpEntry> work(n), scratch(n);
-        const uint64_t bytes = uint64_t{n} * sizeof(KpEntry);
-        for (unsigned t : sweep) {
-            WorkerPool pool(t);
-            const TimedPair tp = bestNsVs(
-                reps,
-                [&] {
-                    std::memcpy(work.data(), input.data(), bytes);
-                    algo::sortRunParallel(work.data(), n,
-                                          scratch.data(), pool);
-                },
-                [&] {
-                    std::memcpy(work.data(), input.data(), bytes);
-                    naiveSortRun(work.data(), n, scratch.data());
-                });
-            char name[64];
-            std::snprintf(name, sizeof(name), "sortRun/parallel/t%u",
-                          t);
-            BenchResult r = result(name, tp, n, reps);
-            r.threads = static_cast<int>(t);
-            report.add(r);
-        }
     }
 
     // --- hash probe, wide-dup batched group prefetch ----------------

@@ -1,21 +1,23 @@
 /**
  * @file
- * Sequential-access merge-sort kernels on key/pointer pairs (paper
- * §4.2, "Primitive Implementation").
+ * Sort and merge kernels on key/pointer pairs (paper §4.2,
+ * "Primitive Implementation").
  *
- * The paper's Sort splits a KPA into chunks, bitonic-sorts blocks of
- * 64 pairs, then merges. sortRun is the single-thread kernel;
- * sortRunParallel shards the same computation across a host
- * WorkerPool — parallel run formation, then parallel merge rounds
- * with the final (few, large) merges sliced at binary-searched
- * merge-path boundaries so all threads help (paper §4.2: "the
- * threads slice chunks at key boundaries"). The parallel kernel
- * performs the identical block/level structure, so its output is
- * bit-for-bit the serial output at every thread count. The host
- * implementation uses a branchless bitonic network (what the paper
- * hand-tunes with AVX-512); simulated timing is charged by the
- * caller via the cost model, so neither host SIMD width nor host
- * thread count ever affects reported numbers.
+ * The paper's Sort bitonic-sorts blocks of 64 pairs, then merges them
+ * bottom-up. kpa::sortKpa charges the simulated machine for exactly
+ * that algorithm (kSortBlock, mergeLevels). The host runs a stable
+ * radix sort instead: sortRun makes one counting-sort pass per key
+ * byte that varies, so the narrow keys of streaming windows (ids,
+ * bounded ranges) sort in one to three sequential passes. Equal keys
+ * keep their input order.
+ *
+ * The merge kernels serve kpa::merge and the merge slices of
+ * SortedRunsOp. mergeRunsParallel slices one large merge across a
+ * host WorkerPool at binary-searched merge-path boundaries (paper
+ * §4.2: "the threads slice chunks at key boundaries"); its output is
+ * bit-for-bit mergeRuns' at every thread count. Simulated timing is
+ * charged by the callers via the cost model, so neither the host
+ * algorithm nor the host thread count ever affects reported numbers.
  */
 
 #ifndef SBHBM_ALGO_SORT_H
@@ -26,7 +28,6 @@
 #include <cstdint>
 #include <cstring>
 #include <utility>
-#include <vector>
 
 #include "columnar/record.h"
 #include "common/logging.h"
@@ -36,49 +37,16 @@ namespace sbhbm::algo {
 
 using columnar::KpEntry;
 
-/** Block size of the bitonic kernel (64 pairs, paper §4.2). */
+/**
+ * Block size of the paper's bitonic kernel (64 pairs, §4.2); the cost
+ * model charges the sort as blocks of this size plus merge levels.
+ */
 constexpr size_t kSortBlock = 64;
 
-/**
- * Branchless compare-exchange: after the call, a holds the smaller
- * key. The pattern compiles to cmov/vector min-max.
- */
-inline void
-compareExchange(KpEntry &a, KpEntry &b)
-{
-    const bool swap = b.key < a.key;
-    const KpEntry lo = swap ? b : a;
-    const KpEntry hi = swap ? a : b;
-    a = lo;
-    b = hi;
-}
+/** Entries below which sortRun insertion-sorts instead of radix. */
+constexpr size_t kRadixSortMin = 64;
 
-/**
- * Bitonic sorting network over exactly @p n entries, n a power of two
- * and n <= kSortBlock.
- */
-inline void
-bitonicSortPow2(KpEntry *e, size_t n)
-{
-    sbhbm_assert((n & (n - 1)) == 0 && n <= kSortBlock,
-                 "bitonic needs a power of two <= 64, got %zu", n);
-    for (size_t k = 2; k <= n; k <<= 1) {
-        for (size_t j = k >> 1; j > 0; j >>= 1) {
-            for (size_t i = 0; i < n; ++i) {
-                const size_t l = i ^ j;
-                if (l <= i)
-                    continue;
-                const bool ascending = (i & k) == 0;
-                if (ascending)
-                    compareExchange(e[i], e[l]);
-                else
-                    compareExchange(e[l], e[i]);
-            }
-        }
-    }
-}
-
-/** Insertion sort for sub-block tails. */
+/** Stable insertion sort: sortRun's kernel below kRadixSortMin. */
 inline void
 insertionSort(KpEntry *e, size_t n)
 {
@@ -91,17 +59,6 @@ insertionSort(KpEntry *e, size_t n)
         }
         e[j] = v;
     }
-}
-
-/** Sort up to kSortBlock entries (bitonic when full, insertion tail). */
-inline void
-sortBlock(KpEntry *e, size_t n)
-{
-    sbhbm_assert(n <= kSortBlock, "block too large: %zu", n);
-    if (n == kSortBlock)
-        bitonicSortPow2(e, n);
-    else
-        insertionSort(e, n);
 }
 
 /** Merge two sorted runs into @p out (sequential access). */
@@ -118,7 +75,10 @@ mergeRuns(const KpEntry *a, size_t na, const KpEntry *b, size_t nb,
         out[k++] = b[j++];
 }
 
-/** Number of merge levels sortRun performs above the block sort. */
+/**
+ * Number of merge levels the paper's sort performs above its block
+ * sort: the pass count the cost model charges for @p n entries.
+ */
 inline int
 mergeLevels(size_t n)
 {
@@ -139,47 +99,79 @@ isSortedByKey(const KpEntry *e, size_t n)
 }
 
 /**
- * Full merge-sort of @p n entries in place, using @p scratch (at
- * least n entries). Bitonic block sort followed by bottom-up merging.
+ * Stable sort of @p n entries by key in place, using @p scratch (at
+ * least n entries): an LSD radix sort on 8-bit digits.
  *
- * Adaptive: already-sorted input returns after one scan. Streaming
+ * One scan ORs every key's difference from the first key, so only
+ * the bytes that vary get a pass; with @p precheck it also tests
+ * whether the input is already sorted and then returns. Streaming
  * pipelines extract KPAs from time-ordered bundles, so sorting on the
- * timestamp column routinely sees fully sorted runs; random input
- * abandons the check at its first inversion, typically within a few
- * elements. Callers that have already proven the input unsorted (a
- * sampled inversion, or an adaptive policy that has watched this
- * stream) pass @p precheck false to skip the scan outright.
+ * timestamp column routinely sees fully sorted runs. Callers that
+ * have already proven the input unsorted pass @p precheck false.
  *
- * The ping-pong parity is precomputed: with an odd number of merge
- * levels the block sort lands in scratch (each 1 KiB block is copied
- * while cache-hot, then sorted there), so the final merge pass always
- * writes into @p data and no whole-array copy-back pass is needed.
+ * Each pass scatters through per-digit cursors and counts the next
+ * pass's digits on the way. The passes ping-pong between @p data and
+ * @p scratch; with an odd pass count the first histogram scan also
+ * copies the input into scratch, so the last pass always writes into
+ * @p data and no copy-back pass is needed.
  */
 inline void
 sortRun(KpEntry *data, size_t n, KpEntry *scratch, bool precheck = true)
 {
     if (n <= 1)
         return;
-    if (precheck && isSortedByKey(data, n))
+    if (n < kRadixSortMin) {
+        insertionSort(data, n);
         return;
-    const int levels = mergeLevels(n);
-    KpEntry *src = (levels % 2 == 0) ? data : scratch;
-    KpEntry *dst = (levels % 2 == 0) ? scratch : data;
-    for (size_t i = 0; i < n; i += kSortBlock) {
-        const size_t m = std::min(kSortBlock, n - i);
-        if (src != data)
-            std::memcpy(src + i, data + i, m * sizeof(KpEntry));
-        sortBlock(src + i, m);
     }
-    for (size_t width = kSortBlock; width < n; width <<= 1) {
-        for (size_t i = 0; i < n; i += 2 * width) {
-            const size_t mid = std::min(i + width, n);
-            const size_t end = std::min(i + 2 * width, n);
-            mergeRuns(src + i, mid - i, src + mid, end - mid, dst + i);
+    const uint64_t first = data[0].key;
+    uint64_t varying = 0;
+    bool sorted = true;
+    for (size_t i = 1; i < n; ++i) {
+        varying |= data[i].key ^ first;
+        sorted &= data[i - 1].key <= data[i].key;
+    }
+    if (precheck && sorted)
+        return;
+    unsigned shifts[8];
+    int passes = 0;
+    for (unsigned s = 0; s < 64; s += 8)
+        if (((varying >> s) & 0xff) != 0)
+            shifts[passes++] = s;
+    if (passes == 0)
+        return; // all keys equal
+
+    const bool odd = passes % 2 == 1;
+    size_t hist[2][256] = {};
+    size_t *count = hist[0], *next = hist[1];
+    for (size_t i = 0; i < n; ++i) {
+        ++count[(data[i].key >> shifts[0]) & 0xff];
+        if (odd)
+            scratch[i] = data[i];
+    }
+    KpEntry *src = odd ? scratch : data;
+    KpEntry *dst = odd ? data : scratch;
+    for (int p = 0; p < passes; ++p) {
+        size_t sum = 0;
+        for (size_t d = 0; d < 256; ++d) {
+            const size_t digits = count[d];
+            count[d] = sum;
+            sum += digits;
         }
+        const unsigned s = shifts[p];
+        const bool more = p + 1 < passes;
+        const unsigned ns = more ? shifts[p + 1] : 0;
+        std::memset(next, 0, sizeof(hist[1]));
+        for (size_t i = 0; i < n; ++i) {
+            const KpEntry e = src[i];
+            if (more)
+                ++next[(e.key >> ns) & 0xff];
+            dst[count[(e.key >> s) & 0xff]++] = e;
+        }
+        std::swap(count, next);
         std::swap(src, dst);
     }
-    // `levels` swaps from the precomputed start: src == data here.
+    // The parity was fixed up front: src == data here.
 }
 
 /**
@@ -207,9 +199,6 @@ mergePathSplit(const KpEntry *a, size_t na, const KpEntry *b, size_t nb,
     *ai = lo;
     *bi = diag - lo;
 }
-
-/** Entries below which forking a parallel sort is not worth it. */
-constexpr size_t kParallelSortMin = size_t{1} << 15;
 
 /** Minimum output entries per merge-path segment. */
 constexpr size_t kMergeSegmentMin = size_t{1} << 14;
@@ -253,98 +242,6 @@ mergeRunsParallel(const KpEntry *a, size_t na, const KpEntry *b,
         const size_t d1 = total * (s + 1) / segs;
         mergeRunsSegment(a, na, b, nb, out, d0, d1);
     });
-}
-
-/**
- * sortRun sharded across @p pool; output is bit-for-bit what sortRun
- * produces, at every thread count.
- *
- * Run formation: the block sorts (and the odd-parity copy into
- * scratch) shard by contiguous block ranges. Merge rounds: every
- * level's pairwise merges write disjoint output regions, so pairs
- * dispatch concurrently; once a level has fewer pairs than threads
- * (the last, largest merges) each pair's output is further sliced at
- * merge-path diagonals so every thread still contributes. The level
- * structure, ping-pong parity and tie-breaking are exactly
- * sortRun's, which is what makes the result independent of the
- * slicing.
- */
-inline void
-sortRunParallel(KpEntry *data, size_t n, KpEntry *scratch,
-                WorkerPool &pool, bool precheck = true)
-{
-    if (n <= 1)
-        return;
-    if (pool.threads() <= 1 || n < kParallelSortMin) {
-        sortRun(data, n, scratch, precheck);
-        return;
-    }
-    if (precheck && isSortedByKey(data, n))
-        return;
-    const size_t threads = pool.threads();
-    const int levels = mergeLevels(n);
-    KpEntry *src = (levels % 2 == 0) ? data : scratch;
-    KpEntry *dst = (levels % 2 == 0) ? scratch : data;
-
-    // Run formation: independent 64-entry block sorts.
-    const size_t nblocks = (n + kSortBlock - 1) / kSortBlock;
-    const auto form_shards = static_cast<uint32_t>(
-        std::min<size_t>(nblocks, 4 * threads));
-    pool.parallelFor(form_shards, [&](uint32_t s) {
-        const size_t b0 = nblocks * s / form_shards;
-        const size_t b1 = nblocks * (s + 1) / form_shards;
-        for (size_t blk = b0; blk < b1; ++blk) {
-            const size_t i = blk * kSortBlock;
-            const size_t m = std::min(kSortBlock, n - i);
-            if (src != data)
-                std::memcpy(src + i, data + i, m * sizeof(KpEntry));
-            sortBlock(src + i, m);
-        }
-    });
-
-    // Merge rounds. A segment is (pair offsets, output diagonals).
-    struct Segment
-    {
-        size_t i, mid, end; //!< pair: [i, mid) merged with [mid, end)
-        size_t d0, d1;      //!< output slice, relative to i
-    };
-    std::vector<Segment> segs;
-    for (size_t width = kSortBlock; width < n; width <<= 1) {
-        segs.clear();
-        const size_t npairs = (n + 2 * width - 1) / (2 * width);
-        for (size_t i = 0; i < n; i += 2 * width) {
-            const size_t mid = std::min(i + width, n);
-            const size_t end = std::min(i + 2 * width, n);
-            // Slice the pair when pairs are scarcer than threads and
-            // the slices stay worth their two binary searches.
-            size_t pieces = 1;
-            if (npairs < threads) {
-                pieces = std::min((threads + npairs - 1) / npairs,
-                                  std::max<size_t>(
-                                      1, (end - i) / kMergeSegmentMin));
-            }
-            for (size_t p = 0; p < pieces; ++p) {
-                segs.push_back(Segment{i, mid, end,
-                                       (end - i) * p / pieces,
-                                       (end - i) * (p + 1) / pieces});
-            }
-        }
-        pool.parallelFor(
-            static_cast<uint32_t>(segs.size()), [&](uint32_t s) {
-                const Segment &g = segs[s];
-                const size_t na = g.mid - g.i;
-                const size_t nb = g.end - g.mid;
-                if (g.d0 == 0 && g.d1 == g.end - g.i) {
-                    mergeRuns(src + g.i, na, src + g.mid, nb,
-                              dst + g.i);
-                } else {
-                    mergeRunsSegment(src + g.i, na, src + g.mid, nb,
-                                     dst + g.i, g.d0, g.d1);
-                }
-            });
-        std::swap(src, dst);
-    }
-    // `levels` swaps from the precomputed start: src == data here.
 }
 
 } // namespace sbhbm::algo

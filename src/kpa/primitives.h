@@ -64,11 +64,11 @@ struct Ctx
     double group_scale = 1.0;
 
     /**
-     * Host fork-join pool for the wall-clock of heavy kernels
-     * (sortKpa's merge rounds, large merges). Optional: nullptr (or a
-     * 1-thread pool) runs the serial code paths. Parallel and serial
-     * paths produce bit-identical entries and identical charges, so
-     * this never changes simulated results.
+     * Host fork-join pool for the wall-clock of heavy kernels (large
+     * merges, partition passes). Optional: nullptr (or a 1-thread
+     * pool) runs the serial code paths. Parallel and serial paths
+     * produce bit-identical entries and identical charges, so this
+     * never changes simulated results.
      */
     WorkerPool *pool = nullptr;
 
@@ -430,8 +430,10 @@ writeBackKeys(Ctx ctx, Kpa &k, ColumnId col)
 // -------------------------------------------------------------------
 
 /**
- * Sort (Table 2): merge-sort the KPA by resident key in place.
- * Bitonic block sort plus bottom-up merge passes, all sequential.
+ * Sort (Table 2): sort the KPA by resident key in place. The
+ * simulated machine is charged for the paper's sort, a bitonic block
+ * sort plus bottom-up merge passes, all sequential; the host runs
+ * algo::sortRun's radix sort, so equal keys keep their input order.
  */
 inline void
 sortKpa(Ctx ctx, Kpa &k)
@@ -467,16 +469,9 @@ sortKpa(Ctx ctx, Kpa &k)
             // Scratch lives on the same tier while the sort runs.
             mem::Block scratch =
                 ctx.hm.alloc(n * sizeof(KpEntry), k.tier());
-            if (ctx.pool != nullptr && ctx.pool->threads() > 1) {
-                algo::sortRunParallel(
-                    k.entries(), n,
-                    static_cast<KpEntry *>(scratch.ptr), *ctx.pool,
-                    /*precheck=*/false);
-            } else {
-                algo::sortRun(k.entries(), n,
-                              static_cast<KpEntry *>(scratch.ptr),
-                              /*precheck=*/false);
-            }
+            algo::sortRun(k.entries(), n,
+                          static_cast<KpEntry *>(scratch.ptr),
+                          /*precheck=*/false);
             ctx.hm.free(scratch);
         }
 
@@ -499,16 +494,14 @@ sortKpa(Ctx ctx, Kpa &k)
  * fully key-sorted KPA) by grouping instead of sorting — one hash
  * pass assigns every entry a dense group id, the G distinct group
  * keys are sorted, and a stable scatter lays the entries out in
- * group-key order. O(n + G log G) against sortKpa's O(n log n): the
- * adaptive grouping policy picks this variant on heavily duplicated
- * streams (G << n), where sorting n entries does n log n work to
- * discover an ordering only G keys wide.
+ * group-key order. Charged O(n + G log G) against the O(n log n)
+ * merge sort sortKpa is charged for: the adaptive grouping policy
+ * picks this variant on heavily duplicated streams (G << n), where
+ * that sort does n log n work to discover an ordering only G keys
+ * wide.
  *
- * Within a key, entries land in arrival order, which differs from
- * the (unstable) bitonic network's order — callers must be
- * value-order-insensitive. Every shipped aggregation is (sum, count,
- * avg, median, topK, uniqueCount, percentile all commute over the
- * run), and the adaptive policy only routes KeyedAggOp streams here.
+ * Within a key, entries land in arrival order, exactly as sortKpa
+ * leaves them.
  *
  * Charges: the hash pass streams the KPA once and pays a random
  * grouping-state probe per entry; the G-key sort is charged exactly

@@ -241,8 +241,8 @@ class KeyedAggOp : public SortedRunsOp
      * Every shipped Aggregation reduces a key run to a value that is
      * invariant under run permutation (sum/count/avg/median/topK/
      * uniqueCount/percentile), so the hash-scatter grouping variant —
-     * which orders within-key entries by arrival, not by the sort
-     * network — is safe here.
+     * which may order a key's entries differently from the merge
+     * tree — is safe here.
      */
     bool adaptiveGrouping() const override { return true; }
 

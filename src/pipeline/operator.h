@@ -302,11 +302,10 @@ class Operator : public mem::ColdStateProvider
                 static_cast<double>(record_cols) * sizeof(uint64_t)
                 / sizeof(columnar::KpEntry);
         }
-        // Kernels shard heavy host work (parallel sortKpa merge
-        // rounds, sliced merges) across the engine's host pool;
-        // simulated charges are unaffected. Null on single-threaded
-        // hosts: the kernels then take their serial paths with no
-        // pool ever constructed.
+        // Kernels shard heavy host work (sliced merges, partition
+        // passes) across the engine's host pool; simulated charges
+        // are unaffected. Null on single-threaded hosts: the kernels
+        // then take their serial paths with no pool ever constructed.
         ctx.pool = eng_.exec().hostPoolIfParallel();
         // Adaptive hooks: re-derive the kernel decision bits from the
         // EWMAs observed so far, then hand the hook block to the

@@ -72,11 +72,13 @@ class SortedRunsOp : public Operator
     /**
      * May the adaptive policy route this operator's windows through
      * the hash-scatter grouping variant (groupSortKpa)? That variant
-     * lays entries of one key out in *arrival* order rather than the
-     * sort network's, so only subclasses whose reduction is
-     * value-order-insensitive opt in (KeyedAggOp: every shipped
-     * aggregation commutes over a key run). Sort-order-dependent
-     * reductions keep the default and always take sort-merge.
+     * groups the window's concatenated runs at close instead of
+     * merging per-run sorts, so a key's entries may come out in a
+     * different order than the merge tree's. Only subclasses whose
+     * reduction is value-order-insensitive opt in (KeyedAggOp: every
+     * shipped aggregation commutes over a key run). Sort-order-
+     * dependent reductions keep the default and always take
+     * sort-merge.
      */
     virtual bool adaptiveGrouping() const { return false; }
 

@@ -13,10 +13,10 @@
  * payload rows behind both KPAs' record pointers are issued as
  * rolling groups of in-flight loads (Cimple-style software
  * pipelining) so DRAM misses overlap instead of serializing — both
- * along the scan and inside long duplicate-key runs. The sort of the
- * incoming KPA and the merge into window state shard across the
- * engine's host WorkerPool via kpa::sortKpa / kpa::merge. None of
- * this changes simulated costs or emitted bytes.
+ * along the scan and inside long duplicate-key runs. The merge of the
+ * sorted incoming KPA into window state shards across the engine's
+ * host WorkerPool via kpa::merge. None of this changes simulated
+ * costs or emitted bytes.
  */
 
 #ifndef SBHBM_PIPELINE_TEMPORAL_JOIN_H

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <vector>
 
@@ -41,34 +40,6 @@ expectSortedPermutation(const std::vector<KpEntry> &in,
         --bag[{e.key, e.row}];
     for (const auto &[k, v] : bag)
         ASSERT_EQ(v, 0) << "multiset mismatch";
-}
-
-TEST(BitonicSort, SortsAllPowerOfTwoSizes)
-{
-    for (size_t n : {2, 4, 8, 16, 32, 64}) {
-        auto v = randomEntries(n, 42 + n);
-        auto orig = v;
-        bitonicSortPow2(v.data(), n);
-        expectSortedPermutation(orig, v);
-    }
-}
-
-TEST(BitonicSort, HandlesDuplicateKeys)
-{
-    auto v = randomEntries(64, 7, /*key_range=*/4);
-    auto orig = v;
-    bitonicSortPow2(v.data(), 64);
-    expectSortedPermutation(orig, v);
-}
-
-TEST(SortBlock, TailSizesUseInsertionSort)
-{
-    for (size_t n : {0, 1, 3, 17, 63}) {
-        auto v = randomEntries(n, 100 + n);
-        auto orig = v;
-        sortBlock(v.data(), n);
-        expectSortedPermutation(orig, v);
-    }
 }
 
 TEST(MergeRuns, MergesTwoSortedRuns)
@@ -113,16 +84,82 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SortRunTest,
 
 TEST(SortRun, ResultLandsInDataForBothMergeParities)
 {
-    // The ping-pong parity is precomputed so no final copy-back pass
-    // runs: verify `data` holds the sorted result on either side of
-    // every level-count boundary.
-    for (size_t n : {65ul, 128ul, 129ul, 256ul, 257ul, 8192ul, 8193ul}) {
-        SCOPED_TRACE(n);
-        auto v = randomEntries(n, 7000 + n);
-        auto orig = v;
-        std::vector<KpEntry> scratch(n);
-        sortRun(v.data(), n, scratch.data());
-        expectSortedPermutation(orig, v);
+    // The ping-pong parity is fixed up front so no copy-back pass
+    // runs: verify `data` holds the sorted result for an odd (one
+    // varying byte) and an even (two varying bytes, one skipped
+    // between them) radix pass count.
+    for (const uint64_t mask : {uint64_t{0xff}, uint64_t{0xff00ff}}) {
+        for (const size_t n : {kRadixSortMin, size_t{1000}, size_t{8193}}) {
+            SCOPED_TRACE(testing::Message() << "mask " << mask << " n " << n);
+            auto v = randomEntries(n, 7000 + n);
+            for (KpEntry &e : v)
+                e.key &= mask;
+            auto orig = v;
+            std::vector<KpEntry> scratch(n);
+            sortRun(v.data(), n, scratch.data());
+            expectSortedPermutation(orig, v);
+        }
+    }
+}
+
+/** @return entries drawn from a small pool of keys base | (r & mask). */
+std::vector<KpEntry>
+pooledEntries(size_t n, uint64_t seed, uint64_t base, uint64_t mask,
+              bool with_extremes)
+{
+    Rng rng(seed);
+    std::vector<uint64_t> pool;
+    if (with_extremes)
+        pool = {0, UINT64_MAX};
+    while (pool.size() < 40)
+        pool.push_back(base | (rng.next() & mask));
+    std::vector<KpEntry> v(n);
+    for (size_t i = 0; i < n; ++i)
+        v[i] = KpEntry{pool[rng.nextBounded(pool.size())],
+                       reinterpret_cast<uint64_t *>(i + 1)};
+    return v;
+}
+
+TEST(SortRun, IsStable)
+{
+    // Every entry must land where std::stable_sort puts it, row
+    // pointer included: equal keys keep their input order. The pools
+    // repeat keys heavily, and each key set varies a different set of
+    // bytes, so the passes run, skip and reorder every way they can.
+    struct KeySet
+    {
+        const char *name;
+        uint64_t base, mask;
+        bool with_extremes;
+    };
+    const KeySet sets[] = {
+        {"byte 0 only", 0x0123456789abcd00ull, 0xffull, false},
+        {"byte 7 only", 0x00abcdef01234567ull, 0xff00000000000000ull,
+         false},
+        {"1 byte", 0, 0xffull, false},
+        {"2 bytes", 0, 0xffffull, false},
+        {"3 bytes", 0, 0xffffffull, false},
+        {"all 8 bytes", 0, UINT64_MAX, true},
+    };
+    for (const KeySet &ks : sets) {
+        for (const size_t n : {size_t{2}, kRadixSortMin - 1, kRadixSortMin,
+                               kRadixSortMin + 1, size_t{1000},
+                               size_t{50000}}) {
+            SCOPED_TRACE(testing::Message() << ks.name << " n " << n);
+            auto v = pooledEntries(n, 31 * n + ks.mask % 97, ks.base,
+                                   ks.mask, ks.with_extremes);
+            auto expect = v;
+            std::stable_sort(expect.begin(), expect.end(),
+                             [](const KpEntry &a, const KpEntry &b) {
+                                 return a.key < b.key;
+                             });
+            std::vector<KpEntry> scratch(n);
+            sortRun(v.data(), n, scratch.data());
+            for (size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(v[i].key, expect[i].key) << "at " << i;
+                ASSERT_EQ(v[i].row, expect[i].row) << "at " << i;
+            }
+        }
     }
 }
 
@@ -240,10 +277,10 @@ TEST(SortRun, NearlySortedOneInversionStillSortsCorrectly)
     }
 }
 
-/** Same regression with duplicate keys and the parallel kernel. */
+/** Same regression with duplicate keys. */
 TEST(SortRun, NearlySortedWithDuplicatesMatchesSerialAtAllThreads)
 {
-    const size_t n = (size_t{1} << 15) + 100; // above parallel min
+    const size_t n = (size_t{1} << 15) + 100;
     std::vector<KpEntry> base(n);
     for (size_t i = 0; i < n; ++i)
         base[i] =
@@ -254,26 +291,6 @@ TEST(SortRun, NearlySortedWithDuplicatesMatchesSerialAtAllThreads)
     auto serial = base;
     sortRun(serial.data(), n, scratch.data());
     expectSortedPermutation(orig, serial);
-    for (const unsigned threads : {2u, 8u}) {
-        WorkerPool pool(threads);
-        auto par = base;
-        sortRunParallel(par.data(), n, scratch.data(), pool);
-        ASSERT_EQ(std::memcmp(par.data(), serial.data(),
-                              n * sizeof(KpEntry)),
-                  0)
-            << threads;
-    }
-}
-
-TEST(CompareExchange, OrdersPairAndPreservesPayload)
-{
-    KpEntry a{5, reinterpret_cast<uint64_t *>(0xa)};
-    KpEntry b{3, reinterpret_cast<uint64_t *>(0xb)};
-    compareExchange(a, b);
-    EXPECT_EQ(a.key, 3u);
-    EXPECT_EQ(b.key, 5u);
-    EXPECT_EQ(a.row, reinterpret_cast<uint64_t *>(0xb));
-    EXPECT_EQ(b.row, reinterpret_cast<uint64_t *>(0xa));
 }
 
 } // namespace
