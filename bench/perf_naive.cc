@@ -1,6 +1,8 @@
 #include "perf_naive.h"
 
 #include <algorithm>
+#include <functional>
+#include <initializer_list>
 #include <utility>
 
 #include "algo/sort.h"
@@ -105,6 +107,83 @@ naiveJoin(Ctx ctx, const Kpa &l, const Kpa &r,
     return BundleHandle::adopt(out);
 }
 
+void
+naiveMergeRuns(const KpEntry *a, size_t na, const KpEntry *b, size_t nb,
+               KpEntry *out)
+{
+    size_t i = 0, j = 0, k = 0;
+    while (i < na && j < nb)
+        out[k++] = (b[j].key < a[i].key) ? b[j++] : a[i++];
+    while (i < na)
+        out[k++] = a[i++];
+    while (j < nb)
+        out[k++] = b[j++];
+}
+
+namespace {
+
+/** The two-column row buffer the keyed reduce wrote into. */
+class NaiveRowSink
+{
+  public:
+    void
+    push(std::initializer_list<uint64_t> row)
+    {
+        flat_.insert(flat_.end(), row.begin(), row.end());
+    }
+
+    BundleHandle
+    toBundle(mem::HybridMemory &hm) const
+    {
+        if (flat_.empty())
+            return BundleHandle{};
+        auto *b = Bundle::create(hm, 2,
+                                 static_cast<uint32_t>(flat_.size() / 2));
+        for (size_t i = 0; i < flat_.size(); i += 2)
+            b->append(&flat_[i]);
+        return BundleHandle::adopt(b);
+    }
+
+  private:
+    std::vector<uint64_t> flat_;
+};
+
+} // namespace
+
+BundleHandle
+naiveReduce(mem::HybridMemory &hm, const Kpa &merged, NaiveReducer reducer,
+            ColumnId value_col)
+{
+    std::function<void(uint64_t, const KpEntry *, size_t, NaiveRowSink &)>
+        per_key;
+    if (reducer == NaiveReducer::kSum) {
+        per_key = [value_col](uint64_t key, const KpEntry *run, size_t n,
+                              NaiveRowSink &sink) {
+            uint64_t sum = 0;
+            for (size_t i = 0; i < n; ++i)
+                sum += run[i].row[value_col];
+            sink.push({key, sum});
+        };
+    } else {
+        per_key = [value_col](uint64_t key, const KpEntry *run, size_t n,
+                              NaiveRowSink &sink) {
+            std::vector<uint64_t> vals;
+            vals.reserve(n);
+            for (size_t i = 0; i < n; ++i)
+                vals.push_back(run[i].row[value_col]);
+            std::sort(vals.begin(), vals.end());
+            const auto uniq = std::unique(vals.begin(), vals.end());
+            sink.push({key, static_cast<uint64_t>(uniq - vals.begin())});
+        };
+    }
+    NaiveRowSink sink;
+    kpa::forEachKeyRun(merged,
+                       [&](uint64_t key, const KpEntry *run, size_t n) {
+                           per_key(key, run, n, sink);
+                       });
+    return sink.toBundle(hm);
+}
+
 namespace {
 
 /** Branchless compare-exchange: afterwards a holds the smaller key. */
@@ -157,8 +236,8 @@ naiveSortRun(KpEntry *data, size_t n, KpEntry *scratch)
         for (size_t i = 0; i < n; i += 2 * width) {
             const size_t mid = std::min(i + width, n);
             const size_t end = std::min(i + 2 * width, n);
-            algo::mergeRuns(src + i, mid - i, src + mid, end - mid,
-                            dst + i);
+            naiveMergeRuns(src + i, mid - i, src + mid, end - mid,
+                           dst + i);
         }
         std::swap(src, dst);
     }

@@ -32,6 +32,32 @@ naiveJoin(kpa::Ctx ctx, const kpa::Kpa &l, const kpa::Kpa &r,
           const std::vector<columnar::ColumnId> &r_cols);
 
 /**
+ * Stable merge with one data-dependent branch per output entry, as
+ * mergeRuns ran before its branch-free two-ended loop.
+ */
+void naiveMergeRuns(const columnar::KpEntry *a, size_t na,
+                    const columnar::KpEntry *b, size_t nb,
+                    columnar::KpEntry *out);
+
+/** The per-key reductions naiveReduce can run. */
+enum class NaiveReducer
+{
+    kSum,
+    kUniqueCount,
+};
+
+/**
+ * Keyed reduce of a sorted KPA as it ran before typed reducers: a
+ * std::function call per key run, a fresh value vector per run for
+ * the unique count, one initializer_list push per row into an
+ * unreserved buffer, and a row-by-row copy into the output bundle.
+ */
+columnar::BundleHandle naiveReduce(mem::HybridMemory &hm,
+                                   const kpa::Kpa &merged,
+                                   NaiveReducer reducer,
+                                   columnar::ColumnId value_col);
+
+/**
  * The paper's merge sort as the host ran it before the radix sort:
  * 64-entry bitonic blocks, bottom-up merge passes with a fixed
  * data->scratch ping-pong, an unconditional full sort and a final

@@ -3,10 +3,11 @@
  * Host-kernel perf-regression harness.
  *
  * Times the rewritten KPA grouping kernels (partitionByRange, join,
- * sortRun, extract, materialize, keySwap) against reference
- * implementations preserving the pre-rewrite algorithms, plus one
- * end-to-end figure-style GroupBy-window pipeline, and writes the
- * results to a machine-readable JSON report (BENCH_kernels.json).
+ * sortRun, mergeRuns, the keyed reduce, extract, materialize,
+ * keySwap) against reference implementations preserving the
+ * pre-rewrite algorithms, plus one end-to-end figure-style
+ * GroupBy-window pipeline, and writes the results to a
+ * machine-readable JSON report (BENCH_kernels.json).
  * Unlike the fig* benches this measures *host wall-clock* time — the
  * simulated cost model is exercised but its output is not the metric.
  *
@@ -34,6 +35,7 @@
 #include "common/rng.h"
 #include "kpa/primitives.h"
 #include "perf_naive.h"
+#include "pipeline/aggregations.h"
 #include "runtime/adaptive.h"
 #include "sim/machine_config.h"
 
@@ -42,7 +44,9 @@ using bench::BenchResult;
 using bench::naiveExtract;
 using bench::naiveJoin;
 using bench::naiveMaterialize;
+using bench::naiveMergeRuns;
 using bench::naivePartitionByRange;
+using bench::naiveReduce;
 using bench::naiveSortRun;
 using bench::Table;
 using columnar::Bundle;
@@ -676,6 +680,96 @@ main(int argc, char **argv)
                 naiveSortRun(work.data(), n, scratch.data());
             });
         report.add(result("sortRun/presorted", t, n, reps));
+    }
+
+    // --- mergeRuns, by key width ------------------------------------
+    // Two sorted 64 k runs. On 14- and 20-bit keys the reference's
+    // "which side is smaller" branch is a coin flip. 7-bit keys (YSB
+    // campaign ids) come in long equal-key stretches that predict it
+    // well: the duplicate-heavy case, where the branch-free
+    // two-ended merge gains least.
+    for (const int bits : {7, 14, 20}) {
+        constexpr uint32_t kRun = 1u << 16;
+        Rng rng(12);
+        std::vector<KpEntry> a(kRun), b(kRun), scratch(kRun);
+        for (std::vector<KpEntry> *v : {&a, &b}) {
+            for (KpEntry &e : *v)
+                e = KpEntry{rng.nextBounded(uint64_t{1} << bits), nullptr};
+            algo::sortRun(v->data(), kRun, scratch.data());
+        }
+        std::vector<KpEntry> out(2 * kRun), naive_out(2 * kRun);
+        const TimedPair t = bestNsVs(
+            reps,
+            [&] {
+                algo::mergeRuns(a.data(), kRun, b.data(), kRun,
+                                out.data());
+            },
+            [&] {
+                naiveMergeRuns(a.data(), kRun, b.data(), kRun,
+                               naive_out.data());
+            });
+        if (std::memcmp(out.data(), naive_out.data(),
+                        out.size() * sizeof(KpEntry))
+            != 0) {
+            std::fprintf(stderr, "mergeRuns/keys-%dbit: output differs "
+                                 "from the reference\n",
+                         bits);
+            return 1;
+        }
+        char name[32];
+        std::snprintf(name, sizeof(name), "mergeRuns/keys-%dbit", bits);
+        report.add(result(name, t, 2 * kRun, reps));
+    }
+
+    // --- keyed reduce, 10 k keys ------------------------------------
+    // The perfbench replay's reduce: Aggregation::per_key once per key
+    // run of a merged, key-sorted KPA, then one output bundle. The
+    // KPA's rows (24 B each) exceed L2, so the value loads miss. The
+    // reference calls a std::function per run and copies rows one by
+    // one.
+    {
+        BundleHandle lb = env.makeBundle(n / 2, 10000, 13);
+        BundleHandle rb = env.makeBundle(n - n / 2, 10000, 14);
+        KpaPtr lk = kpa::extract(env.ctx(), *lb, 0, env.hbm);
+        KpaPtr rk = kpa::extract(env.ctx(), *rb, 0, env.hbm);
+        kpa::sortKpa(env.ctx(), *lk);
+        kpa::sortKpa(env.ctx(), *rk);
+        const KpaPtr merged = kpa::merge(env.ctx(), *lk, *rk, env.hbm);
+        for (const bool unique : {false, true}) {
+            const pipeline::Aggregation agg =
+                unique ? pipeline::aggs::uniqueCountPerKey(1)
+                       : pipeline::aggs::sumPerKey(1);
+            BundleHandle out, naive_out;
+            const TimedPair t = bestNsVs(
+                reps,
+                [&] {
+                    pipeline::RowSink sink(agg.out_cols);
+                    kpa::forEachKeyRun(
+                        *merged,
+                        [&](uint64_t key, const KpEntry *run, size_t len) {
+                            agg.per_key(key, run, len, sink);
+                        });
+                    out = sink.toBundle(env.hm);
+                },
+                [&] {
+                    naive_out = naiveReduce(
+                        env.hm, *merged,
+                        unique ? bench::NaiveReducer::kUniqueCount
+                               : bench::NaiveReducer::kSum,
+                        1);
+                });
+            const char *name = unique ? "reduce/unique-10k" : "reduce/sum-10k";
+            if (out->size() != naive_out->size()
+                || std::memcmp(out->data(), naive_out->data(),
+                               out->dataBytes())
+                       != 0) {
+                std::fprintf(stderr,
+                             "%s: output differs from the reference\n",
+                             name);
+                return 1;
+            }
+            report.add(result(name, t, merged->size(), reps));
+        }
     }
 
     // --- hash probe, wide-dup batched group prefetch ----------------

@@ -12,12 +12,18 @@
  * keep their input order.
  *
  * The merge kernels serve kpa::merge and the merge slices of
- * SortedRunsOp. mergeRunsParallel slices one large merge across a
- * host WorkerPool at binary-searched merge-path boundaries (paper
- * §4.2: "the threads slice chunks at key boundaries"); its output is
- * bit-for-bit mergeRuns' at every thread count. Simulated timing is
- * charged by the callers via the cost model, so neither the host
- * algorithm nor the host thread count ever affects reported numbers.
+ * SortedRunsOp. mergeRuns is a stable merge: equal keys keep every
+ * entry of the first run before every entry of the second, which is
+ * the tie rule mergePathSplit and the merge tree rely on. It runs
+ * branch-free from both ends at once: the front emits the smallest
+ * remaining entry and the back the largest, each selecting its
+ * source with a mask instead of a mispredicting branch.
+ * mergeRunsParallel slices one large merge across a host WorkerPool
+ * at binary-searched merge-path boundaries (paper §4.2: "the threads
+ * slice chunks at key boundaries"); its output is bit-for-bit
+ * mergeRuns' at every thread count. Simulated timing is charged by
+ * the callers via the cost model, so neither the host algorithm nor
+ * the host thread count ever affects reported numbers.
  */
 
 #ifndef SBHBM_ALGO_SORT_H
@@ -61,18 +67,56 @@ insertionSort(KpEntry *e, size_t n)
     }
 }
 
-/** Merge two sorted runs into @p out (sequential access). */
+/** @return @p take_x ? @p x : @p y, chosen by a mask, not a branch. */
+inline const KpEntry *
+selectEntry(bool take_x, const KpEntry *x, const KpEntry *y)
+{
+    const uintptr_t m = uintptr_t{0} - uintptr_t{take_x};
+    return reinterpret_cast<const KpEntry *>(
+        (reinterpret_cast<uintptr_t>(x) & m)
+        | (reinterpret_cast<uintptr_t>(y) & ~m));
+}
+
+/**
+ * Stable merge of two sorted runs into @p out: equal keys keep every
+ * @p a entry before every @p b entry, as std::merge does.
+ *
+ * Branch-free from both ends. On random keys the classic loop's
+ * "which side is smaller" branch is a coin flip, so each step selects
+ * the source pointer with a mask instead. For min(na, nb) steps — at
+ * most half the output, so the two ends never meet — the front emits
+ * the smallest remaining entry (equal keys take @p a first) and the
+ * back emits the largest (equal keys take @p b last): two independent
+ * dependency chains per iteration, and neither end can run off its
+ * inputs, so the loop needs no bounds checks. A branch-free one-ended
+ * loop then merges whatever is left between them, and the side that
+ * outlasts the other is copied.
+ */
 inline void
 mergeRuns(const KpEntry *a, size_t na, const KpEntry *b, size_t nb,
           KpEntry *out)
 {
-    size_t i = 0, j = 0, k = 0;
-    while (i < na && j < nb)
-        out[k++] = (b[j].key < a[i].key) ? b[j++] : a[i++];
-    while (i < na)
-        out[k++] = a[i++];
-    while (j < nb)
-        out[k++] = b[j++];
+    const KpEntry *ha = a, *hb = b;           // front heads
+    const KpEntry *ta = a + na, *tb = b + nb; // back ends (exclusive)
+    KpEntry *lo = out, *hi = out + na + nb;
+    for (size_t s = std::min(na, nb); s > 0; --s) {
+        const bool b_first = hb->key < ha->key;
+        *lo++ = *selectEntry(b_first, hb, ha);
+        hb += b_first;
+        ha += !b_first;
+        const bool a_last = tb[-1].key < ta[-1].key;
+        *--hi = *selectEntry(a_last, ta - 1, tb - 1);
+        ta -= a_last;
+        tb -= !a_last;
+    }
+    while (ha != ta && hb != tb) {
+        const bool b_first = hb->key < ha->key;
+        *lo++ = *selectEntry(b_first, hb, ha);
+        hb += b_first;
+        ha += !b_first;
+    }
+    lo = std::copy(ha, ta, lo);
+    std::copy(hb, tb, lo);
 }
 
 /**

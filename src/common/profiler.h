@@ -161,19 +161,13 @@ struct KernelAdapt
     // --- decisions (policy-written, kernel-read) -------------------
     /** sortKpa: run the full O(n) presorted check before sorting. */
     bool sort_precheck = true;
-    /** partitionByRange: probe unsorted-flagged input for actual
-     *  sortedness and take the contiguous-span fast path on a hit. */
-    bool partition_sorted_scan = false;
 
     // --- observations (kernel-written, policy-read) ----------------
-    Ewma sort_sortedness{};      //!< sampled sortedness at sort time
-    Ewma partition_sortedness{}; //!< sampled sortedness at partition
+    Ewma sort_sortedness{}; //!< sampled sortedness at sort time
 
     // --- counters (telemetry) --------------------------------------
     uint64_t sorts = 0;
     uint64_t sorts_presorted = 0; //!< precheck hits (sort skipped)
-    uint64_t partitions = 0;
-    uint64_t partition_scan_hits = 0; //!< scan found sorted input
 };
 
 } // namespace sbhbm

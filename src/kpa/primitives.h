@@ -813,6 +813,20 @@ struct RangePartition
  * Partition (Table 2): split a KPA by ranges of resident keys
  * (windowing uses the timestamp column as key and the window length
  * as range width). Outputs inherit the input's source links.
+ *
+ * The host takes one of three paths, chosen by the input's order and
+ * extent. All three emit the same partitions in ascending range
+ * order, each keeping its entries' input order, and every charge
+ * depends on sizes alone:
+ *
+ *  - span: the ranges never decrease along the input, so every range
+ *    is one contiguous span, copied with one memcpy. A sorted flag
+ *    proves this up front; otherwise the pass that computes each
+ *    entry's range checks it on the way. Generators stamp ascending
+ *    timestamps, so windowing a time-ordered KPA lands here.
+ *  - dense: the ranges span at most n + 1023 ids, so a count pass and
+ *    a scatter pass go through direct-indexed cursor arrays.
+ *  - sparse: a hash pass assigns dense ids to the distinct ranges.
  */
 inline std::vector<RangePartition>
 partitionByRange(Ctx ctx, const Kpa &src, uint64_t range_width,
@@ -833,30 +847,9 @@ partitionByRange(Ctx ctx, const Kpa &src, uint64_t range_width,
         return out.back().part.get();
     };
 
-    // Adaptive: the sorted() flag is conservative — key-swapped or
-    // restored KPAs can be physically ordered while flagged unsorted.
-    // When the policy has seen this stream arrive ordered (sortedness
-    // EWMA high) it probes: a clean sample justifies the O(n)
-    // confirmation scan, and a hit takes the contiguous-span fast
-    // path below. Host layout work only — outputs keep the input's
-    // *flag* (the trailing setSorted) and every charge depends only
-    // on sizes, so downstream behavior and CostLogs are unchanged.
-    bool span_layout = src.sorted();
-    if (ctx.adapt != nullptr && n > 1) {
-        KernelAdapt &a = *ctx.adapt;
-        ++a.partitions;
-        const double s = sampleSortedness(e, n);
-        a.partition_sortedness.add(s);
-        if (!span_layout && a.partition_sorted_scan && s >= 1.0
-            && algo::isSortedByKey(e, n)) {
-            span_layout = true;
-            ++a.partition_scan_hits;
-        }
-    }
-
-    if (span_layout && n > 0) {
-        // Sorted fast path: every range is one contiguous span.
-        // Binary-search each range boundary, then bulk-copy the span.
+    // Span path: binary-search each range's end, then bulk-copy the
+    // span. Needs ranges that never decrease along the input.
+    auto copySpans = [&] {
         uint32_t i = 0;
         while (i < n) {
             const uint64_t rg = e[i].key / range_width;
@@ -872,14 +865,20 @@ partitionByRange(Ctx ctx, const Kpa &src, uint64_t range_width,
             part->commitAppend(len);
             i += len;
         }
+    };
+
+    if (src.sorted()) {
+        copySpans();
     } else if (n > 0) {
-        // Unsorted. A runtime 64-bit division is a per-element hot
-        // cost, so divide by the invariant width via multiply-high
+        // A runtime 64-bit division is a per-element hot cost, so
+        // divide by the invariant width via multiply-high
         // (FastDivider), compute every entry's range exactly once,
         // and memo its low 32 bits: when the span check below passes,
         // rg - min_rg < 2^32, so uint32 wrap-around arithmetic on the
         // low bits reproduces the exact span offset at half the memo
-        // traffic of full ranges.
+        // traffic of full ranges. The same pass checks that the
+        // ranges never decrease, which sends the input to the span
+        // path instead.
         //
         // The memo, count and fill passes shard across the host pool
         // on large inputs. Shards cover contiguous input slices; the
@@ -890,7 +889,38 @@ partitionByRange(Ctx ctx, const Kpa &src, uint64_t range_width,
         // thread count — and the charges below depend only on sizes.
         const FastDivider by_width(range_width);
         const auto rg_lo = std::make_unique_for_overwrite<uint32_t[]>(n);
-        uint64_t min_rg = ~uint64_t{0}, max_rg = 0;
+
+        // Memo the ranges of entries [lo, hi) and find their extremes.
+        // Until a range falls below the running maximum the loop also
+        // checks order; after that first step back it runs unchecked,
+        // so unordered input pays nothing for the check.
+        struct RangeScan
+        {
+            uint64_t min = ~uint64_t{0}, max = 0;
+            bool ordered = true;
+        };
+        auto scanRanges = [&](uint32_t lo, uint32_t hi) {
+            RangeScan sc;
+            uint32_t i = lo;
+            for (; i < hi; ++i) {
+                const uint64_t rg = by_width.divide(e[i].key);
+                rg_lo[i] = static_cast<uint32_t>(rg);
+                sc.min = std::min(sc.min, rg);
+                if (rg < sc.max) {
+                    sc.ordered = false;
+                    ++i;
+                    break;
+                }
+                sc.max = rg;
+            }
+            for (; i < hi; ++i) {
+                const uint64_t rg = by_width.divide(e[i].key);
+                rg_lo[i] = static_cast<uint32_t>(rg);
+                sc.min = std::min(sc.min, rg);
+                sc.max = std::max(sc.max, rg);
+            }
+            return sc;
+        };
 
         WorkerPool *pool = ctx.pool;
         const uint32_t shards =
@@ -902,42 +932,36 @@ partitionByRange(Ctx ctx, const Kpa &src, uint64_t range_width,
             return static_cast<uint32_t>(uint64_t{n} * s / shards);
         };
 
+        RangeScan all;
         if (shards > 1) {
-            std::vector<uint64_t> mins(shards, ~uint64_t{0});
-            std::vector<uint64_t> maxs(shards, 0);
+            std::vector<RangeScan> scans(shards);
             pool->parallelFor(shards, [&](uint32_t s) {
-                uint64_t mn = ~uint64_t{0}, mx = 0;
-                const uint32_t hi = shard_lo(s + 1);
-                for (uint32_t i = shard_lo(s); i < hi; ++i) {
-                    const uint64_t rg = by_width.divide(e[i].key);
-                    rg_lo[i] = static_cast<uint32_t>(rg);
-                    mn = std::min(mn, rg);
-                    mx = std::max(mx, rg);
-                }
-                mins[s] = mn;
-                maxs[s] = mx;
+                scans[s] = scanRanges(shard_lo(s), shard_lo(s + 1));
             });
             for (uint32_t s = 0; s < shards; ++s) {
-                min_rg = std::min(min_rg, mins[s]);
-                max_rg = std::max(max_rg, maxs[s]);
+                all.min = std::min(all.min, scans[s].min);
+                all.max = std::max(all.max, scans[s].max);
+                // An ordered shard starts at its minimum range and
+                // ends at its maximum, so compare the boundaries too.
+                all.ordered = all.ordered && scans[s].ordered
+                              && (s == 0
+                                  || scans[s - 1].max <= scans[s].min);
             }
         } else {
-            for (uint32_t i = 0; i < n; ++i) {
-                const uint64_t rg = by_width.divide(e[i].key);
-                rg_lo[i] = static_cast<uint32_t>(rg);
-                min_rg = std::min(min_rg, rg);
-                max_rg = std::max(max_rg, rg);
-            }
+            all = scanRanges(0, n);
         }
-        // Gate on extent = span - 1 so the full-keyspace case
-        // (max - min == 2^64 - 1) cannot wrap span to 0, and require
-        // it to fit 32 bits: the memo only holds low bits, so distinct
-        // ranges 2^32 apart would alias onto one partition.
-        const uint64_t extent = max_rg - min_rg;
-        if (extent <= uint64_t{n} + 1023 && extent < UINT32_MAX) {
+        const uint64_t min_rg = all.min;
+        const uint64_t extent = all.max - min_rg;
+        if (all.ordered) {
+            copySpans();
+        } else if (extent <= uint64_t{n} + 1023 && extent < UINT32_MAX) {
+            // Dense ranges: count and scatter through direct-indexed
+            // cursor arrays — no hashing. The gate takes extent =
+            // span - 1 so the full-keyspace case (max - min ==
+            // 2^64 - 1) cannot wrap span to 0, and requires it to fit
+            // 32 bits: the memo only holds low bits, so distinct
+            // ranges 2^32 apart would alias onto one partition.
             const uint64_t span = extent + 1;
-            // Windowing ranges are a dense span: count and scatter
-            // through direct-indexed cursor arrays — no hashing.
             const auto min_lo = static_cast<uint32_t>(min_rg);
             std::vector<uint32_t> count_by_rg(span, 0);
             std::vector<std::vector<uint32_t>> shard_counts;

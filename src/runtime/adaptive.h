@@ -4,8 +4,8 @@
  * selection from cheap window statistics (src/common/profiler.h).
  *
  * The tree carries pairs of strategies with workload-dependent
- * winners — sorted vs unsorted partitionByRange, scalar vs batched
- * hash probing, sort-merge vs hash-scatter grouping. Historically
+ * winners — presort check or not, scalar vs batched hash probing,
+ * sort-merge vs hash-scatter grouping. Historically
  * each choice was frozen at build time or gated on a one-shot
  * sysconf guess. With EngineConfig::adaptive.enabled every Operator
  * owns an OpAdapt session: a VariantPolicy picks the grouping
@@ -17,10 +17,10 @@
  * Determinism contract. The grouping decision — the only one that
  * changes simulated charges — is a pure function of deterministically
  * sampled statistics: same seed => same stats => same decisions =>
- * CostLogs pinned. The sort-precheck and partition-scan bits change
- * host wall clock only (charges depend only on sizes), and the probe
- * prefetch/batch autotune changes neither results nor charges, which
- * is why it alone may consult the host clock. With adaptation off
+ * CostLogs pinned. The sort-precheck bit changes host wall clock only
+ * (charges depend only on sizes), and the probe prefetch/batch
+ * autotune changes neither results nor charges, which is why it alone
+ * may consult the host clock. With adaptation off
  * (the default) no hook is installed and every golden stays
  * bit-identical.
  */
@@ -74,11 +74,9 @@ constexpr double kSortedSortMin = 0.90;
  *  actually switches (no-flap hysteresis). */
 constexpr uint32_t kConfirmWindows = 2;
 
-// Host-only sort/partition scan bits (hysteresis bands).
+// Host-only sort precheck bit (hysteresis band).
 constexpr double kPrecheckOn = 0.75;  //!< sort sortedness EWMA >= : precheck
 constexpr double kPrecheckOff = 0.30; //!< <= : skip the presort scan
-constexpr double kScanOn = 0.95;  //!< partition sortedness EWMA >= : scan
-constexpr double kScanOff = 0.60; //!< <= : stop scanning
 
 // Probe autotune (host wall clock; results/charges unaffected).
 /** Measured ns/probe above which prefetching is enabled. */
@@ -267,13 +265,6 @@ class OpAdapt
                 hooks_.sort_precheck = true;
             else if (v <= kPrecheckOff)
                 hooks_.sort_precheck = false;
-        }
-        if (hooks_.partition_sortedness.initialized()) {
-            const double v = hooks_.partition_sortedness.value();
-            if (v >= kScanOn)
-                hooks_.partition_sorted_scan = true;
-            else if (v <= kScanOff)
-                hooks_.partition_sorted_scan = false;
         }
     }
 

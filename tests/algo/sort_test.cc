@@ -63,6 +63,68 @@ TEST(MergeRuns, EmptySideIsACopy)
         EXPECT_EQ(out[i].key, a[i].key);
 }
 
+TEST(MergeRuns, MatchesStableMergeEntryForEntry)
+{
+    // std::merge is the stable reference: equal keys keep every a
+    // entry before every b entry. mergePathSplit and the merge tree
+    // rely on that tie order, so compare rows, not just keys. Sizes
+    // cover empty sides, single entries, lopsided runs (the two-ended
+    // loop stops after min(na, nb) steps) and near-equal runs (it
+    // meets in the middle).
+    struct Keys
+    {
+        const char *name;
+        uint64_t range; // 0: all equal; 1: {0, UINT64_MAX}
+    };
+    const Keys key_sets[] = {{"all equal", 0},
+                             {"{0, UINT64_MAX}", 1},
+                             {"100 values", 100},
+                             {"10k values", 10'000},
+                             {"1M values", 1'000'000}};
+    const std::pair<size_t, size_t> shapes[] = {
+        {0, 1000}, {1000, 0},   {1, 1},      {1, 1000},
+        {1000, 1}, {5, 1000},   {999, 1000}, {1000, 1000}};
+    uint64_t seed = 500;
+    for (const Keys &ks : key_sets) {
+        for (const auto &[na, nb] : shapes) {
+            SCOPED_TRACE(testing::Message()
+                         << ks.name << " " << na << "+" << nb);
+            Rng rng(++seed);
+            auto draw = [&](size_t n, uintptr_t tag) {
+                std::vector<KpEntry> v(n);
+                for (size_t i = 0; i < n; ++i) {
+                    const uint64_t key =
+                        ks.range == 0   ? 42
+                        : ks.range == 1 ? (rng.nextBounded(2) != 0
+                                               ? UINT64_MAX
+                                               : 0)
+                                        : rng.nextBounded(ks.range);
+                    v[i] = KpEntry{key,
+                                   reinterpret_cast<uint64_t *>(tag + i)};
+                }
+                std::stable_sort(v.begin(), v.end(),
+                                 [](const KpEntry &x, const KpEntry &y) {
+                                     return x.key < y.key;
+                                 });
+                return v;
+            };
+            const auto a = draw(na, 1);
+            const auto b = draw(nb, 1 << 20);
+            std::vector<KpEntry> expect(na + nb), out(na + nb);
+            std::merge(a.begin(), a.end(), b.begin(), b.end(),
+                       expect.begin(),
+                       [](const KpEntry &x, const KpEntry &y) {
+                           return x.key < y.key;
+                       });
+            mergeRuns(a.data(), na, b.data(), nb, out.data());
+            for (size_t i = 0; i < na + nb; ++i) {
+                ASSERT_EQ(out[i].key, expect[i].key) << "at " << i;
+                ASSERT_EQ(out[i].row, expect[i].row) << "at " << i;
+            }
+        }
+    }
+}
+
 class SortRunTest : public ::testing::TestWithParam<size_t>
 {
 };

@@ -88,8 +88,14 @@ TEST_F(CostInvarianceTest, PartitionChargesGoldenTotals)
 
 TEST_F(CostInvarianceTest, PartitionPathsChargeIdentically)
 {
-    // The sorted boundary-scan path must charge byte-for-byte what the
-    // unsorted hash-count path charges for the same entries.
+    // The span path must charge byte-for-byte what the count/scatter
+    // path charges for the same entries. Ascending ts takes the span
+    // path with or without the sorted flag.
+    auto expectSameCharges = [](const CostLog &a, const CostLog &b) {
+        EXPECT_EQ(a.bytesOn(Tier::kHbm), b.bytesOn(Tier::kHbm));
+        EXPECT_EQ(a.bytesOn(Tier::kDram), b.bytesOn(Tier::kDram));
+        EXPECT_DOUBLE_EQ(a.totalCpuNs(), b.totalCpuNs());
+    };
     BundleHandle b = makeKvBundle(900, 3);
     KpaPtr k = extract(ctx(), *b, 2, hbm_);
     CostLog unsorted_log;
@@ -98,12 +104,36 @@ TEST_F(CostInvarianceTest, PartitionPathsChargeIdentically)
     k->setSorted(true); // ts really is ascending
     CostLog sorted_log;
     auto sorted = partitionByRange(Ctx{hm_, sorted_log}, *k, 300, hbm_);
-    EXPECT_EQ(unsorted_log.bytesOn(Tier::kHbm),
-              sorted_log.bytesOn(Tier::kHbm));
-    EXPECT_EQ(unsorted_log.bytesOn(Tier::kDram),
-              sorted_log.bytesOn(Tier::kDram));
-    EXPECT_DOUBLE_EQ(unsorted_log.totalCpuNs(),
-                     sorted_log.totalCpuNs());
+    expectSameCharges(unsorted_log, sorted_log);
+
+    // One late entry mid-KPA and one at the end (both back to range
+    // 3) send the input down the count/scatter path. Its charges must
+    // equal the span path's over the same entries ordered by range:
+    // the range-3 entries, then the rest in arrival order.
+    BundleHandle late = makeKvBundle(900, 3);
+    late->row(450)[2] = 1050;
+    late->row(899)[2] = 1100;
+    KpaPtr lk = extract(ctx(), *late, 2, hbm_);
+    CostLog scatter_log;
+    auto scattered = partitionByRange(Ctx{hm_, scatter_log}, *lk, 300,
+                                      hbm_);
+    ASSERT_EQ(scattered.size(), 4u);
+    EXPECT_EQ(scattered[0].part->size(), 202u);
+    KpaPtr ordered = Kpa::create(hm_, lk->size(), hbm_);
+    for (uint32_t i = 0; i < lk->size(); ++i)
+        if (lk->at(i).key < 1200)
+            ordered->push(lk->at(i).key, lk->at(i).row);
+    for (uint32_t i = 0; i < lk->size(); ++i)
+        if (lk->at(i).key >= 1200)
+            ordered->push(lk->at(i).key, lk->at(i).row);
+    ordered->adoptSourcesFrom(*lk);
+    CostLog span_log;
+    auto spans = partitionByRange(Ctx{hm_, span_log}, *ordered, 300,
+                                  hbm_);
+    ASSERT_EQ(spans.size(), 4u);
+    expectSameCharges(scatter_log, span_log);
+    // Golden: the same totals as the in-order input above.
+    expectSameCharges(scatter_log, unsorted_log);
 }
 
 TEST_F(CostInvarianceTest, JoinChargesGoldenTotals)

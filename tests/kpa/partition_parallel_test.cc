@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -150,6 +151,40 @@ TEST_F(PartitionParallelTest, BelowThresholdTakesSerialPath)
     WorkerPool pool(8);
     expectIdentical(runPartition(*k, 100, nullptr),
                     runPartition(*k, 100, &pool), "small input");
+}
+
+TEST_F(PartitionParallelTest, SpanPathChecksOrderAcrossShardBoundaries)
+{
+    // Ascending keys take the span path at every thread count. The
+    // second input is ascending within each half but steps back at
+    // n / 2, a shard boundary at 2 and 8 threads (and inside a shard
+    // at 3): only the check across shard boundaries can see it, and
+    // then every thread count must fall back to the dense path.
+    constexpr uint32_t kN = 200'000;
+    for (const bool step_back : {false, true}) {
+        BundleHandle b = BundleHandle::adopt(
+            columnar::Bundle::create(hm_, 2, kN));
+        for (uint32_t r = 0; r < kN; ++r) {
+            uint64_t *row = b->appendRaw();
+            row[0] = step_back && r >= kN / 2 ? r - kN / 4 : r;
+            row[1] = r;
+        }
+        CostLog xlog;
+        Ctx xctx{hm_, xlog};
+        KpaPtr k = extract(xctx, *b, 0, Placement{Tier::kHbm, false});
+        const Result serial = runPartition(*k, 1000, nullptr);
+        // Stepping back 50 ranges folds ranges 50..99 of both halves.
+        ASSERT_EQ(serial.ranges.size(), step_back ? 150u : 200u);
+        ASSERT_EQ(serial.entries[50].size(), step_back ? 2000u : 1000u);
+        for (unsigned threads : {2u, 3u, 8u}) {
+            WorkerPool pool(threads);
+            expectIdentical(
+                serial, runPartition(*k, 1000, &pool),
+                (std::string(step_back ? "step back" : "ascending")
+                 + " @" + std::to_string(threads))
+                    .c_str());
+        }
+    }
 }
 
 TEST_F(PartitionParallelTest, SparseRangesUnaffectedByPool)

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -39,6 +41,45 @@ class PrimitivesTest : public ::testing::Test
             row[2] = 1000 + r;                   // ts (increasing)
         }
         return b;
+    }
+
+    /**
+     * Copy of @p src, same rows and sources, with its entries stably
+     * reordered by range: the ranges then never decrease, so
+     * partitioning the copy takes the span path.
+     */
+    KpaPtr
+    rangeOrderedCopy(const Kpa &src, uint64_t width)
+    {
+        std::vector<KpEntry> es(src.entries(), src.entries() + src.size());
+        std::stable_sort(es.begin(), es.end(),
+                         [width](const KpEntry &a, const KpEntry &b) {
+                             return a.key / width < b.key / width;
+                         });
+        KpaPtr k = Kpa::create(hm_, src.size(), hbm_);
+        for (const KpEntry &e : es)
+            k->push(e.key, e.row);
+        k->setResidentColumn(src.residentColumn());
+        k->adoptSourcesFrom(src);
+        return k;
+    }
+
+    static void
+    expectSamePartitions(const std::vector<RangePartition> &a,
+                         const std::vector<RangePartition> &b)
+    {
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t p = 0; p < a.size(); ++p) {
+            EXPECT_EQ(a[p].range, b[p].range) << "partition " << p;
+            ASSERT_EQ(a[p].part->size(), b[p].part->size())
+                << "partition " << p;
+            for (uint32_t i = 0; i < a[p].part->size(); ++i) {
+                ASSERT_EQ(a[p].part->at(i).key, b[p].part->at(i).key)
+                    << "partition " << p << " entry " << i;
+                ASSERT_EQ(a[p].part->at(i).row, b[p].part->at(i).row)
+                    << "partition " << p << " entry " << i;
+            }
+        }
     }
 };
 
@@ -319,24 +360,75 @@ TEST_F(PrimitivesTest, JoinHandlesNonContiguousPayloadColumns)
 
 TEST_F(PrimitivesTest, PartitionSortedAndUnsortedPathsAgree)
 {
-    // The sorted boundary-scan path and the unsorted hash-count path
-    // must produce identical partitions for the same entry sequence.
+    // Ascending ts takes the span path whether the sorted flag proves
+    // the order or the range pass finds it: both must agree.
     BundleHandle b = makeKvBundle(900, 21);
     KpaPtr unsorted = extract(ctx(), *b, 2, hbm_); // ts ascending
     ASSERT_FALSE(unsorted->sorted());
-    auto via_hash = partitionByRange(ctx(), *unsorted, 300, hbm_);
+    auto via_check = partitionByRange(ctx(), *unsorted, 300, hbm_);
     unsorted->setSorted(true); // ts really is ascending
-    auto via_scan = partitionByRange(ctx(), *unsorted, 300, hbm_);
+    auto via_flag = partitionByRange(ctx(), *unsorted, 300, hbm_);
+    expectSamePartitions(via_check, via_flag);
 
-    ASSERT_EQ(via_hash.size(), via_scan.size());
-    for (size_t p = 0; p < via_hash.size(); ++p) {
-        EXPECT_EQ(via_hash[p].range, via_scan[p].range);
-        ASSERT_EQ(via_hash[p].part->size(), via_scan[p].part->size());
-        for (uint32_t i = 0; i < via_hash[p].part->size(); ++i) {
-            EXPECT_EQ(via_hash[p].part->at(i).key,
-                      via_scan[p].part->at(i).key);
-            EXPECT_EQ(via_hash[p].part->at(i).row,
-                      via_scan[p].part->at(i).row);
+    // One late entry mid-KPA and one at the end step back to range 3,
+    // which sends the input down the count/scatter path. It must
+    // agree with the span path over the same entries ordered by range.
+    BundleHandle late = makeKvBundle(900, 21);
+    late->row(450)[2] = 1050; // ts 1450 (range 4) -> range 3
+    late->row(899)[2] = 1100; // ts 1899 (range 6) -> range 3
+    KpaPtr k = extract(ctx(), *late, 2, hbm_);
+    auto via_scatter = partitionByRange(ctx(), *k, 300, hbm_);
+    auto via_span =
+        partitionByRange(ctx(), *rangeOrderedCopy(*k, 300), 300, hbm_);
+    ASSERT_EQ(via_scatter.size(), 4u);
+    EXPECT_EQ(via_scatter[0].part->size(), 202u);
+    EXPECT_EQ(via_scatter[0].part->at(200).row, late->row(450));
+    EXPECT_EQ(via_scatter[0].part->at(201).row, late->row(899));
+    expectSamePartitions(via_scatter, via_span);
+}
+
+TEST_F(PrimitivesTest, PartitionSpanPathMatchesDensePath)
+{
+    // Many windows with late entries scattered through the KPA: the
+    // dense count/scatter path on the arrival order and the span path
+    // on the range-ordered copy must give the same partitions (range,
+    // size, every entry and row) and the same CostLog, phase by
+    // phase.
+    const uint32_t rows = 5000;
+    const uint64_t width = 64;
+    BundleHandle b = makeKvBundle(rows, 31);
+    Rng rng(32);
+    for (int late = 0; late < 40; ++late) {
+        uint64_t *row = b->row(
+            static_cast<uint32_t>(rng.nextBounded(rows)));
+        row[2] -= std::min<uint64_t>(row[2] - 1000,
+                                     rng.nextBounded(4 * width));
+    }
+    KpaPtr k = extract(ctx(), *b, 2, hbm_);
+    bool steps_back = false;
+    for (uint32_t i = 1; i < rows; ++i)
+        steps_back |= k->at(i).key / width < k->at(i - 1).key / width;
+    ASSERT_TRUE(steps_back) << "input must miss the span path";
+    KpaPtr ordered = rangeOrderedCopy(*k, width);
+
+    CostLog dense_log, span_log;
+    auto dense = partitionByRange(Ctx{hm_, dense_log}, *k, width, hbm_);
+    auto span = partitionByRange(Ctx{hm_, span_log}, *ordered, width,
+                                 hbm_);
+    ASSERT_GT(dense.size(), 70u);
+    expectSamePartitions(dense, span);
+
+    ASSERT_EQ(dense_log.phases().size(), span_log.phases().size());
+    for (size_t p = 0; p < dense_log.phases().size(); ++p) {
+        const sim::Phase &d = dense_log.phases()[p];
+        const sim::Phase &s = span_log.phases()[p];
+        EXPECT_EQ(d.cpu_ns, s.cpu_ns);
+        EXPECT_EQ(d.cpu_vector_ns, s.cpu_vector_ns);
+        ASSERT_EQ(d.flows.size(), s.flows.size());
+        for (size_t f = 0; f < d.flows.size(); ++f) {
+            EXPECT_EQ(d.flows[f].tier, s.flows[f].tier);
+            EXPECT_EQ(d.flows[f].pattern, s.flows[f].pattern);
+            EXPECT_EQ(d.flows[f].bytes, s.flows[f].bytes);
         }
     }
 }

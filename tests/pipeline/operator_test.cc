@@ -218,35 +218,57 @@ TEST_F(OperatorTest, RowSinkBuildsBundles)
  * Table 1 mapping check: aggregations are built from the documented
  * primitives (sort/merge on KPAs + keyed reduction) — here we verify
  * the aggregator library computes the documented functions.
+ *
+ * Each aggregation reduces three consecutive key runs of lengths 4, 1
+ * and 3 through one Aggregation and one sink, as a window's close
+ * does: a reducer whose reused scratch kept the previous run's values
+ * would miscount the shorter runs after the first.
  */
 TEST_F(OperatorTest, AggregatorLibraryComputesDocumentedFunctions)
 {
-    // Build a fake key run over rows with value column 1.
+    // Key runs over rows with value column 1.
     std::vector<std::array<uint64_t, 2>> rows = {
-        {7, 30}, {7, 10}, {7, 20}, {7, 10}};
-    std::vector<kpa::KpEntry> run;
+        {7, 30}, {7, 10}, {7, 20}, {7, 10}, // run 7: 4 entries
+        {8, 5},                             // run 8: 1 entry
+        {9, 40}, {9, 2}, {9, 40}};          // run 9: 3 entries
+    std::vector<kpa::KpEntry> entries;
     for (auto &r : rows)
-        run.push_back({r[0], r.data()});
+        entries.push_back({r[0], r.data()});
+    const size_t run_len[] = {4, 1, 3};
 
     auto check = [&](Aggregation a,
                      std::vector<std::array<uint64_t, 2>> expect) {
         RowSink sink(a.out_cols);
-        a.per_key(7, run.data(), run.size(), sink);
+        const kpa::KpEntry *run = entries.data();
+        for (const size_t n : run_len) {
+            a.per_key(run->key, run, n, sink);
+            run += n;
+        }
         ASSERT_EQ(sink.rows(), expect.size());
         auto b = sink.toBundle(eng_.memory());
+        ASSERT_EQ(b->size(), expect.size());
         for (size_t i = 0; i < expect.size(); ++i) {
-            EXPECT_EQ(b->row(i)[0], expect[i][0]);
-            EXPECT_EQ(b->row(i)[1], expect[i][1]);
+            EXPECT_EQ(b->row(i)[0], expect[i][0]) << "row " << i;
+            EXPECT_EQ(b->row(i)[1], expect[i][1]) << "row " << i;
         }
     };
 
-    check(aggs::sumPerKey(1), {{7, 70}});
-    check(aggs::countPerKey(), {{7, 4}});
-    check(aggs::avgPerKey(1), {{7, 17}});
-    check(aggs::medianPerKey(1), {{7, 20}});
-    check(aggs::topKPerKey(1, 2), {{7, 30}, {7, 20}});
-    check(aggs::uniqueCountPerKey(1), {{7, 3}});
-    check(aggs::percentilePerKey(1, 100.0), {{7, 30}});
+    check(aggs::sumPerKey(1), {{7, 70}, {8, 5}, {9, 82}});
+    check(aggs::countPerKey(), {{7, 4}, {8, 1}, {9, 3}});
+    check(aggs::avgPerKey(1), {{7, 17}, {8, 5}, {9, 27}});
+    check(aggs::medianPerKey(1), {{7, 20}, {8, 5}, {9, 40}});
+    check(aggs::topKPerKey(1, 2),
+          {{7, 30}, {7, 20}, {8, 5}, {9, 40}, {9, 40}});
+    // K beyond every run emits each run whole, descending.
+    check(aggs::topKPerKey(1, 5), {{7, 30},
+                                   {7, 20},
+                                   {7, 10},
+                                   {7, 10},
+                                   {8, 5},
+                                   {9, 40},
+                                   {9, 40},
+                                   {9, 2}});
+    check(aggs::uniqueCountPerKey(1), {{7, 3}, {8, 1}, {9, 2}});
 }
 
 } // namespace
