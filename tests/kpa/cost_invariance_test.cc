@@ -184,6 +184,30 @@ TEST_F(CostInvarianceTest, JoinEmitsMatchesInMergeOrder)
         EXPECT_EQ(out->row(i)[1], expect[i][1]) << i;
         EXPECT_EQ(out->row(i)[2], expect[i][2]) << i;
     }
+
+    // A 17 x 17 run is longer than kPrefetchAhead on both sides, so
+    // the in-run prefetches run too; the order stays x outer, y inner.
+    constexpr uint32_t kRun = detail::kPrefetchAhead + 1;
+    BundleHandle lw = BundleHandle::adopt(Bundle::create(hm_, 2, kRun));
+    BundleHandle rw = BundleHandle::adopt(Bundle::create(hm_, 2, kRun));
+    for (uint64_t v = 0; v < kRun; ++v) {
+        lw->append({7, 100 + v});
+        rw->append({7, 200 + v});
+    }
+    KpaPtr lwk = extract(ctx(), *lw, 0, hbm_);
+    KpaPtr rwk = extract(ctx(), *rw, 0, hbm_);
+    sortKpa(ctx(), *lwk);
+    sortKpa(ctx(), *rwk);
+    BundleHandle wide = join(ctx(), *lwk, *rwk, {1}, {1});
+    ASSERT_EQ(wide->size(), kRun * kRun);
+    for (uint32_t x = 0; x < kRun; ++x) {
+        for (uint32_t y = 0; y < kRun; ++y) {
+            const uint64_t *row = wide->row(x * kRun + y);
+            EXPECT_EQ(row[0], 7u) << x << "," << y;
+            EXPECT_EQ(row[1], 100 + x) << x << "," << y;
+            EXPECT_EQ(row[2], 200 + y) << x << "," << y;
+        }
+    }
 }
 
 TEST_F(CostInvarianceTest, MaterializeChargesGoldenTotals)

@@ -358,6 +358,123 @@ TEST_F(PrimitivesTest, JoinHandlesNonContiguousPayloadColumns)
     }
 }
 
+TEST_F(PrimitivesTest, JoinMatchesNestedLoopReference)
+{
+    // The reference visits left entries in sorted order and, for each,
+    // every right entry with its key: key runs ascending, x outer and y
+    // inner, which is the order join emits. Payloads are random, so a
+    // row read through the wrong entry cannot match by accident.
+    constexpr uint32_t kCols = 8;
+    Rng rng(29);
+    auto sorted_kpa = [&](const std::vector<uint64_t> &keys) {
+        BundleHandle b = BundleHandle::adopt(Bundle::create(
+            hm_, kCols, std::max<uint32_t>(keys.size(), 1)));
+        for (const uint64_t key : keys) {
+            uint64_t *row = b->appendRaw();
+            row[0] = key;
+            for (uint32_t c = 1; c < kCols; ++c)
+                row[c] = rng.next();
+        }
+        KpaPtr k = extract(ctx(), *b, 0, hbm_);
+        sortKpa(ctx(), *k);
+        return k;
+    };
+    auto check = [&](const char *what, const std::vector<uint64_t> &lkeys,
+                     const std::vector<uint64_t> &rkeys,
+                     const std::vector<ColumnId> &lc,
+                     const std::vector<ColumnId> &rc) {
+        SCOPED_TRACE(what);
+        const KpaPtr l = sorted_kpa(lkeys);
+        const KpaPtr r = sorted_kpa(rkeys);
+        const auto out_cols =
+            static_cast<uint32_t>(1 + lc.size() + rc.size());
+        std::vector<uint64_t> want;
+        const KpEntry *le = l->entries();
+        const KpEntry *re = r->entries();
+        for (uint32_t x = 0; x < l->size(); ++x) {
+            for (uint32_t y = 0; y < r->size(); ++y) {
+                if (le[x].key != re[y].key)
+                    continue;
+                want.push_back(le[x].key);
+                for (const ColumnId c : lc)
+                    want.push_back(le[x].row[c]);
+                for (const ColumnId c : rc)
+                    want.push_back(re[y].row[c]);
+            }
+        }
+        const BundleHandle out = join(ctx(), *l, *r, lc, rc);
+        ASSERT_EQ(out->cols(), out_cols);
+        ASSERT_EQ(uint64_t{out->size()} * out_cols, want.size());
+        EXPECT_EQ(out->capacity(), std::max<uint32_t>(out->size(), 1));
+        for (uint32_t i = 0; i < out->size(); ++i)
+            for (uint32_t c = 0; c < out_cols; ++c)
+                ASSERT_EQ(out->row(i)[c], want[uint64_t{i} * out_cols + c])
+                    << "row " << i << " col " << c;
+    };
+    auto random_keys = [&](uint32_t n, uint64_t range) {
+        std::vector<uint64_t> keys(n);
+        for (uint64_t &k : keys)
+            k = rng.nextBounded(range);
+        return keys;
+    };
+    auto with_run = [&](std::vector<uint64_t> keys, uint64_t key,
+                        uint32_t len) {
+        keys.insert(keys.end(), len, key);
+        return keys;
+    };
+    std::vector<uint64_t> evens, odds, low, high;
+    for (uint64_t k = 0; k < 200; ++k) {
+        evens.push_back(2 * k);
+        odds.push_back(2 * k + 1);
+        low.push_back(k);
+        high.push_back(1000 + k);
+    }
+    const uint32_t kLong = detail::kPrefetchAhead + 9;
+    const std::vector<ColumnId> one{1};
+
+    check("both empty", {}, {}, one, one);
+    check("left empty", {}, random_keys(50, 10), one, one);
+    check("right empty", random_keys(50, 10), {}, one, one);
+    check("disjoint ranges", low, high, one, one);
+    check("interleaved disjoint keys", evens, odds, one, one);
+    check("all keys equal", std::vector<uint64_t>(30, 5),
+          std::vector<uint64_t>(40, 5), one, one);
+    check("1:1", random_keys(2000, 3000), random_keys(2000, 3000), one,
+          one);
+    check("1:100", random_keys(50, 5000), random_keys(5000, 5000), one,
+          one);
+    check("100:1", random_keys(5000, 5000), random_keys(50, 5000), one,
+          one);
+    check("long left run", with_run(random_keys(200, 100), 42, kLong),
+          with_run(random_keys(200, 100), 42, 3), one, one);
+    check("long right run", with_run(random_keys(200, 100), 42, 3),
+          with_run(random_keys(200, 100), 42, kLong), one, one);
+    check("long runs both sides",
+          with_run(random_keys(200, 100), 42, kLong),
+          with_run(random_keys(200, 100), 42, kLong), one, one);
+    check("extreme keys", {0, 0, 1, UINT64_MAX - 1, UINT64_MAX, UINT64_MAX},
+          {0, 2, UINT64_MAX, UINT64_MAX}, one, one);
+    check("10 keys", random_keys(500, 10), random_keys(700, 10), one, one);
+    check("10 k keys", random_keys(3000, 10000), random_keys(4000, 10000),
+          one, one);
+    check("1 M keys", random_keys(5000, 1000000),
+          random_keys(5000, 1000000), one, one);
+
+    // Payload shapes, on duplicate-heavy keys with runs on both sides
+    // longer than kPrefetchAhead.
+    const std::vector<uint64_t> dl = random_keys(300, 10);
+    const std::vector<uint64_t> dr = random_keys(400, 10);
+    check("left cols empty", dl, dr, {}, {2});
+    check("right cols empty", dl, dr, {3}, {});
+    check("both cols empty", dl, dr, {}, {});
+    check("non-contiguous cols", dl, dr, {5, 2, 7}, {3, 1});
+    check("contiguous 1 col", dl, dr, {4}, {7});
+    check("contiguous 2 cols", dl, dr, {1, 2}, {6, 7});
+    check("contiguous 3 cols", dl, dr, {1, 2, 3}, {5, 6, 7});
+    check("contiguous 6 cols", dl, dr, {1, 2, 3, 4, 5, 6},
+          {2, 3, 4, 5, 6, 7});
+}
+
 TEST_F(PrimitivesTest, PartitionSortedAndUnsortedPathsAgree)
 {
     // Ascending ts takes the span path whether the sorted flag proves

@@ -75,6 +75,10 @@ class EndToEndTest : public ::testing::Test
     runKeyedPipeline(Aggregation agg, uint64_t total_records,
                      runtime::EngineConfig ecfg = testEngineConfig())
     {
+        // A second run replaces the engine: tear the old source and
+        // pipeline down first, while their engine is still alive.
+        src_.reset();
+        pipe_.reset();
         eng_ = std::make_unique<runtime::Engine>(ecfg);
         pipe_ = std::make_unique<Pipeline>(
             *eng_, columnar::WindowSpec{100 * kNsPerMs});

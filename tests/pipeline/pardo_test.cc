@@ -63,6 +63,9 @@ class PardoTest : public ::testing::Test
     CountSink &
     run(Args &&...args)
     {
+        // A second run replaces the engine: tear the old pipeline down
+        // first, while its engine is still alive.
+        pipe_.reset();
         eng_ = std::make_unique<runtime::Engine>(engineConfig());
         pipe_ = std::make_unique<Pipeline>(
             *eng_, columnar::WindowSpec{100 * kNsPerMs});
