@@ -248,6 +248,35 @@ naiveSortRun(KpEntry *data, size_t n, KpEntry *scratch)
 }
 
 KpaPtr
+naiveSelect(Ctx ctx, Bundle &src, ColumnId key_col,
+            const std::function<bool(const uint64_t *)> &pred,
+            Placement place)
+{
+    const uint32_t n = src.size();
+    const uint32_t cols = src.cols();
+    KpaPtr out = Kpa::create(ctx.hm, std::max<uint32_t>(n, 1),
+                             ctx.place(place));
+    KpEntry *dst = out->appendCursor();
+    uint32_t kept = 0;
+    uint64_t *row = src.data();
+    for (uint32_t r = 0; r < n; ++r, row += cols) {
+        if (pred(row))
+            dst[kept++] = KpEntry{row[key_col], row};
+    }
+    out->commitAppend(kept);
+    out->setResidentColumn(key_col);
+    out->setSorted(out->size() <= 1);
+    out->addSource(&src);
+
+    ctx.hm.charge(ctx.log, src.tier(), sim::AccessPattern::kSequential,
+                  src.dataBytes());
+    ctx.hm.charge(ctx.log, out->tier(), sim::AccessPattern::kSequential,
+                  ctx.scaled(out->bytes()));
+    ctx.kernel(sim::cost::kSelectNsPerRec * src.size());
+    return out;
+}
+
+KpaPtr
 naiveExtract(Ctx ctx, Bundle &src, ColumnId key_col, Placement place)
 {
     KpaPtr out = Kpa::create(ctx.hm, src.size(), ctx.place(place));

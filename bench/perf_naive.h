@@ -12,6 +12,8 @@
 #define SBHBM_BENCH_PERF_NAIVE_H
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "columnar/bundle.h"
@@ -65,6 +67,16 @@ columnar::BundleHandle naiveReduce(mem::HybridMemory &hm,
  */
 void naiveSortRun(columnar::KpEntry *data, size_t n,
                   columnar::KpEntry *scratch);
+
+/**
+ * Select as FilterOp ran it before its column match: a std::function
+ * predicate called per row, and a branch on its result around each
+ * store.
+ */
+kpa::KpaPtr naiveSelect(kpa::Ctx ctx, columnar::Bundle &src,
+                        columnar::ColumnId key_col,
+                        const std::function<bool(const uint64_t *)> &pred,
+                        kpa::Placement place);
 
 /** Per-record row() + push() extract loop, as before. */
 kpa::KpaPtr naiveExtract(kpa::Ctx ctx, columnar::Bundle &src,

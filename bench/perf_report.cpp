@@ -2,12 +2,12 @@
  * @file
  * Host-kernel perf-regression harness.
  *
- * Times the rewritten KPA grouping kernels (partitionByRange, join,
- * sortRun, mergeRuns, the keyed reduce, extract, materialize,
- * keySwap) against reference implementations preserving the
- * pre-rewrite algorithms, plus one end-to-end figure-style
- * GroupBy-window pipeline, and writes the results to a
- * machine-readable JSON report (BENCH_kernels.json).
+ * Times the rewritten KPA kernels (partitionByRange, join, select,
+ * the fused write-back and key swap, sortRun, mergeRuns, the keyed
+ * reduce, extract, materialize, keySwap) against reference
+ * implementations preserving the pre-rewrite algorithms, plus one
+ * end-to-end figure-style GroupBy-window pipeline, and writes the
+ * results to a machine-readable JSON report (BENCH_kernels.json).
  * Unlike the fig* benches this measures *host wall-clock* time — the
  * simulated cost model is exercised but its output is not the metric.
  *
@@ -26,6 +26,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,8 @@
 #include "bench_util.h"
 #include "common/profiler.h"
 #include "common/rng.h"
+#include "common/units.h"
+#include "ingest/generator.h"
 #include "kpa/primitives.h"
 #include "perf_naive.h"
 #include "pipeline/aggregations.h"
@@ -130,6 +133,33 @@ bestNsVs(int reps, Fn &&fn, NaiveFn &&naive)
     std::sort(ratios.begin(), ratios.end());
     if (!ratios.empty())
         t.median_ratio = ratios[ratios.size() / 2];
+    return t;
+}
+
+/**
+ * bestNsVs for calls too short to time one at a time: each rep
+ * repeats calls until it runs at least 10 ms, and the result is per
+ * call. Both sides run the same number of calls.
+ */
+template <typename Fn, typename NaiveFn>
+TimedPair
+bestNsVsPerCall(int reps, Fn &&fn, NaiveFn &&naive)
+{
+    const double call_ns =
+        std::max(1.0, std::min(bestNs(3, fn), bestNs(3, naive)));
+    const int calls = std::max(1, static_cast<int>(std::ceil(1e7 / call_ns)));
+    TimedPair t = bestNsVs(
+        reps,
+        [&] {
+            for (int c = 0; c < calls; ++c)
+                fn();
+        },
+        [&] {
+            for (int c = 0; c < calls; ++c)
+                naive();
+        });
+    t.ns /= calls;
+    t.naive_ns /= calls;
     return t;
 }
 
@@ -629,8 +659,7 @@ main(int argc, char **argv)
     // The `join` workload joins each arriving KPA (43 k entries on
     // average) against the other stream's window state (126 k) over
     // 1 M keys, so about 3% of the scanned entries match. One call
-    // takes well under a millisecond: each rep repeats calls until it
-    // runs at least 10 ms, and the result is per call.
+    // takes well under a millisecond, so it is timed per call.
     {
         BundleHandle ab = env.makeBundle(43000, 1000000, 15);
         BundleHandle sb = env.makeBundle(126000, 1000000, 16);
@@ -639,29 +668,98 @@ main(int argc, char **argv)
         kpa::sortKpa(env.ctx(), *ak);
         kpa::sortKpa(env.ctx(), *sk);
         const std::vector<columnar::ColumnId> cols{1};
-        auto join_call = [&] {
-            BundleHandle out = kpa::join(env.ctx(), *ak, *sk, cols, cols);
-        };
-        auto naive_call = [&] {
-            BundleHandle out = naiveJoin(env.ctx(), *ak, *sk, cols, cols);
-        };
-        const double call_ns =
-            std::min(bestNs(3, join_call), bestNs(3, naive_call));
-        const int calls =
-            std::max(1, static_cast<int>(std::ceil(1e7 / call_ns)));
-        TimedPair t = bestNsVs(
+        const TimedPair t = bestNsVsPerCall(
             reps,
             [&] {
-                for (int c = 0; c < calls; ++c)
-                    join_call();
+                BundleHandle out =
+                    kpa::join(env.ctx(), *ak, *sk, cols, cols);
             },
             [&] {
-                for (int c = 0; c < calls; ++c)
-                    naive_call();
+                BundleHandle out =
+                    naiveJoin(env.ctx(), *ak, *sk, cols, cols);
             });
-        t.ns /= calls;
-        t.naive_ns /= calls;
         report.add(result("join/stream", t, ak->size(), reps));
+    }
+
+    // --- select, YSB view events ------------------------------------
+    // FilterOp's select over one 50 k-record YSB bundle, keeping view
+    // events: one record in three, at random, so a branch on the
+    // predicate mispredicts often. The reference calls a std::function
+    // per row and branches on it. Timed per call.
+    {
+        using ingest::YsbGen;
+        constexpr uint32_t kRows = 50'000;
+        BundleHandle b =
+            BundleHandle::adopt(Bundle::create(env.hm, 7, kRows));
+        YsbGen gen(17);
+        gen.fill(*b, kRows, 0, kNsPerSec);
+        const std::function<bool(const uint64_t *)> is_view =
+            [](const uint64_t *row) {
+                return row[YsbGen::kEventTypeCol] == YsbGen::kViewEvent;
+            };
+        KpaPtr out, naive_out;
+        const TimedPair t = bestNsVsPerCall(
+            reps,
+            [&] {
+                out = kpa::selectFromBundle(
+                    env.ctx(), *b, YsbGen::kAdCol,
+                    [](const uint64_t *row) {
+                        return row[YsbGen::kEventTypeCol]
+                               == YsbGen::kViewEvent;
+                    },
+                    env.hbm);
+            },
+            [&] {
+                naive_out = bench::naiveSelect(env.ctx(), *b,
+                                               YsbGen::kAdCol, is_view,
+                                               env.hbm);
+            });
+        if (out->size() != naive_out->size()
+            || std::memcmp(out->entries(), naive_out->entries(),
+                           out->bytes())
+                   != 0) {
+            std::fprintf(stderr, "select/ysb-views: output differs from "
+                                 "the reference\n");
+            return 1;
+        }
+        report.add(result("select/ysb-views", t, kRows, reps));
+
+        // --- write-back fused with the key swap ---------------------
+        // ExternalJoinOp's last step on that selection: write the
+        // campaign ids back to the ad column and swap in timestamps,
+        // one fused pass against writeBackKeys then keySwap. Each
+        // side works on its own copy of the bundle and the KPA; both
+        // run the same calls, so they must end in the same state.
+        BundleHandle b2 =
+            BundleHandle::adopt(Bundle::create(env.hm, 7, kRows));
+        std::memcpy(b2->appendBlockRaw(kRows), b->data(), b->dataBytes());
+        auto campaigns = YsbGen::campaignTable();
+        KpaPtr fused = kpa::selectFromBundle(env.ctx(), *b, YsbGen::kAdCol,
+                                             is_view, env.hbm);
+        KpaPtr two = kpa::selectFromBundle(env.ctx(), *b2, YsbGen::kAdCol,
+                                           is_view, env.hbm);
+        kpa::updateKeysViaTable(env.ctx(), *fused, *campaigns);
+        kpa::updateKeysViaTable(env.ctx(), *two, *campaigns);
+        const TimedPair tw = bestNsVsPerCall(
+            reps,
+            [&] {
+                kpa::writeBackKeys(env.ctx(), *fused, YsbGen::kAdCol,
+                                   YsbGen::kTsCol);
+            },
+            [&] {
+                kpa::writeBackKeys(env.ctx(), *two, YsbGen::kAdCol);
+                kpa::keySwap(env.ctx(), *two, YsbGen::kTsCol);
+            });
+        bool same = std::memcmp(b->data(), b2->data(), b->dataBytes()) == 0
+                    && fused->size() == two->size();
+        for (uint32_t i = 0; same && i < fused->size(); ++i)
+            same = fused->entries()[i].key == two->entries()[i].key;
+        if (!same) {
+            std::fprintf(stderr, "writeBack/fused-swap: rows or keys "
+                                 "differ from the two calls\n");
+            return 1;
+        }
+        report.add(result("writeBack/fused-swap", tw, fused->size(), reps));
     }
 
     // --- sortRun, by key width ---------------------------------------

@@ -21,8 +21,8 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.h"
 #include "ingest/generator.h"
 #include "ingest/source.h"
 #include "pipeline/egress.h"
@@ -38,8 +38,9 @@ int
 main(int argc, char **argv)
 {
     uint64_t million = 2;
-    if (argc > 1)
-        million = std::strtoull(argv[1], nullptr, 10);
+    if (argc > 2 || (argc > 1 && !examples::parseMillions(argv[1], million)))
+        return examples::usage(argv[0], "[million_records_per_stream] "
+                                        "(a positive integer, default 2)");
 
     constexpr uint64_t kMachines = 20'000;
 

@@ -47,11 +47,11 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 
+#include "example_args.h"
 #include "obs/json_writer.h"
 #include "obs/trace.h"
 #include "serve/load_driver.h"
@@ -212,9 +212,15 @@ main(int argc, char **argv)
     if (argc > 2 && std::strcmp(argv[1], "--trace") == 0)
         return runTracedOverload(argv[2]);
 
+    // The largest record count below is 4 x 100'000 x scale; the
+    // bound keeps every count's conversion to uint64_t defined.
+    constexpr double kMaxScale = 1e13;
     double scale = 1.0;
-    if (argc > 1)
-        scale = std::strtod(argv[1], nullptr);
+    if (argc > 2
+        || (argc > 1 && !examples::parseScale(argv[1], kMaxScale, scale)))
+        return examples::usage(argv[0],
+                               "[records_scale] (a positive number, "
+                               "default 1) | --trace <out.json>");
 
     serve::ServeConfig cfg;
     cfg.engine.machine = sim::MachineConfig::knl();

@@ -18,9 +18,9 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
+#include "example_args.h"
 #include "ingest/generator.h"
 #include "ingest/source.h"
 #include "pipeline/egress.h"
@@ -59,8 +59,9 @@ int
 main(int argc, char **argv)
 {
     uint64_t million = 3;
-    if (argc > 1)
-        million = std::strtoull(argv[1], nullptr, 10);
+    if (argc > 2 || (argc > 1 && !examples::parseMillions(argv[1], million)))
+        return examples::usage(argv[0], "[million_records] "
+                                        "(a positive integer, default 3)");
 
     runtime::EngineConfig ecfg;
     ecfg.cores = 32;

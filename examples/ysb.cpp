@@ -20,8 +20,8 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.h"
 #include "ingest/generator.h"
 #include "ingest/source.h"
 #include "pipeline/aggregations.h"
@@ -38,8 +38,9 @@ int
 main(int argc, char **argv)
 {
     uint64_t million = 4;
-    if (argc > 1)
-        million = std::strtoull(argv[1], nullptr, 10);
+    if (argc > 2 || (argc > 1 && !examples::parseMillions(argv[1], million)))
+        return examples::usage(argv[0], "[million_records] "
+                                        "(a positive integer, default 4)");
 
     runtime::EngineConfig ecfg;
     ecfg.cores = 64;
@@ -52,9 +53,9 @@ main(int argc, char **argv)
     auto campaigns = YsbGen::campaignTable();
 
     auto &filter = pipe.add<pipeline::FilterOp>(
-        pipe, "filter_views", YsbGen::kAdCol, [](const uint64_t *row) {
-            return row[YsbGen::kEventTypeCol] == YsbGen::kViewEvent;
-        });
+        pipe, "filter_views", YsbGen::kAdCol,
+        /*filter_col=*/YsbGen::kEventTypeCol,
+        /*filter_value=*/YsbGen::kViewEvent);
     auto &join = pipe.add<pipeline::ExternalJoinOp>(
         pipe, "ad_to_campaign", campaigns,
         /*writeback_col=*/YsbGen::kAdCol, /*swap_col=*/YsbGen::kTsCol);

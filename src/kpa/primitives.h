@@ -150,6 +150,17 @@ prefetchRow(const uint64_t *row)
 #endif
 }
 
+/** Prefetch hint for a row about to be written (no-op elsewhere). */
+inline void
+prefetchRowForWrite(uint64_t *row)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(row, 1);
+#else
+    (void)row;
+#endif
+}
+
 /**
  * @return true when @p cols is a run c, c+1, c+2, ... of 3 or more
  * columns. gatherCols copies such a payload with one memcpy; a shorter
@@ -394,21 +405,51 @@ updateKeysViaTable(Ctx ctx, Kpa &k, algo::HashTable<uint64_t> &table)
 
 /**
  * Write the (possibly dirty) resident keys back to record column
- * @p col (paper §4.3 optimization 2).
+ * @p col (paper §4.3 optimization 2), then swap in column
+ * @p swap_col as the resident keys, in one pass over the entries:
+ * each row is written and read while its line is in cache, with the
+ * row kPrefetchAhead entries ahead prefetched for write.
+ *
+ * The simulated machine is charged exactly what writeBackKeys(col)
+ * followed by keySwap(swap_col) charges, call by call in that order.
+ * When @p swap_col equals @p col, keySwap would return early, so only
+ * the write-back is charged and the keys are left as they are.
  */
+inline void
+writeBackKeys(Ctx ctx, Kpa &k, ColumnId col, ColumnId swap_col)
+{
+    KpEntry *e = k.entries();
+    const uint32_t n = k.size();
+    for (uint32_t i = 0; i < n; ++i) {
+        if (i + detail::kPrefetchAhead < n)
+            detail::prefetchRowForWrite(e[i + detail::kPrefetchAhead].row
+                                        + col);
+        uint64_t *row = e[i].row;
+        row[col] = e[i].key;
+        e[i].key = row[swap_col];
+    }
+    k.setResidentColumn(swap_col);
+    if (swap_col != col)
+        k.setSorted(n <= 1);
+
+    // writeBackKeys(col)'s charges, then keySwap(swap_col)'s: each
+    // makes these three calls.
+    const uint32_t cols = k.empty() ? 0 : k.recordCols();
+    const int passes = swap_col == col ? 1 : 2;
+    for (int p = 0; p < passes; ++p) {
+        ctx.hm.charge(ctx.log, mem::Tier::kDram, AccessPattern::kRandom,
+                      uint64_t{n} * rowTouchBytes(cols));
+        ctx.hm.charge(ctx.log, k.tier(), AccessPattern::kSequential,
+                      ctx.scaled(k.bytes()));
+        ctx.kernel(cost::kSwapNsPerRec * n);
+    }
+}
+
+/** writeBackKeys without a key swap: the keys stay resident. */
 inline void
 writeBackKeys(Ctx ctx, Kpa &k, ColumnId col)
 {
-    KpEntry *e = k.entries();
-    for (uint32_t i = 0; i < k.size(); ++i)
-        e[i].row[col] = e[i].key;
-    k.setResidentColumn(col);
-    const uint32_t cols = k.empty() ? 0 : k.recordCols();
-    ctx.hm.charge(ctx.log, mem::Tier::kDram, AccessPattern::kRandom,
-                  uint64_t{k.size()} * rowTouchBytes(cols));
-    ctx.hm.charge(ctx.log, k.tier(), AccessPattern::kSequential,
-                  ctx.scaled(k.bytes()));
-    ctx.kernel(cost::kSwapNsPerRec * k.size());
+    writeBackKeys(ctx, k, col, col);
 }
 
 // -------------------------------------------------------------------
@@ -732,6 +773,12 @@ join(Ctx ctx, const Kpa &l, const Kpa &r,
 /**
  * Select (Table 2): subset a bundle as a KPA with surviving
  * key/pointer pairs, evaluating @p pred over full record rows.
+ *
+ * Branch-free: every row's pair is stored at the write cursor, and
+ * the cursor advances by pred's 0/1, so a survivor stays and a reject
+ * is overwritten by the next row. A selective predicate (YSB keeps
+ * one record in three) then costs no mispredicted branches. Row r
+ * stores at index <= r < n, inside the KPA's capacity of max(n, 1).
  */
 template <typename Pred>
 inline KpaPtr
@@ -748,8 +795,8 @@ selectFromBundle(Ctx ctx, Bundle &src, ColumnId key_col, Pred &&pred,
     uint32_t kept = 0;
     uint64_t *row = src.data();
     for (uint32_t r = 0; r < n; ++r, row += cols) {
-        if (pred(row))
-            dst[kept++] = KpEntry{row[key_col], row};
+        dst[kept] = KpEntry{row[key_col], row};
+        kept += pred(row) ? 1u : 0u;
     }
     out->commitAppend(kept);
     out->setResidentColumn(key_col);

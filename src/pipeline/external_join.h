@@ -5,9 +5,11 @@
  * resident in HBM (paper §4.3: "a small table in HBM").
  *
  * Mirrors the paper's YSB execution: the operator updates resident
- * keys in place, optionally writes the new keys back to a record
- * column, and optionally swaps in another column (the timestamp) for
- * the next grouping stage.
+ * keys in place, writes the new keys back to a record column and
+ * swaps in another column (the timestamp) for the next grouping
+ * stage. Both columns are required; the write-back and the swap run
+ * as one pass over the KPA (kpa::writeBackKeys with a swap column),
+ * charged as the two separate primitives.
  */
 
 #ifndef SBHBM_PIPELINE_EXTERNAL_JOIN_H
@@ -30,10 +32,8 @@ class ExternalJoinOp : public Operator
   public:
     /**
      * @param table         key -> mapped-key store (shared; in HBM).
-     * @param writeback_col write mapped keys to this record column
-     *                      (columnar::kNoColumn to skip).
-     * @param swap_col      afterwards swap this column in as resident
-     *                      (columnar::kNoColumn to skip).
+     * @param writeback_col write mapped keys to this record column.
+     * @param swap_col      afterwards swap this column in as resident.
      */
     ExternalJoinOp(Pipeline &pipe, std::string name,
                    std::shared_ptr<algo::HashTable<uint64_t>> table,
@@ -43,6 +43,9 @@ class ExternalJoinOp : public Operator
           writeback_col_(writeback_col), swap_col_(swap_col)
     {
         sbhbm_assert(table_ != nullptr, "external table required");
+        sbhbm_assert(writeback_col_ != columnar::kNoColumn
+                         && swap_col_ != columnar::kNoColumn,
+                     "write-back and swap columns required");
     }
 
   protected:
@@ -99,10 +102,7 @@ class ExternalJoinOp : public Operator
                           uint64_t{k.size()} * sim::cost::kLineBytes);
             log.cpu(sim::cost::kHashProbeNs * k.size());
 
-            if (writeback_col_ != columnar::kNoColumn)
-                kpa::writeBackKeys(ctx, k, writeback_col_);
-            if (swap_col_ != columnar::kNoColumn)
-                kpa::keySwap(ctx, k, swap_col_);
+            kpa::writeBackKeys(ctx, k, writeback_col_, swap_col_);
 
             Msg out = Msg::ofKpa(std::move(msg.kpa), msg.min_ts);
             if (msg.has_window)

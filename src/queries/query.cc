@@ -160,9 +160,8 @@ buildYsb(const QueryConfig &cfg, Pipeline &pipe)
 {
     auto table = YsbGen::campaignTable();
     auto &filter = pipe.add<pipeline::FilterOp>(
-        pipe, "filter", YsbGen::kAdCol, [](const uint64_t *row) {
-            return row[YsbGen::kEventTypeCol] == YsbGen::kViewEvent;
-        });
+        pipe, "filter", YsbGen::kAdCol, YsbGen::kEventTypeCol,
+        YsbGen::kViewEvent);
     auto &join = pipe.add<pipeline::ExternalJoinOp>(
         pipe, "ext_join", table, YsbGen::kAdCol, YsbGen::kTsCol);
     auto &window = pipe.add<pipeline::WindowOp>(pipe, "window",

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "sim/machine_config.h"
 
@@ -38,8 +40,8 @@ class CostInvarianceTest : public ::testing::Test
     makeKvBundle(uint32_t rows, uint64_t seed, uint64_t key_range = 50)
     {
         Rng rng(seed);
-        BundleHandle b =
-            BundleHandle::adopt(Bundle::create(hm_, 3, rows));
+        BundleHandle b = BundleHandle::adopt(
+            Bundle::create(hm_, 3, std::max<uint32_t>(rows, 1)));
         for (uint32_t r = 0; r < rows; ++r) {
             uint64_t *row = b->appendRaw();
             row[0] = rng.nextBounded(key_range);
@@ -237,6 +239,86 @@ TEST_F(CostInvarianceTest, KeySwapChargesGoldenTotals)
     EXPECT_EQ(swap_log.bytesOn(Tier::kHbm), 16000u);
     // kSwapNsPerRec (120) * 1000.
     EXPECT_DOUBLE_EQ(swap_log.totalCpuNs(), 120000.0);
+}
+
+TEST_F(CostInvarianceTest, FusedWriteBackAndSwapMatchesTwoCalls)
+{
+    // writeBackKeys(col, swap_col) must leave rows, entries and KPA
+    // flags as writeBackKeys(col) then keySwap(swap_col) leave them,
+    // and charge every phase identically, flow by flow in order.
+    struct Case
+    {
+        const char *what;
+        uint32_t rows;
+        ColumnId wb, swap;
+        double group_scale;
+    };
+    const Case cases[] = {
+        {"write back 1, swap 2", 500, 1, 2, 1.0},
+        {"write back 2, swap 0", 500, 2, 0, 1.0},
+        {"equal columns", 500, 1, 1, 1.0},
+        {"empty KPA", 0, 1, 2, 1.0},
+        {"one entry", 1, 1, 2, 1.0},
+        {"grouping full records", 500, 1, 2, 3.0},
+    };
+    for (const Case &c : cases) {
+        // Identical bundles and KPAs: extracted, key-sorted (so rows
+        // are visited out of order), rewritten off every column and
+        // flagged sorted, which a swap must clear.
+        BundleHandle ba = makeKvBundle(c.rows, 9);
+        BundleHandle bb = makeKvBundle(c.rows, 9);
+        ASSERT_EQ(ba->size(), c.rows) << c.what;
+        KpaPtr ka = extract(ctx(), *ba, 0, hbm_);
+        KpaPtr kb = extract(ctx(), *bb, 0, hbm_);
+        for (Kpa *k : {ka.get(), kb.get()}) {
+            sortKpa(ctx(), *k);
+            updateKeysInPlace(ctx(), *k,
+                              [](uint64_t key) { return key * 31 + 5; });
+            k->setSorted(true);
+        }
+
+        CostLog two_log, fused_log;
+        Ctx two{hm_, two_log};
+        Ctx fused{hm_, fused_log};
+        two.group_scale = fused.group_scale = c.group_scale;
+        writeBackKeys(two, *ka, c.wb);
+        keySwap(two, *ka, c.swap);
+        writeBackKeys(fused, *kb, c.wb, c.swap);
+
+        for (uint32_t r = 0; r < c.rows; ++r)
+            for (uint32_t col = 0; col < 3; ++col)
+                ASSERT_EQ(ba->row(r)[col], bb->row(r)[col])
+                    << c.what << " row " << r << " col " << col;
+        ASSERT_EQ(ka->size(), kb->size()) << c.what;
+        for (uint32_t i = 0; i < ka->size(); ++i) {
+            ASSERT_EQ(ka->at(i).key, kb->at(i).key) << c.what << " " << i;
+            ASSERT_EQ(ka->at(i).row - ba->data(), kb->at(i).row - bb->data())
+                << c.what << " " << i;
+        }
+        EXPECT_EQ(ka->residentColumn(), kb->residentColumn()) << c.what;
+        EXPECT_EQ(ka->sorted(), kb->sorted()) << c.what;
+
+        ASSERT_EQ(two_log.phases().size(), fused_log.phases().size())
+            << c.what;
+        for (size_t p = 0; p < two_log.phases().size(); ++p) {
+            const sim::Phase &x = two_log.phases()[p];
+            const sim::Phase &y = fused_log.phases()[p];
+            EXPECT_EQ(x.cpu_ns, y.cpu_ns) << c.what << " phase " << p;
+            EXPECT_EQ(x.cpu_vector_ns, y.cpu_vector_ns)
+                << c.what << " phase " << p;
+            ASSERT_EQ(x.flows.size(), y.flows.size())
+                << c.what << " phase " << p;
+            for (size_t f = 0; f < x.flows.size(); ++f) {
+                EXPECT_EQ(x.flows[f].tier, y.flows[f].tier)
+                    << c.what << " flow " << f;
+                EXPECT_EQ(x.flows[f].pattern, y.flows[f].pattern)
+                    << c.what << " flow " << f;
+                EXPECT_EQ(x.flows[f].bytes, y.flows[f].bytes)
+                    << c.what << " flow " << f;
+            }
+        }
+        EXPECT_EQ(fused_log.totalBytes() > 0, c.rows > 0) << c.what;
+    }
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "ingest/generator.h"
 #include "sim/machine_config.h"
 
 namespace sbhbm::kpa {
@@ -244,6 +245,84 @@ TEST_F(PrimitivesTest, SelectFromBundleOnEmptyBundleYieldsUsableKpa)
     uint64_t row[3] = {1, 2, 3};
     k->push(7, row);
     EXPECT_EQ(k->size(), 1u);
+}
+
+TEST_F(PrimitivesTest, SelectFromBundleMatchesBranchyReference)
+{
+    // The branch-free select must keep exactly what a branchy loop
+    // keeps, entry by entry and in row order, with the same metadata.
+    auto expectMatches = [this](Bundle &b, ColumnId key_col, auto pred,
+                                const char *what) {
+        std::vector<KpEntry> want;
+        for (uint32_t r = 0; r < b.size(); ++r)
+            if (pred(b.row(r)))
+                want.push_back(KpEntry{b.row(r)[key_col], b.row(r)});
+        KpaPtr k = selectFromBundle(ctx(), b, key_col, pred, hbm_);
+        ASSERT_EQ(k->size(), want.size()) << what;
+        EXPECT_GE(k->capacity(), 1u) << what;
+        EXPECT_EQ(k->residentColumn(), key_col) << what;
+        EXPECT_EQ(k->sorted(), want.size() <= 1) << what;
+        ASSERT_EQ(k->sources().size(), 1u) << what;
+        EXPECT_EQ(k->sources().front().get(), &b) << what;
+        for (uint32_t i = 0; i < k->size(); ++i) {
+            ASSERT_EQ(k->at(i).key, want[i].key) << what << " entry " << i;
+            ASSERT_EQ(k->at(i).row, want[i].row) << what << " entry " << i;
+        }
+    };
+
+    // Rows (key, keep flag, ts); the predicate keeps flag 1.
+    auto flagged = [this](const std::vector<uint64_t> &keep) {
+        const auto rows = static_cast<uint32_t>(keep.size());
+        BundleHandle b =
+            BundleHandle::adopt(Bundle::create(hm_, 3, rows + 1));
+        for (uint32_t r = 0; r < rows; ++r)
+            b->append({uint64_t{r} * 7 + 3, keep[r], 1000 + uint64_t{r}});
+        return b;
+    };
+    auto kept = [](const uint64_t *row) { return row[1] == 1; };
+
+    std::vector<uint64_t> mixed(33);
+    Rng rng(29);
+    for (uint64_t &f : mixed)
+        f = rng.nextBounded(2);
+    std::vector<uint64_t> alternating(64);
+    for (size_t r = 0; r < alternating.size(); ++r)
+        alternating[r] = r % 2;
+    std::vector<uint64_t> last_kept = mixed, last_dropped = mixed;
+    last_kept.back() = 1;
+    last_dropped.back() = 0;
+
+    const struct
+    {
+        const char *what;
+        std::vector<uint64_t> keep;
+    } cases[] = {
+        {"empty", {}},
+        {"one row kept", {1}},
+        {"one row dropped", {0}},
+        {"all kept", std::vector<uint64_t>(100, 1)},
+        {"none kept", std::vector<uint64_t>(100, 0)},
+        {"alternating", alternating},
+        {"last kept", last_kept},
+        {"last dropped", last_dropped},
+    };
+    for (const auto &c : cases) {
+        BundleHandle b = flagged(c.keep);
+        expectMatches(*b, 0, kept, c.what);
+    }
+
+    // A YSB bundle filtered on view events, keyed on the ad column.
+    using ingest::YsbGen;
+    constexpr uint32_t kRows = 50'000;
+    BundleHandle ysb = BundleHandle::adopt(Bundle::create(hm_, 7, kRows));
+    YsbGen gen(7);
+    gen.fill(*ysb, kRows, 0, kNsPerSec);
+    expectMatches(
+        *ysb, YsbGen::kAdCol,
+        [](const uint64_t *row) {
+            return row[YsbGen::kEventTypeCol] == YsbGen::kViewEvent;
+        },
+        "ysb views");
 }
 
 TEST_F(PrimitivesTest, SelectFromKpaOnEmptyKpaYieldsUsableKpa)
