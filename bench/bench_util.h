@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -155,11 +154,10 @@ detectGitRev()
  * Collects BenchResults and writes them as `BENCH_kernels.json`-style
  * output. Schema v3: a schema tag, the host environment (host_cores,
  * git_rev — thread-scaling numbers are meaningless without the core
- * count they ran on), one object per benchmark including the host
- * worker-thread count the kernel used, plus optional extra top-level
- * sections (setExtra) for suite-specific payloads such as the drift
- * benchmark's per-decision counts. Deliberately dependency-free (no
- * Google Benchmark) so it runs everywhere CI does.
+ * count they ran on), and one object per benchmark including the
+ * host worker-thread count the kernel used. Deliberately
+ * dependency-free (no Google Benchmark) so it runs everywhere CI
+ * does.
  */
 class JsonReport
 {
@@ -169,18 +167,6 @@ class JsonReport
     const std::vector<BenchResult> &results() const { return results_; }
 
     void setGitRev(std::string rev) { git_rev_ = std::move(rev); }
-
-    /**
-     * Attach an extra top-level section: @p fn is called with the
-     * writer positioned after `"key":` and must write exactly one
-     * JSON value (object, array, or scalar).
-     */
-    void
-    setExtra(std::string key,
-             std::function<void(obs::JsonWriter &)> fn)
-    {
-        extras_.emplace_back(std::move(key), std::move(fn));
-    }
 
     /** @return true when the file was written successfully. */
     bool
@@ -210,10 +196,6 @@ class JsonReport
             w.endObject();
         }
         w.endArray();
-        for (const auto &[key, fn] : extras_) {
-            w.key(key);
-            fn(w);
-        }
         w.endObject();
         return w.writeFile(path);
     }
@@ -221,9 +203,6 @@ class JsonReport
   private:
     std::vector<BenchResult> results_;
     std::string git_rev_;
-    std::vector<
-        std::pair<std::string, std::function<void(obs::JsonWriter &)>>>
-        extras_;
 };
 
 } // namespace sbhbm::bench

@@ -14,10 +14,8 @@
  * Self-contained on purpose (std::chrono, no Google Benchmark) so it
  * builds and runs wherever the test suite does, including CI.
  *
- * Usage: perf_report [--smoke] [--drift|--drift-only] [--out <path>]
+ * Usage: perf_report [--smoke] [--out <path>]
  *   --smoke      small inputs / few reps (CI per-PR signal)
- *   --drift      also run the drifting-distribution adaptive bench
- *   --drift-only run only the drift bench (ctest shape guard)
  *   --out        JSON output path (default BENCH_kernels.json)
  */
 
@@ -33,14 +31,12 @@
 #include "algo/hash_table.h"
 #include "algo/sort.h"
 #include "bench_util.h"
-#include "common/profiler.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "ingest/generator.h"
 #include "kpa/primitives.h"
 #include "perf_naive.h"
 #include "pipeline/aggregations.h"
-#include "runtime/adaptive.h"
 #include "sim/machine_config.h"
 
 using namespace sbhbm;
@@ -229,310 +225,21 @@ makeWideDupProbes(uint32_t n, uint64_t seed)
     return probes;
 }
 
-// -------------------------------------------------------------------
-// Drifting-distribution adaptive bench (--drift / --drift-only)
-// -------------------------------------------------------------------
-//
-// A stream whose key distribution drifts across three phases, each
-// `per_phase` windows of `rows` records:
-//
-//   phase 0  dup-factor step + cardinality ramp: shuffled keys, group
-//            count doubling 4 -> 16 across the phase (dup factor
-//            stepping 32 -> 8, always duplicate-heavy) — hash-scatter
-//            grouping wins the whole phase;
-//   phase 1  sortedness flip: keys arrive fully sorted (two rows per
-//            key) — the sort-merge precheck reduces grouping to one
-//            scan while hash-scatter still pays its full passes;
-//   phase 2  unique shuffled keys — hash-scatter degenerates to a
-//            hash pass plus a full sort of n group keys; sort-merge
-//            pays only the sort.
-//
-// No fixed variant wins every phase, so an adaptive runner driven by
-// the runtime::VariantPolicy (same per-window sampled stats the
-// pipeline operators feed it) must beat both fixed variants
-// end-to-end. Decisions depend only on deterministically sampled
-// stats, so the per-window decision vector must be bit-identical
-// across reps.
-
-struct DriftWindow
-{
-    BundleHandle bundle;
-    KpaPtr kpa;
-    std::vector<KpEntry> pristine; //!< arrival-order entries
-    int phase = 0;
-};
-
-struct DriftRun
-{
-    double total_ns = 0;
-    double phase_ns[3] = {0, 0, 0};
-    uint64_t groups = 0; //!< key runs consumed, summed over windows
-    std::vector<uint8_t> decisions; //!< adaptive: GroupVariant per window
-    uint64_t switches = 0;
-};
-
-std::vector<DriftWindow>
-makeDriftWindows(Env &env, uint32_t rows, uint32_t per_phase)
-{
-    std::vector<DriftWindow> ws;
-    ws.reserve(size_t{3} * per_phase);
-    uint64_t seed = 1000;
-    std::vector<uint64_t> keys(rows);
-    for (int phase = 0; phase < 3; ++phase) {
-        for (uint32_t i = 0; i < per_phase; ++i) {
-            Rng rng(++seed);
-            if (phase == 0) {
-                const uint64_t g = uint64_t{4} << (3 * i / per_phase);
-                for (uint32_t r = 0; r < rows; ++r)
-                    keys[r] = rng.nextBounded(g);
-            } else if (phase == 1) {
-                for (uint32_t r = 0; r < rows; ++r)
-                    keys[r] = r / 2;
-            } else {
-                for (uint32_t r = 0; r < rows; ++r)
-                    keys[r] = r;
-                for (uint32_t r = rows - 1; r > 0; --r)
-                    std::swap(keys[r], keys[rng.nextBounded(r + 1)]);
-            }
-            DriftWindow w;
-            w.phase = phase;
-            w.bundle =
-                BundleHandle::adopt(Bundle::create(env.hm, 3, rows));
-            uint64_t *row = w.bundle->appendBlockRaw(rows);
-            for (uint32_t r = 0; r < rows; ++r, row += 3) {
-                row[0] = keys[r];
-                row[1] = rng.nextBounded(1000);
-                row[2] = 1000 + r;
-            }
-            w.kpa = kpa::extract(env.ctx(), *w.bundle, 0, env.hbm);
-            w.pristine.assign(w.kpa->entries(),
-                              w.kpa->entries() + rows);
-            ws.push_back(std::move(w));
-        }
-    }
-    return ws;
-}
-
-/** @param mode 0 = fixed sort-merge, 1 = fixed hash-scatter,
- *              2 = adaptive (VariantPolicy per window). */
-DriftRun
-runDriftOnce(Env &env, std::vector<DriftWindow> &ws, uint32_t rows,
-             int mode)
-{
-    DriftRun out;
-    runtime::VariantPolicy policy;
-    const uint64_t bytes = uint64_t{rows} * sizeof(KpEntry);
-    for (DriftWindow &w : ws) {
-        // Restore arrival order outside the timed region — the reset
-        // is identical work for every mode.
-        std::memcpy(w.kpa->entries(), w.pristine.data(), bytes);
-        w.kpa->setSorted(false);
-        const double t0 = nowNs();
-        bool hash = mode == 1;
-        if (mode == 2) {
-            // The sampling + decision are adaptive-only costs, so
-            // they stay inside the timed region.
-            policy.observeRun(sampleRunStats(w.kpa->entries(), rows));
-            const runtime::GroupDecision d = policy.decideWindow();
-            hash = d.variant == runtime::GroupVariant::kHashScatter;
-            out.decisions.push_back(static_cast<uint8_t>(d.variant));
-        }
-        if (hash)
-            kpa::groupSortKpa(env.ctx(), *w.kpa);
-        else
-            kpa::sortKpa(env.ctx(), *w.kpa);
-        // Consume the grouped output the way an aggregation would;
-        // both variants must expose identical key runs.
-        kpa::forEachKeyRun(*w.kpa,
-                           [&](uint64_t, const KpEntry *, size_t) {
-                               ++out.groups;
-                           });
-        const double t1 = nowNs();
-        out.phase_ns[w.phase] += t1 - t0;
-    }
-    out.total_ns =
-        out.phase_ns[0] + out.phase_ns[1] + out.phase_ns[2];
-    out.switches = policy.switches();
-    return out;
-}
-
-/** @return true when every drift shape check held. */
-bool
-runDriftBench(Env &env, bench::JsonReport &report, bool smoke)
-{
-    const uint32_t rows = smoke ? 8192u : 32768u;
-    const uint32_t per_phase = smoke ? 10u : 40u;
-    const int reps = smoke ? 3 : 8;
-    std::printf("\ndrift: 3 phases x %u windows x %u rows, %d reps\n",
-                per_phase, rows, reps);
-
-    std::vector<DriftWindow> ws = makeDriftWindows(env, rows, per_phase);
-    DriftRun best[3];
-    std::vector<uint8_t> first_decisions;
-    bool decisions_stable = true;
-    for (int rep = 0; rep < reps; ++rep) {
-        // Interleave the three modes rep by rep so ambient load drift
-        // hits all of them instead of biasing whichever ran last.
-        for (int mode = 0; mode < 3; ++mode) {
-            DriftRun r = runDriftOnce(env, ws, rows, mode);
-            if (mode == 2) {
-                if (rep == 0)
-                    first_decisions = r.decisions;
-                else if (r.decisions != first_decisions)
-                    decisions_stable = false;
-            }
-            if (rep == 0 || r.total_ns < best[mode].total_ns)
-                best[mode] = std::move(r);
-        }
-    }
-
-    // Per-phase adaptive decision counts.
-    uint64_t hash_in_phase[3] = {0, 0, 0};
-    for (size_t w = 0; w < first_decisions.size(); ++w)
-        if (first_decisions[w]
-            == static_cast<uint8_t>(
-                runtime::GroupVariant::kHashScatter))
-            ++hash_in_phase[w / per_phase];
-    const uint64_t sort_in_sorted = per_phase - hash_in_phase[1];
-    const uint64_t sort_in_unique = per_phase - hash_in_phase[2];
-
-    Table t("drift — adaptive vs fixed variants (best total ms)");
-    t.header({"config", "total", "phase dup", "phase sorted",
-              "phase unique"});
-    const char *names[3] = {"fixed sort-merge", "fixed hash-scatter",
-                            "adaptive"};
-    for (int m = 0; m < 3; ++m)
-        t.row({names[m], Table::num(best[m].total_ns / 1e6, 2),
-               Table::num(best[m].phase_ns[0] / 1e6, 2),
-               Table::num(best[m].phase_ns[1] / 1e6, 2),
-               Table::num(best[m].phase_ns[2] / 1e6, 2)});
-    t.print();
-    std::printf("drift: adaptive switches=%llu, hash windows per "
-                "phase = %llu/%llu/%llu of %u\n",
-                (unsigned long long)best[2].switches,
-                (unsigned long long)hash_in_phase[0],
-                (unsigned long long)hash_in_phase[1],
-                (unsigned long long)hash_in_phase[2], per_phase);
-
-    bool ok = true;
-    auto check = [&ok](const char *what, bool c) {
-        bench::shapeCheck(what, c);
-        ok = ok && c;
-    };
-    check("drift: adaptive switched variants (2..6 switches)",
-          best[2].switches >= 2 && best[2].switches <= 6);
-    check("drift: hash-scatter adopted in dup-heavy phase",
-          hash_in_phase[0] >= per_phase / 4);
-    check("drift: sort-merge majority in sorted phase",
-          sort_in_sorted > per_phase / 2);
-    check("drift: sort-merge majority in unique-key phase",
-          sort_in_unique >= per_phase * 9 / 10);
-    check("drift: decisions bit-identical across reps",
-          decisions_stable);
-    check("drift: all variants agree on group counts",
-          best[0].groups == best[1].groups
-              && best[0].groups == best[2].groups);
-    if (!smoke) {
-        // Wall-clock comparisons are meaningless at smoke sizes
-        // (shape-guard mode); the full run must show the adaptive
-        // runner beating both fixed variants end-to-end.
-        check("drift: adaptive beats fixed sort-merge end-to-end",
-              best[2].total_ns < best[0].total_ns);
-        check("drift: adaptive beats fixed hash-scatter end-to-end",
-              best[2].total_ns < best[1].total_ns);
-    }
-
-    const uint64_t items = uint64_t{3} * per_phase * rows;
-    report.add(result("drift/fixed_sort_merge", best[0].total_ns,
-                      items, reps));
-    report.add(result("drift/fixed_hash_scatter", best[1].total_ns,
-                      items, reps));
-    report.add(result("drift/adaptive", best[2].total_ns, items, reps,
-                      std::min(best[0].total_ns, best[1].total_ns)));
-
-    struct Snapshot
-    {
-        uint32_t rows, per_phase;
-        uint64_t switches;
-        uint64_t hash_in_phase[3];
-        double totals[3];
-        double phase_ns[3][3];
-        uint64_t sort_windows, hash_windows;
-    } snap;
-    snap.rows = rows;
-    snap.per_phase = per_phase;
-    snap.switches = best[2].switches;
-    uint64_t hash_total = 0;
-    for (int p = 0; p < 3; ++p) {
-        snap.hash_in_phase[p] = hash_in_phase[p];
-        hash_total += hash_in_phase[p];
-    }
-    for (int m = 0; m < 3; ++m) {
-        snap.totals[m] = best[m].total_ns;
-        for (int p = 0; p < 3; ++p)
-            snap.phase_ns[m][p] = best[m].phase_ns[p];
-    }
-    snap.hash_windows = hash_total;
-    snap.sort_windows = uint64_t{3} * per_phase - hash_total;
-    report.setExtra("drift", [snap](obs::JsonWriter &w) {
-        w.beginObject();
-        w.key("rows_per_window").value(snap.rows);
-        w.key("windows_per_phase").value(snap.per_phase);
-        w.key("phases").beginArray();
-        w.value("dup-step-cardinality-ramp");
-        w.value("sorted");
-        w.value("unique-shuffled");
-        w.endArray();
-        w.key("decisions").beginObject();
-        w.key("sort_merge").value(snap.sort_windows);
-        w.key("hash_scatter").value(snap.hash_windows);
-        w.key("switches").value(snap.switches);
-        w.key("hash_scatter_per_phase").beginArray();
-        for (int p = 0; p < 3; ++p)
-            w.value(snap.hash_in_phase[p]);
-        w.endArray();
-        w.endObject();
-        const char *cfgs[3] = {"fixed_sort_merge",
-                               "fixed_hash_scatter", "adaptive"};
-        w.key("totals_ns").beginObject();
-        for (int m = 0; m < 3; ++m)
-            w.key(cfgs[m]).value(snap.totals[m], 0);
-        w.endObject();
-        w.key("phase_ns").beginObject();
-        for (int m = 0; m < 3; ++m) {
-            w.key(cfgs[m]).beginArray();
-            for (int p = 0; p < 3; ++p)
-                w.value(snap.phase_ns[m][p], 0);
-            w.endArray();
-        }
-        w.endObject();
-        w.endObject();
-    });
-    return ok;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     bool smoke = false;
-    bool drift = false;
-    bool drift_only = false;
     std::string out_path = "BENCH_kernels.json";
     for (int a = 1; a < argc; ++a) {
         if (std::strcmp(argv[a], "--smoke") == 0)
             smoke = true;
-        else if (std::strcmp(argv[a], "--drift") == 0)
-            drift = true;
-        else if (std::strcmp(argv[a], "--drift-only") == 0)
-            drift = drift_only = true;
         else if (std::strcmp(argv[a], "--out") == 0 && a + 1 < argc)
             out_path = argv[++a];
         else {
             std::fprintf(stderr,
-                         "usage: perf_report [--smoke] "
-                         "[--drift|--drift-only] [--out <path>]\n");
+                         "usage: perf_report [--smoke] [--out <path>]\n");
             return 2;
         }
     }
@@ -545,18 +252,6 @@ main(int argc, char **argv)
 
     bench::JsonReport report;
     Env env;
-
-    if (drift_only) {
-        const bool drift_ok = runDriftBench(env, report, smoke);
-        if (!report.writeTo(out_path)) {
-            std::fprintf(stderr, "perf_report: cannot write %s\n",
-                         out_path.c_str());
-            return 1;
-        }
-        std::printf("\nperf_report: wrote %s (%zu benchmarks)\n",
-                    out_path.c_str(), report.results().size());
-        return drift_ok ? 0 : 1;
-    }
 
     // --- partitionByRange, 64 ranges, unsorted input ----------------
     {
@@ -791,7 +486,7 @@ main(int argc, char **argv)
         report.add(result(name, t, n, reps));
     }
 
-    // --- sortRun, already-sorted input (adaptive fast path) ---------
+    // --- sortRun, already-sorted input (presorted early-out) --------
     // Streaming pipelines sort timestamp-extracted KPAs that arrive
     // in order; the rewritten kernel detects this in one scan where
     // the reference re-runs every merge pass.
@@ -1046,11 +741,6 @@ main(int argc, char **argv)
         report.add(result("e2e/groupby_window", ns, n, reps));
     }
 
-    // --- drifting-distribution adaptive bench (--drift) -------------
-    bool drift_ok = true;
-    if (drift)
-        drift_ok = runDriftBench(env, report, smoke);
-
     // --- report -----------------------------------------------------
     Table t("perf_report — host wall clock");
     t.header({"benchmark", "thr", "ns/op", "Mitems/s",
@@ -1073,5 +763,5 @@ main(int argc, char **argv)
     }
     std::printf("\nperf_report: wrote %s (%zu benchmarks)\n",
                 out_path.c_str(), report.results().size());
-    return drift_ok ? 0 : 1;
+    return 0;
 }

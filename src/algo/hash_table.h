@@ -19,7 +19,11 @@
  * for reads, and the mutating batch resolves lanes in key order so
  * the slot layout stays bit-identical to a scalar insert loop. (See
  * findBatch for why the static group-prefetch schedule beat the
- * dynamic one-step-per-sweep state machine in measurement.)
+ * dynamic one-step-per-sweep state machine in measurement.) A table
+ * prefetches only when it outgrows the last-level cache the
+ * constructor is given (llcBytes() by default); a cache-resident
+ * table, or one on a host whose LLC size is unknown, takes the
+ * scalar loop.
  */
 
 #ifndef SBHBM_ALGO_HASH_TABLE_H
@@ -63,48 +67,6 @@ llcBytes()
     return bytes;
 }
 
-/**
- * Process-wide probe tuning new tables are born with. The sysconf
- * guess seeds it; the adaptive plane (src/runtime/adaptive.h)
- * replaces it with a gate derived from *measured* probe cost, which
- * also repairs the llc_bytes == 0 "platform won't say" case the
- * one-shot detection cannot. Wall-clock-only state: it steers
- * prefetch and batch width, never results or simulated charges.
- */
-struct ProbeTuning
-{
-    /** Effective LLC capacity for the prefetch gate; 0 = unknown
-     *  (gate stays off, scalar path). */
-    uint64_t llc_bytes = 0;
-    /** Probe batch width B for new tables. */
-    uint32_t batch = 16;
-    /** True once a measurement (not the sysconf guess) set this. */
-    bool measured = false;
-};
-
-inline ProbeTuning &
-mutableProbeTuning()
-{
-    static ProbeTuning tuning = [] {
-        ProbeTuning t;
-        t.llc_bytes = llcBytes();
-        return t;
-    }();
-    return tuning;
-}
-
-inline const ProbeTuning &
-probeTuning()
-{
-    return mutableProbeTuning();
-}
-
-inline void
-setProbeTuning(const ProbeTuning &t)
-{
-    mutableProbeTuning() = t;
-}
-
 /** Multiplicative hash (Fibonacci hashing) for 64-bit keys. */
 inline uint64_t
 hashKey(uint64_t key)
@@ -121,8 +83,13 @@ template <typename V>
 class HashTable
 {
   public:
-    /** @param capacity_hint sized up to a power of two >= 8/7 hint. */
-    explicit HashTable(size_t capacity_hint)
+    /**
+     * @param capacity_hint sized up to a power of two >= 8/7 hint.
+     * @param llc_bytes     last-level cache capacity the prefetch gate
+     *                      compares the table against; 0 = unknown.
+     */
+    explicit HashTable(size_t capacity_hint,
+                       uint64_t llc_bytes = llcBytes())
     {
         size_t cap = 16;
         while (cap < capacity_hint + capacity_hint / 7)
@@ -130,15 +97,13 @@ class HashTable
         slots_.resize(cap);
         used_.assign(cap, 0);
         mask_ = cap - 1;
-        // Batched probes prefetch only when the table exceeds the
-        // effective LLC and can actually miss: for a cache-resident
-        // table (the common per-window grouping state) the prefetch
-        // instructions are pure overhead with nothing to hide —
-        // measured ~0.6x on mid-size tables when gated too low.
+        // Batched probes prefetch only when the table exceeds the LLC
+        // and can actually miss: for a cache-resident table (the
+        // common per-window grouping state) the prefetch instructions
+        // are pure overhead with nothing to hide — measured ~0.6x on
+        // mid-size tables when gated too low.
         // Unknown capacity (llc_bytes == 0) keeps the gate off.
-        const ProbeTuning &t = probeTuning();
-        prefetch_ = t.llc_bytes > 0 && footprintBytes() > t.llc_bytes;
-        batch_ = std::min(std::max(t.batch, 1u), kMaxProbeBatch);
+        prefetch_ = llc_bytes > 0 && footprintBytes() > llc_bytes;
     }
 
     /**
@@ -192,27 +157,11 @@ class HashTable
         return const_cast<HashTable *>(this)->find(key);
     }
 
-    /** Default lookups software-pipelined per batch (see file
-     *  comment); the effective width is probeBatch(). */
+    /** Lookups software-pipelined per batch (see file comment). */
     static constexpr uint32_t kProbeBatch = 16;
-
-    /** Upper bound callers may size per-batch stack arrays with. */
-    static constexpr uint32_t kMaxProbeBatch = 32;
-
-    /** Effective probe batch width B (autotunable, <= kMaxProbeBatch). */
-    uint32_t probeBatch() const { return batch_; }
-
-    void
-    setProbeBatch(uint32_t b)
-    {
-        batch_ = std::min(std::max(b, 1u), kMaxProbeBatch);
-    }
 
     /** Whether batched probes group-prefetch (see file comment). */
     bool prefetchEnabled() const { return prefetch_; }
-
-    /** Override the prefetch gate (measured-cost adaptive path). */
-    void setPrefetch(bool on) { prefetch_ = on; }
 
     /** Issue the loads probing @p key will need (its home slot). */
     void
@@ -252,8 +201,8 @@ class HashTable
                 out[i] = find(keys[i]);
             return;
         }
-        for (uint32_t base = 0; base < n; base += batch_) {
-            const uint32_t b = std::min(batch_, n - base);
+        for (uint32_t base = 0; base < n; base += kProbeBatch) {
+            const uint32_t b = std::min(kProbeBatch, n - base);
             for (uint32_t l = 0; l < b; ++l)
                 prefetchKey(keys[base + l]);
             for (uint32_t l = 0; l < b; ++l)
@@ -281,8 +230,8 @@ class HashTable
                 visit(i, findOrInsert(keys[i]));
             return;
         }
-        for (uint32_t base = 0; base < n; base += batch_) {
-            const uint32_t b = std::min(batch_, n - base);
+        for (uint32_t base = 0; base < n; base += kProbeBatch) {
+            const uint32_t b = std::min(kProbeBatch, n - base);
             for (uint32_t l = 0; l < b; ++l)
                 prefetchKey(keys[base + l]);
             for (uint32_t l = 0; l < b; ++l)
@@ -334,7 +283,6 @@ class HashTable
     size_t mask_ = 0;
     size_t size_ = 0;
     bool prefetch_ = false;
-    uint32_t batch_ = kProbeBatch;
 };
 
 } // namespace sbhbm::algo

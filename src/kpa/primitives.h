@@ -36,7 +36,6 @@
 #include "common/fast_divide.h"
 #include "columnar/bundle.h"
 #include "common/logging.h"
-#include "common/profiler.h"
 #include "common/worker_pool.h"
 #include "kpa/kpa.h"
 #include "mem/hybrid_memory.h"
@@ -71,16 +70,6 @@ struct Ctx
      * never changes simulated results.
      */
     WorkerPool *pool = nullptr;
-
-    /**
-     * Adaptive kernel hooks (src/common/profiler.h), installed by
-     * pipeline::Operator::makeCtx when the engine's AdaptiveConfig is
-     * enabled; nullptr = adaptation off, kernels take their
-     * historical paths. The hooked decisions steer host-side work
-     * only — every simulated charge depends on sizes alone — so this
-     * pointer can never change a CostLog.
-     */
-    KernelAdapt *adapt = nullptr;
 
     /** Scale KPA-side traffic by group_scale. */
     uint64_t
@@ -371,30 +360,19 @@ updateKeysInPlace(Ctx ctx, Kpa &k, KeyFn &&fn)
 /**
  * updateKeysInPlace specialized to an external key-value table:
  * every resident key is replaced by table[key] (or kept when
- * absent). The probes run through HashTable::findBatch, so the
- * per-key chain walks overlap their cache misses instead of
- * serializing — same results and identical charges as the generic
- * per-key path.
+ * absent), with identical charges to the generic per-key path. The
+ * probes call HashTable::find directly: the table is small enough to
+ * stay cache-resident (YSB's campaign table is 34 KiB), so staging
+ * keys for findBatch only adds copies.
  */
 inline void
 updateKeysViaTable(Ctx ctx, Kpa &k, algo::HashTable<uint64_t> &table)
 {
     KpEntry *e = k.entries();
     const uint32_t n = k.size();
-    // Stack arrays sized for the widest batch; the loop steps by the
-    // table's (possibly autotuned) effective width B.
-    constexpr uint32_t kMaxB =
-        algo::HashTable<uint64_t>::kMaxProbeBatch;
-    const uint32_t kB = table.probeBatch();
-    uint64_t keys[kMaxB];
-    uint64_t *vals[kMaxB];
-    for (uint32_t base = 0; base < n; base += kB) {
-        const uint32_t b = std::min(kB, n - base);
-        for (uint32_t l = 0; l < b; ++l)
-            keys[l] = e[base + l].key;
-        table.findBatch(keys, b, vals);
-        for (uint32_t l = 0; l < b; ++l)
-            e[base + l].key = vals[l] != nullptr ? *vals[l] : keys[l];
+    for (uint32_t i = 0; i < n; ++i) {
+        if (const uint64_t *v = table.find(e[i].key))
+            e[i].key = *v;
     }
     k.setResidentColumn(columnar::kNoColumn);
     k.setSorted(k.size() <= 1);
@@ -469,30 +447,11 @@ sortKpa(Ctx ctx, Kpa &k)
         return;
     const size_t n = k.size();
     if (n > 1) {
-        // Adaptive: skip the scratch allocation and the sort when the
+        // Skip the scratch allocation and the host sort when the
         // entries are already ordered (timestamp-extracted KPAs from
         // in-order streams). The simulated machine still sorts — the
         // charges below depend only on n, never on the host path.
-        //
-        // With hooks installed, the full O(n) presorted scan is
-        // screened first: a sampled inversion *proves* the input
-        // unsorted (the scan cannot succeed), and on streams whose
-        // sortedness EWMA has collapsed the policy turns the scan off
-        // outright. Either way the sort itself runs with its internal
-        // recheck disabled — this is the one place that checked.
-        bool precheck = true;
-        if (ctx.adapt != nullptr) {
-            KernelAdapt &a = *ctx.adapt;
-            ++a.sorts;
-            const double s = sampleSortedness(
-                k.entries(), static_cast<uint32_t>(n));
-            a.sort_sortedness.add(s);
-            precheck = s >= 1.0 && a.sort_precheck;
-        }
-        if (precheck && algo::isSortedByKey(k.entries(), n)) {
-            if (ctx.adapt != nullptr)
-                ++ctx.adapt->sorts_presorted;
-        } else {
+        if (!algo::isSortedByKey(k.entries(), n)) {
             // Scratch lives on the same tier while the sort runs.
             mem::Block scratch =
                 ctx.hm.alloc(n * sizeof(KpEntry), k.tier());
@@ -512,95 +471,6 @@ sortKpa(Ctx ctx, Kpa &k)
                        * static_cast<double>(n)
                    + cost::kMergeNsPerElem * static_cast<double>(n)
                          * levels);
-    }
-    k.setSorted(true);
-}
-
-/**
- * Sort, hash-scatter variant: establish sortKpa's postcondition (a
- * fully key-sorted KPA) by grouping instead of sorting — one hash
- * pass assigns every entry a dense group id, the G distinct group
- * keys are sorted, and a stable scatter lays the entries out in
- * group-key order. Charged O(n + G log G) against the O(n log n)
- * merge sort sortKpa is charged for: the adaptive grouping policy
- * picks this variant on heavily duplicated streams (G << n), where
- * that sort does n log n work to discover an ordering only G keys
- * wide.
- *
- * Within a key, entries land in arrival order, exactly as sortKpa
- * leaves them.
- *
- * Charges: the hash pass streams the KPA once and pays a random
- * grouping-state probe per entry; the G-key sort is charged exactly
- * as sortKpa charges G entries; the scatter pays the KPA read plus
- * write-allocate on the scratch it permutes into. Deterministic in
- * (n, G) — both functions of the input bytes alone.
- */
-inline void
-groupSortKpa(Ctx ctx, Kpa &k)
-{
-    if (k.sorted())
-        return;
-    const uint32_t n = k.size();
-    if (n > 1) {
-        KpEntry *e = k.entries();
-        // Hash pass: dense group ids in first-appearance order.
-        detail::RangeIndex index;
-        const auto ids = std::make_unique_for_overwrite<uint32_t[]>(n);
-        std::vector<std::pair<uint64_t, uint32_t>> groups; // key, count
-        for (uint32_t i = 0; i < n; ++i) {
-            const uint32_t d = index.findOrAssign(e[i].key);
-            if (d == groups.size())
-                groups.emplace_back(e[i].key, 0);
-            ++groups[d].second;
-            ids[i] = d;
-        }
-        const auto g = static_cast<uint32_t>(groups.size());
-
-        // Sort the G group keys, not the n entries.
-        std::vector<uint32_t> order(g);
-        for (uint32_t d = 0; d < g; ++d)
-            order[d] = d;
-        std::sort(order.begin(), order.end(),
-                  [&groups](uint32_t a, uint32_t b) {
-                      return groups[a].first < groups[b].first;
-                  });
-
-        // Stable scatter through per-group cursors, then copy back.
-        mem::Block scratch =
-            ctx.hm.alloc(uint64_t{n} * sizeof(KpEntry), k.tier());
-        auto *s = static_cast<KpEntry *>(scratch.ptr);
-        std::vector<KpEntry *> cursor(g);
-        {
-            KpEntry *c = s;
-            for (const uint32_t d : order) {
-                cursor[d] = c;
-                c += groups[d].second;
-            }
-        }
-        for (uint32_t i = 0; i < n; ++i)
-            *cursor[ids[i]]++ = e[i];
-        std::memcpy(e, s, uint64_t{n} * sizeof(KpEntry));
-        ctx.hm.free(scratch);
-
-        // Hash pass: stream the KPA, probe grouping state per entry.
-        ctx.hm.charge(ctx.log, k.tier(), AccessPattern::kSequential,
-                      ctx.scaled(k.bytes()));
-        ctx.hm.charge(ctx.log, k.tier(), AccessPattern::kRandom,
-                      uint64_t{n} * cost::kLineBytes);
-        // Group-key sort: sortKpa's formula over g elements.
-        const int levels = algo::mergeLevels(g);
-        ctx.hm.charge(ctx.log, k.tier(), AccessPattern::kSequential,
-                      ctx.scaled(uint64_t(1 + levels)
-                                 * cost::kSortBytesPerElemLevel * g));
-        ctx.kernel(cost::kBitonicStages * cost::kBitonicNsPerElemStage
-                       * static_cast<double>(g)
-                   + cost::kMergeNsPerElem * static_cast<double>(g)
-                         * levels);
-        // Scatter: read the KPA, write-allocate the permuted copy.
-        ctx.hm.charge(ctx.log, k.tier(), AccessPattern::kSequential,
-                      ctx.scaled(3 * k.bytes()));
-        ctx.log.cpu(cost::kHashProbeNs * static_cast<double>(n));
     }
     k.setSorted(true);
 }

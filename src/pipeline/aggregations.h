@@ -283,15 +283,6 @@ class KeyedAggOp : public SortedRunsOp
     }
 
   protected:
-    /**
-     * Every shipped Aggregation reduces a key run to a value that is
-     * invariant under run permutation (sum/count/avg/median/topK/
-     * uniqueCount), so the hash-scatter grouping variant — which may
-     * order a key's entries differently from the merge tree — is safe
-     * here.
-     */
-    bool adaptiveGrouping() const override { return true; }
-
     void
     reduceWindow(columnar::WindowId w, const kpa::Kpa &merged,
                  uint32_t lo, uint32_t hi, sim::CostLog &log,

@@ -15,10 +15,8 @@
 #ifndef SBHBM_PIPELINE_EXTERNAL_JOIN_H
 #define SBHBM_PIPELINE_EXTERNAL_JOIN_H
 
-#include <chrono>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "algo/hash_table.h"
 #include "pipeline/operator.h"
@@ -59,42 +57,7 @@ class ExternalJoinOp : public Operator
             auto ctx = makeCtx(log, msg.kpa->recordCols());
             kpa::Kpa &k = *msg.kpa;
 
-            // Adaptive probe tuning (host wall clock only — the
-            // scalar, prefetched and every-width batched paths return
-            // identical keys, and the charges below depend only on
-            // sizes). One-shot: pick the batch width B by timing the
-            // first bundle's keys at each candidate; steady-state:
-            // feed the measured ns/probe into the hysteresis gate
-            // that replaces the one-shot sysconf LLC guess.
-            runtime::OpAdapt *adapt = opAdapt();
-            if (adapt != nullptr && !adapt->probeBatchTuned()
-                && k.size() >= 256) {
-                std::vector<uint64_t> keys(k.size());
-                for (uint32_t i = 0; i < k.size(); ++i)
-                    keys[i] = k.entries()[i].key;
-                runtime::autotuneProbeBatch(
-                    *table_, keys.data(),
-                    static_cast<uint32_t>(keys.size()));
-                adapt->markProbeBatchTuned();
-            }
-
-            // Batched probes: the per-key chain walks overlap their
-            // misses (HashTable::findBatch) instead of serializing.
-            if (adapt != nullptr && k.size() > 0) {
-                const auto t0 = std::chrono::steady_clock::now();
-                kpa::updateKeysViaTable(ctx, k, *table_);
-                const auto t1 = std::chrono::steady_clock::now();
-                const double ns_per_probe =
-                    static_cast<double>(
-                        std::chrono::duration_cast<
-                            std::chrono::nanoseconds>(t1 - t0)
-                            .count())
-                    / static_cast<double>(k.size());
-                table_->setPrefetch(adapt->probeTuner().observe(
-                    ns_per_probe, table_->prefetchEnabled()));
-            } else {
-                kpa::updateKeysViaTable(ctx, k, *table_);
-            }
+            kpa::updateKeysViaTable(ctx, k, *table_);
             // Table probes: one random line per record into the
             // (HBM-resident, when available) table.
             ctx.hm.charge(log, ctx.hm.smallStateTier(),

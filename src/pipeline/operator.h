@@ -35,7 +35,6 @@
 #include "pipeline/message.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/state_snapshot.h"
-#include "runtime/adaptive.h"
 #include "runtime/executor.h"
 
 namespace sbhbm::pipeline {
@@ -75,8 +74,6 @@ class Operator : public mem::ColdStateProvider
         sbhbm_assert(num_ports >= 1 && num_ports <= 2,
                      "1 or 2 input ports supported");
         eng_.director().registerProvider(this);
-        if (eng_.config().adaptive.enabled)
-            adapt_ = std::make_unique<runtime::OpAdapt>();
     }
 
     ~Operator() override { eng_.director().unregisterProvider(this); }
@@ -307,19 +304,8 @@ class Operator : public mem::ColdStateProvider
         // are unaffected. Null on single-threaded hosts: the kernels
         // then take their serial paths with no pool ever constructed.
         ctx.pool = eng_.exec().hostPoolIfParallel();
-        // Adaptive hooks: re-derive the kernel decision bits from the
-        // EWMAs observed so far, then hand the hook block to the
-        // kernels this task will run. Absent (the default) the
-        // kernels take their historical paths.
-        if (adapt_ != nullptr) {
-            adapt_->refreshHooks();
-            ctx.adapt = &adapt_->hooks();
-        }
         return ctx;
     }
-
-    /** Adaptive session of this operator (null = adaptation off). */
-    runtime::OpAdapt *opAdapt() const { return adapt_.get(); }
 
     /**
      * Drive pending watermarks through their two stages:
@@ -375,9 +361,6 @@ class Operator : public mem::ColdStateProvider
 
     std::string name_;
     int num_ports_;
-    /** Adaptive state; mutable because makeCtx (const) refreshes the
-     *  decision bits. All access is on the control path. */
-    mutable std::unique_ptr<runtime::OpAdapt> adapt_;
     Operator *down_ = nullptr;
     int down_port_ = 0;
 

@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "pipeline/operator.h"
 
 namespace sbhbm::pipeline {
@@ -69,19 +68,6 @@ class SortedRunsOp : public Operator
         return std::min(eng_.exec().cores(), by_size);
     }
 
-    /**
-     * May the adaptive policy route this operator's windows through
-     * the hash-scatter grouping variant (groupSortKpa)? That variant
-     * groups the window's concatenated runs at close instead of
-     * merging per-run sorts, so a key's entries may come out in a
-     * different order than the merge tree's. Only subclasses whose
-     * reduction is value-order-insensitive opt in (KeyedAggOp: every
-     * shipped aggregation commutes over a key run). Sort-order-
-     * dependent reductions keep the default and always take
-     * sort-merge.
-     */
-    virtual bool adaptiveGrouping() const { return false; }
-
     void
     process(Msg msg, int) override
     {
@@ -89,24 +75,9 @@ class SortedRunsOp : public Operator
                      "%s expects windowed KPAs", name().c_str());
         const columnar::WindowId w = msg.window;
         const ImpactTag tag = classify(msg.min_ts);
-        // Adaptive: the window's grouping variant is decided at its
-        // first data — a pure function of stats sampled from earlier
-        // windows — and memoized so every run and the close agree.
-        bool hash_variant = false;
-        if (runtime::OpAdapt *adapt = opAdapt();
-            adapt != nullptr && adaptiveGrouping()) {
-            const uint64_t before = adapt->policy().decisions();
-            bool switched = false;
-            const runtime::GroupVariant v =
-                adapt->groupVariantFor(w, &switched);
-            hash_variant = v == runtime::GroupVariant::kHashScatter;
-            if (adapt->policy().decisions() != before)
-                recordDecision(v, switched, w);
-        }
         spawnTracked(tag,
-                     [this, w, hash_variant,
-                      msg = std::move(msg)](sim::CostLog &log,
-                                            Emitter &) mutable {
+                     [this, w, msg = std::move(msg)](sim::CostLog &log,
+                                                    Emitter &) mutable {
                          // The watermark barrier guarantees no data
                          // for an already-closed window can appear.
                          sbhbm_assert(w >= min_open_,
@@ -116,18 +87,7 @@ class SortedRunsOp : public Operator
                                       (unsigned long long)w);
                          auto ctx = makeCtx(log, msg.kpa->recordCols());
                          kpa::keySwap(ctx, *msg.kpa, key_col_);
-                         if (runtime::OpAdapt *adapt = opAdapt();
-                             adapt != nullptr && adaptiveGrouping()) {
-                             // Sample the grouping key's distribution
-                             // (post-swap, pre-sort: input order).
-                             adapt->policy().observeRun(sampleRunStats(
-                                 msg.kpa->entries(), msg.kpa->size()));
-                         }
-                         // Hash-variant runs stay unsorted: the close
-                         // groups them in one O(n + G log G) pass
-                         // instead of sorting every run on arrival.
-                         if (!hash_variant)
-                             kpa::sortKpa(ctx, *msg.kpa);
+                         kpa::sortKpa(ctx, *msg.kpa);
                          state_[w].push_back(std::move(msg.kpa));
                      });
     }
@@ -319,105 +279,7 @@ class SortedRunsOp : public Operator
         state_.erase(it);
         closing_.insert(w);
         min_open_ = std::max(min_open_, w + 1);
-        if (runtime::OpAdapt *adapt = opAdapt())
-            adapt->releaseWindow(w);
-        // The close path derives from the runs themselves, not the
-        // variant memo: any unsorted run (hash-variant accumulation,
-        // or state restored from such a shard's checkpoint) routes
-        // through the hash-scatter close. A checkpoint therefore
-        // never needs to carry the variant map, and a restore onto an
-        // adaptation-off engine still closes correctly.
-        bool any_unsorted = false;
-        for (const kpa::KpaPtr &r : *runs) {
-            if (!r->sorted()) {
-                any_unsorted = true;
-                break;
-            }
-        }
-        if (any_unsorted)
-            hashClose(w, std::move(runs));
-        else
-            mergeRound(w, runs);
-    }
-
-    /**
-     * Hash-scatter close: one Urgent task concatenates the window's
-     * runs (unsorted arrival state) and group-sorts the result —
-     * O(n + G log G) against the merge tree's O(n log n) over sorted
-     * runs — then the usual sharded reduction runs on the fully
-     * key-sorted KPA.
-     */
-    void
-    hashClose(columnar::WindowId w, std::shared_ptr<Runs> runs)
-    {
-        auto slot = std::make_shared<kpa::KpaPtr>();
-        spawnTracked(
-            ImpactTag::kUrgent,
-            [this, runs, slot](sim::CostLog &log, Emitter &) {
-                auto ctx = makeCtx(log, recordColsOf(*runs->front()));
-                kpa::KpaPtr all;
-                if (runs->size() == 1) {
-                    all = std::move(runs->front());
-                } else {
-                    uint32_t total = 0;
-                    for (const kpa::KpaPtr &r : *runs)
-                        total += r->size();
-                    kpa::Placement place = placeKpa(
-                        ImpactTag::kUrgent,
-                        uint64_t{total} * sizeof(kpa::KpEntry));
-                    if (!eng_.useKpa()) {
-                        place.entry_scale =
-                            static_cast<double>(
-                                recordColsOf(*runs->front()))
-                            * sizeof(uint64_t) / sizeof(kpa::KpEntry);
-                    }
-                    all = kpa::Kpa::create(eng_.memory(),
-                                           std::max(total, 1u), place);
-                    kpa::KpEntry *dst = all->appendCursor();
-                    for (const kpa::KpaPtr &r : *runs) {
-                        std::memcpy(dst, r->entries(),
-                                    uint64_t{r->size()}
-                                        * sizeof(kpa::KpEntry));
-                        dst += r->size();
-                        all->adoptSourcesFrom(*r);
-                        ctx.hm.charge(log, r->tier(),
-                                      sim::AccessPattern::kSequential,
-                                      ctx.scaled(r->bytes()));
-                    }
-                    all->commitAppend(total);
-                    all->setResidentColumn(
-                        runs->front()->residentColumn());
-                    ctx.hm.charge(log, all->tier(),
-                                  sim::AccessPattern::kSequential,
-                                  ctx.scaled(2 * all->bytes()));
-                    ctx.kernel(sim::cost::kMergeNsPerElem
-                               * static_cast<double>(total));
-                    runs->clear();
-                }
-                kpa::groupSortKpa(ctx, *all);
-                *slot = std::move(all);
-            },
-            [this, w, slot] { spawnReduce(w, std::move(*slot)); });
-    }
-
-    /** Telemetry for one fresh per-window variant decision. */
-    void
-    recordDecision(runtime::GroupVariant v, bool switched,
-                   columnar::WindowId w)
-    {
-        obs::Telemetry *t = eng_.telemetry();
-        if (t == nullptr)
-            return;
-        t->metrics
-            .counter(obs::MetricsRegistry::path(
-                {"adapt", name(), runtime::variantName(v)}))
-            .add(1);
-        if (switched) {
-            t->trace.instant(eng_.machine().now(),
-                             eng_.telemetryShard(), pipe_.streamId(),
-                             "adapt", name() + "/switch",
-                             {{"window", w}});
-        }
+        mergeRound(w, runs);
     }
 
     /** One level of the binary merge tree. */

@@ -311,10 +311,9 @@ TEST(MergePathSplit, ParallelMergeViaSplitsEqualsSequentialMerge)
 }
 
 /**
- * Regression for the adaptive presorted early-out: nearly-sorted
- * input (exactly one inversion) must abandon the early-out at the
- * inversion and still produce correct output. Before this test, the
- * adaptive path was only ever exercised on fully-sorted input.
+ * Regression for sortRun's presorted early-out: nearly-sorted input
+ * (exactly one inversion) must abandon the early-out at the inversion
+ * and still produce correct output, wherever the inversion sits.
  */
 TEST(SortRun, NearlySortedOneInversionStillSortsCorrectly)
 {

@@ -698,8 +698,8 @@ TEST_F(PrimitivesTest, PartitionHandlesFullKeyspaceExtremes)
 
 TEST_F(PrimitivesTest, SortKpaChargesUnchangedOnPresortedEntries)
 {
-    // The adaptive host fast path (entries already ordered but the
-    // sorted flag unset) must charge exactly what a real sort would:
+    // sortKpa skips the host sort of entries already ordered (sorted
+    // flag unset) but must charge exactly what a real sort would:
     // simulated figures never depend on the host path taken.
     BundleHandle b = makeKvBundle(4096, 23);
     KpaPtr k = extract(ctx(), *b, 2, hbm_); // ts ascending, flag unset
