@@ -5,9 +5,11 @@
  * Times the rewritten KPA kernels (partitionByRange, join, select,
  * the fused write-back and key swap, sortRun, mergeRuns, the keyed
  * reduce, extract, materialize, keySwap) against reference
- * implementations preserving the pre-rewrite algorithms, plus one
- * end-to-end figure-style GroupBy-window pipeline, and writes the
- * results to a machine-readable JSON report (BENCH_kernels.json).
+ * implementations preserving the pre-rewrite algorithms, the temporal
+ * join's keySwap, sortKpa and join on a 2-thread host pool against
+ * their serial runs, plus one end-to-end figure-style GroupBy-window
+ * pipeline, and writes the results to a machine-readable JSON report
+ * (BENCH_kernels.json).
  * Unlike the fig* benches this measures *host wall-clock* time — the
  * simulated cost model is exercised but its output is not the metric.
  *
@@ -374,6 +376,91 @@ main(int argc, char **argv)
                     naiveJoin(env.ctx(), *ak, *sk, cols, cols);
             });
         report.add(result("join/stream", t, ak->size(), reps));
+
+        // --- the temporal join's kernels on 2 host threads ----------
+        // keySwap, sortKpa and join on the same shapes, each timed on
+        // a 2-thread WorkerPool against the same kernel run serially
+        // (the baseline column), and the outputs compared. keySwap and
+        // sortKpa work on the arriving KPA as the workload extracts
+        // it: entries in row order, keys unsorted. Each sortKpa call
+        // first restores the unsorted entries, on both sides.
+        WorkerPool pool2(2);
+        auto ctx2 = [&] {
+            Ctx c = env.ctx();
+            c.pool = &pool2;
+            return c;
+        };
+        auto two_threads = [](BenchResult r) {
+            r.threads = 2;
+            return r;
+        };
+
+        BundleHandle par_out, ser_out;
+        const TimedPair tj = bestNsVsPerCall(
+            reps,
+            [&] { par_out = kpa::join(ctx2(), *ak, *sk, cols, cols); },
+            [&] { ser_out = kpa::join(env.ctx(), *ak, *sk, cols, cols); });
+        if (par_out->size() != ser_out->size()
+            || std::memcmp(par_out->data(), ser_out->data(),
+                           ser_out->dataBytes())
+                   != 0) {
+            std::fprintf(stderr, "join/stream-2t: rows differ from the "
+                                 "serial join\n");
+            return 1;
+        }
+        report.add(two_threads(result("join/stream-2t", tj, ak->size(),
+                                      reps)));
+
+        KpaPtr par_k = kpa::extract(env.ctx(), *ab, 0, env.hbm);
+        KpaPtr ser_k = kpa::extract(env.ctx(), *ab, 0, env.hbm);
+        const std::vector<KpEntry> unsorted(
+            ser_k->entries(), ser_k->entries() + ser_k->size());
+        const uint64_t kpa_bytes = ser_k->bytes();
+        auto sort_from_unsorted = [&](Ctx c, Kpa &k) {
+            std::memcpy(k.entries(), unsorted.data(), kpa_bytes);
+            k.setSorted(false);
+            kpa::sortKpa(c, k);
+        };
+        const TimedPair ts = bestNsVsPerCall(
+            reps, [&] { sort_from_unsorted(ctx2(), *par_k); },
+            [&] { sort_from_unsorted(env.ctx(), *ser_k); });
+        if (std::memcmp(par_k->entries(), ser_k->entries(), kpa_bytes)
+            != 0) {
+            std::fprintf(stderr, "sortKpa/stream-2t: entries differ from "
+                                 "the serial sort\n");
+            return 1;
+        }
+        report.add(two_threads(result("sortKpa/stream-2t", ts,
+                                      ser_k->size(), reps)));
+
+        // Back to the unsorted entries in row order, keyed on column
+        // 0. Alternate the key column so no call is a no-op, then swap
+        // both KPAs to a third column for the comparison.
+        for (Kpa *k : {par_k.get(), ser_k.get()}) {
+            std::memcpy(k->entries(), unsorted.data(), kpa_bytes);
+            k->setSorted(false);
+        }
+        columnar::ColumnId par_col = 2, ser_col = 2;
+        const TimedPair tk = bestNsVsPerCall(
+            reps,
+            [&] {
+                kpa::keySwap(ctx2(), *par_k, par_col);
+                par_col = 2 - par_col;
+            },
+            [&] {
+                kpa::keySwap(env.ctx(), *ser_k, ser_col);
+                ser_col = 2 - ser_col;
+            });
+        kpa::keySwap(ctx2(), *par_k, 1);
+        kpa::keySwap(env.ctx(), *ser_k, 1);
+        if (std::memcmp(par_k->entries(), ser_k->entries(), kpa_bytes)
+            != 0) {
+            std::fprintf(stderr, "keySwap/stream-2t: keys differ from the "
+                                 "serial swap\n");
+            return 1;
+        }
+        report.add(two_threads(result("keySwap/stream-2t", tk,
+                                      ser_k->size(), reps)));
     }
 
     // --- select, YSB view events ------------------------------------

@@ -21,9 +21,17 @@
  * mergeRunsParallel slices one large merge across a host WorkerPool
  * at binary-searched merge-path boundaries (paper §4.2: "the threads
  * slice chunks at key boundaries"); its output is bit-for-bit
- * mergeRuns' at every thread count. Simulated timing is charged by
- * the callers via the cost model, so neither the host algorithm nor
- * the host thread count ever affects reported numbers.
+ * mergeRuns' at every thread count.
+ *
+ * On a multi-thread pool, kpa::sortKpa sorts a large KPA as two
+ * halves at once, each with sortRunInto into its half of the scratch
+ * block, then merges the halves back with one mergeRunsParallel. A
+ * stable sort has only one output, so this equals sortRun's. The
+ * radix passes themselves stay serial: sharding each pass's count and
+ * scatter across threads lost to the serial sort on 48 k entries.
+ * Simulated timing is charged by the callers via the cost model, so
+ * neither the host algorithm nor the host thread count ever affects
+ * reported numbers.
  */
 
 #ifndef SBHBM_ALGO_SORT_H
@@ -142,31 +150,23 @@ isSortedByKey(const KpEntry *e, size_t n)
     return true;
 }
 
+namespace detail {
+
 /**
- * Stable sort of @p n entries by key in place, using @p scratch (at
- * least n entries): an LSD radix sort on 8-bit digits.
- *
- * One scan ORs every key's difference from the first key, so only
- * the bytes that vary get a pass; with @p precheck it also tests
- * whether the input is already sorted and then returns. Streaming
- * pipelines extract KPAs from time-ordered bundles, so sorting on the
- * timestamp column routinely sees fully sorted runs. Callers that
- * have already proven the input unsorted pass @p precheck false.
- *
- * Each pass scatters through per-digit cursors and counts the next
- * pass's digits on the way. The passes ping-pong between @p data and
- * @p scratch; with an odd pass count the first histogram scan also
- * copies the input into scratch, so the last pass always writes into
- * @p data and no copy-back pass is needed.
+ * The body of sortRun and sortRunInto: sorts @p data's @p n entries
+ * and returns the buffer that holds them sorted. That is @p scratch
+ * when the radix passes ran and @p to_scratch asks for it, else
+ * @p data.
  */
-inline void
-sortRun(KpEntry *data, size_t n, KpEntry *scratch, bool precheck = true)
+inline KpEntry *
+radixSort(KpEntry *data, size_t n, KpEntry *scratch, bool precheck,
+          bool to_scratch)
 {
     if (n <= 1)
-        return;
+        return data;
     if (n < kRadixSortMin) {
         insertionSort(data, n);
-        return;
+        return data;
     }
     const uint64_t first = data[0].key;
     uint64_t varying = 0;
@@ -176,25 +176,28 @@ sortRun(KpEntry *data, size_t n, KpEntry *scratch, bool precheck = true)
         sorted &= data[i - 1].key <= data[i].key;
     }
     if (precheck && sorted)
-        return;
+        return data;
     unsigned shifts[8];
     int passes = 0;
     for (unsigned s = 0; s < 64; s += 8)
         if (((varying >> s) & 0xff) != 0)
             shifts[passes++] = s;
     if (passes == 0)
-        return; // all keys equal
+        return data; // all keys equal
 
-    const bool odd = passes % 2 == 1;
+    // The passes alternate buffers, so the parity of the pass count
+    // and the buffer wanted decide whether the first histogram scan
+    // copies the input into scratch to start from there.
+    const bool copy = (passes % 2 == 1) != to_scratch;
     size_t hist[2][256] = {};
     size_t *count = hist[0], *next = hist[1];
     for (size_t i = 0; i < n; ++i) {
         ++count[(data[i].key >> shifts[0]) & 0xff];
-        if (odd)
+        if (copy)
             scratch[i] = data[i];
     }
-    KpEntry *src = odd ? scratch : data;
-    KpEntry *dst = odd ? data : scratch;
+    KpEntry *src = copy ? scratch : data;
+    KpEntry *dst = copy ? data : scratch;
     for (int p = 0; p < passes; ++p) {
         size_t sum = 0;
         for (size_t d = 0; d < 256; ++d) {
@@ -215,7 +218,48 @@ sortRun(KpEntry *data, size_t n, KpEntry *scratch, bool precheck = true)
         std::swap(count, next);
         std::swap(src, dst);
     }
-    // The parity was fixed up front: src == data here.
+    return src; // the parity was fixed up front
+}
+
+} // namespace detail
+
+/**
+ * Stable sort of @p n entries by key in place, using @p scratch (at
+ * least n entries): an LSD radix sort on 8-bit digits.
+ *
+ * One scan ORs every key's difference from the first key, so only
+ * the bytes that vary get a pass; with @p precheck it also tests
+ * whether the input is already sorted and then returns. Streaming
+ * pipelines extract KPAs from time-ordered bundles, so sorting on the
+ * timestamp column routinely sees fully sorted runs. Callers that
+ * have already proven the input unsorted pass @p precheck false.
+ *
+ * Each pass scatters through per-digit cursors and counts the next
+ * pass's digits on the way. The passes ping-pong between @p data and
+ * @p scratch; with an odd pass count the first histogram scan also
+ * copies the input into scratch, so the last pass always writes into
+ * @p data and no copy-back pass is needed.
+ */
+inline void
+sortRun(KpEntry *data, size_t n, KpEntry *scratch, bool precheck = true)
+{
+    detail::radixSort(data, n, scratch, precheck, /*to_scratch=*/false);
+}
+
+/**
+ * sortRun that leaves the sorted entries in @p scratch and @p data's
+ * contents unspecified. The radix passes pick their starting buffer
+ * so the last one writes into scratch: an odd pass count needs no
+ * copy at all, where sortRun copies the input once. Inputs the passes
+ * skip (short, sorted, all keys equal) are copied.
+ */
+inline void
+sortRunInto(KpEntry *data, size_t n, KpEntry *scratch)
+{
+    if (detail::radixSort(data, n, scratch, /*precheck=*/true,
+                          /*to_scratch=*/true)
+        == data)
+        std::copy(data, data + n, scratch);
 }
 
 /**

@@ -6,10 +6,11 @@
  * The simulated Executor maps tasks onto *simulated* core slots and
  * runs their functional work on the calling host thread; this pool is
  * the orthogonal host-side primitive that lets a kernel's functional
- * work itself use real cores. Hot kernels (kpa::merge, partition
- * passes, keyed reductions) shard their work across it for
- * wall-clock speed while their simulated CostLog charges — which
- * depend only on input sizes — stay bit-identical to the serial path.
+ * work itself use real cores. Hot kernels (kpa::merge, the partition
+ * passes, and kpa::keySwap, kpa::sortKpa and kpa::join on large
+ * inputs) shard their work across it for wall-clock speed while their
+ * simulated CostLog charges — which depend only on input sizes — stay
+ * bit-identical to the serial path.
  *
  * Guarantees the kernels rely on:
  *  - parallelFor(shards, fn) returns only after every shard ran
@@ -28,6 +29,7 @@
 #ifndef SBHBM_COMMON_WORKER_POOL_H
 #define SBHBM_COMMON_WORKER_POOL_H
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -79,19 +81,43 @@ class WorkerPool
 
     unsigned threads() const { return threads_; }
 
+    /** Ceiling on the threads $SBHBM_HOST_THREADS may ask for. */
+    static constexpr unsigned kMaxEnvThreads = 256;
+
     /**
-     * Threads a pool should default to: $SBHBM_HOST_THREADS when set
-     * (clamped to >= 1), else the hardware concurrency, else 1.
+     * Threads a pool should default to: $SBHBM_HOST_THREADS when it
+     * is a positive whole number of digits only, clamped to
+     * kMaxEnvThreads with a warning; else (unset, or with a warning
+     * when it is anything else, 0 included) the hardware concurrency,
+     * or 1 when that is unknown.
      */
     static unsigned
     defaultThreads()
     {
-        if (const char *env = std::getenv("SBHBM_HOST_THREADS")) {
-            const long v = std::strtol(env, nullptr, 10);
-            return v >= 1 ? static_cast<unsigned>(v) : 1;
+        const unsigned hw =
+            std::max(1u, std::thread::hardware_concurrency());
+        const char *env = std::getenv("SBHBM_HOST_THREADS");
+        if (env == nullptr)
+            return hw;
+        // Saturate just past the ceiling, so no digit string wraps.
+        uint64_t v = 0;
+        const char *p = env;
+        for (; *p >= '0' && *p <= '9'; ++p)
+            v = std::min<uint64_t>(v * 10 + static_cast<uint64_t>(*p - '0'),
+                                   uint64_t{kMaxEnvThreads} + 1);
+        if (p == env || *p != '\0' || v == 0) {
+            sbhbm_warn("SBHBM_HOST_THREADS=\"%s\" is not a positive whole "
+                       "number; using %u host threads",
+                       env, hw);
+            return hw;
         }
-        const unsigned hw = std::thread::hardware_concurrency();
-        return hw >= 1 ? hw : 1;
+        if (v > kMaxEnvThreads) {
+            sbhbm_warn("SBHBM_HOST_THREADS=%s exceeds %u; using %u host "
+                       "threads",
+                       env, kMaxEnvThreads, kMaxEnvThreads);
+            return kMaxEnvThreads;
+        }
+        return static_cast<unsigned>(v);
     }
 
     /** True while the calling thread is executing a shard. */

@@ -63,10 +63,12 @@ struct Ctx
     double group_scale = 1.0;
 
     /**
-     * Host fork-join pool for the wall-clock of heavy kernels (large
-     * merges, partition passes). Optional: nullptr (or a 1-thread
-     * pool) runs the serial code paths. Parallel and serial paths
-     * produce bit-identical entries and identical charges, so this
+     * Host fork-join pool for the wall-clock of heavy kernels: merge,
+     * partitionByRange's passes, and keySwap, sortKpa and join at or
+     * above detail::kShardParallelMin entries. Optional: nullptr (or
+     * a 1-thread pool) runs the serial code paths. Parallel and
+     * serial paths produce bit-identical entries and rows, make the
+     * same HybridMemory allocations and identical charges, so this
      * never changes simulated results.
      */
     WorkerPool *pool = nullptr;
@@ -127,6 +129,32 @@ constexpr uint32_t kPrefetchAhead = 16;
  * serial: forking the host pool costs more than the passes save.
  */
 constexpr uint32_t kPartitionParallelMin = 1u << 16;
+
+/**
+ * Input entries below which keySwap, sortKpa and join stay serial.
+ * At or above it, with a pool of more than one thread, each shards
+ * its host work across Ctx::pool.
+ */
+constexpr uint32_t kShardParallelMin = 1u << 15;
+
+/**
+ * Host shards for a kernel over @p n entries: the pool's thread count
+ * when it has more than one thread and @p n reaches @p min, else 1.
+ */
+inline uint32_t
+hostShards(const Ctx &ctx, uint64_t n, uint32_t min)
+{
+    return ctx.pool != nullptr && ctx.pool->threads() > 1 && n >= min
+               ? ctx.pool->threads()
+               : 1;
+}
+
+/** First index of shard @p s when [0, n) is cut into @p shards slices. */
+inline uint32_t
+shardLo(uint32_t n, uint32_t s, uint32_t shards)
+{
+    return static_cast<uint32_t>(uint64_t{n} * s / shards);
+}
 
 /** Prefetch hint for a row about to be dereferenced (no-op elsewhere). */
 inline void
@@ -280,7 +308,9 @@ extract(Ctx ctx, Bundle &src, ColumnId key_col, Placement place)
 
 /**
  * KeySwap (Table 2): replace the resident keys with nonresident
- * column @p new_col, dereferencing each record pointer (random).
+ * column @p new_col, dereferencing each record pointer (random). At
+ * or above kShardParallelMin entries each host thread swaps one
+ * contiguous index range.
  */
 inline void
 keySwap(Ctx ctx, Kpa &k, ColumnId new_col)
@@ -291,11 +321,23 @@ keySwap(Ctx ctx, Kpa &k, ColumnId new_col)
     const uint32_t n = k.size();
     // Batched pointer chasing: issue the random row loads well ahead
     // of their use so several DRAM misses are in flight at once.
-    for (uint32_t i = 0; i < n; ++i) {
-        if (i + detail::kPrefetchAhead < n)
-            detail::prefetchRow(e[i + detail::kPrefetchAhead].row
-                                + new_col);
-        e[i].key = e[i].row[new_col];
+    auto swap_keys = [e, new_col](uint32_t lo, uint32_t hi) {
+        for (uint32_t i = lo; i < hi; ++i) {
+            if (i + detail::kPrefetchAhead < hi)
+                detail::prefetchRow(e[i + detail::kPrefetchAhead].row
+                                    + new_col);
+            e[i].key = e[i].row[new_col];
+        }
+    };
+    const uint32_t shards =
+        detail::hostShards(ctx, n, detail::kShardParallelMin);
+    if (shards > 1) {
+        ctx.pool->parallelFor(shards, [&](uint32_t s) {
+            swap_keys(detail::shardLo(n, s, shards),
+                      detail::shardLo(n, s + 1, shards));
+        });
+    } else {
+        swap_keys(0, n);
     }
     k.setResidentColumn(new_col);
     k.setSorted(k.size() <= 1);
@@ -439,6 +481,13 @@ writeBackKeys(Ctx ctx, Kpa &k, ColumnId col)
  * simulated machine is charged for the paper's sort, a bitonic block
  * sort plus bottom-up merge passes, all sequential; the host runs
  * algo::sortRun's radix sort, so equal keys keep their input order.
+ *
+ * At or above kShardParallelMin entries, with a multi-thread pool, two
+ * host threads each radix-sort one half of the entries into that half
+ * of the scratch block (algo::sortRunInto), and one mergeRunsParallel
+ * merges the two sorted halves back into the KPA. A stable sort has
+ * only one possible output, so this is the serial sort's, entry for
+ * entry.
  */
 inline void
 sortKpa(Ctx ctx, Kpa &k)
@@ -451,13 +500,24 @@ sortKpa(Ctx ctx, Kpa &k)
         // entries are already ordered (timestamp-extracted KPAs from
         // in-order streams). The simulated machine still sorts — the
         // charges below depend only on n, never on the host path.
-        if (!algo::isSortedByKey(k.entries(), n)) {
+        KpEntry *e = k.entries();
+        if (!algo::isSortedByKey(e, n)) {
             // Scratch lives on the same tier while the sort runs.
             mem::Block scratch =
                 ctx.hm.alloc(n * sizeof(KpEntry), k.tier());
-            algo::sortRun(k.entries(), n,
-                          static_cast<KpEntry *>(scratch.ptr),
-                          /*precheck=*/false);
+            auto *tmp = static_cast<KpEntry *>(scratch.ptr);
+            if (detail::hostShards(ctx, n, detail::kShardParallelMin) > 1) {
+                const size_t h = n / 2;
+                ctx.pool->parallelFor(2, [&](uint32_t s) {
+                    const size_t lo = s == 0 ? 0 : h;
+                    algo::sortRunInto(e + lo, s == 0 ? h : n - h,
+                                      tmp + lo);
+                });
+                algo::mergeRunsParallel(tmp, h, tmp + h, n - h, e,
+                                        *ctx.pool);
+            } else {
+                algo::sortRun(e, n, tmp, /*precheck=*/false);
+            }
             ctx.hm.free(scratch);
         }
 
@@ -525,6 +585,15 @@ merge(Ctx ctx, const Kpa &a, const Kpa &b, Placement place)
  * temporal join), in key order with x outer and y inner. It prefetches
  * up to 4 rows a side of the run kPrefetchAhead runs ahead, and keeps
  * a rolling batch inside runs longer than kPrefetchAhead.
+ *
+ * At or above kShardParallelMin entries (ln + rn), with a multi-thread
+ * pool, the input is split at threads - 1 pivot keys, taken at evenly
+ * spaced algo::mergePathSplit diagonals and lower_bound on both sides,
+ * so no key run crosses a shard. Each shard scans into its own slice
+ * of the run list and sums its own match count; after the one bundle
+ * is allocated, each emits at its prefix offset. Shard runs in shard
+ * order are the serial run list, so every row lands where the serial
+ * scan puts it.
  */
 inline BundleHandle
 join(Ctx ctx, const Kpa &l, const Kpa &r,
@@ -543,26 +612,94 @@ join(Ctx ctx, const Kpa &l, const Kpa &r,
     {
         uint32_t i, i_end, j, j_end;
     };
-    std::vector<KeyRun> runs;
-    runs.reserve(std::min(ln, rn));
-    uint64_t m_wide = 0;
-    for (uint32_t i = 0, j = 0; i < ln && j < rn;) {
-        const uint64_t a = le[i].key;
-        const uint64_t b = re[j].key;
-        if (a == b) {
-            uint32_t i_end = i + 1;
-            while (i_end < ln && le[i_end].key == a)
-                ++i_end;
-            uint32_t j_end = j + 1;
-            while (j_end < rn && re[j_end].key == a)
-                ++j_end;
-            runs.push_back({i, i_end, j, j_end});
-            m_wide += uint64_t{i_end - i} * (j_end - j);
-            i = i_end;
-            j = j_end;
+    /** Entries [i0, i1) x [j0, j1), and where its runs go. */
+    struct Shard
+    {
+        uint32_t i0, i1, j0, j1;
+        size_t run0 = 0;   //!< first slot of its run-list slice
+        size_t n_runs = 0; //!< key runs the scan found
+        uint64_t m = 0;    //!< rows those runs emit
+        uint64_t row0 = 0; //!< output row of its first match
+    };
+    const uint32_t n_shards = detail::hostShards(
+        ctx, uint64_t{ln} + rn, detail::kShardParallelMin);
+    std::vector<Shard> shards(n_shards);
+    uint32_t cut_i = 0, cut_j = 0;
+    size_t run_slots = 0;
+    for (uint32_t s = 0; s < n_shards; ++s) {
+        Shard &sh = shards[s];
+        sh.i0 = cut_i;
+        sh.j0 = cut_j;
+        if (s + 1 < n_shards) {
+            // The merge's entry at this diagonal is the pivot: every
+            // entry below it goes left, every copy of it right.
+            size_t ai = 0, bi = 0;
+            algo::mergePathSplit(le, ln, re, rn,
+                                 (uint64_t{ln} + rn) * (s + 1) / n_shards,
+                                 &ai, &bi);
+            const uint64_t pivot =
+                bi == rn || (ai < ln && le[ai].key <= re[bi].key)
+                    ? le[ai].key
+                    : re[bi].key;
+            auto key_below = [](const KpEntry &x, uint64_t key) {
+                return x.key < key;
+            };
+            cut_i = static_cast<uint32_t>(
+                std::lower_bound(le + cut_i, le + ln, pivot, key_below)
+                - le);
+            cut_j = static_cast<uint32_t>(
+                std::lower_bound(re + cut_j, re + rn, pivot, key_below)
+                - re);
+        } else {
+            cut_i = ln;
+            cut_j = rn;
         }
-        i += a < b;
-        j += b < a;
+        sh.i1 = cut_i;
+        sh.j1 = cut_j;
+        // Each run takes at least one entry a side.
+        sh.run0 = run_slots;
+        run_slots += std::min(sh.i1 - sh.i0, sh.j1 - sh.j0);
+    }
+    const auto runs = std::make_unique_for_overwrite<KeyRun[]>(run_slots);
+    auto for_each_shard = [&](auto &&fn) {
+        if (n_shards > 1)
+            ctx.pool->parallelFor(n_shards, fn);
+        else
+            fn(0);
+    };
+
+    for_each_shard([&](uint32_t s) {
+        Shard &sh = shards[s];
+        KeyRun *out_runs = runs.get() + sh.run0;
+        const uint32_t i1 = sh.i1, j1 = sh.j1;
+        size_t n_runs = 0;
+        uint64_t m_wide = 0;
+        for (uint32_t i = sh.i0, j = sh.j0; i < i1 && j < j1;) {
+            const uint64_t a = le[i].key;
+            const uint64_t b = re[j].key;
+            if (a == b) {
+                uint32_t i_end = i + 1;
+                while (i_end < i1 && le[i_end].key == a)
+                    ++i_end;
+                uint32_t j_end = j + 1;
+                while (j_end < j1 && re[j_end].key == a)
+                    ++j_end;
+                out_runs[n_runs++] = {i, i_end, j, j_end};
+                m_wide += uint64_t{i_end - i} * (j_end - j);
+                i = i_end;
+                j = j_end;
+            }
+            i += a < b;
+            j += b < a;
+        }
+        sh.n_runs = n_runs;
+        sh.m = m_wide;
+    });
+    // Each shard's rows follow the rows of the shards before it.
+    uint64_t m_wide = 0;
+    for (Shard &sh : shards) {
+        sh.row0 = m_wide;
+        m_wide += sh.m;
     }
     sbhbm_assert(m_wide <= UINT32_MAX, "join output overflows a bundle");
     const auto m = static_cast<uint32_t>(m_wide);
@@ -587,34 +724,41 @@ join(Ctx ctx, const Kpa &l, const Kpa &r,
             for (uint32_t y = 0; y < ny; ++y)
                 detail::prefetchRow(re[run.j + y].row);
         };
-        const size_t n_runs = runs.size();
-        for (size_t k = 0; k < n_runs && k < detail::kPrefetchAhead; ++k)
-            prefetch_run(runs[k]);
-        uint64_t *dst = out->appendBlockRaw(m);
-        for (size_t k = 0; k < n_runs; ++k) {
-            if (k + detail::kPrefetchAhead < n_runs)
-                prefetch_run(runs[k + detail::kPrefetchAhead]);
-            const KeyRun run = runs[k];
-            const uint64_t key = le[run.i].key;
-            for (uint32_t x = run.i; x < run.i_end; ++x) {
-                if (nl != 0 && x + detail::kPrefetchAhead < run.i_end)
-                    detail::prefetchRow(le[x + detail::kPrefetchAhead].row);
-                const uint64_t *lrow = le[x].row;
-                for (uint32_t y = run.j; y < run.j_end; ++y) {
-                    // The first sweep over a long right run fetches its
-                    // rows a batch ahead; later sweeps hit the cache.
-                    if (x == run.i && nr != 0
-                        && y + detail::kPrefetchAhead < run.j_end)
+        uint64_t *const dst0 = out->appendBlockRaw(m);
+        for_each_shard([&](uint32_t s) {
+            const KeyRun *sh_runs = runs.get() + shards[s].run0;
+            const size_t n_runs = shards[s].n_runs;
+            for (size_t k = 0; k < n_runs && k < detail::kPrefetchAhead;
+                 ++k)
+                prefetch_run(sh_runs[k]);
+            uint64_t *dst = dst0 + shards[s].row0 * out_cols;
+            for (size_t k = 0; k < n_runs; ++k) {
+                if (k + detail::kPrefetchAhead < n_runs)
+                    prefetch_run(sh_runs[k + detail::kPrefetchAhead]);
+                const KeyRun run = sh_runs[k];
+                const uint64_t key = le[run.i].key;
+                for (uint32_t x = run.i; x < run.i_end; ++x) {
+                    if (nl != 0 && x + detail::kPrefetchAhead < run.i_end)
                         detail::prefetchRow(
-                            re[y + detail::kPrefetchAhead].row);
-                    dst[0] = key;
-                    detail::gatherCols(dst + 1, lrow, lc, nl, l_wide);
-                    detail::gatherCols(dst + 1 + nl, re[y].row, rc, nr,
-                                       r_wide);
-                    dst += out_cols;
+                            le[x + detail::kPrefetchAhead].row);
+                    const uint64_t *lrow = le[x].row;
+                    for (uint32_t y = run.j; y < run.j_end; ++y) {
+                        // The first sweep over a long right run fetches
+                        // its rows a batch ahead; later sweeps hit the
+                        // cache.
+                        if (x == run.i && nr != 0
+                            && y + detail::kPrefetchAhead < run.j_end)
+                            detail::prefetchRow(
+                                re[y + detail::kPrefetchAhead].row);
+                        dst[0] = key;
+                        detail::gatherCols(dst + 1, lrow, lc, nl, l_wide);
+                        detail::gatherCols(dst + 1 + nl, re[y].row, rc,
+                                           nr, r_wide);
+                        dst += out_cols;
+                    }
                 }
             }
-        }
+        });
     }
 
     ctx.hm.charge(ctx.log, l.tier(), AccessPattern::kSequential,
@@ -830,12 +974,9 @@ partitionByRange(Ctx ctx, const Kpa &src, uint64_t range_width,
 
         WorkerPool *pool = ctx.pool;
         const uint32_t shards =
-            (pool != nullptr && pool->threads() > 1
-             && n >= detail::kPartitionParallelMin)
-                ? pool->threads()
-                : 1;
+            detail::hostShards(ctx, n, detail::kPartitionParallelMin);
         auto shard_lo = [n, shards](uint32_t s) {
-            return static_cast<uint32_t>(uint64_t{n} * s / shards);
+            return detail::shardLo(n, s, shards);
         };
 
         RangeScan all;

@@ -13,9 +13,13 @@
  * the scanned entries match. It then reads payload rows for those runs
  * alone, prefetching the rows of runs a batch ahead (Cimple-style
  * software pipelining) so DRAM misses overlap instead of serializing.
- * The merge of the sorted incoming KPA into window state shards across
- * the engine's host WorkerPool via kpa::merge. None of this changes
- * simulated costs or emitted bytes.
+ * With a host pool of more than one thread, every kernel of a task
+ * forks on the engine's host WorkerPool once its input reaches
+ * kpa::detail::kShardParallelMin entries: keySwap swaps one index
+ * range per thread, sortKpa sorts two halves at once and merges them,
+ * join scans and emits one key range per thread, and kpa::merge
+ * slices the merge into window state. None of this changes simulated
+ * costs or emitted bytes.
  */
 
 #ifndef SBHBM_PIPELINE_TEMPORAL_JOIN_H

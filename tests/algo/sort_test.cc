@@ -225,6 +225,38 @@ TEST(SortRun, IsStable)
     }
 }
 
+TEST(SortRunInto, LandsInScratchAsSortRunLandsInData)
+{
+    // Odd and even pass counts (1, 2 and 3 varying bytes), plus the
+    // inputs the passes skip: too short, presorted and all keys equal.
+    for (const uint64_t mask : {uint64_t{0xff}, uint64_t{0xff00ff},
+                                uint64_t{0xffffff}, uint64_t{0}}) {
+        for (const size_t n : {size_t{0}, size_t{1}, kRadixSortMin - 1,
+                               kRadixSortMin, size_t{8193}}) {
+            for (const bool presorted : {false, true}) {
+                SCOPED_TRACE(testing::Message() << "mask " << mask << " n "
+                                                << n << " presorted "
+                                                << presorted);
+                auto v = pooledEntries(n, 5 * n + mask % 89, 0, mask, false);
+                if (presorted)
+                    std::stable_sort(v.begin(), v.end(),
+                                     [](const KpEntry &a, const KpEntry &b) {
+                                         return a.key < b.key;
+                                     });
+                auto expect = v;
+                std::vector<KpEntry> scratch(n);
+                sortRun(expect.data(), n, scratch.data());
+                std::vector<KpEntry> into(n);
+                sortRunInto(v.data(), n, into.data());
+                for (size_t i = 0; i < n; ++i) {
+                    ASSERT_EQ(into[i].key, expect[i].key) << "at " << i;
+                    ASSERT_EQ(into[i].row, expect[i].row) << "at " << i;
+                }
+            }
+        }
+    }
+}
+
 TEST(SortRun, AlreadySortedStaysSorted)
 {
     auto v = randomEntries(5000, 5);

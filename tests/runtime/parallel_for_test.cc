@@ -13,10 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/executor.h"
@@ -154,6 +158,95 @@ TEST(WorkerPool, InlinePathMatchesPooledFailureSemantics)
         EXPECT_STREQ(e.what(), "boom");
     }
     EXPECT_EQ(ran, 4u);
+}
+
+/**
+ * Sets $SBHBM_HOST_THREADS (unsets it for nullptr) for one scope and
+ * restores the caller's value after. The tests only read
+ * defaultThreads(); none builds a pool from these values.
+ */
+class HostThreadsEnv
+{
+  public:
+    explicit HostThreadsEnv(const char *value)
+    {
+        if (const char *old = std::getenv(kVar)) {
+            had_ = true;
+            old_ = old;
+        }
+        if (value != nullptr)
+            setenv(kVar, value, 1);
+        else
+            unsetenv(kVar);
+    }
+
+    ~HostThreadsEnv()
+    {
+        if (had_)
+            setenv(kVar, old_.c_str(), 1);
+        else
+            unsetenv(kVar);
+    }
+
+    HostThreadsEnv(const HostThreadsEnv &) = delete;
+    HostThreadsEnv &operator=(const HostThreadsEnv &) = delete;
+
+  private:
+    static constexpr const char *kVar = "SBHBM_HOST_THREADS";
+    bool had_ = false;
+    std::string old_;
+};
+
+/** defaultThreads() under @p value, and what it wrote to stderr. */
+std::pair<unsigned, std::string>
+defaultThreadsWith(const char *value)
+{
+    HostThreadsEnv env(value);
+    ::testing::internal::CaptureStderr();
+    const unsigned threads = WorkerPool::defaultThreads();
+    return {threads, ::testing::internal::GetCapturedStderr()};
+}
+
+unsigned
+hardwareThreads()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+TEST(WorkerPool, DefaultThreadsReadsADigitString)
+{
+    for (const auto &[value, want] :
+         {std::pair<const char *, unsigned>{"8", 8}, {"1", 1}, {"007", 7},
+          {"256", WorkerPool::kMaxEnvThreads}}) {
+        const auto [threads, err] = defaultThreadsWith(value);
+        EXPECT_EQ(threads, want) << value;
+        EXPECT_EQ(err, "") << value;
+    }
+    EXPECT_EQ(defaultThreadsWith(nullptr).first, hardwareThreads());
+}
+
+TEST(WorkerPool, DefaultThreadsFallsBackToHardwareOnGarbageOrZero)
+{
+    for (const char *value :
+         {"8abc", "", " 8", "8 ", "+8", "-3", "0", "000", "abc", "4.5",
+          "0x10"}) {
+        const auto [threads, err] = defaultThreadsWith(value);
+        EXPECT_EQ(threads, hardwareThreads()) << '"' << value << '"';
+        EXPECT_NE(err.find("SBHBM_HOST_THREADS"), std::string::npos)
+            << '"' << value << "\" warns";
+    }
+}
+
+TEST(WorkerPool, DefaultThreadsClampsHugeCountsToTheCeiling)
+{
+    // 99999999999 used to wrap through unsigned to 1,215,752,191.
+    for (const char *value :
+         {"257", "99999999999", "18446744073709551617",
+          "000000000000000000000000000000000999"}) {
+        const auto [threads, err] = defaultThreadsWith(value);
+        EXPECT_EQ(threads, WorkerPool::kMaxEnvThreads) << value;
+        EXPECT_NE(err.find("exceeds"), std::string::npos) << value;
+    }
 }
 
 TEST(Executor, HostPoolDefaultsLazilyAndHonorsSetHostThreads)
