@@ -42,6 +42,7 @@
 #include "algo/sort.h"
 #include "bench_util.h"
 #include "common/rng.h"
+#include "example_args.h"
 #include "runtime/executor.h"
 #include "sim/cost_model.h"
 #include "sim/machine.h"
@@ -261,9 +262,12 @@ runHash(std::vector<KpEntry> data, Tier tier, unsigned cores)
 int
 main(int argc, char **argv)
 {
-    size_t n = 8'000'000;
-    if (argc > 1)
-        n = std::strtoull(argv[1], nullptr, 10);
+    uint64_t pairs = 8'000'000;
+    if (argc > 2 || (argc > 1 && !examples::parseCount(argv[1], pairs)))
+        return examples::usage(argv[0],
+                               "[pairs] (a positive integer, "
+                               "default 8000000)");
+    const size_t n = pairs;
 
     std::printf("Fig 2 — GroupBy on HBM and DRAM, %zu M pairs, "
                 "~100 values/key\n",

@@ -23,10 +23,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "bench_util.h"
+#include "example_args.h"
 #include "queries/query.h"
 
 using namespace sbhbm;
@@ -69,8 +69,10 @@ int
 main(int argc, char **argv)
 {
     uint64_t records = 8'000'000;
-    if (argc > 1)
-        records = std::strtoull(argv[1], nullptr, 10);
+    if (argc > 2 || (argc > 1 && !examples::parseCount(argv[1], records)))
+        return examples::usage(argv[0],
+                               "[records_per_point] (a positive integer, "
+                               "default 8000000)");
 
     const double ysb_bytes = 7.0 * sizeof(uint64_t);
     const double rdma_cap_mrps =

@@ -20,11 +20,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <vector>
 
 #include "bench_util.h"
+#include "example_args.h"
 #include "queries/query.h"
 
 using namespace sbhbm;
@@ -38,8 +38,10 @@ int
 main(int argc, char **argv)
 {
     uint64_t records = 10'000'000;
-    if (argc > 1)
-        records = std::strtoull(argv[1], nullptr, 10);
+    if (argc > 2 || (argc > 1 && !examples::parseCount(argv[1], records)))
+        return examples::usage(argv[0],
+                               "[records_per_point] (a positive integer, "
+                               "default 10000000)");
 
     const std::vector<EngineKind> variants = {
         EngineKind::kStreamBoxHbm,

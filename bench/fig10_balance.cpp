@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "example_args.h"
 #include "queries/query.h"
 
 using namespace sbhbm;
@@ -79,8 +80,10 @@ int
 main(int argc, char **argv)
 {
     uint64_t records = 8'000'000;
-    if (argc > 1)
-        records = std::strtoull(argv[1], nullptr, 10);
+    if (argc > 2 || (argc > 1 && !examples::parseCount(argv[1], records)))
+        return examples::usage(argv[0],
+                               "[records_per_point] (a positive integer, "
+                               "default 8000000)");
 
     std::printf("Fig 10 — dynamic balancing on TopK Per Key, 64 cores, "
                 "HBM capacity scaled to %.0f MB\n",

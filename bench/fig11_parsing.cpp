@@ -17,11 +17,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "example_args.h"
 #include "ingest/generator.h"
 #include "ingest/parse/parsers.h"
 #include "queries/query.h"
@@ -153,8 +153,10 @@ int
 main(int argc, char **argv)
 {
     uint64_t total = 10'000'000;
-    if (argc > 1)
-        total = std::strtoull(argv[1], nullptr, 10);
+    if (argc > 2 || (argc > 1 && !examples::parseCount(argv[1], total)))
+        return examples::usage(argv[0],
+                               "[records] (a positive integer, "
+                               "default 10000000)");
 
     // The reference line: StreamBox-HBM's YSB throughput over parsed
     // data (RDMA, all cores).

@@ -87,22 +87,6 @@ kpa::KpaPtr naiveExtract(kpa::Ctx ctx, columnar::Bundle &src,
 columnar::BundleHandle naiveMaterialize(kpa::Ctx ctx,
                                         const kpa::Kpa &k);
 
-/**
- * Scalar implementation of the findBatch contract: one serialized
- * find() chain per key, results materialized to @p out — the loop a
- * caller wrote before batching existed.
- */
-void naiveHashProbeAll(algo::HashTable<uint64_t> &table,
-                       const uint64_t *keys, size_t n,
-                       uint64_t **out);
-
-/**
- * Scalar upsert loop: one serialized findOrInsert() per key, as
- * before batching. @return number of grouped keys.
- */
-uint64_t naiveHashGroupAll(algo::HashTable<uint64_t> &table,
-                           const uint64_t *keys, size_t n);
-
 } // namespace sbhbm::bench
 
 #endif // SBHBM_BENCH_PERF_NAIVE_H

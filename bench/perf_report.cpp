@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "algo/hash_table.h"
 #include "algo/sort.h"
 #include "bench_util.h"
 #include "common/rng.h"
@@ -209,22 +208,6 @@ result(std::string name, const TimedPair &t, uint64_t items, int reps)
                            t.naive_ns);
     r.speedup = t.median_ratio;
     return r;
-}
-
-/**
- * The wide-dup probe stream shared by the hash microbenches: every
- * key 2k+1, k < distinct, probed exactly twice, order shuffled.
- */
-std::vector<uint64_t>
-makeWideDupProbes(uint32_t n, uint64_t seed)
-{
-    std::vector<uint64_t> probes(n);
-    for (uint32_t i = 0; i < n; ++i)
-        probes[i] = uint64_t{i / 2} * 2 + 1;
-    Rng rng(seed);
-    for (uint32_t i = n - 1; i > 0; --i)
-        std::swap(probes[i], probes[rng.nextBounded(i + 1)]);
-    return probes;
 }
 
 } // namespace
@@ -690,79 +673,6 @@ main(int argc, char **argv)
             }
             report.add(result(name, t, merged->size(), reps));
         }
-    }
-
-    // --- hash probe, wide-dup batched group prefetch ----------------
-    // The probe side of the wide-dup join as a hash workload: n
-    // lookups, every probed key present and probed twice. findBatch
-    // keeps kProbeBatch chains' head misses in flight (Cimple-style
-    // software pipelining); the reference is the scalar
-    // one-chain-at-a-time loop. The full-size table is sized past
-    // any plausible LLC (a server-class L3 can hide a merely
-    // cache-sized table entirely, leaving no latency to overlap and
-    // making the measurement meaningless for the DRAM-bound regime
-    // the batching exists for).
-    {
-        const uint32_t distinct = smoke ? n / 2 : 16u << 20;
-        algo::HashTable<uint64_t> table(distinct);
-        for (uint32_t k = 0; k < distinct; ++k)
-            table.findOrInsert(uint64_t{k} * 2 + 1) = k;
-        const std::vector<uint64_t> probes = makeWideDupProbes(n, 21);
-        // Both sides fulfil the same contract — materialize every
-        // probe's result pointer — so the measurement isolates the
-        // probing itself, not loop-fusion differences.
-        std::vector<uint64_t *> out(n);
-        uint64_t batched_hits = 0, scalar_hits = 0;
-        auto count_hits = [&out, n] {
-            uint64_t hits = 0;
-            for (uint32_t i = 0; i < n; ++i)
-                hits += out[i] != nullptr;
-            return hits;
-        };
-        const TimedPair tp = bestNsVs(
-            reps,
-            [&] {
-                table.findBatch(probes.data(), n, out.data());
-                batched_hits = count_hits();
-            },
-            [&] {
-                bench::naiveHashProbeAll(table, probes.data(), n,
-                                         out.data());
-                scalar_hits = count_hits();
-            });
-        if (batched_hits != scalar_hits) {
-            std::fprintf(stderr,
-                         "probe hit-count mismatch: %llu vs %llu\n",
-                         (unsigned long long)batched_hits,
-                         (unsigned long long)scalar_hits);
-            return 1;
-        }
-        report.add(result("probe/wide-dup", tp, n, reps));
-    }
-
-    // --- hash group (findOrInsert), batched group prefetch ----------
-    // The aggregation hot path of the record-at-a-time baseline:
-    // upsert-increment each probe key. Batched resolution stays in
-    // key order (insert visibility), so only the head-of-chain
-    // misses overlap — smaller win than pure probing, but on the
-    // critical path of every hash GroupBy window.
-    {
-        const uint32_t distinct = n / 2;
-        algo::HashTable<uint64_t> table(distinct);
-        for (uint32_t k = 0; k < distinct; ++k)
-            table.findOrInsert(uint64_t{k} * 2 + 1) = 0;
-        const std::vector<uint64_t> probes = makeWideDupProbes(n, 22);
-        const TimedPair tp = bestNsVs(
-            reps,
-            [&] {
-                table.findOrInsertBatch(
-                    probes.data(), n,
-                    [](uint32_t, uint64_t &count) { ++count; });
-            },
-            [&] {
-                bench::naiveHashGroupAll(table, probes.data(), n);
-            });
-        report.add(result("group/wide-dup", tp, n, reps));
     }
 
     // --- extract ----------------------------------------------------

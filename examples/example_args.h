@@ -1,9 +1,9 @@
 /**
  * @file
- * Command-line arguments shared by the examples. An example takes at
- * most one size argument; anything it cannot run with gets a usage
- * line on stderr and exit status kUsageExit, instead of a run of a
- * wrapped-around or empty size.
+ * Command-line arguments shared by the examples and the figure
+ * benches. Each takes at most one size argument; anything it cannot
+ * run with gets a usage line on stderr and exit status kUsageExit,
+ * instead of a run of a wrapped-around or empty size.
  */
 
 #ifndef SBHBM_EXAMPLES_EXAMPLE_ARGS_H
@@ -29,13 +29,12 @@ usage(const char *prog, const char *args)
 }
 
 /**
- * Parse @p arg as a record count in millions: a positive decimal
- * integer, digits only, small enough that million * 1'000'000 fits
- * in uint64_t.
- * @return false, leaving @p million as it was, for anything else.
+ * Parse @p arg as a count: a positive decimal integer, digits only,
+ * that fits in uint64_t.
+ * @return false, leaving @p count as it was, for anything else.
  */
 inline bool
-parseMillions(const char *arg, uint64_t &million)
+parseCount(const char *arg, uint64_t &count)
 {
     if (*arg == '\0')
         return false;
@@ -44,7 +43,22 @@ parseMillions(const char *arg, uint64_t &million)
             return false;
     errno = 0;
     const unsigned long long v = std::strtoull(arg, nullptr, 10);
-    if (errno == ERANGE || v == 0 || v > UINT64_MAX / 1'000'000)
+    if (errno == ERANGE || v == 0)
+        return false;
+    count = v;
+    return true;
+}
+
+/**
+ * Parse @p arg as a record count in millions: a count small enough
+ * that million * 1'000'000 fits in uint64_t.
+ * @return false, leaving @p million as it was, for anything else.
+ */
+inline bool
+parseMillions(const char *arg, uint64_t &million)
+{
+    uint64_t v = 0;
+    if (!parseCount(arg, v) || v > UINT64_MAX / 1'000'000)
         return false;
     million = v;
     return true;

@@ -82,55 +82,26 @@ class RecordAtATimeAggOp : public Operator
         spawnTracked(tag, [this, spec, msg = std::move(msg)](
                               sim::CostLog &log, Emitter &) mutable {
             const columnar::Bundle &b = *msg.bundle;
-            // Batched probe pipeline (Cimple-style): gather surviving
-            // records' keys and windows, then flush each batch —
-            // key-map probes as one group state machine, window-table
-            // upserts as group-prefetched in-order batches — so the
-            // chain-walk DRAM misses of consecutive records overlap
-            // instead of serializing. Record order is preserved end
-            // to end, so grouped counts, table layouts (and with them
-            // the close-time emission order) match the scalar loop
-            // bit for bit.
-            constexpr uint32_t kB = algo::HashTable<uint64_t>::kProbeBatch;
-            uint64_t keys[kB];
-            columnar::WindowId wins[kB];
-            uint64_t *mapped[kB];
-            uint32_t nbuf = 0;
+            // One record at a time, in record order: filter, map the
+            // key, count it in its window's table. Insertion order
+            // fixes each table's slot layout, and with it the
+            // close-time emission order.
             uint64_t grouped = 0;
-            auto flush = [&] {
-                if (nbuf == 0)
-                    return;
-                if (cfg_.key_map) {
-                    cfg_.key_map->findBatch(keys, nbuf, mapped);
-                    for (uint32_t l = 0; l < nbuf; ++l) {
-                        if (mapped[l] != nullptr)
-                            keys[l] = *mapped[l];
-                    }
-                }
-                for (uint32_t s = 0; s < nbuf;) {
-                    uint32_t e = s + 1;
-                    while (e < nbuf && wins[e] == wins[s])
-                        ++e;
-                    tableFor(wins[s]).findOrInsertBatch(
-                        keys + s, e - s,
-                        [](uint32_t, uint64_t &count) { ++count; });
-                    s = e;
-                }
-                grouped += nbuf;
-                nbuf = 0;
-            };
             for (uint32_t r = 0; r < b.size(); ++r) {
                 const uint64_t *row = b.row(r);
                 if (cfg_.filter_col != columnar::kNoColumn
                     && row[cfg_.filter_col] != cfg_.filter_value) {
                     continue;
                 }
-                keys[nbuf] = row[cfg_.key_col];
-                wins[nbuf] = spec.windowOf(row[cfg_.ts_col]);
-                if (++nbuf == kB)
-                    flush();
+                uint64_t key = row[cfg_.key_col];
+                if (cfg_.key_map) {
+                    if (const uint64_t *m = cfg_.key_map->find(key))
+                        key = *m;
+                }
+                ++tableFor(spec.windowOf(row[cfg_.ts_col]))
+                      .findOrInsert(key);
+                ++grouped;
             }
-            flush();
             chargeBundle(log, b, grouped);
         });
     }

@@ -18,7 +18,6 @@
 #ifndef SBHBM_INGEST_SOURCE_H
 #define SBHBM_INGEST_SOURCE_H
 
-#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
@@ -131,17 +130,10 @@ class Source
     }
 
     uint64_t recordsIngested() const { return records_ingested_; }
-    uint64_t bundlesIngested() const { return bundles_ingested_; }
     bool finished() const { return finished_; }
 
     /** Records consumed from the stream but dropped (shed/faults). */
     uint64_t recordsShed() const { return records_shed_; }
-
-    /** Bundle-sized drops consumed by shedding so far. */
-    uint64_t bundlesShed() const { return bundles_shed_; }
-
-    /** Stream offset this source started replaying from. */
-    uint64_t startRecord() const { return cfg_.start_record; }
 
     /**
      * Absolute stream position: records of the underlying stream
@@ -158,9 +150,6 @@ class Source
     /** Highest watermark emitted downstream so far. */
     EventTime emittedWatermark() const { return emitted_wm_; }
 
-    /** Event timestamps are a pure function of stream position. */
-    bool logicalTime() const { return cfg_.logical_time; }
-
     /**
      * Stop the stream early: cap total_records at what has already
      * been delivered, so the source drains naturally — the next
@@ -170,9 +159,6 @@ class Source
      * exact.
      */
     void truncate() { cfg_.total_records = records_ingested_ + records_shed_; }
-
-    /** Records the stream was configured to deliver in total. */
-    uint64_t totalRecords() const { return cfg_.total_records; }
 
     // ---------------------------------------------------------------
     // Fault-tolerance controls (checkpoint quiesce + injected faults).
@@ -214,8 +200,6 @@ class Source
         paused_ = false;
     }
 
-    bool halted() const { return halted_; }
-
     /**
      * True when no delivery is scheduled or in flight and every
      * delivered bundle was forwarded downstream — together with an
@@ -254,32 +238,6 @@ class Source
      */
     const std::vector<Checkpoint> &checkpoints() const { return marks_; }
 
-    /**
-     * Sustained records/sec over the [lo, hi] fraction of the run.
-     * The default skips the first 60%: before back-pressure engages,
-     * the source bursts at NIC rate while the in-flight budget fills,
-     * which is not the steady state.
-     */
-    double
-    sustainedRate(double lo = 0.6, double hi = 0.98) const
-    {
-        if (marks_.size() < 4)
-            return finished_at_ > 0
-                       ? static_cast<double>(records_ingested_)
-                             / simToSeconds(finished_at_)
-                       : 0.0;
-        const size_t i0 = static_cast<size_t>(
-            lo * static_cast<double>(marks_.size() - 1));
-        const size_t i1 = static_cast<size_t>(
-            hi * static_cast<double>(marks_.size() - 1));
-        const Checkpoint &a = marks_[i0];
-        const Checkpoint &b = marks_[std::max(i1, i0 + 1)];
-        const double dt = simToSeconds(b.t - a.t);
-        return dt > 0
-                   ? static_cast<double>(b.records - a.records) / dt
-                   : 0.0;
-    }
-
     /** Simulated time at which the final watermark was delivered. */
     SimTime finishedAt() const { return finished_at_; }
 
@@ -290,9 +248,6 @@ class Source
      * ingest-wait component of SLA attribution.
      */
     uint64_t ingestWaitNs() const { return ingest_wait_ns_; }
-
-    /** Callback invoked once all records (and the final wm) are in. */
-    void onFinished(std::function<void()> fn) { on_finished_ = std::move(fn); }
 
   private:
     /** Records consumed from the stream so far (delivered or shed). */
@@ -491,7 +446,6 @@ class Source
         gen_.fill(*b, n, t0, t1);
         last_delivery_ = t1;
         records_ingested_ += n;
-        ++bundles_ingested_;
         marks_.push_back(Checkpoint{now, records_ingested_});
 
         eng_.noteBundleIn(stream_);
@@ -549,7 +503,6 @@ class Source
     {
         gen_.skipRecords(n);
         records_shed_ += n;
-        ++bundles_shed_;
         last_delivery_ = std::max(last_delivery_, t1);
         // Watermark progress over the hole — but only when nothing is
         // still inside the ingestion stage (a watermark must not
@@ -652,8 +605,6 @@ class Source
         // every open window closes and drains.
         const auto &spec = pipe_.windows();
         emitWatermark(spec.end(spec.windowOf(last_delivery_)) + 1);
-        if (on_finished_)
-            on_finished_();
     }
 
     Engine &eng_;
@@ -675,7 +626,6 @@ class Source
     SimTime stalled_until_ = 0;
     uint64_t drop_bundles_ = 0;
     uint64_t records_shed_ = 0;
-    uint64_t bundles_shed_ = 0;
     SimTime finished_at_ = 0;
     SimTime last_delivery_ = 0;
     SimTime backpressured_since_ = 0;
@@ -690,7 +640,6 @@ class Source
     };
 
     uint64_t records_ingested_ = 0;
-    uint64_t bundles_ingested_ = 0;
     std::vector<Checkpoint> marks_;
     uint64_t next_deliver_seq_ = 0;
     uint64_t next_forward_seq_ = 0;
@@ -698,7 +647,6 @@ class Source
     std::map<uint64_t, Ready> ready_;
     uint64_t last_wm_bundle_ = 0;
     columnar::WindowId last_wm_window_ = 0;
-    std::function<void()> on_finished_;
 };
 
 } // namespace sbhbm::ingest

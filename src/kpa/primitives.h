@@ -402,10 +402,9 @@ updateKeysInPlace(Ctx ctx, Kpa &k, KeyFn &&fn)
 /**
  * updateKeysInPlace specialized to an external key-value table:
  * every resident key is replaced by table[key] (or kept when
- * absent), with identical charges to the generic per-key path. The
- * probes call HashTable::find directly: the table is small enough to
- * stay cache-resident (YSB's campaign table is 34 KiB), so staging
- * keys for findBatch only adds copies.
+ * absent), with identical charges to the generic per-key path. Each
+ * key is one HashTable::find; the table stays cache-resident (YSB's
+ * campaign table is 34 KiB).
  */
 inline void
 updateKeysViaTable(Ctx ctx, Kpa &k, algo::HashTable<uint64_t> &table)

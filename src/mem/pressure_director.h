@@ -201,17 +201,8 @@ class PressureDirector
             if (r.kpas > 0)
                 last_sweep_[p->providerStream()] += r.charged_bytes;
         }
-        emergency_bytes_ += total.charged_bytes;
-        emergency_kpas_ += total.kpas;
-        if (total.kpas > 0)
-            ++emergency_sweeps_;
         return total;
     }
-
-    /** Emergency sweeps that actually relocated state / their totals. */
-    uint64_t emergencySweeps() const { return emergency_sweeps_; }
-    uint64_t emergencyBytes() const { return emergency_bytes_; }
-    uint64_t emergencyKpas() const { return emergency_kpas_; }
 
     /** Ticks that found pressure above the high-water threshold. */
     uint64_t pressureTicks() const { return pressure_ticks_; }
@@ -236,8 +227,6 @@ class PressureDirector
         auto it = by_stream_.find(stream);
         return it == by_stream_.end() ? 0 : it->second.kpas;
     }
-
-    size_t providerCount() const { return providers_.size(); }
 
     // ---------------------------------------------------------------
     // Sweep stall attribution. A sweep's migration traffic runs
@@ -297,9 +286,6 @@ class PressureDirector
     uint64_t pressure_ticks_ = 0;
     uint64_t demoted_bytes_ = 0;
     uint64_t demoted_kpas_ = 0;
-    uint64_t emergency_sweeps_ = 0;
-    uint64_t emergency_bytes_ = 0;
-    uint64_t emergency_kpas_ = 0;
     std::map<uint32_t, StreamStats> by_stream_;
     std::map<uint32_t, uint64_t> last_sweep_;
     std::map<uint32_t, uint64_t> stall_ns_by_stream_;

@@ -117,9 +117,6 @@ class SortedRunsOp : public Operator
         return true;
     }
 
-    /** Windows currently accumulating state. */
-    size_t openWindows() const { return state_.size(); }
-
   public:
     /**
      * Checkpoint capture: deep-copy every accumulated run (keys plus

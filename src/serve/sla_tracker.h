@@ -134,7 +134,7 @@ class SlaTracker
                 }
                 ok_streak_ = 0;
             } else if (breached_) {
-                if (++ok_streak_ >= recover_after_) {
+                if (++ok_streak_ >= kRecoveryWindows) {
                     breached_ = false;
                     ok_streak_ = 0;
                 }
@@ -156,8 +156,6 @@ class SlaTracker
         recovery_seen_ns_ = downtime_ns_;
     }
 
-    SimTime targetDelay() const { return target_delay_; }
-
     /** Externalized windows observed so far. */
     uint64_t windows() const { return latencies_.size(); }
 
@@ -167,17 +165,13 @@ class SlaTracker
     // ---------------------------------------------------------------
     // Breach hysteresis (drives serving-layer placement demotion).
     // A violation puts the tenant in breach; it recovers only after
-    // recover_after consecutive in-target windows — so one bad
+    // kRecoveryWindows consecutive in-target windows — so one bad
     // window demotes decisively while one good window does not
     // flap the placement class right back.
     // ---------------------------------------------------------------
 
     /** Consecutive in-target windows needed to clear a breach. */
-    void
-    setRecoveryWindows(uint32_t n)
-    {
-        recover_after_ = n > 0 ? n : 1;
-    }
+    static constexpr uint32_t kRecoveryWindows = 4;
 
     /** Currently violating the SLA (with recovery hysteresis). */
     bool breached() const { return breached_; }
@@ -193,12 +187,8 @@ class SlaTracker
     void
     noteOutage(SimTime downtime)
     {
-        ++outages_;
         downtime_ns_ += downtime;
     }
-
-    /** Crash→restart episodes this session went through. */
-    uint64_t outages() const { return outages_; }
 
     /** Total virtual time the session spent dead, ns. */
     SimTime downtimeNs() const { return downtime_ns_; }
@@ -208,7 +198,6 @@ class SlaTracker
     double p95() const { return latencies_.percentile(95); }
     double p99() const { return latencies_.percentile(99); }
     double maxLatency() const { return latencies_.max(); }
-    double meanLatency() const { return latencies_.mean(); }
 
     const SampleSet &latencies() const { return latencies_; }
 
@@ -327,10 +316,8 @@ class SlaTracker
     size_t cursor_ = 0;
     bool breached_ = false;
     uint64_t breaches_ = 0;
-    uint64_t outages_ = 0;
     SimTime downtime_ns_ = 0;
     uint32_t ok_streak_ = 0;
-    uint32_t recover_after_ = 4;
     StallSnapshot prev_;
     uint64_t recovery_seen_ns_ = 0;
     uint64_t pending_[kStallCauses] = {};

@@ -289,19 +289,6 @@ class TenantRegistry
         down_[s] = true;
     }
 
-    /** Is shard @p s marked down? */
-    bool shardDown(uint32_t s) const { return down_[s]; }
-
-    /** Live (not-down) shards. */
-    uint32_t
-    liveShards() const
-    {
-        uint32_t n = 0;
-        for (uint32_t s = 0; s < cfg_.shards; ++s)
-            n += down_[s] ? 0 : 1;
-        return n;
-    }
-
     uint32_t active() const { return active_; }
     size_t queued() const { return waiting_.size(); }
     uint64_t rejected() const { return rejected_; }

@@ -107,15 +107,6 @@ struct FaultPlan
         return *this;
     }
 
-    FaultPlan &
-    slowShard(SimTime at, uint32_t shard, unsigned cores,
-              SimTime duration)
-    {
-        events.push_back({at, FaultKind::kSlowShard, shard, 0, cores,
-                          static_cast<uint64_t>(duration)});
-        return *this;
-    }
-
     /** Sort into deterministic firing order. */
     void
     canonicalize()

@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <utility>
+#include <vector>
 
+#include "algo/hash_table.h"
 #include "baseline/hash_engine.h"
 #include "ingest/generator.h"
 #include "ingest/source.h"
@@ -117,39 +121,159 @@ TEST(HashEngine, CountPerKeyMatchesReference)
     EXPECT_EQ(sink.counts, expect);
 }
 
-TEST(HashEngine, FilterAndKeyMapApply)
+/** Per-window result rows, in the order they were emitted. */
+using WindowRows =
+    std::map<columnar::WindowId, std::vector<std::pair<uint64_t, uint64_t>>>;
+
+using KeyMap = std::shared_ptr<algo::HashTable<uint64_t>>;
+
+/** Capture result rows per window in emission order. */
+class RowLog : public Operator
+{
+  public:
+    explicit RowLog(Pipeline &p) : Operator(p, "row_log") {}
+
+    WindowRows rows;
+
+  protected:
+    void
+    process(Msg msg, int) override
+    {
+        ASSERT_TRUE(msg.isBundle());
+        ASSERT_TRUE(msg.has_window);
+        for (uint32_t r = 0; r < msg.bundle->size(); ++r) {
+            const uint64_t *row = msg.bundle->row(r);
+            rows[msg.window].emplace_back(row[0], row[1]);
+        }
+    }
+};
+
+const columnar::WindowSpec kYsbWindows{100 * kNsPerMs};
+
+ingest::SourceConfig
+ysbSourceConfig()
+{
+    ingest::SourceConfig scfg;
+    scfg.bundle_records = 5000;
+    scfg.total_records = 60000;
+    return scfg;
+}
+
+/** The YSB query on the record-at-a-time engine, keys mapped by @p map. */
+WindowRows
+runYsbAgg(const KeyMap &map)
 {
     runtime::Engine eng(engineConfig());
-    Pipeline pipe(eng, columnar::WindowSpec{100 * kNsPerMs});
+    Pipeline pipe(eng, kYsbWindows);
 
     RecordAtATimeAggOp::Config rc;
     rc.filter_col = YsbGen::kEventTypeCol;
     rc.filter_value = YsbGen::kViewEvent;
     rc.key_col = YsbGen::kAdCol;
     rc.ts_col = YsbGen::kTsCol;
-    rc.key_map = YsbGen::campaignTable();
+    rc.key_map = map;
     rc.keys_hint = YsbGen::kCampaigns;
     auto &agg = pipe.add<RecordAtATimeAggOp>(pipe, "ysb", rc);
-    auto &sink = pipe.add<CaptureSink>(pipe);
+    auto &sink = pipe.add<RowLog>(pipe);
     agg.connectTo(&sink);
 
     YsbGen gen(5);
-    ingest::SourceConfig scfg;
-    scfg.bundle_records = 5000;
-    scfg.total_records = 60000;
-    ingest::Source src(eng, pipe, gen, &agg, scfg);
+    ingest::Source src(eng, pipe, gen, &agg, ysbSourceConfig());
+    src.start();
+    eng.machine().run();
+    return sink.rows;
+}
+
+/**
+ * Reference for runYsbAgg: replay the same stream, keep view events,
+ * map each ad through @p map and count it, in record order, in one
+ * scalar table per window; a window's rows are its table's slots in
+ * order.
+ */
+WindowRows
+ysbReference(const KeyMap &map)
+{
+    using Table = algo::HashTable<uint64_t>;
+    std::map<columnar::WindowId, Table> tables;
+    runtime::Engine eng(engineConfig());
+    Pipeline pipe(eng, kYsbWindows);
+
+    class Replay : public Operator
+    {
+      public:
+        Replay(Pipeline &p, std::map<columnar::WindowId, Table> &t,
+               const KeyMap &map)
+            : Operator(p, "replay"), t_(t), map_(map)
+        {
+        }
+
+      protected:
+        void
+        process(Msg msg, int) override
+        {
+            const columnar::WindowSpec w = pipe_.windows();
+            for (uint32_t r = 0; r < msg.bundle->size(); ++r) {
+                const uint64_t *row = msg.bundle->row(r);
+                if (row[YsbGen::kEventTypeCol] != YsbGen::kViewEvent)
+                    continue;
+                uint64_t key = row[YsbGen::kAdCol];
+                if (const uint64_t *c = map_->find(key))
+                    key = *c;
+                ++t_.try_emplace(w.windowOf(row[YsbGen::kTsCol]),
+                                 YsbGen::kCampaigns)
+                      .first->second.findOrInsert(key);
+            }
+        }
+
+      private:
+        std::map<columnar::WindowId, Table> &t_;
+        KeyMap map_;
+    };
+    auto &rep = pipe.add<Replay>(pipe, tables, map);
+    YsbGen gen(5);
+    ingest::Source src(eng, pipe, gen, &rep, ysbSourceConfig());
     src.start();
     eng.machine().run();
 
+    WindowRows rows;
+    for (const auto &[w, table] : tables) {
+        table.forEach([&rows, w = w](uint64_t key, const uint64_t &n) {
+            rows[w].emplace_back(key, n);
+        });
+    }
+    return rows;
+}
+
+TEST(HashEngine, FilterAndKeyMapApply)
+{
+    const WindowRows got = runYsbAgg(YsbGen::campaignTable());
+    const WindowRows want = ysbReference(YsbGen::campaignTable());
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(got, want);
+
     uint64_t total = 0;
-    for (const auto &[wk, n] : sink.counts) {
-        EXPECT_LT(wk.second, YsbGen::kCampaigns)
-            << "keys must be campaign ids after the key map";
-        total += n;
+    for (const auto &[w, rows] : got) {
+        for (const auto &[key, n] : rows) {
+            EXPECT_LT(key, YsbGen::kCampaigns)
+                << "keys must be campaign ids after the key map";
+            total += n;
+        }
     }
     // Roughly one third of events are views (3 event types).
     EXPECT_GT(total, 60000 / 4);
     EXPECT_LT(total, 60000 / 2);
+
+    // Campaign ids 0..99 get distinct home slots in a 128-slot table,
+    // so their layout cannot show the insertion order. Mapping
+    // campaign c to c * 128 sends every key to home slot 0: linear
+    // probing then lays a window's keys out in the order their first
+    // records arrived, and the emitted rows must follow it.
+    auto colliding = std::make_shared<algo::HashTable<uint64_t>>(
+        YsbGen::kCampaigns * YsbGen::kAdsPerCampaign);
+    for (uint64_t ad = 0; ad < YsbGen::kCampaigns * YsbGen::kAdsPerCampaign;
+         ++ad)
+        colliding->findOrInsert(ad) = ad / YsbGen::kAdsPerCampaign * 128;
+    EXPECT_EQ(runYsbAgg(colliding), ysbReference(colliding));
 }
 
 TEST(HashEngine, ChargesMoreCpuThanKpaEngine)

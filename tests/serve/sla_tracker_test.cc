@@ -2,8 +2,8 @@
  * @file
  * SlaTracker breach hysteresis: one violating window puts the tenant
  * in breach (one placement demotion episode); it recovers only after
- * the configured streak of in-target windows, so the placement class
- * does not flap on a single good window.
+ * a streak of kRecoveryWindows in-target windows, so the placement
+ * class does not flap on a single good window.
  */
 
 #include "serve/sla_tracker.h"
@@ -76,36 +76,41 @@ TEST_F(SlaTrackerTest, ViolationEntersBreachOnce)
 
 TEST_F(SlaTrackerTest, RecoversOnlyAfterStreak)
 {
-    sla_.setRecoveryWindows(3);
+    static_assert(SlaTracker::kRecoveryWindows == 4);
     externalize(0, 3 * kTarget); // breach
     externalize(1, 0);
     externalize(2, 0);
-    runAndObserve();
-    EXPECT_TRUE(sla_.breached()) << "2 of 3 recovery windows seen";
-
     externalize(3, 0);
     runAndObserve();
-    EXPECT_FALSE(sla_.breached()) << "streak of 3 clears the breach";
+    EXPECT_TRUE(sla_.breached()) << "3 of 4 recovery windows seen";
+
+    externalize(4, 0);
+    runAndObserve();
+    EXPECT_FALSE(sla_.breached()) << "streak of 4 clears the breach";
     EXPECT_EQ(sla_.breaches(), 1u);
 }
 
 TEST_F(SlaTrackerTest, ViolationMidStreakRestartsRecovery)
 {
-    sla_.setRecoveryWindows(2);
+    static_assert(SlaTracker::kRecoveryWindows == 4);
     externalize(0, 3 * kTarget); // breach
     externalize(1, 0);
-    externalize(2, 3 * kTarget); // relapse before the streak completes
+    externalize(2, 0);
     externalize(3, 0);
+    externalize(4, 3 * kTarget); // relapse before the streak completes
+    externalize(5, 0);
+    externalize(6, 0);
+    externalize(7, 0);
     runAndObserve();
     EXPECT_TRUE(sla_.breached());
     EXPECT_EQ(sla_.breaches(), 1u) << "relapse extends the episode";
 
-    externalize(4, 0);
+    externalize(8, 0);
     runAndObserve();
     EXPECT_FALSE(sla_.breached());
 
     // A fresh violation after recovery is a new episode.
-    externalize(5, 3 * kTarget);
+    externalize(9, 3 * kTarget);
     runAndObserve();
     EXPECT_TRUE(sla_.breached());
     EXPECT_EQ(sla_.breaches(), 2u);
