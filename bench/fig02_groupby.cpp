@@ -93,9 +93,8 @@ runSort(std::vector<KpEntry> data, Tier tier, unsigned cores)
     const size_t chunk = (n + chunks - 1) / chunks;
     std::vector<KpEntry> scratch(n);
 
-    exec.parallelFor(
-        runtime::ImpactTag::kHigh, static_cast<uint32_t>(chunks),
-        [&](uint32_t i, sim::CostLog &log) {
+    for (size_t i = 0; i < chunks; ++i) {
+        exec.spawn(runtime::ImpactTag::kHigh, [&, i](sim::CostLog &log) {
             const size_t lo = std::min(n, i * chunk);
             const size_t hi = std::min(n, lo + chunk);
             if (hi <= lo)
@@ -109,8 +108,8 @@ runSort(std::vector<KpEntry> data, Tier tier, unsigned cores)
             log.cpuVector(sim::cost::kBitonicStages
                               * sim::cost::kBitonicNsPerElemStage * m
                           + sim::cost::kMergeNsPerElem * m * levels);
-        },
-        [] {});
+        });
+    }
     machine.run();
 
     // --- Phase 2: pairwise merge rounds, sliced when wide ----------
@@ -146,22 +145,19 @@ runSort(std::vector<KpEntry> data, Tier tier, unsigned cores)
 
         // Simulated cost: each pair merge split into `slices` tasks
         // at merge-path key boundaries, all running concurrently.
-        exec.parallelFor(
-            runtime::ImpactTag::kHigh,
-            static_cast<uint32_t>(pairs) * slices,
-            [&](uint32_t t, sim::CostLog &log) {
+        for (uint32_t t = 0; t < pairs * slices; ++t) {
+            exec.spawn(runtime::ImpactTag::kHigh, [&, t](sim::CostLog &log) {
                 const size_t p = t / slices;
                 const size_t lo = bounds[2 * p];
                 const size_t hi = bounds[2 * p + 2];
-                const auto m =
-                    static_cast<double>(hi - lo) / slices;
+                const auto m = static_cast<double>(hi - lo) / slices;
                 log.seq(tier,
                         static_cast<uint64_t>(
                             m * sim::cost::kSortBytesPerElemLevel));
                 log.cpuVector(sim::cost::kMergeNsPerElem * m
                               + sim::cost::kMergeSliceNsPerChunk);
-            },
-            [] {});
+            });
+        }
         machine.run();
 
         std::vector<size_t> nb;
@@ -206,17 +202,16 @@ runHash(std::vector<KpEntry> data, Tier tier, unsigned cores)
     const uint64_t width = (key_range + parts - 1) / parts;
 
     const size_t chunk = (n + parts - 1) / parts;
-    exec.parallelFor(
-        runtime::ImpactTag::kHigh, static_cast<uint32_t>(parts),
-        [&](uint32_t i, sim::CostLog &log) {
+    for (size_t i = 0; i < parts; ++i) {
+        exec.spawn(runtime::ImpactTag::kHigh, [&, i](sim::CostLog &log) {
             const size_t lo = std::min(n, i * chunk);
             const size_t hi = std::min(n, lo + chunk);
             const auto m = static_cast<double>(hi - lo);
             // Read input + write partitioned copy, both streaming.
             log.seq(tier, 2 * (hi - lo) * entry_bytes);
             log.cpu(sim::cost::kHashPartitionNs * m);
-        },
-        [] {});
+        });
+    }
     // Functional partitioning (single host pass).
     for (size_t i = 0; i < n; ++i)
         partition[data[i].key / width].push_back(data[i]);
@@ -224,9 +219,8 @@ runHash(std::vector<KpEntry> data, Tier tier, unsigned cores)
 
     // --- Phase 2: per-partition hash insert (random) ----------------
     std::vector<std::unique_ptr<algo::HashTable<uint64_t>>> tables(parts);
-    exec.parallelFor(
-        runtime::ImpactTag::kHigh, static_cast<uint32_t>(parts),
-        [&](uint32_t i, sim::CostLog &log) {
+    for (size_t i = 0; i < parts; ++i) {
+        exec.spawn(runtime::ImpactTag::kHigh, [&, i](sim::CostLog &log) {
             tables[i] = std::make_unique<algo::HashTable<uint64_t>>(
                 std::max<size_t>(16, partition[i].size() / 50));
             for (const KpEntry &e : partition[i])
@@ -241,8 +235,8 @@ runHash(std::vector<KpEntry> data, Tier tier, unsigned cores)
             log.cpu((sim::cost::kHashComputeNs + sim::cost::kHashProbeNs
                      + sim::cost::kHashChainMisses * tier_latency_ns)
                     * m);
-        },
-        [] {});
+        });
+    }
     machine.run();
 
     uint64_t groups = 0;

@@ -106,9 +106,8 @@ runParse(Format f, const sim::MachineConfig &mcfg, uint64_t total)
                                   ? bin.size()
                                   : text.size();
 
-    exec.parallelFor(
-        runtime::ImpactTag::kHigh, static_cast<uint32_t>(batches),
-        [&](uint32_t b, sim::CostLog &log) {
+    for (uint64_t b = 0; b < batches; ++b) {
+        exec.spawn(runtime::ImpactTag::kHigh, [&, b](sim::CostLog &log) {
             // Functionally decode (first task validates every batch
             // shape; others charge the same cost — the decode is
             // identical work on identical bytes).
@@ -140,8 +139,8 @@ runParse(Format f, const sim::MachineConfig &mcfg, uint64_t total)
             // scalar decode work — no DRAM stream is charged.
             (void)in_bytes;
             log.cpu(costNsPerRec(f) * kBatch);
-        },
-        [] {});
+        });
+    }
     machine.run();
     return static_cast<double>(batches) * kBatch
            / simToSeconds(machine.now()) / 1e6;

@@ -1,8 +1,11 @@
 /**
  * @file
- * The tracing half of the telemetry plane: a deterministic recorder
- * of spans and instants stamped on *virtual* time, exported as Chrome
- * `trace_event` JSON (load the file in Perfetto or chrome://tracing).
+ * The telemetry plane: one deterministic recorder of spans and
+ * instants stamped on *virtual* time, exported as Chrome `trace_event`
+ * JSON (load the file in Perfetto or chrome://tracing). It is the only
+ * sink: task spans, ingest stalls, pressure sweeps, admission
+ * decisions, checkpoints, fault firings and recovery lines all land
+ * here, and tests query it by category.
  *
  * Determinism is the design center: events are only ever recorded
  * from the single-threaded simulation control path (executor
@@ -31,7 +34,6 @@
 
 #include "common/units.h"
 #include "obs/json_writer.h"
-#include "obs/metrics.h"
 
 namespace sbhbm::obs {
 
@@ -197,15 +199,14 @@ class TraceSink
 };
 
 /**
- * The unit of telemetry a caller installs on an engine / server: one
- * metrics registry plus one trace sink, shared by every layer that
- * instruments itself. A null Telemetry pointer (the default
- * everywhere) disables all recording — the hot paths pay one pointer
- * null check and the simulation stays bit-identical.
+ * The unit of telemetry a caller installs on an engine / server: the
+ * trace sink shared by every layer that instruments itself. A null
+ * Telemetry pointer (the default everywhere) disables all recording —
+ * the hot paths pay one pointer null check and the simulation stays
+ * bit-identical.
  */
 struct Telemetry
 {
-    MetricsRegistry metrics;
     TraceSink trace;
 };
 

@@ -4,19 +4,19 @@
  *
  * Worker threads of the real StreamBox-HBM become "core slots" here:
  * at most `cores` tasks are in flight at once; queued tasks dispatch
- * in an order chosen by a pluggable DispatchPolicy. The default policy
- * is the paper's impact-tag priority order (Urgent > High > Low, FIFO
- * within a tag); the serving layer swaps in a weighted fair scheduler
- * that arbitrates between tenants. A task's closure runs functionally
- * at dispatch time and records its simulated cost; the machine then
- * charges that cost in virtual time and frees the core slot when it
- * completes.
+ * in the one order the executor's own FairScheduler picks. On one
+ * stream that is the paper's impact-tag priority (Urgent > High > Low,
+ * FIFO within a tag); across the serving layer's tenants, Urgent
+ * still preempts globally in arrival order and everything below it is
+ * shared by weighted deficit round-robin. A task's closure runs
+ * functionally at dispatch time and records its simulated cost; the
+ * machine then charges that cost in virtual time and frees the core
+ * slot when it completes.
  *
  * Every task belongs to a stream (tenant). Single-pipeline runs use
- * the default stream 0 throughout and behave exactly as before; the
- * multi-tenant serving layer gives each tenant its own stream id so
- * the dispatch policy can arbitrate between them and per-stream cost
- * totals can be audited.
+ * the default stream 0 throughout; the multi-tenant serving layer
+ * gives each tenant its own stream id, sets its weight on scheduler()
+ * and audits per-stream cost totals.
  *
  * Besides the simulated core slots, the executor owns a host
  * WorkerPool (hostPool()): the real fork-join pool kernels use to
@@ -31,7 +31,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -42,94 +41,12 @@
 #include "common/worker_pool.h"
 #include "mem/hybrid_memory.h"
 #include "obs/trace.h"
+#include "runtime/fair_scheduler.h"
 #include "runtime/impact_tag.h"
 #include "sim/cost_model.h"
 #include "sim/machine.h"
 
 namespace sbhbm::runtime {
-
-/** Identifies the pipeline (tenant) a task belongs to; 0 = default. */
-using StreamId = uint32_t;
-
-/**
- * Strategy deciding which queued task dispatches onto the next free
- * core slot. The executor presents the backlog as one entry per
- * stream with pending work (sorted by stream id) and the policy picks
- * a (stream, tag) pair; the executor then pops that queue's oldest
- * task. Policies are consulted only when at least one task is queued.
- */
-class DispatchPolicy
-{
-  public:
-    /** head_seq value of an empty per-tag queue. */
-    static constexpr uint64_t kNoTask = ~uint64_t{0};
-
-    /** One stream's pending work, as the policy sees it. */
-    struct StreamBacklog
-    {
-        // The brace-init below must name every element: a shorter
-        // list would zero-fill, and head_seq 0 means "oldest task".
-        static_assert(kNumTags == 3, "update head_seq initializer");
-
-        StreamId stream = 0;
-
-        /** Global enqueue seq of the oldest pending task per tag. */
-        std::array<uint64_t, kNumTags> head_seq{kNoTask, kNoTask, kNoTask};
-
-        /** Queue depth per tag. */
-        std::array<uint32_t, kNumTags> depth{0, 0, 0};
-
-        bool
-        hasTag(ImpactTag t) const
-        {
-            return depth[static_cast<int>(t)] > 0;
-        }
-    };
-
-    struct Choice
-    {
-        StreamId stream = 0;
-        ImpactTag tag = ImpactTag::kUrgent;
-    };
-
-    virtual ~DispatchPolicy() = default;
-
-    /**
-     * Choose the next task to dispatch. @p backlog has one entry per
-     * stream with at least one pending task, sorted by stream id, and
-     * is never empty.
-     */
-    virtual Choice pick(const std::vector<StreamBacklog> &backlog) = 0;
-};
-
-/**
- * The paper's dispatch order (§5): strict impact-tag priority, FIFO
- * within a tag — across streams, FIFO means global enqueue order, so
- * a single-stream run is indistinguishable from the pre-policy
- * executor.
- */
-class TagPriorityPolicy final : public DispatchPolicy
-{
-  public:
-    Choice
-    pick(const std::vector<StreamBacklog> &backlog) override
-    {
-        for (int t = 0; t < kNumTags; ++t) {
-            uint64_t best = kNoTask;
-            StreamId stream = 0;
-            for (const auto &b : backlog) {
-                if (b.head_seq[t] < best) {
-                    best = b.head_seq[t];
-                    stream = b.stream;
-                }
-            }
-            if (best != kNoTask)
-                return Choice{stream, static_cast<ImpactTag>(t)};
-        }
-        sbhbm_fatal("dispatch policy consulted with empty backlog");
-        return Choice{};
-    }
-};
 
 /** Priority task executor bound to a simulated machine. */
 class Executor
@@ -171,15 +88,11 @@ class Executor
     Executor &operator=(const Executor &) = delete;
 
     /**
-     * Install a dispatch policy (non-owning; the caller keeps it
-     * alive for the executor's lifetime). nullptr restores the
-     * default tag-priority order.
+     * The dispatch order. Streams default to weight 1; the serving
+     * layer sets each tenant's weight here and reads the task slots
+     * each stream was granted (FairScheduler::served).
      */
-    void
-    setDispatchPolicy(DispatchPolicy *policy)
-    {
-        policy_ = policy;
-    }
+    FairScheduler &scheduler() { return sched_; }
 
     /**
      * Install telemetry (non-owning; nullptr disables). @p shard is
@@ -212,47 +125,6 @@ class Executor
         ++spawned_;
         ++stats_[stream].spawned;
         pump();
-    }
-
-    /**
-     * Simulated fork-join: spawn @p n data-parallel tasks; @p all_done
-     * fires once every one of them completed. fn(i, log) handles shard
-     * i. Each shard is an ordinary spawn, so the installed
-     * DispatchPolicy arbitrates shards exactly like any other tasks —
-     * a tenant's parallel fan-out cannot jump another tenant's queue
-     * under the FairScheduler, and at 1 core the shards simply
-     * dispatch back-to-back (inline degradation in virtual time).
-     *
-     * This primitive parallelizes *simulated* time. Its host-side
-     * twin is hostPool().parallelFor() / hostParallelFor(), which
-     * parallelizes the wall-clock of a kernel's functional work
-     * within one task; the two compose freely.
-     */
-    void
-    parallelFor(ImpactTag tag, uint32_t n,
-                std::function<void(uint32_t, sim::CostLog &)> fn,
-                DoneFn all_done, StreamId stream = 0,
-                const char *label = nullptr)
-    {
-        auto done = std::make_shared<DoneFn>(std::move(all_done));
-        if (n == 0) {
-            // Still asynchronous: defer to the event loop.
-            machine_.after(0, [done] {
-                if (*done)
-                    (*done)();
-            });
-            return;
-        }
-        auto remaining = std::make_shared<uint32_t>(n);
-        for (uint32_t i = 0; i < n; ++i) {
-            spawn(
-                tag, [fn, i](sim::CostLog &log) { fn(i, log); },
-                [remaining, done] {
-                    if (--*remaining == 0 && *done)
-                        (*done)();
-                },
-                stream, label);
-        }
     }
 
     // ---------------------------------------------------------------
@@ -306,13 +178,6 @@ class Executor
         if (host_threads_ == 0)
             host_threads_ = WorkerPool::defaultThreads();
         return host_threads_ > 1 ? &hostPool() : nullptr;
-    }
-
-    /** Blocking host fork-join (see WorkerPool::parallelFor). */
-    void
-    hostParallelFor(uint32_t shards, const WorkerPool::ShardFn &fn)
-    {
-        hostPool().parallelFor(shards, fn);
     }
 
     unsigned cores() const { return cores_; }
@@ -431,58 +296,31 @@ class Executor
     }
 
     /**
-     * Ask the policy which queue to serve, move that queue's oldest
+     * Ask the scheduler which queue to serve, move that queue's oldest
      * task into @p out, and return its stream.
      */
     StreamId
     popNext(Pending &out)
     {
-        // Hot path: one stream under the default policy (every
-        // single-pipeline run) needs no backlog snapshot or virtual
-        // call — tag priority over one queue set is a direct pop.
-        if (policy_ == nullptr && queues_.size() == 1) {
-            auto it = queues_.begin();
-            for (auto &q : it->second) {
-                if (q.empty())
-                    continue;
-                out = std::move(q.front());
-                q.pop_front();
-                --queued_;
-                const StreamId stream = it->first;
-                bool empty = true;
-                for (const auto &tq : it->second)
-                    empty = empty && tq.empty();
-                if (empty)
-                    queues_.erase(it);
-                return stream;
-            }
-        }
-
         backlog_.clear();
         for (const auto &[stream, tags] : queues_) {
-            DispatchPolicy::StreamBacklog b;
+            FairScheduler::StreamBacklog b;
             b.stream = stream;
-            bool any = false;
             for (int t = 0; t < kNumTags; ++t) {
                 if (!tags[t].empty()) {
                     b.head_seq[t] = tags[t].front().seq;
-                    b.depth[t] =
-                        static_cast<uint32_t>(tags[t].size());
-                    any = true;
+                    b.depth[t] = static_cast<uint32_t>(tags[t].size());
                 }
             }
-            if (any)
-                backlog_.push_back(b);
+            backlog_.push_back(b);
         }
         sbhbm_assert(!backlog_.empty(), "popNext with empty backlog");
 
-        const DispatchPolicy::Choice c =
-            policy_ != nullptr ? policy_->pick(backlog_)
-                               : default_policy_.pick(backlog_);
+        const FairScheduler::Choice c = sched_.pick(backlog_);
         auto it = queues_.find(c.stream);
-        sbhbm_assert(it != queues_.end(), "policy chose unknown stream");
+        sbhbm_assert(it != queues_.end(), "scheduler chose unknown stream");
         auto &q = it->second[static_cast<int>(c.tag)];
-        sbhbm_assert(!q.empty(), "policy chose an empty queue");
+        sbhbm_assert(!q.empty(), "scheduler chose an empty queue");
         out = std::move(q.front());
         q.pop_front();
         --queued_;
@@ -506,9 +344,8 @@ class Executor
     uint64_t completed_ = 0;
     uint64_t shed_ = 0;
     std::map<StreamId, StreamStats> stats_;
-    TagPriorityPolicy default_policy_;
-    DispatchPolicy *policy_ = nullptr;
-    std::vector<DispatchPolicy::StreamBacklog> backlog_;
+    FairScheduler sched_;
+    std::vector<FairScheduler::StreamBacklog> backlog_;
     unsigned host_threads_ = 0; //!< 0 = WorkerPool::defaultThreads()
     std::unique_ptr<WorkerPool> host_pool_;
     obs::Telemetry *tele_ = nullptr;

@@ -1,48 +1,50 @@
 /**
  * @file
- * Weighted fair-share dispatch across tenants (serving layer).
+ * The executor's dispatch order: weighted fair share across streams,
+ * with the paper's impact-tag priority inside each stream.
  *
- * The executor's default policy is strict impact-tag priority with
- * global FIFO within a tag — correct for one pipeline, but with many
- * tenants a single hot tenant's flood of High tasks starves everyone
- * else's High work. The FairScheduler keeps the paper's latency
- * machinery intact (Urgent tasks — window closes on the critical
- * output path — still preempt globally in arrival order) and
- * arbitrates everything below Urgent by weighted deficit round-robin:
+ * The executor presents its backlog as one entry per stream with
+ * pending work and pops the oldest task of whichever (stream, tag)
+ * queue pick() names. Urgent tasks — window closes on the output
+ * critical path — preempt globally in arrival order; everything below
+ * Urgent is arbitrated by weighted deficit round-robin:
  *
- *  - each backlogged tenant holds a deficit counter (service credit);
- *  - a tenant is served when its credit covers one task, paying 1;
- *  - when no backlogged tenant has credit, every backlogged tenant is
+ *  - each backlogged stream holds a deficit counter (service credit);
+ *  - a stream is served when its credit covers one task, paying 1;
+ *  - when no backlogged stream has credit, every backlogged stream is
  *    replenished in proportion to its weight (the heaviest gets
  *    exactly 1, so a replenish always unblocks someone);
- *  - a tenant whose backlog empties forfeits its credit (classic DRR:
+ *  - a stream whose backlog empties forfeits its credit (classic DRR:
  *    no banking service while idle);
- *  - within the chosen tenant, High dispatches before Low.
+ *  - within the chosen stream, High dispatches before Low.
  *
- * Over any busy interval, tenant i therefore receives task slots in
- * proportion to weight_i — a hot tenant cannot push beyond its share
- * while others are backlogged, yet inherits idle capacity when they
- * are not. Ties scan cyclically from just past the last served tenant
- * (by stream id), so equal-weight tenants interleave deterministically
+ * On one stream — every single-pipeline run, which uses stream 0
+ * throughout — this is exactly the paper's order (§5): Urgent FIFO,
+ * then High, then Low, FIFO within a tag. With many tenants, stream i
+ * receives task slots in proportion to weight_i over any busy
+ * interval: a hot tenant's flood of High tasks cannot push beyond its
+ * share while others are backlogged, yet inherits idle capacity when
+ * they are not. Ties scan cyclically from just past the last served
+ * stream (by id), so equal-weight streams interleave deterministically
  * and independently of registration order.
  */
 
-#ifndef SBHBM_SERVE_FAIR_SCHEDULER_H
-#define SBHBM_SERVE_FAIR_SCHEDULER_H
+#ifndef SBHBM_RUNTIME_FAIR_SCHEDULER_H
+#define SBHBM_RUNTIME_FAIR_SCHEDULER_H
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <vector>
 
 #include "common/logging.h"
-#include "runtime/executor.h"
 #include "runtime/impact_tag.h"
 
-namespace sbhbm::serve {
+namespace sbhbm::runtime {
 
-using runtime::ImpactTag;
-using runtime::StreamId;
+/** Identifies the pipeline (tenant) a task belongs to; 0 = default. */
+using StreamId = uint32_t;
 
 /**
  * Jain's fairness index over per-tenant (weight-normalized) service:
@@ -64,10 +66,41 @@ jainIndex(const std::vector<double> &xs)
     return sum * sum / (static_cast<double>(xs.size()) * sq);
 }
 
-/** Weighted deficit round-robin dispatch policy. */
-class FairScheduler final : public runtime::DispatchPolicy
+/** Weighted deficit round-robin over streams, tag priority within. */
+class FairScheduler
 {
   public:
+    /** head_seq value of an empty per-tag queue. */
+    static constexpr uint64_t kNoTask = ~uint64_t{0};
+
+    /** One stream's pending work, as pick() sees it. */
+    struct StreamBacklog
+    {
+        // The brace-init below must name every element: a shorter
+        // list would zero-fill, and head_seq 0 means "oldest task".
+        static_assert(kNumTags == 3, "update head_seq initializer");
+
+        StreamId stream = 0;
+
+        /** Global enqueue seq of the oldest pending task per tag. */
+        std::array<uint64_t, kNumTags> head_seq{kNoTask, kNoTask, kNoTask};
+
+        /** Queue depth per tag. */
+        std::array<uint32_t, kNumTags> depth{0, 0, 0};
+
+        bool
+        hasTag(ImpactTag t) const
+        {
+            return depth[static_cast<int>(t)] > 0;
+        }
+    };
+
+    struct Choice
+    {
+        StreamId stream = 0;
+        ImpactTag tag = ImpactTag::kUrgent;
+    };
+
     /** Set @p stream's fair-share weight (> 0; unset streams get 1). */
     void
     setWeight(StreamId stream, double weight)
@@ -92,13 +125,13 @@ class FairScheduler final : public runtime::DispatchPolicy
         return it == served_.end() ? 0 : it->second;
     }
 
-    const std::map<StreamId, uint64_t> &servedByStream() const
-    {
-        return served_;
-    }
-
+    /**
+     * Choose the next task to dispatch. @p backlog has one entry per
+     * stream with at least one pending task, sorted by stream id, and
+     * is never empty.
+     */
     Choice
-    pick(const std::vector<StreamBacklog> &backlog) override
+    pick(const std::vector<StreamBacklog> &backlog)
     {
         // Urgent preempts globally, FIFO by enqueue order: window
         // closes on the output critical path keep the paper's
@@ -214,6 +247,6 @@ class FairScheduler final : public runtime::DispatchPolicy
     std::vector<const StreamBacklog *> candidates_;
 };
 
-} // namespace sbhbm::serve
+} // namespace sbhbm::runtime
 
-#endif // SBHBM_SERVE_FAIR_SCHEDULER_H
+#endif // SBHBM_RUNTIME_FAIR_SCHEDULER_H

@@ -5,8 +5,8 @@
  *
  * A Server owns an array of EngineShards — each one a full
  * runtime::Engine (its own simulated machine, hybrid memory, executor
- * and pressure director) plus the FairScheduler installed as that
- * shard's dispatch policy — and the fleet-wide admission controller
+ * and pressure director; each session's fair-share weight is set on
+ * its shard's executor) — and the fleet-wide admission controller
  * (TenantRegistry), which places every admitted session by its load
  * vector onto the least-loaded shard under per-shard slices of the
  * global HBM budget. Sessions are submitted up front (a deterministic
@@ -44,8 +44,11 @@
  * run); and graceful degradation (typed allocation failures shed
  * tasks instead of aborting, emergency relocation sweeps relieve
  * exhaustion, rejected arrivals retry with backoff, slow shards
- * degrade and recover). Every fault, crash, recovery and loss appends
- * a line to recoveryTrace() — the reproducibility fingerprint.
+ * degrade and recover). With telemetry installed, the injector
+ * records every firing as a "fault" instant and the server every
+ * fault, crash, recovery and loss as a "recovery" instant on the
+ * trace sink — the reproducibility fingerprint; without telemetry
+ * neither is recorded.
  */
 
 #ifndef SBHBM_SERVE_SERVER_H
@@ -54,7 +57,6 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -67,7 +69,6 @@
 #include "obs/trace.h"
 #include "runtime/engine.h"
 #include "serve/checkpoint.h"
-#include "serve/fair_scheduler.h"
 #include "serve/tenant.h"
 #include "serve/tenant_registry.h"
 #include "sim/fault_injector.h"
@@ -161,11 +162,12 @@ struct ServeConfig
     FaultToleranceConfig fault;
 
     /**
-     * The telemetry plane (caller-owned; must outlive the server).
-     * Installing one threads the metrics registry and trace sink
-     * through every shard engine, executor, monitor and the fault /
-     * recovery path. Null (the default) disables all recording and
-     * keeps every output bit-identical to the uninstrumented build.
+     * The telemetry plane: the one trace sink every layer records on
+     * (caller-owned; must outlive the server). Installing one threads
+     * it through every shard engine, executor, monitor and the fault /
+     * recovery path, whose instants are recorded nowhere else. Null
+     * (the default) disables all recording and keeps every output
+     * bit-identical to the uninstrumented build.
      */
     obs::Telemetry *telemetry = nullptr;
 };
@@ -311,7 +313,6 @@ class Server
             EngineShard &sh = *shards_.back();
             if (cfg_.telemetry != nullptr)
                 sh.eng->setTelemetry(cfg_.telemetry, s);
-            sh.eng->exec().setDispatchPolicy(&sh.sched);
             if (cfg_.fault.enabled)
                 sh.eng->enableGracefulExhaustion();
             if (cfg_.admission.mode == AdmissionMode::kLivePressure) {
@@ -388,7 +389,7 @@ class Server
             injector_ = std::make_unique<sim::FaultInjector>(
                 shards_[0]->eng->machine(), cfg_.fault.plan,
                 [this](const sim::FaultEvent &e) { onFault(e); },
-                &recoverySink());
+                cfg_.telemetry);
             injector_->arm();
         }
         runFleet();
@@ -420,11 +421,6 @@ class Server
     }
     const ServeConfig &config() const { return cfg_; }
     const TenantRegistry &registry() const { return registry_; }
-    const FairScheduler &scheduler() const { return shards_[0]->sched; }
-    const FairScheduler &scheduler(uint32_t s) const
-    {
-        return shards_[s]->sched;
-    }
 
     /**
      * Jain index over weight-normalized service (tasks completed /
@@ -444,7 +440,7 @@ class Server
                                  / rep.spec.weight);
             }
         }
-        return jainIndex(shares);
+        return runtime::jainIndex(shares);
     }
 
     /** Aggregate throughput: all records / serving makespan. */
@@ -464,38 +460,8 @@ class Server
         return sec > 0 ? static_cast<double>(records) / sec / 1e6 : 0.0;
     }
 
-    // ---------------------------------------------------------------
-    // Fault-tolerance observability.
-    // ---------------------------------------------------------------
-
-    /** The armed injector (after run(), when a plan was set). */
-    const sim::FaultInjector *injector() const { return injector_.get(); }
-
-    /** Fleet-wide checkpoint store (latest cut per session, totals). */
-    const CheckpointStore &checkpointStore() const { return ckpts_; }
-
     /** Is shard @p s dead (crashed by an injected fault)? */
     bool shardDead(uint32_t s) const { return shard_dead_[s]; }
-
-    /**
-     * The recovery trace: one line per fault fired, crash processed,
-     * session recovered or lost — in virtual-time order. Two runs of
-     * the same configuration and fault plan produce identical traces;
-     * tests fingerprint reproducibility on it. A thin view over the
-     * trace sink's "recovery" instants (the sink is the single record
-     * of truth); line formats are unchanged from when this was its
-     * own vector.
-     */
-    const std::vector<std::string> &
-    recoveryTrace() const
-    {
-        trace_view_.clear();
-        for (const obs::TraceEvent &e : recoverySink().events()) {
-            if (std::strcmp(e.cat, "recovery") == 0)
-                trace_view_.push_back(e.name);
-        }
-        return trace_view_;
-    }
 
   private:
     /** One engine plus its shard-local serving state. */
@@ -507,17 +473,16 @@ class Server
         }
 
         std::unique_ptr<runtime::Engine> eng;
-        FairScheduler sched;
         std::map<runtime::StreamId, std::unique_ptr<Tenant>> tenants;
         std::map<runtime::StreamId, bool> demoted_class;
     };
 
     /**
      * A recovered session's report spans segments on several shards;
-     * executor / scheduler / director counters are cumulative per
-     * shard, so each segment snapshots its baselines at start and
-     * contributes deltas at drain. First segments on a fresh stream
-     * have all-zero baselines — the single-shard path is unchanged.
+     * executor and director counters are cumulative per shard, so
+     * each segment snapshots its baselines at start and contributes
+     * deltas at drain. First segments on a fresh stream have all-zero
+     * baselines — the single-shard path is unchanged.
      */
     struct SegmentBase
     {
@@ -529,8 +494,6 @@ class Server
         uint64_t demoted_kpas = 0;
         uint64_t demoted_bytes = 0;
         uint64_t shed_tasks = 0;
-        uint64_t queue_wait_ns = 0;
-        uint64_t sweep_stall_ns = 0;
     };
 
     /** A crashed session waiting for a live shard to restart on. */
@@ -632,12 +595,10 @@ class Server
         base.cpu_ns = ss.cpu_ns;
         base.hbm_bytes = ss.hbm_bytes;
         base.dram_bytes = ss.dram_bytes;
-        base.served_slots = sh.sched.served(id);
+        base.served_slots = sh.eng->exec().scheduler().served(id);
         base.demoted_kpas = sh.eng->director().demotedKpas(id);
         base.demoted_bytes = sh.eng->director().demotedBytes(id);
         base.shed_tasks = ss.shed;
-        base.queue_wait_ns = ss.queue_wait_ns;
-        base.sweep_stall_ns = sh.eng->director().sweepStallNs(id);
         seg_base_[id] = base;
         reports_[id].shard = s;
     }
@@ -659,7 +620,7 @@ class Server
             *sh.eng, spec, cfg_.window_ns, seedFor(spec));
         Tenant &t = *tenant;
         sh.tenants[spec.id] = std::move(tenant);
-        sh.sched.setWeight(spec.id, spec.weight);
+        sh.eng->exec().scheduler().setWeight(spec.id, spec.weight);
         t.start();
         reports_[spec.id].started_at = t.startedAt();
         // The shard's cumulative stall counters may carry history
@@ -823,7 +784,8 @@ class Server
         rep.cpu_ns += ss.cpu_ns - base.cpu_ns;
         rep.hbm_bytes += ss.hbm_bytes - base.hbm_bytes;
         rep.dram_bytes += ss.dram_bytes - base.dram_bytes;
-        rep.served_slots += sh.sched.served(id) - base.served_slots;
+        rep.served_slots +=
+            sh.eng->exec().scheduler().served(id) - base.served_slots;
 
         rep.hbm_peak_bytes =
             std::max(rep.hbm_peak_bytes,
@@ -846,27 +808,6 @@ class Server
             const auto cause = static_cast<StallCause>(c);
             rep.attribution_ns[c] += sla.componentNs(cause);
             rep.breach_attribution_ns[c] += sla.breachNs(cause);
-        }
-
-        if (obs::Telemetry *tp = cfg_.telemetry) {
-            obs::MetricsRegistry &m = tp->metrics;
-            const std::string p = obs::MetricsRegistry::path(
-                {"shard", std::to_string(s), "tenant",
-                 std::to_string(id)});
-            m.counter(p + "/records").add(t.recordsIngested());
-            m.counter(p + "/tasks").add(ss.completed - base.tasks);
-            m.counter(p + "/windows").add(sla.windows());
-            m.counter(p + "/sla_violations").add(sla.violations());
-            m.counter(p + "/ingest_wait_ns").add(t.ingestWaitNs());
-            m.counter(p + "/queue_wait_ns")
-                .add(ss.queue_wait_ns - base.queue_wait_ns);
-            m.counter(p + "/memory_stall_ns")
-                .add(sh.eng->director().sweepStallNs(id)
-                     - base.sweep_stall_ns);
-            obs::Histogram &h = m.histogram(
-                p + "/latency_ms", {10, 50, 100, 500, 1000, 5000});
-            for (double v : sla.latencies().samples())
-                h.observe(v * 1e3);
         }
     }
 
@@ -916,17 +857,8 @@ class Server
         rep.p99_s = pooled.percentile(99);
 
         // Name what mostly made violating windows late, over every
-        // segment of the session; ties break toward the earlier
-        // StallCause and a violation-free session reports compute.
-        uint32_t dom = static_cast<uint32_t>(StallCause::kCompute);
-        double dom_v = 0.0;
-        for (uint32_t c = 0; c < kStallCauses; ++c) {
-            if (rep.breach_attribution_ns[c] > dom_v) {
-                dom_v = rep.breach_attribution_ns[c];
-                dom = c;
-            }
-        }
-        rep.dominant_cause = static_cast<StallCause>(dom);
+        // segment of the session.
+        rep.dominant_cause = dominantCause(rep.breach_attribution_ns);
 
         // Hand the reservation back — which may admit waiting
         // sessions right now, at this virtual time, on any shard.
@@ -940,36 +872,20 @@ class Server
 
     static constexpr uint32_t kNoShard = ~0u;
 
-    /**
-     * Where the server records: the installed telemetry plane's sink
-     * when there is one, else a private sink — the recovery trace and
-     * the injector's fired() fingerprint work identically either way.
-     */
-    obs::TraceSink &
-    recoverySink()
-    {
-        return cfg_.telemetry != nullptr ? cfg_.telemetry->trace
-                                         : own_sink_;
-    }
-
-    const obs::TraceSink &
-    recoverySink() const
-    {
-        return cfg_.telemetry != nullptr ? cfg_.telemetry->trace
-                                         : own_sink_;
-    }
-
-    /** Append one deterministic line to the recovery trace. */
+    /** Record one deterministic "recovery" instant on the trace sink
+     *  (nothing without telemetry installed). */
     void
     trace(const char *fmt, ...)
     {
+        if (cfg_.telemetry == nullptr)
+            return;
         char buf[192];
         va_list ap;
         va_start(ap, fmt);
         vsnprintf(buf, sizeof(buf), fmt, ap);
         va_end(ap);
-        recoverySink().instant(shards_[0]->eng->machine().now(), 0, 0,
-                               "recovery", buf);
+        cfg_.telemetry->trace.instant(shards_[0]->eng->machine().now(),
+                                      0, 0, "recovery", buf);
     }
 
     /** The session @p id currently runs as, wherever it is. */
@@ -1214,7 +1130,7 @@ class Server
         t.pipe().resumeFrom(pr.dedup_before);
         t.egress().setDedupBefore(pr.dedup_before);
         sh.tenants[pr.id] = std::move(tenant);
-        sh.sched.setWeight(pr.id, rep.spec.weight);
+        sh.eng->exec().scheduler().setWeight(pr.id, rep.spec.weight);
         t.start();
         // Prime BEFORE noting the outage so the downtime lands in the
         // fresh tracker's recovery delta at the next observe.
@@ -1321,8 +1237,6 @@ class Server
     std::vector<PendingRecovery> pending_recovery_;
     bool recovery_scheduled_ = false;
     CheckpointStore ckpts_;
-    obs::TraceSink own_sink_;
-    mutable std::vector<std::string> trace_view_;
 };
 
 } // namespace sbhbm::serve

@@ -2,8 +2,9 @@
  * @file
  * Per-tenant SLA accounting: watermark latency of every externalized
  * window (emission time minus window end — the paper's output delay,
- * tracked per tenant instead of per engine), percentile queries, and
- * the violation count against the tenant's delay target.
+ * tracked per tenant instead of per engine) as samples reports pool
+ * for percentiles, and the violation count against the tenant's delay
+ * target.
  *
  * The tracker pulls from the tenant's Pipeline: every externalization
  * the pipeline recorded and the tracker has not yet seen is folded
@@ -46,6 +47,26 @@ enum class StallCause : uint32_t
 };
 
 constexpr uint32_t kStallCauses = 5;
+
+/**
+ * The cause explaining the most of @p breach_ns (violating-window
+ * latency per StallCause); ties break toward the earlier enum value
+ * (recovery before ingest before memory before sched before compute)
+ * and a session with no violations reports compute.
+ */
+inline StallCause
+dominantCause(const double (&breach_ns)[kStallCauses])
+{
+    uint32_t best = static_cast<uint32_t>(StallCause::kCompute);
+    double best_v = 0.0;
+    for (uint32_t c = 0; c < kStallCauses; ++c) {
+        if (breach_ns[c] > best_v) {
+            best_v = breach_ns[c];
+            best = c;
+        }
+    }
+    return static_cast<StallCause>(best);
+}
 
 /** Stable JSON/report name of @p c. */
 inline const char *
@@ -193,10 +214,7 @@ class SlaTracker
     /** Total virtual time the session spent dead, ns. */
     SimTime downtimeNs() const { return downtime_ns_; }
 
-    /** Watermark latency percentile, seconds (0 when no windows). */
-    double p50() const { return latencies_.percentile(50); }
-    double p95() const { return latencies_.percentile(95); }
-    double p99() const { return latencies_.percentile(99); }
+    /** Worst watermark latency, seconds (0 when no windows). */
     double maxLatency() const { return latencies_.max(); }
 
     const SampleSet &latencies() const { return latencies_; }
@@ -219,24 +237,11 @@ class SlaTracker
         return breach_ns_[static_cast<uint32_t>(c)];
     }
 
-    /**
-     * The cause explaining the most violating-window latency; ties
-     * break toward the earlier enum value (recovery before ingest
-     * before memory before sched before compute) and a tenant with
-     * no violations reports compute.
-     */
+    /** The cause explaining the most violating-window latency. */
     StallCause
     dominantCause() const
     {
-        uint32_t best = static_cast<uint32_t>(StallCause::kCompute);
-        double best_v = 0.0;
-        for (uint32_t c = 0; c < kStallCauses; ++c) {
-            if (breach_ns_[c] > best_v) {
-                best_v = breach_ns_[c];
-                best = c;
-            }
-        }
-        return static_cast<StallCause>(best);
+        return serve::dominantCause(breach_ns_);
     }
 
   private:

@@ -16,15 +16,17 @@
  * crash at t = 200 ms), and chaos soaks derive them from a seed via
  * FaultPlan::scatter() — the seed fully determines the plan, which
  * fully determines the run.
+ *
+ * The record of what fired is the installed telemetry's trace sink,
+ * the one sink every layer records on: with no telemetry installed a
+ * run records nothing, exactly like every other trace point.
  */
 
 #ifndef SBHBM_SIM_FAULT_INJECTOR_H
 #define SBHBM_SIM_FAULT_INJECTOR_H
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -187,24 +189,21 @@ struct FaultPlan
 
 /**
  * Arms a FaultPlan on a machine and fires each event through the
- * installed handler at its exact virtual time. Every firing is
- * recorded on a trace sink (category "fault", pid = target shard,
- * tid = target tenant) — a caller-supplied sink merges the fault
- * timeline into the run's unified trace, and fired() is a thin view
- * materialized back from those events, so the sink is the single
- * source of truth for reproducibility fingerprints.
+ * installed handler at its exact virtual time. With telemetry
+ * installed, every firing is recorded on its trace sink (category
+ * "fault", pid = target shard, tid = target tenant, args kind / arg /
+ * arg2), merging the fault timeline into the run's unified trace.
  */
 class FaultInjector
 {
   public:
     using Handler = std::function<void(const FaultEvent &)>;
 
-    /** @param sink shared trace sink; null = injector-private one. */
+    /** @param tele trace sink of the firings; null records nothing. */
     FaultInjector(Machine &machine, FaultPlan plan, Handler handler,
-                  obs::TraceSink *sink = nullptr)
+                  obs::Telemetry *tele = nullptr)
         : machine_(machine), plan_(std::move(plan)),
-          handler_(std::move(handler)),
-          sink_(sink != nullptr ? sink : &own_sink_)
+          handler_(std::move(handler)), tele_(tele)
     {
         sbhbm_assert(handler_ != nullptr, "fault injector needs a handler");
         plan_.canonicalize();
@@ -224,51 +223,25 @@ class FaultInjector
             machine_.at(
                 e.at,
                 [this, e] {
-                    sink_->instant(
-                        e.at, e.shard, e.tenant, "fault",
-                        faultKindName(e.kind),
-                        {{"kind", static_cast<uint64_t>(e.kind)},
-                         {"arg", e.arg},
-                         {"arg2", e.arg2}});
+                    if (tele_ != nullptr) {
+                        tele_->trace.instant(
+                            e.at, e.shard, e.tenant, "fault",
+                            faultKindName(e.kind),
+                            {{"kind", static_cast<uint64_t>(e.kind)},
+                             {"arg", e.arg},
+                             {"arg2", e.arg2}});
+                    }
                     handler_(e);
                 },
                 /*daemon=*/true);
         }
     }
 
-    const FaultPlan &plan() const { return plan_; }
-
-    /**
-     * Events that actually fired, in firing order: a view rebuilt
-     * from the sink's "fault" events (everything a FaultEvent holds
-     * round-trips through the recorded instant).
-     */
-    const std::vector<FaultEvent> &
-    fired() const
-    {
-        fired_view_.clear();
-        for (const obs::TraceEvent &t : sink_->events()) {
-            if (std::strcmp(t.cat, "fault") != 0)
-                continue;
-            FaultEvent e;
-            e.at = t.ts;
-            e.kind = static_cast<FaultKind>(t.args[0].value);
-            e.shard = t.pid;
-            e.tenant = t.tid;
-            e.arg = t.args[1].value;
-            e.arg2 = t.args[2].value;
-            fired_view_.push_back(e);
-        }
-        return fired_view_;
-    }
-
   private:
     Machine &machine_;
     FaultPlan plan_;
     Handler handler_;
-    obs::TraceSink own_sink_;
-    obs::TraceSink *sink_;
-    mutable std::vector<FaultEvent> fired_view_;
+    obs::Telemetry *tele_;
     bool armed_ = false;
 };
 

@@ -9,13 +9,17 @@
  *
  *  - Neutrality: telemetry is pure observation — running the same
  *    fleet with and without a Telemetry installed produces identical
- *    simulation results (records, windows, latencies, demotions).
+ *    simulation results (records, windows, latencies, demotions), and
+ *    so does a faulted fleet, whose fault and recovery instants are
+ *    recorded only when telemetry is installed.
  */
 
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -168,6 +172,92 @@ TEST(ObsCostLogNeutral, TelemetryOnDoesNotPerturbTheSimulation)
     EXPECT_TRUE(off == on)
         << "tracing must be pure observation: identical records, "
            "windows, latencies, demotions and virtual end time";
+}
+
+/** What a faulted fleet's reports externalize, for equality. */
+struct FaultedResult
+{
+    std::vector<uint64_t> records, output_records, windows, replayed,
+        shed;
+    std::vector<uint32_t> recoveries;
+    std::vector<std::map<columnar::WindowId, uint64_t>> window_records,
+        window_checksums;
+
+    bool operator==(const FaultedResult &) const = default;
+};
+
+/**
+ * Two recoverable sessions on three shards (tenant 1 on shard 0,
+ * tenant 2 on shard 1) under a plan that stalls and drops tenant 1's
+ * ingest and crashes tenant 2's shard after several checkpoints.
+ */
+FaultedResult
+runFaulted(obs::Telemetry *tele)
+{
+    ServeConfig cfg;
+    cfg.engine.cores = 8;
+    cfg.engine.max_inflight_bundles = 256;
+    cfg.window_ns = 2 * kNsPerMs;
+    cfg.shards = 3;
+    cfg.fault.enabled = true;
+    cfg.fault.checkpoint_period = 3 * kNsPerMs;
+    cfg.fault.plan.crash(10 * kNsPerMs, 1)
+        .stallIngest(4 * kNsPerMs, 1, kNsPerMs)
+        .dropIngest(6 * kNsPerMs, 1, 2);
+    cfg.telemetry = tele;
+    Server server(cfg);
+    for (runtime::StreamId id : {1u, 2u}) {
+        TenantSpec t;
+        t.id = id;
+        t.name = "ft" + std::to_string(id);
+        t.query = queries::QueryId::kSumPerKey;
+        t.total_records = 100'000;
+        t.bundle_records = 1'000;
+        t.offered_rate = 5e6;
+        t.logical_time = true;
+        t.key_range = 2'000;
+        t.hbm_reserve_bytes = 8_MiB;
+        t.max_inflight_bundles = 32;
+        server.submit(t);
+    }
+    server.run();
+
+    FaultedResult r;
+    for (const TenantReport &rep : server.reports()) {
+        r.records.push_back(rep.records);
+        r.output_records.push_back(rep.output_records);
+        r.windows.push_back(rep.windows);
+        r.replayed.push_back(rep.records_replayed);
+        r.shed.push_back(rep.records_shed);
+        r.recoveries.push_back(rep.recoveries);
+        r.window_records.push_back(rep.window_records);
+        r.window_checksums.push_back(rep.window_checksums);
+    }
+    return r;
+}
+
+TEST(ObsCostLogNeutral, TelemetryOnDoesNotPerturbAFaultedRun)
+{
+    const FaultedResult off = runFaulted(nullptr);
+    obs::Telemetry tele;
+    const FaultedResult on = runFaulted(&tele);
+
+    // The plan fired in full and the crash was recovered.
+    uint64_t faults = 0, recoveries = 0;
+    for (const obs::TraceEvent &e : tele.trace.events()) {
+        faults += std::strcmp(e.cat, "fault") == 0 ? 1 : 0;
+        recoveries += std::strcmp(e.cat, "recovery") == 0 ? 1 : 0;
+    }
+    EXPECT_EQ(faults, 3u);
+    EXPECT_GT(recoveries, 0u);
+    EXPECT_EQ(on.recoveries, (std::vector<uint32_t>{0, 1}));
+    EXPECT_GT(on.replayed[1], 0u);
+    EXPECT_GT(on.shed[0], 0u) << "the drop shed tenant 1's records";
+
+    EXPECT_TRUE(off == on)
+        << "recording fault and recovery instants must be pure "
+           "observation: identical records, windows, checksums, "
+           "recoveries and replays";
 }
 
 } // namespace

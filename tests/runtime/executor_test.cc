@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "common/units.h"
@@ -93,44 +94,6 @@ TEST(Executor, FifoWithinSameTag)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(Executor, ParallelForJoinsAllShards)
-{
-    sim::Machine m(testConfig(8));
-    Executor ex(m, 8);
-    uint32_t sum = 0;
-    bool all_done = false;
-    SimTime done_at = 0;
-    ex.parallelFor(
-        ImpactTag::kHigh, 16,
-        [&](uint32_t i, sim::CostLog &log) {
-            sum += i;
-            log.cpu(1000);
-        },
-        [&] {
-            all_done = true;
-            done_at = m.now();
-        });
-    m.run();
-    EXPECT_TRUE(all_done);
-    EXPECT_EQ(sum, 120u);
-    // 16 tasks on 8 cores: two waves.
-    const double per_task = 1000 + sim::cost::kTaskDispatchNs;
-    EXPECT_NEAR(static_cast<double>(done_at), 2 * per_task, 20);
-}
-
-TEST(Executor, ParallelForZeroShardsStillCompletes)
-{
-    sim::Machine m(testConfig());
-    Executor ex(m, 2);
-    bool done = false;
-    ex.parallelFor(
-        ImpactTag::kHigh, 0, [](uint32_t, sim::CostLog &) {},
-        [&] { done = true; });
-    EXPECT_FALSE(done);
-    m.run();
-    EXPECT_TRUE(done);
-}
-
 TEST(Executor, CompletionMaySpawnMoreTasks)
 {
     sim::Machine m(testConfig());
@@ -214,64 +177,58 @@ TEST(Executor, StreamStatsAccumulatePerStream)
     EXPECT_EQ(ex.streamStats(3).spawned, 0u) << "unknown stream zeroed";
 }
 
-TEST(Executor, DefaultPolicyIsTagPriorityFifoAcrossStreams)
+/**
+ * A tenant's fan-out is a run of ordinary spawns, so the executor's
+ * fair pick arbitrates it against other tenants: on one core, two
+ * equal-weight streams' backlogs interleave instead of draining in
+ * enqueue order, and at weights 2:1 the dispatches of a busy interval
+ * split 2:1.
+ */
+TEST(Executor, ParallelForShardsAreArbitratedByFairScheduler)
 {
-    sim::Machine m(testConfig(4));
-    Executor ex(m, 1); // one core: dispatch order fully observable
-    std::vector<int> order;
-    auto task = [&](int id) {
-        return [&order, id](sim::CostLog &log) {
-            order.push_back(id);
-            log.cpu(100);
-        };
-    };
-    // Hold the core with a running task so the rest queue up.
-    ex.spawn(ImpactTag::kLow, task(0));
-    ex.spawn(ImpactTag::kLow, task(1), nullptr, 2);
-    ex.spawn(ImpactTag::kHigh, task(2), nullptr, 3);
-    ex.spawn(ImpactTag::kHigh, task(3), nullptr, 1);
-    ex.spawn(ImpactTag::kUrgent, task(4), nullptr, 2);
-    m.run();
-    // Urgent first, then the Highs in enqueue order (stream ids must
-    // not matter), then the Low.
-    EXPECT_EQ(order, (std::vector<int>{0, 4, 2, 3, 1}));
-}
+    constexpr uint32_t kShards = 12;
 
-TEST(Executor, CustomDispatchPolicyIsConsulted)
-{
-    /** Serves the largest stream id first, Lows before Highs. */
-    struct ReversePolicy final : DispatchPolicy
-    {
-        Choice
-        pick(const std::vector<StreamBacklog> &backlog) override
-        {
-            const StreamBacklog &b = backlog.back();
-            for (int t = kNumTags - 1; t >= 0; --t) {
-                if (b.depth[t] > 0)
-                    return Choice{b.stream, static_cast<ImpactTag>(t)};
+    // Dispatch order of kShards High tasks on stream 1, then as many
+    // on stream 2.
+    auto run = [&](double weight1, double weight2) {
+        sim::Machine m(testConfig(4));
+        Executor ex(m, 1); // one core: the scheduler picks every task
+        ex.scheduler().setWeight(1, weight1);
+        ex.scheduler().setWeight(2, weight2);
+        // Hold the core so both backlogs queue before the first pick.
+        ex.spawn(ImpactTag::kHigh,
+                 [](sim::CostLog &log) { log.cpu(1000); });
+        std::vector<StreamId> order;
+        for (StreamId stream : {StreamId{1}, StreamId{2}}) {
+            for (uint32_t i = 0; i < kShards; ++i) {
+                ex.spawn(
+                    ImpactTag::kHigh,
+                    [&order, stream](sim::CostLog &log) {
+                        order.push_back(stream);
+                        log.cpu(1000);
+                    },
+                    nullptr, stream);
             }
-            return Choice{b.stream, ImpactTag::kUrgent};
         }
+        m.run();
+        EXPECT_EQ(order.size(), 2 * kShards);
+        return order;
     };
 
-    sim::Machine m(testConfig(4));
-    Executor ex(m, 1);
-    ReversePolicy policy;
-    ex.setDispatchPolicy(&policy);
-    std::vector<int> order;
-    auto task = [&](int id) {
-        return [&order, id](sim::CostLog &log) {
-            order.push_back(id);
-            log.cpu(100);
-        };
-    };
-    ex.spawn(ImpactTag::kUrgent, task(0)); // runs immediately
-    ex.spawn(ImpactTag::kUrgent, task(1), nullptr, 1);
-    ex.spawn(ImpactTag::kLow, task(2), nullptr, 1);
-    ex.spawn(ImpactTag::kHigh, task(3), nullptr, 2);
-    m.run();
-    // Stream 2 outranks stream 1; within stream 1, Low before Urgent.
-    EXPECT_EQ(order, (std::vector<int>{0, 3, 2, 1}));
+    // Equal weights: the backlogs alternate from the first pick on,
+    // although all of stream 1's tasks were enqueued first.
+    const auto even = run(1.0, 1.0);
+    for (size_t i = 0; i < even.size(); ++i)
+        EXPECT_EQ(even[i], i % 2 == 0 ? 1u : 2u) << "dispatch " << i;
+
+    // Weights 2:1: while both streams stay backlogged (the first 15
+    // dispatches), every three serve stream 1 twice and stream 2 once.
+    const auto skewed = run(2.0, 1.0);
+    uint32_t served[3] = {};
+    for (size_t i = 0; i < 15; ++i)
+        ++served[skewed[i]];
+    EXPECT_EQ(served[1], 10u);
+    EXPECT_EQ(served[2], 5u);
 }
 
 } // namespace

@@ -1,15 +1,15 @@
-#include "serve/fair_scheduler.h"
+#include "runtime/fair_scheduler.h"
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <vector>
 
-namespace sbhbm::serve {
+namespace sbhbm::runtime {
 namespace {
 
-using Backlog = runtime::DispatchPolicy::StreamBacklog;
-using Choice = runtime::DispatchPolicy::Choice;
+using Backlog = FairScheduler::StreamBacklog;
+using Choice = FairScheduler::Choice;
 
 /** A backlog entry with @p n tasks of @p tag, oldest seq @p seq. */
 Backlog
@@ -137,4 +137,4 @@ TEST(JainIndex, BoundsAndExtremes)
 }
 
 } // namespace
-} // namespace sbhbm::serve
+} // namespace sbhbm::runtime

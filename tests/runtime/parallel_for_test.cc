@@ -3,10 +3,7 @@
  * The fork-join contract of the host WorkerPool and its integration
  * with the executor: deterministic results at every thread count,
  * inline degradation at 1 thread, nested-dispatch safety, exception
- * propagation, and — for the *simulated* Executor::parallelFor —
- * arbitration of shard dispatch by the installed DispatchPolicy
- * (FairScheduler interleaves tenants where the default policy runs
- * them back to back).
+ * propagation, and the executor's lazily sized host pool.
  */
 
 #include "common/worker_pool.h"
@@ -16,7 +13,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,7 +20,6 @@
 #include <vector>
 
 #include "runtime/executor.h"
-#include "serve/fair_scheduler.h"
 #include "sim/machine.h"
 
 namespace sbhbm::runtime {
@@ -257,70 +252,10 @@ TEST(Executor, HostPoolDefaultsLazilyAndHonorsSetHostThreads)
     EXPECT_EQ(ex.hostPool().threads(), 3u);
     uint64_t sum = 0;
     std::vector<uint64_t> per(64, 0);
-    ex.hostParallelFor(64, [&](uint32_t s) { per[s] = s; });
+    ex.hostPool().parallelFor(64, [&](uint32_t s) { per[s] = s; });
     for (uint64_t v : per)
         sum += v;
     EXPECT_EQ(sum, 64u * 63u / 2);
-}
-
-/**
- * Simulated fork-join x dispatch policy: every shard of a tenant's
- * parallelFor is an ordinary spawn, so the FairScheduler interleaves
- * two tenants' shard streams where the default tag-priority policy
- * would drain them in global FIFO (all of tenant 1, then tenant 2).
- */
-TEST(Executor, ParallelForShardsAreArbitratedByFairScheduler)
-{
-    constexpr uint32_t kShards = 6;
-
-    auto run = [&](DispatchPolicy *policy) {
-        sim::Machine m(testConfig(4));
-        Executor ex(m, 1); // one core => the policy picks every task
-        ex.setDispatchPolicy(policy);
-        std::vector<StreamId> order;
-        bool done1 = false, done2 = false;
-        for (StreamId stream : {StreamId{1}, StreamId{2}}) {
-            ex.parallelFor(
-                ImpactTag::kHigh, kShards,
-                [&order, stream](uint32_t, sim::CostLog &log) {
-                    order.push_back(stream);
-                    log.cpu(1000);
-                },
-                [&done1, &done2, stream] {
-                    (stream == 1 ? done1 : done2) = true;
-                },
-                stream);
-        }
-        m.run();
-        EXPECT_TRUE(done1);
-        EXPECT_TRUE(done2);
-        EXPECT_EQ(order.size(), 2 * kShards);
-        return order;
-    };
-
-    // Default policy: global FIFO within the tag — stream 1's shards
-    // all dispatch before stream 2's.
-    const auto fifo = run(nullptr);
-    for (uint32_t i = 0; i < kShards; ++i) {
-        EXPECT_EQ(fifo[i], 1u);
-        EXPECT_EQ(fifo[kShards + i], 2u);
-    }
-
-    // FairScheduler, equal weights: the two backlogs interleave —
-    // stream 2 dispatches shards before stream 1 has drained.
-    serve::FairScheduler fair;
-    fair.setWeight(1, 1.0);
-    fair.setWeight(2, 1.0);
-    const auto shared = run(&fair);
-    uint32_t first2 = 0;
-    while (first2 < shared.size() && shared[first2] == 1u)
-        ++first2;
-    EXPECT_LT(first2, kShards)
-        << "fair policy should serve stream 2 before stream 1 drains";
-    // And no stream is starved at the tail either: both streams
-    // appear in the final kShards dispatches' window.
-    std::set<StreamId> tail(shared.end() - kShards, shared.end());
-    EXPECT_EQ(tail.size(), 2u);
 }
 
 } // namespace

@@ -8,7 +8,8 @@
  *    watermark-aligned replay — and the recovered fleet's per-window
  *    output (records and content checksums) is bit-identical to a
  *    fault-free run, with records conserved across the replay and
- *    the same plan reproducing the same recovery trace twice;
+ *    the same plan reproducing the same recovery trace twice (the
+ *    "recovery" instants on the installed trace sink);
  *  - GracefulExhaustion: injected allocation failure during window
  *    build sheds work (typed, counted) instead of aborting;
  *  - ChaosSoak: a seeded mixed-fault schedule over the 64-session
@@ -19,10 +20,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/units.h"
+#include "obs/trace.h"
 #include "serve/load_driver.h"
 
 namespace sbhbm::serve {
@@ -60,22 +64,45 @@ ftTenant(runtime::StreamId id, uint64_t records = 100'000)
     return t;
 }
 
+/** The "recovery" instants on @p tele's trace sink, in record order:
+ *  one line per crash processed and session recovered or lost. */
+std::vector<std::string>
+recoveryLines(const obs::Telemetry &tele)
+{
+    std::vector<std::string> lines;
+    for (const obs::TraceEvent &e : tele.trace.events()) {
+        if (std::strcmp(e.cat, "recovery") == 0)
+            lines.push_back(e.name);
+    }
+    return lines;
+}
+
+/** A server beside the telemetry its recovery instants land on
+ *  (declared first, so it outlives the server). */
+struct TracedServer
+{
+    std::unique_ptr<obs::Telemetry> tele =
+        std::make_unique<obs::Telemetry>();
+    std::unique_ptr<Server> server;
+
+    Server *operator->() const { return server.get(); }
+};
+
 /** Run a two-tenant fleet (t1 -> shard 0, t2 -> shard 1) under
  *  @p plan and hand back the server for inspection. */
-std::unique_ptr<Server>
+TracedServer
 runPair(uint32_t shards, sim::FaultPlan plan,
         SimTime checkpoint_period = 3 * kNsPerMs)
 {
-    auto server = std::make_unique<Server>(
-        [&] {
-            ServeConfig cfg = ftConfig(shards, checkpoint_period);
-            cfg.fault.plan = std::move(plan);
-            return cfg;
-        }());
-    server->submit(ftTenant(1));
-    server->submit(ftTenant(2));
-    server->run();
-    return server;
+    TracedServer run;
+    ServeConfig cfg = ftConfig(shards, checkpoint_period);
+    cfg.fault.plan = std::move(plan);
+    cfg.telemetry = run.tele.get();
+    run.server = std::make_unique<Server>(cfg);
+    run->submit(ftTenant(1));
+    run->submit(ftTenant(2));
+    run->run();
+    return run;
 }
 
 /** Ingest-side conservation across crashes and shedding: everything
@@ -179,7 +206,7 @@ TEST(Failover, CheckpointRecoveryIsBitIdenticalToFaultFreeRun)
 
     // The recovery restored from a checkpoint, not from scratch.
     bool checkpoint_restore = false;
-    for (const std::string &line : fault->recoveryTrace())
+    for (const std::string &line : recoveryLines(*fault.tele))
         checkpoint_restore = checkpoint_restore
                              || line.find("mode=checkpoint")
                                     != std::string::npos;
@@ -207,7 +234,7 @@ TEST(Failover, ScratchRestartRecoversWithoutACheckpoint)
               base->reports()[1].window_checksums);
 
     bool scratch = false;
-    for (const std::string &line : fault->recoveryTrace())
+    for (const std::string &line : recoveryLines(*fault.tele))
         scratch = scratch
                   || line.find("mode=scratch") != std::string::npos;
     EXPECT_TRUE(scratch);
@@ -222,8 +249,8 @@ TEST(Failover, SameFaultPlanReproducesTheSameRecoveryTrace)
     auto a = runPair(3, plan);
     auto b = runPair(3, plan);
 
-    ASSERT_FALSE(a->recoveryTrace().empty());
-    EXPECT_EQ(a->recoveryTrace(), b->recoveryTrace());
+    ASSERT_FALSE(recoveryLines(*a.tele).empty());
+    EXPECT_EQ(recoveryLines(*a.tele), recoveryLines(*b.tele));
     for (size_t i = 0; i < a->reports().size(); ++i) {
         const TenantReport &ra = a->reports()[i];
         const TenantReport &rb = b->reports()[i];
@@ -267,8 +294,10 @@ TEST(Failover, PhysicalTimeSessionIsLostNotWedged)
     // Without logical event time a replay cannot reproduce the
     // original timestamps: the session is declared lost, its
     // reservation released, and the fleet still drains cleanly.
+    obs::Telemetry tele;
     ServeConfig cfg = ftConfig(3);
     cfg.fault.plan.crash(10 * kNsPerMs, 1);
+    cfg.telemetry = &tele;
     Server server(cfg);
     server.submit(ftTenant(1));
     TenantSpec legacy = ftTenant(2);
@@ -283,7 +312,7 @@ TEST(Failover, PhysicalTimeSessionIsLostNotWedged)
     EXPECT_LT(lost.records, lost.spec.total_records);
     EXPECT_EQ(server.reports()[0].crashes, 0u);
     bool traced = false;
-    for (const std::string &line : server.recoveryTrace())
+    for (const std::string &line : recoveryLines(tele))
         traced = traced
                  || line.find("unrecoverable") != std::string::npos;
     EXPECT_TRUE(traced);
@@ -340,9 +369,10 @@ chaosFleet()
     return specs;
 }
 
-std::unique_ptr<Server>
+TracedServer
 runChaos(uint64_t seed)
 {
+    TracedServer run;
     ServeConfig cfg;
     cfg.engine.cores = 4;
     cfg.engine.max_inflight_bundles = 512;
@@ -357,10 +387,11 @@ runChaos(uint64_t seed)
     // The storm always includes at least one shard kill: the scatter
     // mix alone may land its crashes on empty shards.
     cfg.fault.plan.crash(2 * kNsPerMs, 1);
-    auto server = std::make_unique<Server>(cfg);
-    server->submitFleet(chaosFleet());
-    server->run();
-    return server;
+    cfg.telemetry = run.tele.get();
+    run.server = std::make_unique<Server>(cfg);
+    run->submitFleet(chaosFleet());
+    run->run();
+    return run;
 }
 
 TEST(ChaosSoak, SeededFaultStormDrainsConservedAndReproducible)
@@ -369,7 +400,7 @@ TEST(ChaosSoak, SeededFaultStormDrainsConservedAndReproducible)
     auto b = runChaos(0xC0FFEE);
 
     ASSERT_EQ(a->reports().size(), 64u);
-    ASSERT_FALSE(a->recoveryTrace().empty());
+    ASSERT_FALSE(recoveryLines(*a.tele).empty());
 
     uint64_t crashes = 0, recoveries = 0;
     for (const TenantReport &r : a->reports()) {
@@ -386,7 +417,7 @@ TEST(ChaosSoak, SeededFaultStormDrainsConservedAndReproducible)
 
     // Same seed, same fleet => same recovery trace and same
     // per-tenant outcome, bit for bit.
-    EXPECT_EQ(a->recoveryTrace(), b->recoveryTrace());
+    EXPECT_EQ(recoveryLines(*a.tele), recoveryLines(*b.tele));
     for (size_t i = 0; i < a->reports().size(); ++i) {
         const TenantReport &ra = a->reports()[i];
         const TenantReport &rb = b->reports()[i];
