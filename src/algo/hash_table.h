@@ -51,11 +51,10 @@ class HashTable
 
     /**
      * Find @p key, inserting a default-initialized V when absent.
-     * @param[out] probes optional: number of slots inspected.
      * @return reference to the value slot.
      */
     V &
-    findOrInsert(uint64_t key, size_t *probes = nullptr)
+    findOrInsert(uint64_t key)
     {
         size_t idx = hashKey(key) & mask_;
         size_t n = 1;
@@ -64,8 +63,6 @@ class HashTable
             ++n;
             sbhbm_assert(n <= slots_.size(), "hash table full");
         }
-        if (probes != nullptr)
-            *probes = n;
         if (!used_[idx]) {
             used_[idx] = 1;
             slots_[idx].key = key;

@@ -18,17 +18,21 @@
  * branch-free from both ends at once: the front emits the smallest
  * remaining entry and the back the largest, each selecting its
  * source with a mask instead of a mispredicting branch.
- * mergeRunsParallel slices one large merge across a host WorkerPool
- * at binary-searched merge-path boundaries (paper §4.2: "the threads
- * slice chunks at key boundaries"); its output is bit-for-bit
- * mergeRuns' at every thread count.
+ * mergeRunsSegment merges one slice of the output between two
+ * binary-searched merge-path boundaries (paper §4.2: "the threads
+ * slice chunks at key boundaries"); each merge slice of SortedRunsOp
+ * is one segment. mergeRunsParallel cuts one merge into a segment per
+ * thread of a host WorkerPool; its output is bit-for-bit mergeRuns'
+ * at every thread count.
  *
- * On a multi-thread pool, kpa::sortKpa sorts a large KPA as two
- * halves at once, each with sortRunInto into its half of the scratch
- * block, then merges the halves back with one mergeRunsParallel. A
- * stable sort has only one output, so this equals sortRun's. The
- * radix passes themselves stay serial: sharding each pass's count and
- * scatter across threads lost to the serial sort on 48 k entries.
+ * kpa::merge and kpa::sortKpa take the pooled paths when
+ * kpa::detail::hostShards grants their input more than one shard.
+ * kpa::sortKpa then sorts the KPA as two halves at once, each with
+ * sortRunInto into its half of the scratch block, and merges the
+ * halves back with one mergeRunsParallel. A stable sort has only one
+ * output, so this equals sortRun's. The radix passes themselves stay
+ * serial: sharding each pass's count and scatter across threads lost
+ * to the serial sort on 48 k entries.
  * Simulated timing is charged by the callers via the cost model, so
  * neither the host algorithm nor the host thread count ever affects
  * reported numbers.
@@ -288,16 +292,15 @@ mergePathSplit(const KpEntry *a, size_t na, const KpEntry *b, size_t nb,
     *bi = diag - lo;
 }
 
-/** Minimum output entries per merge-path segment. */
-constexpr size_t kMergeSegmentMin = size_t{1} << 14;
-
 /**
  * Compute outputs [d0, d1) of mergeRuns(a, na, b, nb, out) without
  * touching the rest: both diagonals are merge-path-split, then the
  * enclosed sub-runs are merged. Writes exactly the bytes the full
  * merge would, so disjoint segments may run concurrently.
+ *
+ * @return the entries the segment took from @p a and from @p b.
  */
-inline void
+inline std::pair<size_t, size_t>
 mergeRunsSegment(const KpEntry *a, size_t na, const KpEntry *b, size_t nb,
                  KpEntry *out, size_t d0, size_t d1)
 {
@@ -305,30 +308,24 @@ mergeRunsSegment(const KpEntry *a, size_t na, const KpEntry *b, size_t nb,
     mergePathSplit(a, na, b, nb, d0, &ai0, &bi0);
     mergePathSplit(a, na, b, nb, d1, &ai1, &bi1);
     mergeRuns(a + ai0, ai1 - ai0, b + bi0, bi1 - bi0, out + d0);
+    return {ai1 - ai0, bi1 - bi0};
 }
 
 /**
- * mergeRuns with the output sliced across @p pool. Bit-identical to
- * mergeRuns at every thread count (merge-path segments partition the
- * output exactly; ties resolve a-first on every path).
+ * mergeRuns with the output cut into one merge-path segment per
+ * thread of @p pool. Bit-identical to mergeRuns at every thread count
+ * (merge-path segments partition the output exactly; ties resolve
+ * a-first on every path); a segment may be empty.
  */
 inline void
 mergeRunsParallel(const KpEntry *a, size_t na, const KpEntry *b,
                   size_t nb, KpEntry *out, WorkerPool &pool)
 {
     const size_t total = na + nb;
-    const size_t by_size =
-        std::max<size_t>(1, total / kMergeSegmentMin);
-    const auto segs = static_cast<uint32_t>(
-        std::min<size_t>(pool.threads(), by_size));
-    if (segs <= 1) {
-        mergeRuns(a, na, b, nb, out);
-        return;
-    }
+    const uint32_t segs = pool.threads();
     pool.parallelFor(segs, [=](uint32_t s) {
-        const size_t d0 = total * s / segs;
-        const size_t d1 = total * (s + 1) / segs;
-        mergeRunsSegment(a, na, b, nb, out, d0, d1);
+        mergeRunsSegment(a, na, b, nb, out, total * s / segs,
+                         total * (s + 1) / segs);
     });
 }
 

@@ -6,11 +6,11 @@
  * The simulated Executor maps tasks onto *simulated* core slots and
  * runs their functional work on the calling host thread; this pool is
  * the orthogonal host-side primitive that lets a kernel's functional
- * work itself use real cores. Hot kernels (kpa::merge, the partition
- * passes, and kpa::keySwap, kpa::sortKpa and kpa::join on large
- * inputs) shard their work across it for wall-clock speed while their
- * simulated CostLog charges — which depend only on input sizes — stay
- * bit-identical to the serial path.
+ * work itself use real cores. Hot kernels (kpa::keySwap, kpa::sortKpa,
+ * kpa::merge and kpa::join on large inputs, by the one rule of
+ * kpa::detail::hostShards) shard their work across it for wall-clock
+ * speed while their simulated CostLog charges — which depend only on
+ * input sizes — stay bit-identical to the serial path.
  *
  * Guarantees the kernels rely on:
  *  - parallelFor(shards, fn) returns only after every shard ran

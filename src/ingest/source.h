@@ -467,34 +467,24 @@ class Source
         // The NIC keeps streaming while ingestion bookkeeping runs.
         scheduleNext();
 
-        if (cfg_.copy_at_ingest) {
-            // ZeroMQ path: one ingestion-copy task per bundle (read
-            // the message, write the bundle), then hand downstream.
-            const uint64_t bytes = handle->dataBytes();
-            eng_.exec().spawn(
-                runtime::ImpactTag::kHigh,
-                [bytes, n](sim::CostLog &log) {
+        // One ingestion task per bundle, then hand downstream. The
+        // RDMA path pre-allocated the bundle, so it costs just the
+        // bookkeeping; the ZeroMQ path (copy_at_ingest) also reads the
+        // message and writes the bundle.
+        const bool copy = cfg_.copy_at_ingest;
+        const uint64_t bytes = handle->dataBytes();
+        eng_.exec().spawn(
+            runtime::ImpactTag::kHigh,
+            [copy, bytes, n](sim::CostLog &log) {
+                if (copy)
                     log.seq(sim::Tier::kDram, 2 * bytes);
-                    log.cpu(sim::cost::kIngestNsPerBundle
-                            + 2.0 * static_cast<double>(n));
-                },
-                [this, seq, handle, min_ts, end_ts]() mutable {
-                    forward(seq, std::move(handle), min_ts, end_ts);
-                },
-                stream_);
-        } else {
-            // RDMA path: pre-allocated bundle, no copy; just the
-            // bookkeeping cost.
-            eng_.exec().spawn(
-                runtime::ImpactTag::kHigh,
-                [](sim::CostLog &log) {
-                    log.cpu(sim::cost::kIngestNsPerBundle);
-                },
-                [this, seq, handle, min_ts, end_ts]() mutable {
-                    forward(seq, std::move(handle), min_ts, end_ts);
-                },
-                stream_);
-        }
+                log.cpu(sim::cost::kIngestNsPerBundle
+                        + (copy ? 2.0 * static_cast<double>(n) : 0.0));
+            },
+            [this, seq, handle, min_ts, end_ts]() mutable {
+                forward(seq, std::move(handle), min_ts, end_ts);
+            },
+            stream_);
     }
 
     /** Consume @p n records from the stream without delivering them. */

@@ -295,9 +295,9 @@ class KeyedAggOp : public SortedRunsOp
             reduceRuns<decltype(k)::value>(merged, lo, hi, sink);
         });
         const uint64_t scanned = hi - lo;
-        kpa::chargeKeyedReduceRange(ctx, merged, scanned,
-                                    agg_.touchesValues() ? scanned : 0,
-                                    sink.rows(), agg_.out_cols);
+        kpa::chargeKeyedReduce(ctx, merged, scanned,
+                               agg_.touchesValues() ? scanned : 0,
+                               sink.rows(), agg_.out_cols);
         log.cpu(agg_.extraCpuPerValue() * static_cast<double>(scanned));
 
         BundleHandle out = sink.toBundle(eng_.memory());

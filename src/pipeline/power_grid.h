@@ -95,8 +95,8 @@ class PowerGridOp : public SortedRunsOp
             if (cnt == best && best > 0)
                 rows.push_back({house, cnt});
 
-        kpa::chargeKeyedReduce(ctx, merged, merged.size(), rows.size(),
-                               2);
+        kpa::chargeKeyedReduce(ctx, merged, merged.size(), merged.size(),
+                               rows.size(), 2);
         // The DEBS query is really a second windowed pipeline over
         // the per-plug aggregates (per-house grouping + global
         // average + max); charge it as one more scalar grouping pass

@@ -388,20 +388,16 @@ class SortedRunsOp : public Operator
     {
         const size_t d0 = uint64_t{total} * s / slices;
         const size_t d1 = uint64_t{total} * (s + 1) / slices;
-        size_t a0, b0, a1, b1;
-        algo::mergePathSplit(ka.entries(), ka.size(), kb.entries(),
-                             kb.size(), d0, &a0, &b0);
-        algo::mergePathSplit(ka.entries(), ka.size(), kb.entries(),
-                             kb.size(), d1, &a1, &b1);
-        algo::mergeRuns(ka.entries() + a0, a1 - a0, kb.entries() + b0,
-                        b1 - b0, out.entries() + d0);
+        const auto [from_a, from_b] = algo::mergeRunsSegment(
+            ka.entries(), ka.size(), kb.entries(), kb.size(),
+            out.entries(), d0, d1);
 
         // This slice's share of the merge traffic.
         auto ctx = makeCtx(log, recordColsOf(ka));
         ctx.hm.charge(log, ka.tier(), sim::AccessPattern::kSequential,
-                      ctx.scaled((a1 - a0) * sizeof(kpa::KpEntry)));
+                      ctx.scaled(from_a * sizeof(kpa::KpEntry)));
         ctx.hm.charge(log, kb.tier(), sim::AccessPattern::kSequential,
-                      ctx.scaled((b1 - b0) * sizeof(kpa::KpEntry)));
+                      ctx.scaled(from_b * sizeof(kpa::KpEntry)));
         ctx.hm.charge(log, out.tier(), sim::AccessPattern::kSequential,
                       ctx.scaled((d1 - d0) * sizeof(kpa::KpEntry)));
         ctx.kernel(sim::cost::kMergeNsPerElem

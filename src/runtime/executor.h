@@ -132,8 +132,7 @@ class Executor
     //
     // Simulated core slots time-share one host thread; the host pool
     // is the real fork-join pool kernels shard their functional work
-    // across (sliced merges, partition passes, and the key swap, sort
-    // and join of large KPAs).
+    // across (the key swap, sort, merge and join of large KPAs).
     // Kernels receive it through kpa::Ctx and must produce
     // bit-identical results and CostLog charges at every thread
     // count; with 1 thread the pool degrades to inline execution.

@@ -179,7 +179,6 @@ struct TenantReport
     Admission admission = Admission::kRejected;
     bool was_queued = false; //!< waited before admission
 
-    SimTime arrived_at = 0;
     SimTime started_at = 0;
     SimTime finished_at = 0;
 
@@ -191,9 +190,7 @@ struct TenantReport
     uint64_t windows = 0;
     uint64_t sla_violations = 0;
     double p50_s = 0;
-    double p95_s = 0;
     double p99_s = 0;
-    double max_latency_s = 0;
 
     /** Raw per-window latencies (seconds) for pooled percentiles. */
     std::vector<double> latency_samples;
@@ -372,7 +369,6 @@ class Server
         for (const TenantSpec &spec : pending_) {
             TenantReport rep;
             rep.spec = spec;
-            rep.arrived_at = spec.arrives_at;
             reports_[spec.id] = rep;
             shards_[0]->eng->machine().atOrNow(
                 spec.arrives_at, [this, spec] { arrive(spec); });
@@ -776,7 +772,6 @@ class Server
         rep.sla_violations += sla.violations();
         for (double v : sla.latencies().samples())
             rep.latency_samples.push_back(v);
-        rep.max_latency_s = std::max(rep.max_latency_s, sla.maxLatency());
 
         const auto &ss = sh.eng->exec().streamStats(id);
         const SegmentBase &base = seg_base_[id];
@@ -853,7 +848,6 @@ class Server
         for (double v : rep.latency_samples)
             pooled.add(v);
         rep.p50_s = pooled.percentile(50);
-        rep.p95_s = pooled.percentile(95);
         rep.p99_s = pooled.percentile(99);
 
         // Name what mostly made violating windows late, over every

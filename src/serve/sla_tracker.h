@@ -214,9 +214,6 @@ class SlaTracker
     /** Total virtual time the session spent dead, ns. */
     SimTime downtimeNs() const { return downtime_ns_; }
 
-    /** Worst watermark latency, seconds (0 when no windows). */
-    double maxLatency() const { return latencies_.max(); }
-
     const SampleSet &latencies() const { return latencies_; }
 
     // ---------------------------------------------------------------

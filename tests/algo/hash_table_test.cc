@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -64,14 +65,33 @@ TEST(HashTable, ForEachVisitsEveryEntryOnce)
 
 TEST(HashTable, ProbeCountsGrowWithLoad)
 {
+    // Linear probing puts each new key in the first free slot at or
+    // after its home slot hashKey(key) & (capacity - 1). Replay that
+    // placement beside the table, counting the slots each insert
+    // inspects; forEach visits slots in index order, so matching its
+    // order pins the replay to the table's own layout.
     HashTable<uint64_t> t(1000);
+    const size_t mask = t.capacity() - 1;
+    std::vector<uint64_t> slot_key(t.capacity());
+    std::vector<bool> used(t.capacity(), false);
     Rng rng(1);
     size_t total_probes = 0;
     for (int i = 0; i < 1000; ++i) {
-        size_t probes = 0;
-        t.findOrInsert(rng.next(), &probes) = 1;
-        total_probes += probes;
+        const uint64_t key = rng.next();
+        t.findOrInsert(key) = 1;
+        size_t idx = hashKey(key) & mask;
+        for (++total_probes; used[idx]; ++total_probes)
+            idx = (idx + 1) & mask;
+        used[idx] = true;
+        slot_key[idx] = key;
     }
+    ASSERT_EQ(t.size(), 1000u);
+    std::vector<uint64_t> layout, visited;
+    for (size_t i = 0; i < used.size(); ++i)
+        if (used[i])
+            layout.push_back(slot_key[i]);
+    t.forEach([&](uint64_t k, const uint64_t &) { visited.push_back(k); });
+    ASSERT_EQ(visited, layout);
     // Linear probing at <= 87% load: average probe count stays small.
     EXPECT_GE(total_probes, 1000u);
     EXPECT_LT(total_probes, 4000u);

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/worker_pool.h"
 
 namespace sbhbm::algo {
 namespace {
@@ -324,7 +327,8 @@ TEST(MergePathSplit, ParallelMergeViaSplitsEqualsSequentialMerge)
     std::vector<KpEntry> expect(total);
     mergeRuns(a.data(), a.size(), b.data(), b.size(), expect.data());
 
-    // Simulate 8 threads each merging one slice.
+    // Simulate 8 threads each merging one slice; each slice reports
+    // the entries it took from either side, as its splits bound them.
     std::vector<KpEntry> out(total);
     const size_t threads = 8;
     for (size_t t = 0; t < threads; ++t) {
@@ -335,8 +339,10 @@ TEST(MergePathSplit, ParallelMergeViaSplitsEqualsSequentialMerge)
                        &b0);
         mergePathSplit(a.data(), a.size(), b.data(), b.size(), d1, &a1,
                        &b1);
-        mergeRuns(a.data() + a0, a1 - a0, b.data() + b0, b1 - b0,
-                  out.data() + d0);
+        const auto [from_a, from_b] = mergeRunsSegment(
+            a.data(), a.size(), b.data(), b.size(), out.data(), d0, d1);
+        EXPECT_EQ(from_a, a1 - a0) << "slice " << t;
+        EXPECT_EQ(from_b, b1 - b0) << "slice " << t;
     }
     for (size_t i = 0; i < total; ++i)
         ASSERT_EQ(out[i].key, expect[i].key);
@@ -384,6 +390,45 @@ TEST(SortRun, NearlySortedWithDuplicatesMatchesSerialAtAllThreads)
     auto serial = base;
     sortRun(serial.data(), n, scratch.data());
     expectSortedPermutation(orig, serial);
+}
+
+/**
+ * The host pool may only change mergeRunsParallel's wall clock: at
+ * every thread count its output is byte for byte mergeRuns', row
+ * pointers included, also when the pool has more threads than the
+ * merge has entries and some segments are empty.
+ */
+TEST(ParallelSort, MergeRunsParallelMatchesSerial)
+{
+    for (const auto &[na, nb] :
+         {std::pair<size_t, size_t>{1u << 16, 1u << 16},
+          {1u << 16, 777},
+          {777, 1u << 16},
+          {1u << 16, 0},
+          {0, 1u << 16},
+          {2, 3},
+          {5, 0},
+          {0, 1},
+          {0, 0}}) {
+        auto a = randomEntries(na, 11, 512);
+        auto b = randomEntries(nb, 12, 512);
+        std::vector<KpEntry> sa(na), sb(nb);
+        sortRun(a.data(), na, sa.data());
+        sortRun(b.data(), nb, sb.data());
+        std::vector<KpEntry> serial(na + nb);
+        mergeRuns(a.data(), na, b.data(), nb, serial.data());
+        for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+            WorkerPool pool(threads);
+            std::vector<KpEntry> par(na + nb);
+            mergeRunsParallel(a.data(), na, b.data(), nb, par.data(),
+                              pool);
+            EXPECT_TRUE(serial.empty()
+                        || std::memcmp(serial.data(), par.data(),
+                                       serial.size() * sizeof(KpEntry))
+                               == 0)
+                << na << "+" << nb << " @" << threads;
+        }
+    }
 }
 
 } // namespace

@@ -270,10 +270,12 @@ TEST_F(CostInvarianceTest, FusedWriteBackAndSwapMatchesTwoCalls)
         ASSERT_EQ(ba->size(), c.rows) << c.what;
         KpaPtr ka = extract(ctx(), *ba, 0, hbm_);
         KpaPtr kb = extract(ctx(), *bb, 0, hbm_);
+        algo::HashTable<uint64_t> rewrite(50); // every key in [0, 50)
+        for (uint64_t key = 0; key < 50; ++key)
+            rewrite.findOrInsert(key) = key * 31 + 5;
         for (Kpa *k : {ka.get(), kb.get()}) {
             sortKpa(ctx(), *k);
-            updateKeysInPlace(ctx(), *k,
-                              [](uint64_t key) { return key * 31 + 5; });
+            updateKeysViaTable(ctx(), *k, rewrite);
             k->setSorted(true);
         }
 

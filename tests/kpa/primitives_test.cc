@@ -585,11 +585,44 @@ TEST_F(PrimitivesTest, PartitionSortedAndUnsortedPathsAgree)
 
 TEST_F(PrimitivesTest, PartitionSpanPathMatchesDensePath)
 {
+    // Partitioning @p k in arrival order and its range-ordered copy
+    // (span path) must give the same partitions (range, size, every
+    // entry and row) and the same CostLog, phase by phase; @p parts
+    // gets the partition count.
+    auto expect_same_as_span = [&](const Kpa &k, uint64_t width,
+                                   size_t *parts) {
+        KpaPtr ordered = rangeOrderedCopy(k, width);
+        CostLog arrival_log, span_log;
+        auto arrival =
+            partitionByRange(Ctx{hm_, arrival_log}, k, width, hbm_);
+        auto span = partitionByRange(Ctx{hm_, span_log}, *ordered, width,
+                                     hbm_);
+        *parts = arrival.size();
+        expectSamePartitions(arrival, span);
+
+        ASSERT_EQ(arrival_log.phases().size(), span_log.phases().size());
+        for (size_t p = 0; p < arrival_log.phases().size(); ++p) {
+            const sim::Phase &d = arrival_log.phases()[p];
+            const sim::Phase &s = span_log.phases()[p];
+            EXPECT_EQ(d.cpu_ns, s.cpu_ns);
+            EXPECT_EQ(d.cpu_vector_ns, s.cpu_vector_ns);
+            ASSERT_EQ(d.flows.size(), s.flows.size());
+            for (size_t f = 0; f < d.flows.size(); ++f) {
+                EXPECT_EQ(d.flows[f].tier, s.flows[f].tier);
+                EXPECT_EQ(d.flows[f].pattern, s.flows[f].pattern);
+                EXPECT_EQ(d.flows[f].bytes, s.flows[f].bytes);
+            }
+        }
+    };
+    auto steps_back = [](const Kpa &k, uint64_t width) {
+        for (uint32_t i = 1; i < k.size(); ++i)
+            if (k.at(i).key / width < k.at(i - 1).key / width)
+                return true;
+        return false;
+    };
+
     // Many windows with late entries scattered through the KPA: the
-    // dense count/scatter path on the arrival order and the span path
-    // on the range-ordered copy must give the same partitions (range,
-    // size, every entry and row) and the same CostLog, phase by
-    // phase.
+    // dense count/scatter path.
     const uint32_t rows = 5000;
     const uint64_t width = 64;
     BundleHandle b = makeKvBundle(rows, 31);
@@ -601,32 +634,26 @@ TEST_F(PrimitivesTest, PartitionSpanPathMatchesDensePath)
                                      rng.nextBounded(4 * width));
     }
     KpaPtr k = extract(ctx(), *b, 2, hbm_);
-    bool steps_back = false;
-    for (uint32_t i = 1; i < rows; ++i)
-        steps_back |= k->at(i).key / width < k->at(i - 1).key / width;
-    ASSERT_TRUE(steps_back) << "input must miss the span path";
-    KpaPtr ordered = rangeOrderedCopy(*k, width);
+    ASSERT_TRUE(steps_back(*k, width)) << "input must miss the span path";
+    size_t parts = 0;
+    expect_same_as_span(*k, width, &parts);
+    EXPECT_GT(parts, 70u);
 
-    CostLog dense_log, span_log;
-    auto dense = partitionByRange(Ctx{hm_, dense_log}, *k, width, hbm_);
-    auto span = partitionByRange(Ctx{hm_, span_log}, *ordered, width,
-                                 hbm_);
-    ASSERT_GT(dense.size(), 70u);
-    expectSamePartitions(dense, span);
+    // A prime entry count, which no shard count divides, over 60
+    // ranges in random order: the dense path again.
+    const uint32_t prime_rows = 65'537;
+    BundleHandle ragged = makeKvBundle(prime_rows, 33, 777);
+    KpaPtr rk = extract(ctx(), *ragged, 0, hbm_);
+    ASSERT_TRUE(steps_back(*rk, 13));
+    expect_same_as_span(*rk, 13, &parts);
+    EXPECT_EQ(parts, 60u);
 
-    ASSERT_EQ(dense_log.phases().size(), span_log.phases().size());
-    for (size_t p = 0; p < dense_log.phases().size(); ++p) {
-        const sim::Phase &d = dense_log.phases()[p];
-        const sim::Phase &s = span_log.phases()[p];
-        EXPECT_EQ(d.cpu_ns, s.cpu_ns);
-        EXPECT_EQ(d.cpu_vector_ns, s.cpu_vector_ns);
-        ASSERT_EQ(d.flows.size(), s.flows.size());
-        for (size_t f = 0; f < d.flows.size(); ++f) {
-            EXPECT_EQ(d.flows[f].tier, s.flows[f].tier);
-            EXPECT_EQ(d.flows[f].pattern, s.flows[f].pattern);
-            EXPECT_EQ(d.flows[f].bytes, s.flows[f].bytes);
-        }
-    }
+    // One range, unsorted flag: the range pass runs, finds no step
+    // back (a single range cannot step back, so it never reaches the
+    // dense path) and copies one span.
+    ASSERT_FALSE(rk->sorted());
+    expect_same_as_span(*rk, 1u << 20, &parts);
+    EXPECT_EQ(parts, 1u);
 }
 
 TEST_F(PrimitivesTest, PartitionPreservesArrivalOrderWithinRanges)
@@ -675,6 +702,29 @@ TEST_F(PrimitivesTest, PartitionHandlesSparseRanges)
         total += parts[p].part->size();
     }
     EXPECT_EQ(total, rows);
+
+    // Range ids that are multiples of 2^20 share one home slot in any
+    // hash table of up to 2^20 slots, so every new range walks the one
+    // probe chain. Each entry must still reach its own range's
+    // partition, in input order.
+    const uint64_t kHome = uint64_t{1} << 20;
+    const uint64_t ids[] = {5, 3, 5, 0, 7, 3, 9, 0, 5, 2, 7, 7};
+    BundleHandle c = BundleHandle::adopt(Bundle::create(hm_, 3, 12));
+    for (uint32_t r = 0; r < 12; ++r)
+        c->append({ids[r] * kHome * 3 + r % 3, r, 0});
+    KpaPtr ck = extract(ctx(), *c, 0, hbm_);
+    auto chained = partitionByRange(ctx(), *ck, 3, hbm_);
+    const std::vector<std::pair<uint64_t, std::vector<uint64_t>>> expect =
+        {{0, {3, 7}},    {2, {9}},        {3, {1, 5}},
+         {5, {0, 2, 8}}, {7, {4, 10, 11}}, {9, {6}}};
+    ASSERT_EQ(chained.size(), expect.size());
+    for (size_t p = 0; p < expect.size(); ++p) {
+        EXPECT_EQ(chained[p].range, expect[p].first * kHome);
+        ASSERT_EQ(chained[p].part->size(), expect[p].second.size());
+        for (uint32_t i = 0; i < chained[p].part->size(); ++i)
+            EXPECT_EQ(chained[p].part->at(i).row[1], expect[p].second[i])
+                << "range id " << expect[p].first << " entry " << i;
+    }
 }
 
 TEST_F(PrimitivesTest, PartitionHandlesFullKeyspaceExtremes)
@@ -712,14 +762,23 @@ TEST_F(PrimitivesTest, SortKpaChargesUnchangedOnPresortedEntries)
     EXPECT_EQ(sort_log.bytesOn(sim::Tier::kHbm), expect);
 }
 
-TEST_F(PrimitivesTest, UpdateKeysInPlaceAndWriteBack)
+TEST_F(PrimitivesTest, UpdateKeysViaTableAndWriteBack)
 {
     BundleHandle b = makeKvBundle(100, 16);
     KpaPtr k = extract(ctx(), *b, 0, hbm_);
-    updateKeysInPlace(ctx(), *k, [](uint64_t key) { return key + 1000; });
+    // Keys 0..49 map to key + 1000, except the odd keys below 10,
+    // which the table lacks and so keep.
+    algo::HashTable<uint64_t> table(50);
+    for (uint64_t key = 0; key < 50; ++key)
+        if (key >= 10 || key % 2 == 0)
+            table.findOrInsert(key) = key + 1000;
+    updateKeysViaTable(ctx(), *k, table);
     EXPECT_EQ(k->residentColumn(), columnar::kNoColumn);
-    for (uint32_t i = 0; i < k->size(); ++i)
-        EXPECT_EQ(k->at(i).key, k->at(i).row[0] + 1000);
+    for (uint32_t i = 0; i < k->size(); ++i) {
+        const uint64_t key = k->at(i).row[0];
+        EXPECT_EQ(k->at(i).key,
+                  key >= 10 || key % 2 == 0 ? key + 1000 : key);
+    }
 
     // Write back into column 1 (clobbering values).
     writeBackKeys(ctx(), *k, 1);
@@ -753,7 +812,7 @@ TEST_F(PrimitivesTest, ChargeKeyedReduceAccountsAllStreams)
     KpaPtr k = extract(ctx(), *b, 0, hbm_);
     sortKpa(ctx(), *k);
     CostLog red;
-    chargeKeyedReduce(Ctx{hm_, red}, *k, k->size(), 50, 2);
+    chargeKeyedReduce(Ctx{hm_, red}, *k, k->size(), k->size(), 50, 2);
     // KPA scan (HBM) + random values (DRAM) + output (DRAM).
     EXPECT_EQ(red.bytesOn(sim::Tier::kHbm), 16000u);
     EXPECT_EQ(red.bytesOn(sim::Tier::kDram), 1000u * 64 + 50u * 2 * 8);

@@ -1,9 +1,9 @@
 /**
  * @file
- * keySwap, sortKpa and join shard their host work across the pool at
- * or above detail::kShardParallelMin entries. At every thread count
- * they must match the serial path exactly: the same entries with the
- * same row pointers, the same emitted rows in the same order, the
+ * keySwap, sortKpa, merge and join shard their host work across the
+ * pool at or above detail::kShardParallelMin entries. At every thread
+ * count they must match the serial path exactly: the same entries with
+ * the same row pointers, the same emitted rows in the same order, the
  * same HybridMemory allocations, and the same CostLog charges (scalar
  * cpu, vector cpu, and bytes per tier).
  */
@@ -35,7 +35,7 @@ constexpr unsigned kThreadCounts[] = {1, 2, 3, 8};
 /** What one kernel call left behind and charged. */
 struct Outcome
 {
-    std::vector<KpEntry> entries; //!< the KPA after keySwap / sortKpa
+    std::vector<KpEntry> entries; //!< the KPA swapped, sorted or merged
     bool sorted = false;
     std::vector<uint64_t> rows; //!< join output, row-major
     uint32_t out_rows = 0;
@@ -193,6 +193,15 @@ class ShardParallelTest : public ::testing::Test
     }
 
     Outcome
+    runMerge(const Kpa &a, const Kpa &b, unsigned threads)
+    {
+        return run(threads, [&](Ctx ctx, Outcome &o) {
+            KpaPtr out = merge(ctx, a, b, Placement{Tier::kHbm, false});
+            keep(o, *out);
+        });
+    }
+
+    Outcome
     runJoin(const Kpa &l, const Kpa &r, unsigned threads)
     {
         return run(threads, [&](Ctx ctx, Outcome &o) {
@@ -204,9 +213,9 @@ class ShardParallelTest : public ::testing::Test
         });
     }
 
-    /** Sorted join input over @p keys. */
+    /** Sorted merge or join input over @p keys. */
     KpaPtr
-    joinSide(std::vector<uint64_t> keys)
+    sortedSide(std::vector<uint64_t> keys)
     {
         std::sort(keys.begin(), keys.end());
         Bundle &b = makeBundle(keys);
@@ -236,13 +245,29 @@ class ShardParallelTest : public ::testing::Test
         }
     }
 
+    /** Every pool size gives the serial merge of @p a and @p b. */
+    void
+    checkMerge(std::vector<uint64_t> a, std::vector<uint64_t> b,
+               const char *what)
+    {
+        const KpaPtr ak = sortedSide(std::move(a));
+        const KpaPtr bk = sortedSide(std::move(b));
+        const Outcome serial = runMerge(*ak, *bk, 0);
+        ASSERT_TRUE(serial.sorted);
+        for (unsigned t : kThreadCounts) {
+            expectSame(serial, runMerge(*ak, *bk, t),
+                       std::string("merge ") + what + " @"
+                           + std::to_string(t) + " threads");
+        }
+    }
+
     /** Every pool size gives the serial join of @p l and @p r. */
     void
     checkJoin(std::vector<uint64_t> l, std::vector<uint64_t> r,
               const char *what)
     {
-        const KpaPtr lk = joinSide(std::move(l));
-        const KpaPtr rk = joinSide(std::move(r));
+        const KpaPtr lk = sortedSide(std::move(l));
+        const KpaPtr rk = sortedSide(std::move(r));
         const Outcome serial = runJoin(*lk, *rk, 0);
         for (unsigned t : kThreadCounts) {
             expectSame(serial, runJoin(*lk, *rk, t),
@@ -317,6 +342,19 @@ TEST_F(ShardParallelTest, SortAllocatesOneScratchBlock)
         EXPECT_EQ(o.hbm_peak, mem::SlabAllocator::classSize(
                                   uint64_t{2 * kMin} * sizeof(KpEntry)))
             << t << " threads";
+    }
+}
+
+TEST_F(ShardParallelTest, MergeAtThresholdEdge)
+{
+    // a + b at kMin - 1 entries (serial) and kMin (one merge-path
+    // segment per pool thread). 1000 keys over both sides: equal keys
+    // straddle the segment cuts, so the tie rule decides their order.
+    for (const uint32_t total : {kMin - 1, kMin}) {
+        const uint32_t na = total / 3;
+        checkMerge(randomKeys(na, 1000, na),
+                   randomKeys(total - na, 1000, total),
+                   ("a + b = " + std::to_string(total)).c_str());
     }
 }
 
