@@ -172,7 +172,7 @@ runPoint(uint32_t tenants, bool smoke)
     p.p50_s = pooled.percentile(50);
     p.p99_s = pooled.percentile(99);
     p.rejected = server.registry().rejected();
-    p.demoted_kpas = server.engine().director().demotedKpas();
+    p.demoted_kpas = server.engine(0).director().demotedKpas();
     for (const TenantReport &r : server.reports())
         p.tenant_mem.push_back(toTenantMem(r));
     return p;
@@ -199,7 +199,7 @@ runOverloadPoint(bool smoke, obs::Telemetry *tele = nullptr)
     p.tenants = 4;
     p.aggregate_mrps = server.aggregateMrps();
     p.fairness = server.fairnessIndex();
-    p.demoted_kpas = server.engine().director().demotedKpas();
+    p.demoted_kpas = server.engine(0).director().demotedKpas();
     SampleSet pooled;
     for (const TenantReport &r : server.reports()) {
         ++p.admitted;

@@ -91,11 +91,11 @@ runOverloadFleet(double scale, bool control_plane)
     server.run();
 
     OverloadRun r;
-    r.demoted_kpas = server.engine().director().demotedKpas();
+    r.demoted_kpas = server.engine(0).director().demotedKpas();
     r.demoted_mb =
-        static_cast<double>(server.engine().director().demotedBytes())
+        static_cast<double>(server.engine(0).director().demotedBytes())
         / 1e6;
-    r.hbm_peak_mb = server.engine().monitor().hbmUsedStat().max() / 1e6;
+    r.hbm_peak_mb = server.engine(0).monitor().hbmUsedStat().max() / 1e6;
     for (const TenantReport &rep : server.reports()) {
         r.sla_demotions += rep.sla_demotions;
         r.all_drained =

@@ -147,9 +147,6 @@ class Source
         return cfg_.start_record + records_ingested_ + records_shed_;
     }
 
-    /** Highest watermark emitted downstream so far. */
-    EventTime emittedWatermark() const { return emitted_wm_; }
-
     /**
      * Stop the stream early: cap total_records at what has already
      * been delivered, so the source drains naturally — the next

@@ -42,9 +42,9 @@ struct RangePartition
  *
  *  - span: the ranges never decrease along the input, so every range
  *    is one contiguous span, copied with one memcpy. A sorted flag
- *    proves this up front; otherwise the pass that computes each
- *    entry's range checks it on the way. Generators stamp ascending
- *    timestamps, so windowing a time-ordered KPA lands here.
+ *    proves this up front; otherwise one pass checks it before any
+ *    range is memoized. Generators stamp ascending timestamps, so
+ *    windowing a time-ordered KPA lands here.
  *  - dense: the ranges span at most n + 1023 ids, so a count pass and
  *    a scatter pass go through direct-indexed cursor arrays.
  *  - sparse: a hash pass assigns dense ids to the distinct ranges.
@@ -68,16 +68,20 @@ partitionByRange(Ctx ctx, const Kpa &src, uint64_t range_width,
         return out.back().part.get();
     };
 
+    // A runtime 64-bit division is a per-element hot cost, so every
+    // path divides by the invariant width via multiply-high.
+    const FastDivider by_width(range_width);
+
     // Span path: binary-search each range's end, then bulk-copy the
     // span. Needs ranges that never decrease along the input.
     auto copySpans = [&] {
         uint32_t i = 0;
         while (i < n) {
-            const uint64_t rg = e[i].key / range_width;
+            const uint64_t rg = by_width.divide(e[i].key);
             const KpEntry *end = std::upper_bound(
                 e + i, e + n, rg,
-                [range_width](uint64_t range, const KpEntry &x) {
-                    return range < x.key / range_width;
+                [&by_width](uint64_t range, const KpEntry &x) {
+                    return range < by_width.divide(x.key);
                 });
             const auto len = static_cast<uint32_t>(end - (e + i));
             Kpa *part = makePartition(rg, len);
@@ -88,48 +92,36 @@ partitionByRange(Ctx ctx, const Kpa &src, uint64_t range_width,
         }
     };
 
-    if (src.sorted()) {
+    // Order check: do the ranges never decrease? It stops at the
+    // first step back, so unordered input pays little for it.
+    bool ordered = true;
+    if (!src.sorted()) {
+        uint64_t prev_rg = 0;
+        for (uint32_t i = 0; i < n && ordered; ++i) {
+            const uint64_t rg = by_width.divide(e[i].key);
+            ordered = rg >= prev_rg;
+            prev_rg = rg;
+        }
+    }
+
+    if (ordered) {
         copySpans();
-    } else if (n > 0) {
-        // A runtime 64-bit division is a per-element hot cost, so
-        // divide by the invariant width via multiply-high
-        // (FastDivider), compute every entry's range exactly once,
-        // and memo its low 32 bits: when the span check below passes,
+    } else {
+        // Unordered input: compute every entry's range once more and
+        // memo its low 32 bits: when the dense gate below passes,
         // rg - min_rg < 2^32, so uint32 wrap-around arithmetic on the
         // low bits reproduces the exact span offset at half the memo
-        // traffic of full ranges.
-        //
-        // The same pass finds the extremes and checks that the ranges
-        // never decrease, which sends the input to the span path
-        // instead. Until a range falls below the running maximum the
-        // loop checks order; after that first step back it runs
-        // unchecked, so unordered input pays nothing for the check.
-        const FastDivider by_width(range_width);
+        // traffic of full ranges. The same pass finds the extremes.
         const auto rg_lo = std::make_unique_for_overwrite<uint32_t[]>(n);
         uint64_t min_rg = ~uint64_t{0}, max_rg = 0;
-        bool ordered = true;
-        uint32_t i = 0;
-        for (; i < n; ++i) {
-            const uint64_t rg = by_width.divide(e[i].key);
-            rg_lo[i] = static_cast<uint32_t>(rg);
-            min_rg = std::min(min_rg, rg);
-            if (rg < max_rg) {
-                ordered = false;
-                ++i;
-                break;
-            }
-            max_rg = rg;
-        }
-        for (; i < n; ++i) {
+        for (uint32_t i = 0; i < n; ++i) {
             const uint64_t rg = by_width.divide(e[i].key);
             rg_lo[i] = static_cast<uint32_t>(rg);
             min_rg = std::min(min_rg, rg);
             max_rg = std::max(max_rg, rg);
         }
         const uint64_t extent = max_rg - min_rg;
-        if (ordered) {
-            copySpans();
-        } else if (extent <= uint64_t{n} + 1023 && extent < UINT32_MAX) {
+        if (extent <= uint64_t{n} + 1023 && extent < UINT32_MAX) {
             // Dense ranges: count and scatter through direct-indexed
             // cursor arrays — no hashing. The gate takes extent =
             // span - 1 so the full-keyspace case (max - min ==

@@ -54,31 +54,18 @@ class ColdStateProvider
     virtual uint32_t providerStream() const { return 0; }
 
     /**
-     * Demote cold HBM state until about @p want_charged_bytes of
-     * gauge capacity is freed, charging the migration traffic (read
-     * source tier, write destination) to @p log. Must demote coldest
-     * state first and never touch state on the close critical path.
+     * Move cold state off @p from onto @p to until about
+     * @p want_charged_bytes of @p from's gauge capacity is freed,
+     * charging the migration traffic (read source tier, write
+     * destination) to @p log. Must move coldest state first and never
+     * touch state on the close critical path. The steady-state loop
+     * demotes HBM -> DRAM; the exhaustion path uses both directions
+     * (DRAM exhaustion is relieved by *promoting* cold state into
+     * spare HBM).
      */
-    virtual DemoteResult demoteColdState(uint64_t want_charged_bytes,
-                                         sim::CostLog &log) = 0;
-
-    /**
-     * Generalized relief: move cold state off @p from onto @p to until
-     * ~@p want_charged_bytes of @p from's gauge capacity is freed. The
-     * exhaustion path uses this in both directions (DRAM exhaustion is
-     * relieved by *promoting* cold state into spare HBM). Providers
-     * with nothing relocatable keep the default no-op.
-     */
-    virtual DemoteResult
-    relocateColdState(Tier from, Tier to, uint64_t want_charged_bytes,
-                      sim::CostLog &log)
-    {
-        (void)from;
-        (void)to;
-        (void)want_charged_bytes;
-        (void)log;
-        return {};
-    }
+    virtual DemoteResult relocateColdState(Tier from, Tier to,
+                                           uint64_t want_charged_bytes,
+                                           sim::CostLog &log) = 0;
 };
 
 /** Demotion control knobs. */
@@ -161,7 +148,8 @@ class PressureDirector
         for (ColdStateProvider *p : providers_) {
             if (want == 0)
                 break;
-            const DemoteResult r = p->demoteColdState(want, log);
+            const DemoteResult r =
+                p->relocateColdState(Tier::kHbm, Tier::kDram, want, log);
             want -= std::min(want, r.charged_bytes);
             demoted_bytes_ += r.charged_bytes;
             demoted_kpas_ += r.kpas;

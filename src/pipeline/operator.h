@@ -86,20 +86,6 @@ class Operator : public mem::ColdStateProvider
     uint32_t providerStream() const override { return pipe_.streamId(); }
 
     /**
-     * Demote cold window-state KPAs (coldState() order) to DRAM until
-     * ~@p want_charged_bytes of HBM gauge capacity is freed, charging
-     * the migration traffic: stream the entries out of the source
-     * tier, write-allocate them on the destination.
-     */
-    mem::DemoteResult
-    demoteColdState(uint64_t want_charged_bytes,
-                    sim::CostLog &log) override
-    {
-        return relocateColdState(mem::Tier::kHbm, mem::Tier::kDram,
-                                 want_charged_bytes, log);
-    }
-
-    /**
      * Tier-generic relief sweep over coldState(): migrate cold KPAs
      * resident on @p from onto @p to until ~@p want_charged_bytes of
      * @p from's gauge capacity is freed. Serves both the steady-state

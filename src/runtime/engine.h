@@ -162,6 +162,13 @@ class Engine
         knob_policy_.setStreamClass(stream, c);
     }
 
+    /** @p stream's current placement bias. */
+    mem::PlacementClass
+    streamPlacementClass(StreamId stream) const
+    {
+        return knob_policy_.streamClass(stream);
+    }
+
     /** The pressure director (cold-state demotion control loop). */
     mem::PressureDirector &director() { return director_; }
     const mem::PressureDirector &director() const { return director_; }

@@ -3,9 +3,9 @@
  * Watermark-aligned tenant checkpoints.
  *
  * A TenantCheckpoint is a consistent cut through one session: the
- * source's absolute stream position, the watermark it had emitted,
- * the pipeline's externalized-window horizon, and a deep snapshot of
- * every stateful operator's window state — all captured while the
+ * source's absolute stream position, the pipeline's
+ * externalized-window horizon, and a deep snapshot of every stateful
+ * operator's window state — all captured while the
  * session is quiesced (source paused, ingestion stage empty, executor
  * stream idle), so the cut is exact: state(cut) is precisely the
  * result of the first `position` records and nothing else.
@@ -18,34 +18,24 @@
  *
  * Checkpoints are incremental when the caller passes the previous
  * capture: runs whose KPA touch generation is unchanged share their
- * payload with the prior snapshot and charge no copy traffic.
+ * payload with the prior snapshot and charge no copy traffic. The
+ * server keeps each live session's latest cut in a per-session map.
  */
 
 #ifndef SBHBM_SERVE_CHECKPOINT_H
 #define SBHBM_SERVE_CHECKPOINT_H
 
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
-#include "common/units.h"
+#include "columnar/window.h"
 #include "pipeline/state_snapshot.h"
-#include "runtime/executor.h"
 
 namespace sbhbm::serve {
 
 /** One session's consistent cut. */
 struct TenantCheckpoint
 {
-    runtime::StreamId id = 0;
-
-    /** Virtual time the cut was captured at. */
-    SimTime taken_at = 0;
-
-    /** Watermark the source had emitted at the cut. */
-    EventTime watermark = 0;
-
     /** Absolute stream offset: records the session had consumed. */
     uint64_t position = 0;
 
@@ -82,47 +72,6 @@ struct TenantCheckpoint
             b += o.reusedBytes();
         return b;
     }
-};
-
-/** Latest checkpoint per tenant, plus fleet-wide copy accounting. */
-class CheckpointStore
-{
-  public:
-    /** Install @p c as tenant c.id's latest checkpoint. */
-    void
-    put(TenantCheckpoint c)
-    {
-        ++checkpoints_;
-        copied_bytes_ += c.copiedBytes();
-        reused_bytes_ += c.reusedBytes();
-        latest_[c.id] = std::move(c);
-    }
-
-    /** Tenant @p id's latest checkpoint, or nullptr. */
-    const TenantCheckpoint *
-    find(runtime::StreamId id) const
-    {
-        auto it = latest_.find(id);
-        return it == latest_.end() ? nullptr : &it->second;
-    }
-
-    /** Drop tenant @p id's checkpoint (session finished). */
-    void erase(runtime::StreamId id) { latest_.erase(id); }
-
-    /** Checkpoints captured fleet-wide. */
-    uint64_t checkpoints() const { return checkpoints_; }
-
-    /** Payload bytes copied fleet-wide (excludes reuse). */
-    uint64_t copiedBytes() const { return copied_bytes_; }
-
-    /** Payload bytes incremental reuse avoided copying. */
-    uint64_t reusedBytes() const { return reused_bytes_; }
-
-  private:
-    std::map<runtime::StreamId, TenantCheckpoint> latest_;
-    uint64_t checkpoints_ = 0;
-    uint64_t copied_bytes_ = 0;
-    uint64_t reused_bytes_ = 0;
 };
 
 } // namespace sbhbm::serve

@@ -3,26 +3,26 @@
  * The multi-tenant serving layer's composition root: a fleet of
  * engine shards, many sessions.
  *
- * A Server owns an array of EngineShards — each one a full
+ * A Server owns an EngineFleet — engine shards, each a full
  * runtime::Engine (its own simulated machine, hybrid memory, executor
  * and pressure director; each session's fair-share weight is set on
- * its shard's executor) — and the fleet-wide admission controller
- * (TenantRegistry), which places every admitted session by its load
- * vector onto the least-loaded shard under per-shard slices of the
- * global HBM budget. Sessions are submitted up front (a deterministic
- * replay of an arrival schedule); run() offers each to the admission
- * controller at its arrival time, starts admitted sessions on their
- * placement shard, drives every shard's event loop in one global
- * time-ordered co-simulation, and leaves one TenantReport per
- * session: throughput, watermark-latency percentiles against the SLA,
- * per-tenant cost totals (the determinism audit), fair-share service
- * counts, and the shard the session ran on.
+ * its shard's executor), co-simulated in one global time-ordered
+ * event loop (engine_fleet.h) — and the fleet-wide admission
+ * controller (TenantRegistry), which places every admitted session by
+ * its load vector onto the least-loaded shard under per-shard slices
+ * of the global HBM budget. Sessions are submitted up front (a
+ * deterministic replay of an arrival schedule); run() offers each to
+ * the admission controller at its arrival time, and leaves one
+ * TenantReport per session: throughput, watermark-latency percentiles
+ * against the SLA, per-tenant cost totals (the determinism audit),
+ * fair-share service counts, and the shard the session ran on.
  *
- * Cross-shard control flow rides on a single causality invariant: the
- * co-simulation always processes the globally-earliest pending event,
- * so inside any event at time t every other shard's clock is at or
- * before t with nothing pending earlier — Machine::syncTo(t) is
- * always legal before acting on another shard (placement, failover).
+ * Every session goes through one lifecycle: launch() starts it on a
+ * shard (first start or crash recovery), accumulate() settles each of
+ * its segments into the report, and it ends in finish() (drained) or
+ * lose() (crashed beyond recovery). A session leaves a shard only
+ * when that shard crashes, and a dead shard never takes a session
+ * again, so a segment's shard-local counters are its own.
  *
  * Everything is keyed on tenant ids, never on submission order:
  * arrival events are scheduled in id order (ties at equal arrival
@@ -69,6 +69,7 @@
 #include "obs/trace.h"
 #include "runtime/engine.h"
 #include "serve/checkpoint.h"
+#include "serve/engine_fleet.h"
 #include "serve/tenant.h"
 #include "serve/tenant_registry.h"
 #include "sim/fault_injector.h"
@@ -240,8 +241,8 @@ struct TenantReport
     SimTime downtime_ns = 0;
 
     /** Records re-ingested past a checkpoint during recovery; the
-     *  conservation identity is records == offered + replayed when
-     *  nothing was shed. */
+     *  server asserts records + records_shed == offered + replayed
+     *  for every drained session. */
     uint64_t records_replayed = 0;
 
     /** Records consumed but dropped (injected drops, failed ingest
@@ -294,35 +295,23 @@ class Server
 {
   public:
     explicit Server(ServeConfig cfg)
-        : cfg_(fillDefaults(std::move(cfg))), registry_(cfg_.admission)
+        : cfg_(fillDefaults(std::move(cfg))),
+          fleet_(cfg_.engine, cfg_.shards, cfg_.telemetry,
+                 cfg_.fault.enabled),
+          registry_(cfg_.admission)
     {
-        shards_.reserve(cfg_.shards);
-        shard_dead_.assign(cfg_.shards, false);
+        if (cfg_.admission.mode != AdmissionMode::kLivePressure)
+            return;
         for (uint32_t s = 0; s < cfg_.shards; ++s) {
-            runtime::EngineConfig ec = cfg_.engine;
-            // Each shard gets an equal slice of the host pool (the
-            // wall-clock fork-join threads; simulated cores are per
-            // machine and not shared).
-            if (ec.host_threads > 0)
-                ec.host_threads =
-                    std::max(1u, ec.host_threads / cfg_.shards);
-            shards_.push_back(std::make_unique<EngineShard>(ec));
-            EngineShard &sh = *shards_.back();
-            if (cfg_.telemetry != nullptr)
-                sh.eng->setTelemetry(cfg_.telemetry, s);
-            if (cfg_.fault.enabled)
-                sh.eng->enableGracefulExhaustion();
-            if (cfg_.admission.mode == AdmissionMode::kLivePressure) {
-                // Gauge-aware admission: headroom is the windowed
-                // high-water of the tier sessions actually allocate
-                // on, not the sum of paper reservations.
-                registry_.setLivePressure(s, [this, s] {
-                    return shards_[s]
-                        ->eng->memory()
-                        .gauge(pressureTier())
-                        .highWaterSinceMark();
-                });
-            }
+            // Gauge-aware admission: headroom is the windowed
+            // high-water of the tier sessions actually allocate on,
+            // not the sum of paper reservations.
+            registry_.setLivePressure(s, [this, s] {
+                return fleet_.engine(s)
+                    .memory()
+                    .gauge(pressureTier())
+                    .highWaterSinceMark();
+            });
         }
     }
 
@@ -364,18 +353,18 @@ class Server
             sbhbm_assert(pending_[i - 1].id != pending_[i].id,
                          "duplicate tenant id %u", pending_[i].id);
         }
-        // Arrivals land on shard 0 — the control-plane machine; the
-        // admission controller then places each admit on its shard.
+        // Arrivals land on the control-plane machine; the admission
+        // controller then places each admit on its shard.
         for (const TenantSpec &spec : pending_) {
             TenantReport rep;
             rep.spec = spec;
             reports_[spec.id] = rep;
-            shards_[0]->eng->machine().atOrNow(
-                spec.arrives_at, [this, spec] { arrive(spec); });
+            fleet_.control().atOrNow(spec.arrives_at,
+                                     [this, spec] { arrive(spec); });
         }
 
-        for (auto &sh : shards_)
-            sh->eng->monitor().start();
+        for (uint32_t s = 0; s < fleet_.size(); ++s)
+            fleet_.engine(s).monitor().start();
         if (cfg_.admission.mode == AdmissionMode::kLivePressure)
             admissionTick();
         if (cfg_.fault.enabled && !cfg_.fault.plan.empty()) {
@@ -383,15 +372,15 @@ class Server
             // globally-earliest event when they do), so handlers may
             // syncTo any shard before acting on it.
             injector_ = std::make_unique<sim::FaultInjector>(
-                shards_[0]->eng->machine(), cfg_.fault.plan,
+                fleet_.control(), cfg_.fault.plan,
                 [this](const sim::FaultEvent &e) { onFault(e); },
                 cfg_.telemetry);
             injector_->arm();
         }
-        runFleet();
+        fleet_.run();
 
-        for (auto &sh : shards_)
-            sbhbm_assert(sh->tenants.empty(),
+        for (uint32_t s = 0; s < fleet_.size(); ++s)
+            sbhbm_assert(fleet_[s].tenants.empty(),
                          "sessions still running at drain");
         sbhbm_assert(registry_.queued() == 0,
                      "sessions still waiting at drain");
@@ -409,12 +398,8 @@ class Server
         return report_list_;
     }
 
-    runtime::Engine &engine() { return *shards_[0]->eng; }
-    runtime::Engine &engine(uint32_t s) { return *shards_[s]->eng; }
-    uint32_t shardCount() const
-    {
-        return static_cast<uint32_t>(shards_.size());
-    }
+    runtime::Engine &engine(uint32_t s) { return fleet_.engine(s); }
+    uint32_t shardCount() const { return fleet_.size(); }
     const ServeConfig &config() const { return cfg_; }
     const TenantRegistry &registry() const { return registry_; }
 
@@ -457,45 +442,12 @@ class Server
     }
 
     /** Is shard @p s dead (crashed by an injected fault)? */
-    bool shardDead(uint32_t s) const { return shard_dead_[s]; }
+    bool shardDead(uint32_t s) const { return fleet_.dead(s); }
 
   private:
-    /** One engine plus its shard-local serving state. */
-    struct EngineShard
-    {
-        explicit EngineShard(const runtime::EngineConfig &ec)
-            : eng(std::make_unique<runtime::Engine>(ec))
-        {
-        }
-
-        std::unique_ptr<runtime::Engine> eng;
-        std::map<runtime::StreamId, std::unique_ptr<Tenant>> tenants;
-        std::map<runtime::StreamId, bool> demoted_class;
-    };
-
-    /**
-     * A recovered session's report spans segments on several shards;
-     * executor and director counters are cumulative per shard, so
-     * each segment snapshots its baselines at start and contributes
-     * deltas at drain. First segments on a fresh stream have all-zero
-     * baselines — the single-shard path is unchanged.
-     */
-    struct SegmentBase
-    {
-        uint64_t tasks = 0;
-        double cpu_ns = 0;
-        uint64_t hbm_bytes = 0;
-        uint64_t dram_bytes = 0;
-        uint64_t served_slots = 0;
-        uint64_t demoted_kpas = 0;
-        uint64_t demoted_bytes = 0;
-        uint64_t shed_tasks = 0;
-    };
-
     /** A crashed session waiting for a live shard to restart on. */
     struct PendingRecovery
     {
-        runtime::StreamId id = 0;
         TenantSpec cont;       //!< continuation spec (resume offset)
         SimTime crashed_at = 0;
         columnar::WindowId dedup_before = 0; //!< committed pre-crash
@@ -541,6 +493,7 @@ class Server
         const Admission a = registry_.offer(spec);
         TenantReport &rep = reports_[spec.id];
         rep.admission = a;
+        const SimTime now = fleet_.control().now();
         if (obs::Telemetry *tp = cfg_.telemetry) {
             const char *verdict = a == Admission::kAdmitted ? "admit"
                                   : a == Admission::kQueued ? "queue"
@@ -549,15 +502,13 @@ class Server
                                        ? registry_.shardOf(spec.id)
                                        : 0;
             tp->trace.instant(
-                shards_[0]->eng->machine().now(), shard, spec.id,
-                "admission", verdict,
+                now, shard, spec.id, "admission", verdict,
                 {{"hbm_reserve", spec.hbm_reserve_bytes},
                  {"retry", rep.admission_retries}});
         }
         switch (a) {
           case Admission::kAdmitted:
-            start(registry_.shardOf(spec.id), spec,
-                  shards_[0]->eng->machine().now());
+            launch(registry_.shardOf(spec.id), spec, now);
             break;
           case Admission::kQueued:
             rep.was_queued = true;
@@ -572,62 +523,81 @@ class Server
                 ++rep.admission_retries;
                 const SimTime backoff =
                     kAdmissionRetryBackoff * rep.admission_retries;
-                shards_[0]->eng->machine().after(
-                    backoff, [this, spec] { arrive(spec); });
+                fleet_.control().after(backoff,
+                                       [this, spec] { arrive(spec); });
             }
             break;
         }
     }
 
-    /** Snapshot shard @p s's cumulative counters as the baseline of a
-     *  new segment of session @p id. */
-    void
-    snapSegmentBase(uint32_t s, runtime::StreamId id)
-    {
-        EngineShard &sh = *shards_[s];
-        SegmentBase base;
-        const auto &ss = sh.eng->exec().streamStats(id);
-        base.tasks = ss.completed;
-        base.cpu_ns = ss.cpu_ns;
-        base.hbm_bytes = ss.hbm_bytes;
-        base.dram_bytes = ss.dram_bytes;
-        base.served_slots = sh.eng->exec().scheduler().served(id);
-        base.demoted_kpas = sh.eng->director().demotedKpas(id);
-        base.demoted_bytes = sh.eng->director().demotedBytes(id);
-        base.shed_tasks = ss.shed;
-        seg_base_[id] = base;
-        reports_[id].shard = s;
-    }
-
     /**
-     * Start a newly admitted session on shard @p s at global time
-     * @p now. Callers hold the co-sim invariant (they are inside the
-     * globally-earliest event), so syncing s's clock forward is legal.
-     * A crashed session's later segments start through recover().
+     * Launch session @p spec on shard @p s at global time @p now: its
+     * first start, or — given @p pr — the restart of a crashed
+     * session from its checkpoint (or from scratch) with the
+     * pre-crash commit horizon, outage and replay count. Callers hold
+     * the co-sim invariant (they are inside the globally-earliest
+     * event), so syncing s's clock forward is legal. The target shard
+     * never ran the session (see the file comment), so its per-stream
+     * counters start at zero for this segment.
      */
     void
-    start(uint32_t s, const TenantSpec &spec, SimTime now)
+    launch(uint32_t s, const TenantSpec &spec, SimTime now,
+           const PendingRecovery *pr = nullptr)
     {
-        EngineShard &sh = *shards_[s];
-        sh.eng->machine().syncTo(now);
-        snapSegmentBase(s, spec.id);
+        EngineShard &sh = fleet_[s];
+        runtime::Engine &eng = sh.eng;
+        eng.machine().syncTo(now);
+        sbhbm_assert(eng.exec().allStreamStats().count(spec.id) == 0,
+                     "tenant %u relaunched on shard %u, which ran it",
+                     spec.id, s);
+        TenantReport &rep = reports_[spec.id];
+        rep.shard = s;
 
-        auto tenant = std::make_unique<Tenant>(
-            *sh.eng, spec, cfg_.window_ns, seedFor(spec));
+        auto tenant = std::make_unique<Tenant>(eng, spec, cfg_.window_ns,
+                                               seedFor(spec));
         Tenant &t = *tenant;
+        if (pr != nullptr) {
+            if (pr->use_checkpoint)
+                t.restoreFrom(ckpts_.at(spec.id));
+            // Windows committed before the crash are never
+            // redelivered: any replayed output for them is
+            // deduplicated at the sink.
+            t.pipe().resumeFrom(pr->dedup_before);
+            t.egress().setDedupBefore(pr->dedup_before);
+        }
         sh.tenants[spec.id] = std::move(tenant);
-        sh.eng->exec().scheduler().setWeight(spec.id, spec.weight);
+        eng.exec().scheduler().setWeight(spec.id, spec.weight);
         t.start();
-        reports_[spec.id].started_at = t.startedAt();
-        // The shard's cumulative stall counters may carry history
-        // (earlier segments, other incarnations): attribution for
-        // this segment measures growth from here.
-        t.sla().primeStalls(t.stallSnapshot());
-        sh.eng->machine().after(kNsPerMs,
-                                [this, s, id = spec.id] { poll(s, id); });
+        if (pr == nullptr) {
+            rep.started_at = t.startedAt();
+        } else {
+            // The downtime lands in the fresh tracker's recovery
+            // delta at its next observe.
+            t.sla().noteOutage(now - pr->crashed_at);
+            ++rep.recoveries;
+            rep.records_replayed += pr->replay;
+            trace("t=%llu recover tenant=%u shard=%u mode=%s pos=%llu"
+                  " dedup<%llu replay=%llu",
+                  (unsigned long long)now, spec.id, s,
+                  pr->use_checkpoint ? "checkpoint" : "scratch",
+                  (unsigned long long)spec.start_record,
+                  (unsigned long long)pr->dedup_before,
+                  (unsigned long long)pr->replay);
+        }
+        eng.machine().after(kNsPerMs,
+                            [this, s, id = spec.id] { poll(s, id); });
         if (cfg_.fault.enabled && cfg_.fault.checkpoint_period > 0
             && t.migratable() && spec.logical_time)
             scheduleCheckpoint(s, spec.id);
+    }
+
+    /** Launch every session the registry just admitted, each on its
+     *  placement shard, at global time @p now. */
+    void
+    launchAdmitted(const std::vector<TenantSpec> &admitted, SimTime now)
+    {
+        for (const TenantSpec &next : admitted)
+            launch(registry_.shardOf(next.id), next, now);
     }
 
     /**
@@ -640,16 +610,14 @@ class Server
     void
     admissionTick()
     {
-        const SimTime now = shards_[0]->eng->machine().now();
-        for (const TenantSpec &next : registry_.pumpAdmission())
-            start(registry_.shardOf(next.id), next, now);
+        launchAdmitted(registry_.pumpAdmission(), fleet_.control().now());
         for (uint32_t s = 0; s < cfg_.shards; ++s) {
-            shards_[s]->eng->memory().markHighWater(pressureTier());
+            fleet_.engine(s).memory().markHighWater(pressureTier());
             // The fresh window's sample covers everything admitted up
             // to here: reset the registry's unmeasured-reserve term.
             registry_.noteGaugeMarked(s);
         }
-        shards_[0]->eng->machine().after(
+        fleet_.control().after(
             cfg_.engine.monitor_period, [this] { admissionTick(); },
             /*daemon=*/true);
     }
@@ -667,41 +635,10 @@ class Server
                    : mem::Tier::kDram;
     }
 
-    /**
-     * The global event loop: always step the shard machine with the
-     * earliest pending event (ties break on the lowest shard index),
-     * until no machine has non-daemon work left — the exact
-     * multi-machine generalization of EventQueue::run(), and
-     * identical to it at one shard. Daemon events (monitors,
-     * admission ticks) keep firing while any shard has live work, so
-     * a drained shard's clock keeps pace with the fleet.
-     */
-    void
-    runFleet()
-    {
-        for (;;) {
-            bool any_live = false;
-            size_t best = 0;
-            SimTime best_t = kSimTimeNever;
-            for (size_t s = 0; s < shards_.size(); ++s) {
-                sim::Machine &m = shards_[s]->eng->machine();
-                any_live = any_live || !m.idle();
-                const SimTime t = m.events().nextTime();
-                if (t < best_t) {
-                    best_t = t;
-                    best = s;
-                }
-            }
-            if (!any_live)
-                break;
-            shards_[best]->eng->machine().step();
-        }
-    }
-
     void
     poll(uint32_t s, runtime::StreamId id)
     {
-        EngineShard &sh = *shards_[s];
+        EngineShard &sh = fleet_[s];
         auto it = sh.tenants.find(id);
         if (it == sh.tenants.end())
             return; // session crashed off this shard mid-poll
@@ -711,10 +648,10 @@ class Server
             // SLA feedback into placement: a breaching tenant's
             // non-urgent KPAs go DRAM-lean until it recovers.
             const bool want = t.sla().breached();
-            bool &demoted = sh.demoted_class[id];
+            const bool demoted = sh.eng.streamPlacementClass(id)
+                                 == mem::PlacementClass::kDramLean;
             if (want != demoted) {
-                demoted = want;
-                sh.eng->setStreamPlacementClass(
+                sh.eng.setStreamPlacementClass(
                     id, want ? mem::PlacementClass::kDramLean
                              : mem::PlacementClass::kNormal);
                 if (want)
@@ -722,8 +659,8 @@ class Server
             }
         }
         if (!t.drained()) {
-            sh.eng->machine().after(kNsPerMs,
-                                    [this, s, id] { poll(s, id); });
+            sh.eng.machine().after(kNsPerMs,
+                                   [this, s, id] { poll(s, id); });
             return;
         }
         finish(s, id, t);
@@ -747,7 +684,7 @@ class Server
     accumulate(uint32_t s, runtime::StreamId id, Tenant &t,
                columnar::WindowId commit_before = kAllWindows)
     {
-        EngineShard &sh = *shards_[s];
+        runtime::Engine &eng = fleet_.engine(s);
         t.sla().observe(t.pipe(), t.stallSnapshot());
         TenantReport &rep = reports_[id];
         rep.records += t.recordsIngested();
@@ -773,25 +710,22 @@ class Server
         for (double v : sla.latencies().samples())
             rep.latency_samples.push_back(v);
 
-        const auto &ss = sh.eng->exec().streamStats(id);
-        const SegmentBase &base = seg_base_[id];
-        rep.tasks += ss.completed - base.tasks;
-        rep.cpu_ns += ss.cpu_ns - base.cpu_ns;
-        rep.hbm_bytes += ss.hbm_bytes - base.hbm_bytes;
-        rep.dram_bytes += ss.dram_bytes - base.dram_bytes;
-        rep.served_slots +=
-            sh.eng->exec().scheduler().served(id) - base.served_slots;
+        // The shard never ran another segment of this stream (see
+        // the file comment): its per-stream totals are this segment's.
+        const auto &ss = eng.exec().streamStats(id);
+        rep.tasks += ss.completed;
+        rep.cpu_ns += ss.cpu_ns;
+        rep.hbm_bytes += ss.hbm_bytes;
+        rep.dram_bytes += ss.dram_bytes;
+        rep.served_slots += eng.exec().scheduler().served(id);
 
-        rep.hbm_peak_bytes =
-            std::max(rep.hbm_peak_bytes,
-                     sh.eng->memory().streamHbmHighWater(id));
-        rep.demoted_kpas +=
-            sh.eng->director().demotedKpas(id) - base.demoted_kpas;
-        rep.demoted_bytes +=
-            sh.eng->director().demotedBytes(id) - base.demoted_bytes;
+        rep.hbm_peak_bytes = std::max(rep.hbm_peak_bytes,
+                                      eng.memory().streamHbmHighWater(id));
+        rep.demoted_kpas += eng.director().demotedKpas(id);
+        rep.demoted_bytes += eng.director().demotedBytes(id);
 
         // Fault-tolerance accounting for this segment.
-        rep.shed_tasks += ss.shed - base.shed_tasks;
+        rep.shed_tasks += ss.shed;
         rep.records_shed += t.recordsShed();
         rep.suppressed_records += t.egress().suppressedRecords();
         rep.downtime_ns += sla.downtimeNs();
@@ -810,19 +744,15 @@ class Server
     void
     teardown(uint32_t s, runtime::StreamId id)
     {
-        EngineShard &sh = *shards_[s];
+        EngineShard &sh = fleet_[s];
         sh.tenants.erase(id);
-        sh.eng->setStreamBudget(id, 0);
-        if (cfg_.sla_demotion && sh.demoted_class[id]) {
-            sh.eng->setStreamPlacementClass(id,
-                                            mem::PlacementClass::kNormal);
-            sh.demoted_class[id] = false;
-        }
+        sh.eng.setStreamBudget(id, 0);
+        sh.eng.setStreamPlacementClass(id, mem::PlacementClass::kNormal);
         // A teardown is a step change in usage: restart the pressure
         // window so the departed session's peak does not keep blocking
         // admission until the next tick.
         if (cfg_.admission.mode == AdmissionMode::kLivePressure) {
-            sh.eng->memory().markHighWater(pressureTier());
+            sh.eng.memory().markHighWater(pressureTier());
             registry_.noteGaugeMarked(s);
         }
     }
@@ -830,11 +760,24 @@ class Server
     void
     finish(uint32_t s, runtime::StreamId id, Tenant &t)
     {
-        const SimTime now = shards_[s]->eng->machine().now();
+        const SimTime now = fleet_.engine(s).machine().now();
         TenantReport &rep = reports_[id];
+        const uint64_t offered = t.streams() * rep.spec.total_records;
         accumulate(s, id, t);
         teardown(s, id); // destroys t
         ckpts_.erase(id);
+
+        // Record conservation: every offered record (on each source
+        // of a two-stream session) was ingested or shed, and recovery
+        // replays re-ingest on top.
+        sbhbm_assert(rep.records + rep.records_shed
+                         == offered + rep.records_replayed,
+                     "tenant %u: ingested %llu + shed %llu != offered"
+                     " %llu + replayed %llu",
+                     id, (unsigned long long)rep.records,
+                     (unsigned long long)rep.records_shed,
+                     (unsigned long long)offered,
+                     (unsigned long long)rep.records_replayed);
 
         rep.admission = Admission::kAdmitted;
         rep.finished_at = now;
@@ -856,8 +799,23 @@ class Server
 
         // Hand the reservation back — which may admit waiting
         // sessions right now, at this virtual time, on any shard.
-        for (const TenantSpec &next : registry_.release(id))
-            start(registry_.shardOf(next.id), next, now);
+        launchAdmitted(registry_.release(id), now);
+    }
+
+    /**
+     * Declare session @p id lost at @p now (@p why names the cause on
+     * the trace): it keeps what it delivered, and its released
+     * reservation admits waiters.
+     */
+    void
+    lose(runtime::StreamId id, SimTime now, const std::string &why)
+    {
+        TenantReport &rep = reports_[id];
+        rep.lost = true;
+        rep.finished_at = now;
+        trace("t=%llu lost tenant=%u (%s)", (unsigned long long)now, id,
+              why.c_str());
+        launchAdmitted(registry_.release(id), now);
     }
 
     // ---------------------------------------------------------------
@@ -878,20 +836,8 @@ class Server
         va_start(ap, fmt);
         vsnprintf(buf, sizeof(buf), fmt, ap);
         va_end(ap);
-        cfg_.telemetry->trace.instant(shards_[0]->eng->machine().now(),
-                                      0, 0, "recovery", buf);
-    }
-
-    /** The session @p id currently runs as, wherever it is. */
-    Tenant *
-    findTenant(runtime::StreamId id)
-    {
-        for (auto &sh : shards_) {
-            auto it = sh->tenants.find(id);
-            if (it != sh->tenants.end())
-                return it->second.get();
-        }
-        return nullptr;
+        cfg_.telemetry->trace.instant(fleet_.control().now(), 0, 0,
+                                      "recovery", buf);
     }
 
     /**
@@ -902,7 +848,7 @@ class Server
     void
     onFault(const sim::FaultEvent &e)
     {
-        const SimTime now = shards_[0]->eng->machine().now();
+        const SimTime now = fleet_.control().now();
         trace("t=%llu fault %s shard=%u tenant=%u arg=%llu arg2=%llu",
               (unsigned long long)now, sim::faultKindName(e.kind),
               e.shard, e.tenant, (unsigned long long)e.arg,
@@ -912,33 +858,30 @@ class Server
             crashShard(e.shard);
             break;
           case sim::FaultKind::kAllocFail:
-            if (e.shard < cfg_.shards && !shard_dead_[e.shard]) {
-                shards_[e.shard]->eng->memory().failNextAllocs(
+            if (e.shard < cfg_.shards && !fleet_.dead(e.shard)) {
+                fleet_.engine(e.shard).memory().failNextAllocs(
                     static_cast<uint32_t>(e.arg));
             }
             break;
           case sim::FaultKind::kIngestStall:
-            if (Tenant *t = findTenant(e.tenant))
+            if (Tenant *t = fleet_.findTenant(e.tenant))
                 t->sourceA().stallUntil(now
                                         + static_cast<SimTime>(e.arg));
             break;
           case sim::FaultKind::kIngestDrop:
-            if (Tenant *t = findTenant(e.tenant))
+            if (Tenant *t = fleet_.findTenant(e.tenant))
                 t->sourceA().dropBundles(e.arg);
             break;
           case sim::FaultKind::kSlowShard:
-            if (e.shard < cfg_.shards && !shard_dead_[e.shard]) {
-                EngineShard &sh = *shards_[e.shard];
-                sh.eng->machine().syncTo(now);
-                sh.eng->exec().setCoreLimit(
-                    static_cast<unsigned>(e.arg));
+            if (e.shard < cfg_.shards && !fleet_.dead(e.shard)) {
+                runtime::Engine &eng = fleet_.engine(e.shard);
+                eng.machine().syncTo(now);
+                eng.exec().setCoreLimit(static_cast<unsigned>(e.arg));
                 // Degradation is transient: restore the full core
                 // count after the fault's duration.
-                sh.eng->machine().after(
+                eng.machine().after(
                     static_cast<SimTime>(e.arg2),
-                    [this, s = e.shard] {
-                        shards_[s]->eng->exec().setCoreLimit(0);
-                    },
+                    [&eng] { eng.exec().setCoreLimit(0); },
                     /*daemon=*/true);
             }
             break;
@@ -959,22 +902,19 @@ class Server
     crashShard(uint32_t s)
     {
         sbhbm_assert(s != 0, "the control-plane shard cannot crash");
-        if (s >= cfg_.shards || shard_dead_[s])
+        if (s >= cfg_.shards || fleet_.dead(s))
             return;
-        EngineShard &sh = *shards_[s];
-        const SimTime now = shards_[0]->eng->machine().now();
-        sh.eng->machine().syncTo(now);
-        shard_dead_[s] = true;
+        EngineShard &sh = fleet_[s];
+        const SimTime now = fleet_.control().now();
+        sh.eng.machine().syncTo(now);
+        fleet_.markDead(s);
         registry_.setShardDown(s);
 
-        std::vector<runtime::StreamId> ids;
-        for (auto &[id, t] : sh.tenants)
-            ids.push_back(id);
+        auto victims = std::move(sh.tenants);
+        sh.tenants.clear();
         trace("t=%llu crash shard=%u sessions=%zu",
-              (unsigned long long)now, s, ids.size());
-        for (runtime::StreamId id : ids) {
-            std::unique_ptr<Tenant> dead = std::move(sh.tenants[id]);
-            sh.tenants.erase(id);
+              (unsigned long long)now, s, victims.size());
+        for (auto &[id, dead] : victims) {
             Tenant &t = *dead;
             t.halt();
 
@@ -984,10 +924,10 @@ class Server
                 t.migratable() ? t.sourceA().streamPosition() : 0;
             const bool recoverable =
                 t.migratable() && rep.spec.logical_time;
-            const TenantCheckpoint *ck =
-                recoverable ? ckpts_.find(id) : nullptr;
-            const bool use_ck = ck != nullptr && ck->restorable
-                                && ck->position <= position;
+            const auto ck = ckpts_.find(id);
+            const bool use_ck = recoverable && ck != ckpts_.end()
+                                && ck->second.restorable
+                                && ck->second.position <= position;
             // The transactional-sink cut: output past the last
             // checkpoint (or all of it, for scratch-restart) is
             // uncommitted — rolled back from the report and
@@ -995,35 +935,25 @@ class Server
             // keep everything they managed to deliver.
             const columnar::WindowId commit =
                 !recoverable ? kAllWindows
-                             : (use_ck ? ck->next_close : 0);
+                             : (use_ck ? ck->second.next_close : 0);
             accumulate(s, id, t, commit);
-            // The Tenant object stays alive until Server destruction:
-            // zombie tasks on the dead shard still reference its
-            // operators and bundles.
-            graveyard_.push_back(std::move(dead));
+            fleet_.bury(std::move(dead));
             if (!recoverable) {
                 // Two-stream or physical-time sessions cannot replay
-                // bit-identically: lost. Release the reservation so
-                // waiters admit.
-                rep.lost = true;
-                rep.finished_at = now;
-                trace("t=%llu lost tenant=%u (unrecoverable)",
-                      (unsigned long long)now, id);
-                for (const TenantSpec &next : registry_.release(id))
-                    start(registry_.shardOf(next.id), next, now);
+                // bit-identically.
+                lose(id, now, "unrecoverable");
                 continue;
             }
 
             PendingRecovery pr;
-            pr.id = id;
             pr.crashed_at = now;
             pr.dedup_before = commit;
             pr.cont = rep.spec;
             pr.use_checkpoint = use_ck;
             if (pr.use_checkpoint) {
-                pr.cont.start_record = ck->position;
+                pr.cont.start_record = ck->second.position;
                 pr.cont.total_records =
-                    rep.spec.total_records - ck->position;
+                    rep.spec.total_records - ck->second.position;
             } else {
                 // Scratch-restart: full replay, output deduplicated.
                 pr.cont.start_record = 0;
@@ -1042,7 +972,7 @@ class Server
         uint32_t best = kNoShard;
         double best_load = 0;
         for (uint32_t s = 0; s < cfg_.shards; ++s) {
-            if (shard_dead_[s])
+            if (fleet_.dead(s))
                 continue;
             const double l = registry_.shardLoad(s);
             if (best == kNoShard || l < best_load) {
@@ -1061,8 +991,7 @@ class Server
         recovery_scheduled_ = true;
         // Non-daemon: a pending failover is live work — the fleet
         // must not drain out from under it.
-        shards_[0]->eng->machine().after(kRecoveryDelay,
-                                         [this] { recoveryTick(); });
+        fleet_.control().after(kRecoveryDelay, [this] { recoveryTick(); });
     }
 
     /**
@@ -1076,74 +1005,23 @@ class Server
     recoveryTick()
     {
         recovery_scheduled_ = false;
-        const SimTime now = shards_[0]->eng->machine().now();
+        const SimTime now = fleet_.control().now();
         std::vector<PendingRecovery> still;
         for (PendingRecovery &pr : pending_recovery_) {
             const uint32_t target = pickRecoveryShard();
-            if (target == kNoShard
-                || !registry_.migrate(pr.id, target)) {
-                if (++pr.attempts >= kMaxRecoveryAttempts) {
-                    TenantReport &rep = reports_[pr.id];
-                    rep.lost = true;
-                    rep.finished_at = now;
-                    trace("t=%llu lost tenant=%u (no placement after"
-                          " %u attempts)",
-                          (unsigned long long)now, pr.id, pr.attempts);
-                    for (const TenantSpec &next :
-                         registry_.release(pr.id))
-                        start(registry_.shardOf(next.id), next, now);
-                } else {
-                    still.push_back(std::move(pr));
-                }
-                continue;
+            const runtime::StreamId id = pr.cont.id;
+            if (target != kNoShard && registry_.migrate(id, target)) {
+                launch(target, pr.cont, now, &pr);
+            } else if (++pr.attempts >= kMaxRecoveryAttempts) {
+                lose(id, now,
+                     "no placement after " + std::to_string(pr.attempts)
+                         + " attempts");
+            } else {
+                still.push_back(std::move(pr));
             }
-            recover(pr, target, now);
         }
         pending_recovery_ = std::move(still);
         scheduleRecovery();
-    }
-
-    /** Restart crashed session @p pr on live shard @p target. */
-    void
-    recover(const PendingRecovery &pr, uint32_t target, SimTime now)
-    {
-        TenantReport &rep = reports_[pr.id];
-        const TenantCheckpoint *ck =
-            pr.use_checkpoint ? ckpts_.find(pr.id) : nullptr;
-        EngineShard &sh = *shards_[target];
-        sh.eng->machine().syncTo(now);
-        snapSegmentBase(target, pr.id);
-
-        auto tenant = std::make_unique<Tenant>(
-            *sh.eng, pr.cont, cfg_.window_ns, seedFor(rep.spec));
-        Tenant &t = *tenant;
-        if (ck != nullptr)
-            t.restoreFrom(*ck);
-        // Windows committed before the crash are never redelivered:
-        // any replayed output for them is deduplicated at the sink.
-        t.pipe().resumeFrom(pr.dedup_before);
-        t.egress().setDedupBefore(pr.dedup_before);
-        sh.tenants[pr.id] = std::move(tenant);
-        sh.eng->exec().scheduler().setWeight(pr.id, rep.spec.weight);
-        t.start();
-        // Prime BEFORE noting the outage so the downtime lands in the
-        // fresh tracker's recovery delta at the next observe.
-        t.sla().primeStalls(t.stallSnapshot());
-        t.sla().noteOutage(now - pr.crashed_at);
-        ++rep.recoveries;
-        rep.records_replayed += pr.replay;
-        trace("t=%llu recover tenant=%u shard=%u mode=%s pos=%llu"
-              " dedup<%llu replay=%llu",
-              (unsigned long long)now, pr.id, target,
-              ck != nullptr ? "checkpoint" : "scratch",
-              (unsigned long long)pr.cont.start_record,
-              (unsigned long long)pr.dedup_before,
-              (unsigned long long)pr.replay);
-        sh.eng->machine().after(
-            kNsPerMs, [this, target, id = pr.id] { poll(target, id); });
-        if (cfg_.fault.checkpoint_period > 0 && t.migratable()
-            && pr.cont.logical_time)
-            scheduleCheckpoint(target, pr.id);
     }
 
     void
@@ -1151,7 +1029,7 @@ class Server
     {
         // Daemon: the periodic cadence never keeps a drained fleet
         // alive; a checkpoint in progress (quiesceWait) does.
-        shards_[s]->eng->machine().after(
+        fleet_.engine(s).machine().after(
             cfg_.fault.checkpoint_period,
             [this, s, id] { checkpointTick(s, id); },
             /*daemon=*/true);
@@ -1162,22 +1040,22 @@ class Server
     void
     checkpointTick(uint32_t s, runtime::StreamId id)
     {
-        if (shard_dead_[s])
+        if (fleet_.dead(s))
             return;
-        EngineShard &sh = *shards_[s];
+        EngineShard &sh = fleet_[s];
         auto it = sh.tenants.find(id);
         if (it == sh.tenants.end())
             return; // drained or crashed
         it->second->sourceA().pause();
-        quiesceWait(s, id, sh.eng->machine().now());
+        quiesceWait(s, id, sh.eng.machine().now());
     }
 
     void
     quiesceWait(uint32_t s, runtime::StreamId id, SimTime began)
     {
-        if (shard_dead_[s])
+        if (fleet_.dead(s))
             return;
-        EngineShard &sh = *shards_[s];
+        EngineShard &sh = fleet_[s];
         auto it = sh.tenants.find(id);
         if (it == sh.tenants.end())
             return; // crashed mid-quiesce (halt() clears the pause)
@@ -1185,13 +1063,15 @@ class Server
         if (!t.quiesced()) {
             // Non-daemon: an in-progress cut holds the fleet until it
             // lands and the source resumes.
-            sh.eng->machine().after(
+            sh.eng.machine().after(
                 kQuiescePoll,
                 [this, s, id, began] { quiesceWait(s, id, began); });
             return;
         }
         sim::CostLog log;
-        TenantCheckpoint c = t.capture(ckpts_.find(id), log);
+        const auto prev = ckpts_.find(id);
+        TenantCheckpoint c = t.capture(
+            prev == ckpts_.end() ? nullptr : &prev->second, log);
         TenantReport &rep = reports_[id];
         ++rep.checkpoints;
         rep.checkpoint_copied_bytes += c.copiedBytes();
@@ -1199,7 +1079,7 @@ class Server
         if (obs::Telemetry *tp = cfg_.telemetry) {
             // The span covers pause -> quiesce -> capture; the copy
             // charge runs on after it DMA-style.
-            tp->trace.span(began, sh.eng->machine().now() - began, s,
+            tp->trace.span(began, sh.eng.machine().now() - began, s,
                            id, "checkpoint", "checkpoint",
                            {{"copied_bytes", c.copiedBytes()},
                             {"reused_bytes", c.reusedBytes()},
@@ -1207,30 +1087,28 @@ class Server
         }
         // Copy traffic is real work on the shard: charge it through
         // the machine DMA-style, like the director's demotion sweeps.
-        sh.eng->machine().execute(std::move(log), [] {});
-        ckpts_.put(std::move(c));
+        sh.eng.machine().execute(std::move(log), [] {});
+        ckpts_.insert_or_assign(id, std::move(c));
         t.sourceA().resume();
         scheduleCheckpoint(s, id);
     }
 
     ServeConfig cfg_;
-    std::vector<std::unique_ptr<EngineShard>> shards_;
+    EngineFleet fleet_;
     TenantRegistry registry_;
     std::vector<TenantSpec> pending_;
     std::map<runtime::StreamId, TenantReport> reports_;
-    std::map<runtime::StreamId, SegmentBase> seg_base_;
     std::vector<TenantReport> report_list_;
     bool ran_ = false;
 
-    // Fault tolerance. graveyard_ is declared after shards_ so dead
-    // Tenants (whose operators zombie tasks referenced) are destroyed
-    // while their engines are still alive.
+    // Fault tolerance. The injector is declared after the fleet, whose
+    // control-plane machine it schedules on.
     std::unique_ptr<sim::FaultInjector> injector_;
-    std::vector<bool> shard_dead_;
-    std::vector<std::unique_ptr<Tenant>> graveyard_;
     std::vector<PendingRecovery> pending_recovery_;
     bool recovery_scheduled_ = false;
-    CheckpointStore ckpts_;
+
+    /** Each live session's latest checkpoint (erased at drain). */
+    std::map<runtime::StreamId, TenantCheckpoint> ckpts_;
 };
 
 } // namespace sbhbm::serve

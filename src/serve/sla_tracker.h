@@ -11,9 +11,9 @@
  * into the sample set, so observe() may be called incrementally while
  * the session runs and once more at drain with identical results.
  *
- * Breach attribution. When the caller also supplies the tenant's
- * cumulative stall counters (ingest wait, executor queue wait, sweep
- * memory stall), each observe() batch decomposes its latency into
+ * Breach attribution. With the tenant's cumulative stall counters
+ * (ingest wait, executor queue wait, sweep memory stall) passed to
+ * observe(), each batch decomposes its latency into
  * five causes — recovery replay, ingest wait, memory stall, scheduler
  * queue, and compute (the residual) — so a breach names what actually
  * made the windows late instead of just that they were. Components
@@ -84,9 +84,9 @@ stallCauseName(StallCause c)
 
 /**
  * Cumulative per-tenant stall counters, sampled by the serving layer
- * right before observe(). All monotone within one session segment;
- * primeStalls() re-bases after restart (fresh Tenant, fresh engine
- * counters on the recovery shard).
+ * right before observe(). All monotone within one session segment,
+ * and zero at its start: each segment runs on a fresh Tenant, on a
+ * shard that never ran its stream.
  */
 struct StallSnapshot
 {
@@ -112,17 +112,9 @@ class SlaTracker
      */
     void setIgnoreBefore(SimTime t) { ignore_before_ = t; }
 
-    /** Fold in externalizations @p pipe recorded since the last call. */
-    void
-    observe(const pipeline::Pipeline &pipe)
-    {
-        // No new stall information: deltas are zero and the whole
-        // batch stays attributed to compute — the legacy behaviour.
-        observe(pipe, prev_);
-    }
-
     /**
-     * Fold in new externalizations AND attribute their latency. @p s
+     * Fold in externalizations @p pipe recorded since the last call
+     * and attribute their latency. @p s
      * carries the tenant's cumulative stall counters at observation
      * time; the deltas since the previous call are charged against
      * the batch's total latency in fixed order (recovery, ingest,
@@ -162,19 +154,6 @@ class SlaTracker
             }
         }
         attribute(lats, late, s);
-    }
-
-    /**
-     * Re-base the stall counters without observing: called when the
-     * session (re)starts on a shard whose cumulative executor /
-     * director counters already carry history from other segments or
-     * tenants' past — only growth after this point is this segment's.
-     */
-    void
-    primeStalls(const StallSnapshot &s)
-    {
-        prev_ = s;
-        recovery_seen_ns_ = downtime_ns_;
     }
 
     /** Externalized windows observed so far. */

@@ -202,6 +202,10 @@ class Tenant
      */
     bool migratable() const { return src_b_ == nullptr; }
 
+    /** Sources feeding the pipeline (2 for a two-stream query); each
+     *  ingests spec().total_records. */
+    uint32_t streams() const { return src_b_ ? 2 : 1; }
+
     // ---------------------------------------------------------------
     // Fault tolerance.
     // ---------------------------------------------------------------
@@ -262,9 +266,6 @@ class Tenant
     {
         sbhbm_assert(quiesced(), "checkpoint of a non-quiesced session");
         TenantCheckpoint c;
-        c.id = spec_.id;
-        c.taken_at = eng_.machine().now();
-        c.watermark = src_a_->emittedWatermark();
         c.position = src_a_->streamPosition();
         c.next_close = pipe_->targetWindow();
         c.restorable = migratable() && spec_.logical_time;

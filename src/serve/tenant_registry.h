@@ -295,8 +295,6 @@ class TenantRegistry
     uint64_t everAdmitted() const { return ever_admitted_; }
     uint64_t migrations() const { return migrations_; }
 
-    uint32_t shards() const { return cfg_.shards; }
-
     /** Per-shard slice of the global budget. */
     uint64_t perShardBudget() const
     {

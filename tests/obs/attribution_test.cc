@@ -4,9 +4,9 @@
  * latency into recovery / ingest / memory / sched / compute with the
  * components summing exactly to the measured latency, stall deltas
  * clamp to the latency they can explain, stalls seen between window
- * externalizations carry forward to the next batch, primeStalls()
- * re-bases without attributing, and dominantCause() names the cause
- * with the most violating-window latency.
+ * externalizations carry forward to the next batch, and
+ * dominantCause() names the cause with the most violating-window
+ * latency.
  */
 
 #include "serve/sla_tracker.h"
@@ -121,26 +121,6 @@ TEST_F(ObsAttribution, EmptyBatchStallsCarryToTheNextWindows)
                      2.0 * kNsPerMs);
     EXPECT_DOUBLE_EQ(totalAttributedNs(),
                      static_cast<double>(3 * kTarget));
-}
-
-TEST_F(ObsAttribution, PrimeStallsRebasesWithoutAttributing)
-{
-    // History from a previous segment on the same (cumulative)
-    // counters: priming makes only growth after this point count.
-    StallSnapshot inherited;
-    inherited.queue_wait_ns = 40 * kNsPerMs;
-    sla_.primeStalls(inherited);
-
-    externalize(0, 2 * kNsPerMs);
-    eng_.machine().run();
-    StallSnapshot s = inherited;
-    s.queue_wait_ns += 1 * kNsPerMs;
-    sla_.observe(pipe_, s);
-
-    EXPECT_DOUBLE_EQ(sla_.componentNs(StallCause::kSched),
-                     1.0 * kNsPerMs);
-    EXPECT_DOUBLE_EQ(sla_.componentNs(StallCause::kCompute),
-                     1.0 * kNsPerMs);
 }
 
 TEST_F(ObsAttribution, OutageAttributesToRecoveryFirst)

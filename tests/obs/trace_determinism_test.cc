@@ -158,8 +158,8 @@ runOverload(obs::Telemetry *tele)
         r.violations.push_back(rep.sla_violations);
         r.latencies.push_back(rep.latency_samples);
     }
-    r.demoted_kpas = server.engine().director().demotedKpas();
-    r.end_time = server.engine().machine().now();
+    r.demoted_kpas = server.engine(0).director().demotedKpas();
+    r.end_time = server.engine(0).machine().now();
     return r;
 }
 

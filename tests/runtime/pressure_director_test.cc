@@ -148,19 +148,20 @@ class FakeProvider : public mem::ColdStateProvider
     uint32_t providerStream() const override { return stream_; }
 
     mem::DemoteResult
-    demoteColdState(uint64_t want, sim::CostLog &log) override
+    relocateColdState(Tier from, Tier to, uint64_t want,
+                      sim::CostLog &log) override
     {
         mem::DemoteResult r;
         for (auto &b : blocks_) {
             if (r.charged_bytes >= want)
                 break;
-            if (b.tier != Tier::kHbm)
+            if (b.tier != from)
                 continue;
             const uint64_t charged = b.charged_bytes;
-            if (!hm_.migrate(b, Tier::kDram))
+            if (!hm_.migrate(b, to))
                 continue;
-            log.seq(Tier::kHbm, b.bytes);
-            log.seq(Tier::kDram, b.bytes);
+            log.seq(from, b.bytes);
+            log.seq(to, b.bytes);
             r.charged_bytes += charged;
             ++r.kpas;
         }

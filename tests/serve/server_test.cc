@@ -71,6 +71,34 @@ TEST(Server, ConcurrentTenantsAllDrain)
     EXPECT_GT(server.fairnessIndex(), 0.5);
 }
 
+TEST(Server, TwoStreamSessionDrainsBesideASingleStreamOne)
+{
+    Server server(smallConfig());
+    TenantSpec join = smallTenant(1, 1.0, 20'000);
+    join.query = queries::QueryId::kTemporalJoin;
+    // One window holds the whole session: its bundles on both streams
+    // must fit the budget until the window closes.
+    join.max_inflight_bundles = 32;
+    server.submit(join);
+    server.submit(smallTenant(2));
+    server.run();
+
+    ASSERT_EQ(server.reports().size(), 2u);
+    const TenantReport &j = server.reports()[0];
+    EXPECT_EQ(j.admission, Admission::kAdmitted);
+    EXPECT_FALSE(j.lost);
+    // Each of the join's two sources ingests total_records.
+    EXPECT_EQ(j.records + j.records_shed, 2 * join.total_records);
+    EXPECT_EQ(j.records_shed, 0u);
+    EXPECT_GT(j.output_records, 0u);
+    EXPECT_GT(j.windows, 0u);
+
+    const TenantReport &s = server.reports()[1];
+    EXPECT_EQ(s.admission, Admission::kAdmitted);
+    EXPECT_EQ(s.records + s.records_shed, 40'000u);
+    EXPECT_GT(s.output_records, 0u);
+}
+
 /** The determinism anchors of one run, comparable bit for bit. */
 struct Fingerprint
 {

@@ -54,7 +54,7 @@ class SlaTrackerTest : public ::testing::Test
     runAndObserve()
     {
         eng_.machine().run();
-        sla_.observe(pipe_);
+        sla_.observe(pipe_, StallSnapshot{});
     }
 
     SimTime last_at_ = 0;
