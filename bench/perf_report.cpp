@@ -8,8 +8,9 @@
  * implementations preserving the pre-rewrite algorithms, the temporal
  * join's keySwap, sortKpa and join on a 2-thread host pool against
  * their serial runs, plus one end-to-end figure-style GroupBy-window
- * pipeline, and writes the results to a machine-readable JSON report
- * (BENCH_kernels.json).
+ * pipeline and one fleet shard's dispatch path (executor, run queue
+ * and simulator, no kernels), and writes the results to a
+ * machine-readable JSON report (BENCH_kernels.json).
  * Unlike the fig* benches this measures *host wall-clock* time — the
  * simulated cost model is exercised but its output is not the metric.
  *
@@ -38,6 +39,8 @@
 #include "kpa/primitives.h"
 #include "perf_naive.h"
 #include "pipeline/aggregations.h"
+#include "runtime/executor.h"
+#include "sim/machine.h"
 #include "sim/machine_config.h"
 
 using namespace sbhbm;
@@ -736,6 +739,71 @@ main(int argc, char **argv)
         std::printf("e2e groupby: %llu groups over %u records\n",
                     static_cast<unsigned long long>(groups), n);
         report.add(result("e2e/groupby_window", ns, n, reps));
+    }
+
+    // --- dispatch: one fleet shard's control path ---------------------
+    // No kernel runs here: each task only charges its cost, so the row
+    // times spawning, the fair-share run queue, the executor's
+    // per-task bookkeeping and the simulator (events, phases, the
+    // bandwidth arbiters). The shard is shaped like `fleet`'s: 16
+    // cores, 64 streams weighted like its sessions (16 hot at 4, 48 at
+    // 1), 79% Urgent tasks, each costing CPU time and flows on both
+    // tiers. Every completion spawns its stream's next task, so all 64
+    // streams stay backlogged. Reports ns per task, spawn to
+    // completion; there is no naive reference.
+    {
+        const uint32_t tasks = smoke ? 20000 : 200000;
+        constexpr uint32_t kStreams = 64;
+        constexpr uint32_t kHot = 16;
+        constexpr uint32_t kInFlightPerStream = 4;
+        uint64_t completed = 0;
+        const double ns = bestNs(reps, [&] {
+            sim::Machine machine(env.cfg);
+            runtime::Executor ex(machine, 16);
+            for (uint32_t s = 0; s < kHot; ++s)
+                ex.scheduler().setWeight(s, 4.0);
+            Rng rng(17);
+            uint32_t spawned = 0;
+            std::function<void(runtime::StreamId)> spawnOne =
+                [&](runtime::StreamId stream) {
+                    if (spawned == tasks)
+                        return;
+                    ++spawned;
+                    const uint64_t draw = rng.nextBounded(100);
+                    const runtime::ImpactTag tag =
+                        draw < 79   ? runtime::ImpactTag::kUrgent
+                        : draw < 90 ? runtime::ImpactTag::kHigh
+                                    : runtime::ImpactTag::kLow;
+                    const double cpu_ns =
+                        2000.0 + static_cast<double>(rng.nextBounded(8000));
+                    const uint64_t hbm = 16384 + rng.nextBounded(49152);
+                    const uint64_t dram = 4096 + rng.nextBounded(28672);
+                    const bool rand = rng.nextBounded(4) == 0;
+                    ex.spawn(
+                        tag,
+                        [cpu_ns, hbm, dram, rand](sim::CostLog &log) {
+                            log.cpu(cpu_ns);
+                            log.seq(Tier::kHbm, hbm);
+                            if (rand)
+                                log.rand(Tier::kDram, dram);
+                            else
+                                log.seq(Tier::kDram, dram);
+                        },
+                        [&spawnOne, stream] { spawnOne(stream); }, stream);
+                };
+            for (uint32_t k = 0; k < kInFlightPerStream; ++k)
+                for (uint32_t s = 0; s < kStreams; ++s)
+                    spawnOne(s);
+            machine.run();
+            completed = ex.completedTasks();
+        });
+        if (completed != tasks) {
+            std::fprintf(stderr,
+                         "dispatch/fleet-shard: %llu of %u tasks completed\n",
+                         static_cast<unsigned long long>(completed), tasks);
+            return 1;
+        }
+        report.add(result("dispatch/fleet-shard", ns / tasks, 1, reps));
     }
 
     // --- report -----------------------------------------------------

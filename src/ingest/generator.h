@@ -16,6 +16,7 @@
 #include "algo/hash_table.h"
 #include "columnar/bundle.h"
 #include "columnar/record.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/units.h"
 
@@ -50,12 +51,46 @@ class Generator
     virtual void skipRecords(uint64_t n) = 0;
 
   protected:
-    /** Evenly spaced timestamp for record @p i of @p n in [t0, t1). */
-    static EventTime
-    tsOf(uint32_t i, uint32_t n, EventTime t0, EventTime t1)
+    /**
+     * Evenly spaced timestamps for records i = 0, 1, ..., n - 1 in
+     * [t0, t1): next() returns t0 + (t1 - t0) * i / n exactly, stepping
+     * the quotient and remainder instead of dividing per record.
+     */
+    class TsSteps
     {
-        return t0 + (t1 - t0) * i / n;
-    }
+      public:
+        TsSteps(uint32_t n, EventTime t0, EventTime t1) : ts_(t0), n_(n)
+        {
+            const uint64_t span = t1 - t0;
+            // span * i then never wraps, so each step equals the formula.
+            sbhbm_assert(n == 0 || span <= ~uint64_t{0} / n,
+                         "timestamp span %llu x %u records overflows",
+                         (unsigned long long)span, n);
+            step_ = n == 0 ? 0 : span / n;
+            carry_ = n == 0 ? 0 : span % n;
+        }
+
+        EventTime
+        next()
+        {
+            const EventTime ts = ts_;
+            // Invariant: ts_ = t0 + span * i / n, rem_ = span * i % n.
+            ts_ += step_;
+            rem_ += carry_;
+            if (rem_ >= n_) {
+                rem_ -= n_;
+                ++ts_;
+            }
+            return ts;
+        }
+
+      private:
+        EventTime ts_;
+        uint64_t n_;
+        uint64_t step_ = 0;
+        uint64_t carry_ = 0;
+        uint64_t rem_ = 0;
+    };
 };
 
 /**
@@ -85,11 +120,12 @@ class KvGen : public Generator
     fill(columnar::Bundle &b, uint32_t n, EventTime t0,
          EventTime t1) override
     {
+        TsSteps ts(n, t0, t1);
         for (uint32_t i = 0; i < n; ++i) {
             uint64_t *row = b.appendRaw();
             row[kKeyCol] = rng_.nextBounded(key_range_);
             row[kValueCol] = rng_.nextBounded(value_range_);
-            row[kTsCol] = tsOf(i, n, t0, t1);
+            row[kTsCol] = ts.next();
             if (secondary_)
                 row[kKey2Col] = rng_.nextBounded(key2_range_);
         }
@@ -142,9 +178,10 @@ class YsbGen : public Generator
     fill(columnar::Bundle &b, uint32_t n, EventTime t0,
          EventTime t1) override
     {
+        TsSteps ts(n, t0, t1);
         for (uint32_t i = 0; i < n; ++i) {
             uint64_t *row = b.appendRaw();
-            row[kTsCol] = tsOf(i, n, t0, t1);
+            row[kTsCol] = ts.next();
             row[kUserCol] = rng_.next();
             row[kPageCol] = rng_.next();
             row[kAdCol] = rng_.nextBounded(kCampaigns * kAdsPerCampaign);
@@ -208,6 +245,7 @@ class PowerGridGen : public Generator
          EventTime t1) override
     {
         const uint64_t total_plugs = houses_ * plugs_per_house_;
+        TsSteps ts(n, t0, t1);
         for (uint32_t i = 0; i < n; ++i) {
             uint64_t *row = b.appendRaw();
             const uint64_t plug = rng_.nextBounded(total_plugs);
@@ -216,7 +254,7 @@ class PowerGridGen : public Generator
             const uint64_t base = algo::hashKey(plug) % 200;
             row[kPlugCol] = plug;
             row[kLoadCol] = base + rng_.nextBounded(20);
-            row[kTsCol] = tsOf(i, n, t0, t1);
+            row[kTsCol] = ts.next();
             row[kHouseCol] = plug / plugs_per_house_;
         }
     }

@@ -18,6 +18,14 @@
  * gives each tenant its own stream id, sets its weight on scheduler()
  * and audits per-stream cost totals.
  *
+ * A task lives in one slab slot from spawn() until its simulated
+ * completion: its closure (and everything the closure holds alive),
+ * done hook, stream, dispatch instant and label. The run queue and
+ * the machine's completion event carry only the slot's 32-bit id, and
+ * the slot is freed when the task completes, so nothing is
+ * reference-counted. Slot and run-queue state belong to this one
+ * executor.
+ *
  * Besides the simulated core slots, the executor owns a host
  * WorkerPool (hostPool()): the real fork-join pool kernels use to
  * parallelize their functional work's wall-clock within a task,
@@ -28,15 +36,13 @@
 #define SBHBM_RUNTIME_EXECUTOR_H
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/logging.h"
+#include "common/slot_table.h"
 #include "common/unique_function.h"
 #include "common/worker_pool.h"
 #include "mem/hybrid_memory.h"
@@ -118,12 +124,18 @@ class Executor
     spawn(ImpactTag tag, TaskFn fn, DoneFn done = nullptr,
           StreamId stream = 0, const char *label = nullptr)
     {
-        queues_[stream][static_cast<int>(tag)].push_back(
-            Pending{std::move(fn), std::move(done), next_seq_++,
-                    machine_.now(), label});
-        ++queued_;
+        StreamStats &ss = stats_[stream];
+        ++ss.spawned;
         ++spawned_;
-        ++stats_[stream].spawned;
+        const uint32_t id = slots_.take();
+        Slot &t = slots_[id];
+        t.fn = std::move(fn);
+        t.done = std::move(done);
+        t.stats = &ss;
+        t.stream = stream;
+        t.at = machine_.now();
+        t.label = label;
+        sched_.push(stream, tag, id);
         pump();
     }
 
@@ -199,7 +211,7 @@ class Executor
     /** Tasks shed by AllocFailure, summed over all streams. */
     uint64_t shedTasks() const { return shed_; }
 
-    uint64_t queuedTasks() const { return queued_; }
+    uint64_t queuedTasks() const { return sched_.size(); }
 
     uint64_t spawnedTasks() const { return spawned_; }
     uint64_t completedTasks() const { return completed_; }
@@ -220,34 +232,35 @@ class Executor
     }
 
     /** True when no task is queued or in flight. */
-    bool idle() const { return busy_ == 0 && queued_ == 0; }
+    bool idle() const { return busy_ == 0 && sched_.empty(); }
 
   private:
-    struct Pending
+    /** A task from spawn() until its simulated completion. */
+    struct Slot
     {
         TaskFn fn;
         DoneFn done;
-        uint64_t seq = 0;
-        SimTime enq = 0; //!< spawn instant (queue-wait accounting)
+        StreamStats *stats = nullptr; //!< stats_ node: map nodes are stable
+        StreamId stream = 0;
+        SimTime at = 0; //!< spawn instant while queued, then dispatch
         const char *label = nullptr;
     };
-
-    using TagQueues = std::array<std::deque<Pending>, kNumTags>;
 
     /** Dispatch queued tasks onto free core slots. */
     void
     pump()
     {
-        while (busy_ < cores_ && queued_ > 0) {
-            // Pending stays a local: a task body that spawns would
-            // re-enter pump(), and a shared member would be
-            // overwritten under the outer frame.
-            Pending task;
-            const StreamId stream = popNext(task);
+        while (busy_ < cores_ && !sched_.empty()) {
+            const uint32_t id = sched_.pop().task;
             ++busy_;
 
+            // A task body that spawns takes slots (and re-enters
+            // pump()) without moving this one.
+            Slot &t = slots_[id];
+            StreamStats &ss = *t.stats;
             const SimTime t0 = machine_.now();
-            stats_[stream].queue_wait_ns += t0 - task.enq;
+            ss.queue_wait_ns += t0 - t.at;
+            t.at = t0;
             sim::CostLog cost;
             cost.cpu(sim::cost::kTaskDispatchNs);
             // Functional execution happens now, but the closure (and
@@ -255,10 +268,8 @@ class Executor
             // only at simulated completion: a real worker's working
             // set is pinned while the task runs, and back-pressure
             // must see it.
-            auto keep = std::make_shared<TaskFn>(std::move(task.fn));
-            StreamStats &ss = stats_[stream];
             try {
-                (*keep)(cost);
+                t.fn(cost);
             } catch (const mem::AllocFailure &) {
                 // Graceful degradation: a task whose allocation
                 // failed is shed, not fatal. Cost accrued before the
@@ -271,80 +282,43 @@ class Executor
             ss.hbm_bytes += cost.bytesOn(sim::Tier::kHbm);
             ss.dram_bytes += cost.bytesOn(sim::Tier::kDram);
 
-            // Machine callbacks are std::function (copyable), so the
-            // move-only hooks ride in shared_ptrs.
-            auto done = std::make_shared<DoneFn>(std::move(task.done));
-            machine_.execute(std::move(cost),
-                             [this, stream, done, keep, t0,
-                              label = task.label] {
-                keep->reset();
-                --busy_;
-                ++completed_;
-                ++stats_[stream].completed;
-                if (tele_ != nullptr) {
-                    tele_->trace.span(t0, machine_.now() - t0, shard_,
-                                      stream, "task",
-                                      label != nullptr ? label
-                                                       : "task");
-                }
-                if (*done)
-                    (*done)();
-                pump();
-            });
+            machine_.execute(std::move(cost), [this, id] { complete(id); });
         }
     }
 
-    /**
-     * Ask the scheduler which queue to serve, move that queue's oldest
-     * task into @p out, and return its stream.
-     */
-    StreamId
-    popNext(Pending &out)
+    /** The machine finished slot @p id's task: release it, then refill. */
+    void
+    complete(uint32_t id)
     {
-        backlog_.clear();
-        for (const auto &[stream, tags] : queues_) {
-            FairScheduler::StreamBacklog b;
-            b.stream = stream;
-            for (int t = 0; t < kNumTags; ++t) {
-                if (!tags[t].empty()) {
-                    b.head_seq[t] = tags[t].front().seq;
-                    b.depth[t] = static_cast<uint32_t>(tags[t].size());
-                }
-            }
-            backlog_.push_back(b);
+        Slot &t = slots_[id];
+        t.fn.reset();
+        --busy_;
+        ++completed_;
+        ++t.stats->completed;
+        if (tele_ != nullptr) {
+            tele_->trace.span(t.at, machine_.now() - t.at, shard_,
+                              t.stream, "task",
+                              t.label != nullptr ? t.label : "task");
         }
-        sbhbm_assert(!backlog_.empty(), "popNext with empty backlog");
-
-        const FairScheduler::Choice c = sched_.pick(backlog_);
-        auto it = queues_.find(c.stream);
-        sbhbm_assert(it != queues_.end(), "scheduler chose unknown stream");
-        auto &q = it->second[static_cast<int>(c.tag)];
-        sbhbm_assert(!q.empty(), "scheduler chose an empty queue");
-        out = std::move(q.front());
-        q.pop_front();
-        --queued_;
-
-        bool empty = true;
-        for (const auto &tq : it->second)
-            empty = empty && tq.empty();
-        if (empty)
-            queues_.erase(it); // keep the backlog view small
-        return c.stream;
+        // The hook may spawn into the freed slot, so it runs from a
+        // local; its captures die after the refill.
+        DoneFn done = std::move(t.done);
+        slots_.free(id);
+        if (done)
+            done();
+        pump();
     }
 
     sim::Machine &machine_;
     unsigned cores_;
     unsigned base_cores_;
     unsigned busy_ = 0;
-    std::map<StreamId, TagQueues> queues_;
-    uint64_t queued_ = 0;
-    uint64_t next_seq_ = 0;
     uint64_t spawned_ = 0;
     uint64_t completed_ = 0;
     uint64_t shed_ = 0;
     std::map<StreamId, StreamStats> stats_;
-    FairScheduler sched_;
-    std::vector<FairScheduler::StreamBacklog> backlog_;
+    SlotTable<Slot> slots_;
+    FairScheduler sched_; //!< queues slot ids
     unsigned host_threads_ = 0; //!< 0 = WorkerPool::defaultThreads()
     std::unique_ptr<WorkerPool> host_pool_;
     obs::Telemetry *tele_ = nullptr;

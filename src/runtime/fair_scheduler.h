@@ -1,13 +1,13 @@
 /**
  * @file
- * The executor's dispatch order: weighted fair share across streams,
- * with the paper's impact-tag priority inside each stream.
+ * The executor's run queue: weighted fair share across streams, with
+ * the paper's impact-tag priority inside each stream.
  *
- * The executor presents its backlog as one entry per stream with
- * pending work and pops the oldest task of whichever (stream, tag)
- * queue pick() names. Urgent tasks — window closes on the output
- * critical path — preempt globally in arrival order; everything below
- * Urgent is arbitrated by weighted deficit round-robin:
+ * The executor pushes each spawned task's id with its stream and tag,
+ * and pops whichever task pop() chooses. Urgent tasks — window closes
+ * on the output critical path — preempt globally in arrival order;
+ * everything below Urgent is arbitrated by weighted deficit
+ * round-robin:
  *
  *  - each backlogged stream holds a deficit counter (service credit);
  *  - a stream is served when its credit covers one task, paying 1;
@@ -27,15 +27,33 @@
  * they are not. Ties scan cyclically from just past the last served
  * stream (by id), so equal-weight streams interleave deterministically
  * and independently of registration order.
+ *
+ * There is no per-dispatch view of the backlog. The queue keeps its
+ * state current as tasks arrive and leave:
+ *
+ *  - one global FIFO of Urgent tasks, popped in O(1) (each stream's
+ *    Urgent work is FIFO and only pop() removes tasks, so its front is
+ *    the oldest Urgent head over all streams);
+ *  - the candidates, streams with High or Low work, for replenish;
+ *  - the credited candidates, deficit >= 1 - kEps, in stream-id order,
+ *    so a deficit round-robin pick is one O(log n) search.
+ *
+ * Forfeiture is lazy, as in the scan it replaces: a stream loses its
+ * credit at the next round-robin pick at which it has no High/Low
+ * work, so a stream that empties and refills between two round-robin
+ * picks (Urgent picks between them do not count) keeps its credit.
+ * Only a round-robin pick takes High/Low work, so at most one stream
+ * empties per pick; it is settled at the next one.
  */
 
 #ifndef SBHBM_RUNTIME_FAIR_SCHEDULER_H
 #define SBHBM_RUNTIME_FAIR_SCHEDULER_H
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -70,36 +88,20 @@ jainIndex(const std::vector<double> &xs)
 class FairScheduler
 {
   public:
-    /** head_seq value of an empty per-tag queue. */
-    static constexpr uint64_t kNoTask = ~uint64_t{0};
-
-    /** One stream's pending work, as pick() sees it. */
-    struct StreamBacklog
-    {
-        // The brace-init below must name every element: a shorter
-        // list would zero-fill, and head_seq 0 means "oldest task".
-        static_assert(kNumTags == 3, "update head_seq initializer");
-
-        StreamId stream = 0;
-
-        /** Global enqueue seq of the oldest pending task per tag. */
-        std::array<uint64_t, kNumTags> head_seq{kNoTask, kNoTask, kNoTask};
-
-        /** Queue depth per tag. */
-        std::array<uint32_t, kNumTags> depth{0, 0, 0};
-
-        bool
-        hasTag(ImpactTag t) const
-        {
-            return depth[static_cast<int>(t)] > 0;
-        }
-    };
+    /** The caller's id for a queued task (the executor's slot). */
+    using TaskId = uint32_t;
 
     struct Choice
     {
         StreamId stream = 0;
         ImpactTag tag = ImpactTag::kUrgent;
+        TaskId task = 0;
     };
+
+    FairScheduler() = default;
+    // The queues hold pointers into lanes_, which a copy would share.
+    FairScheduler(const FairScheduler &) = delete;
+    FairScheduler &operator=(const FairScheduler &) = delete;
 
     /** Set @p stream's fair-share weight (> 0; unset streams get 1). */
     void
@@ -107,114 +109,121 @@ class FairScheduler
     {
         sbhbm_assert(weight > 0, "non-positive weight %f for stream %u",
                      weight, stream);
-        weights_[stream] = weight;
+        lane(stream).weight = weight;
     }
 
     double
     weight(StreamId stream) const
     {
-        auto it = weights_.find(stream);
-        return it == weights_.end() ? 1.0 : it->second;
+        auto it = lanes_.find(stream);
+        return it == lanes_.end() ? 1.0 : it->second.weight;
     }
 
     /** Tasks dispatched for @p stream (all tags). */
     uint64_t
     served(StreamId stream) const
     {
-        auto it = served_.find(stream);
-        return it == served_.end() ? 0 : it->second;
+        auto it = lanes_.find(stream);
+        return it == lanes_.end() ? 0 : it->second.served;
     }
 
-    /**
-     * Choose the next task to dispatch. @p backlog has one entry per
-     * stream with at least one pending task, sorted by stream id, and
-     * is never empty.
-     */
-    Choice
-    pick(const std::vector<StreamBacklog> &backlog)
+    /** Queue @p task of @p stream at @p tag. */
+    void
+    push(StreamId stream, ImpactTag tag, TaskId task)
     {
+        Lane &l = lane(stream);
+        ++size_;
+        if (tag == ImpactTag::kUrgent) {
+            urgent_.emplace_back(&l, task);
+            return;
+        }
+        if (!l.hasWork()) {
+            l.candidate = candidates_.size();
+            candidates_.push_back(&l);
+        }
+        (tag == ImpactTag::kHigh ? l.high : l.low).push_back(task);
+    }
+
+    /** Remove and return the next task to dispatch (never empty). */
+    Choice
+    pop()
+    {
+        sbhbm_assert(size_ > 0, "pop from an empty run queue");
+        --size_;
+
         // Urgent preempts globally, FIFO by enqueue order: window
         // closes on the output critical path keep the paper's
         // priority semantics no matter which tenant they serve.
-        {
-            uint64_t best = kNoTask;
-            StreamId stream = 0;
-            for (const auto &b : backlog) {
-                const uint64_t s =
-                    b.head_seq[static_cast<int>(ImpactTag::kUrgent)];
-                if (s < best) {
-                    best = s;
-                    stream = b.stream;
-                }
-            }
-            if (best != kNoTask) {
-                ++served_[stream];
-                return Choice{stream, ImpactTag::kUrgent};
-            }
+        if (!urgent_.empty()) {
+            const auto [l, task] = urgent_.front();
+            urgent_.pop_front();
+            ++l->served;
+            return Choice{l->id, ImpactTag::kUrgent, task};
         }
 
-        // Deficit round-robin over tenants with High/Low backlog.
-        candidates_.clear();
-        for (const auto &b : backlog) {
-            if (b.hasTag(ImpactTag::kHigh) || b.hasTag(ImpactTag::kLow))
-                candidates_.push_back(&b);
+        // Deficit round-robin over tenants with High/Low backlog. A
+        // tenant whose backlog emptied since the last such pick, and
+        // stayed empty, forfeits banked credit.
+        if (drained_ != nullptr) {
+            if (!drained_->hasWork())
+                forfeit(*drained_);
+            drained_ = nullptr;
         }
-        sbhbm_assert(!candidates_.empty(),
-                     "no urgent and no high/low backlog");
-
-        // A tenant whose backlog emptied forfeits banked credit.
-        for (auto it = deficit_.begin(); it != deficit_.end();) {
-            if (!isCandidate(it->first))
-                it = deficit_.erase(it);
-            else
-                ++it;
-        }
-
-        for (int round = 0; round < 2; ++round) {
-            if (const StreamBacklog *b = scanForCredit())
-                return serve(*b);
+        Lane *l = nextCredited();
+        if (l == nullptr) {
             replenish();
+            l = nextCredited();
         }
         // Unreachable: replenish() gives the heaviest candidate >= 1.
-        sbhbm_fatal("deficit round-robin failed to pick a tenant");
-        return Choice{};
+        sbhbm_assert(l != nullptr,
+                     "deficit round-robin failed to pick a tenant");
+        return serve(*l);
     }
+
+    bool empty() const { return size_ == 0; }
+    uint64_t size() const { return size_; }
 
   private:
     /** Credit threshold with float-accumulation slack. */
     static constexpr double kEps = 1e-9;
 
-    bool
-    isCandidate(StreamId stream) const
+    struct Lane;
+    using CreditMap = std::map<StreamId, Lane *>;
+
+    /** One stream's queues and fair-share state. */
+    struct Lane
     {
-        for (const StreamBacklog *b : candidates_)
-            if (b->stream == stream)
-                return true;
-        return false;
+        explicit Lane(StreamId s) : id(s) {}
+
+        StreamId id;
+        double weight = 1.0;
+        double deficit = 0;
+        uint64_t served = 0;
+        std::deque<TaskId> high, low;
+        size_t candidate = 0;       //!< index in candidates_, if there
+        bool credited = false;      //!< present in credited_
+        CreditMap::node_type spare; //!< credited_ node when out
+
+        bool hasWork() const { return !high.empty() || !low.empty(); }
+    };
+
+    Lane &
+    lane(StreamId stream)
+    {
+        return lanes_.try_emplace(stream, stream).first->second;
     }
 
     /**
-     * Cyclic scan (by stream id, starting just past the last served
-     * tenant) for the first candidate whose credit covers one task.
+     * The first credited candidate past the last served tenant (by
+     * id), wrapping to the lowest id; nullptr when none has credit.
      */
-    const StreamBacklog *
-    scanForCredit() const
+    Lane *
+    nextCredited() const
     {
-        const size_t n = candidates_.size();
-        size_t start = 0;
-        for (size_t i = 0; i < n; ++i) {
-            if (candidates_[i]->stream > last_served_) {
-                start = i;
-                break;
-            }
-        }
-        for (size_t i = 0; i < n; ++i) {
-            const StreamBacklog *b = candidates_[(start + i) % n];
-            auto it = deficit_.find(b->stream);
-            if (it != deficit_.end() && it->second >= 1.0 - kEps)
-                return b;
-        }
-        return nullptr;
+        auto it = credited_.upper_bound(last_served_);
+        if (it == credited_.end())
+            it = credited_.begin();
+        return it == credited_.end() ? nullptr : it->second;
     }
 
     /** Grant every backlogged tenant credit in weight proportion. */
@@ -222,29 +231,73 @@ class FairScheduler
     replenish()
     {
         double wmax = 0;
-        for (const StreamBacklog *b : candidates_)
-            wmax = std::max(wmax, weight(b->stream));
-        for (const StreamBacklog *b : candidates_)
-            deficit_[b->stream] += weight(b->stream) / wmax;
+        for (const Lane *l : candidates_)
+            wmax = std::max(wmax, l->weight);
+        for (Lane *l : candidates_) {
+            l->deficit += l->weight / wmax;
+            if (!l->credited && l->deficit >= 1.0 - kEps)
+                credit(*l);
+        }
     }
 
     Choice
-    serve(const StreamBacklog &b)
+    serve(Lane &l)
     {
-        deficit_[b.stream] -= 1.0;
-        last_served_ = b.stream;
-        ++served_[b.stream];
-        const ImpactTag tag = b.hasTag(ImpactTag::kHigh)
-                                  ? ImpactTag::kHigh
-                                  : ImpactTag::kLow;
-        return Choice{b.stream, tag};
+        l.deficit -= 1.0;
+        if (l.deficit < 1.0 - kEps)
+            uncredit(l);
+        last_served_ = l.id;
+        ++l.served;
+        const ImpactTag tag =
+            l.high.empty() ? ImpactTag::kLow : ImpactTag::kHigh;
+        std::deque<TaskId> &q = l.high.empty() ? l.low : l.high;
+        const TaskId task = q.front();
+        q.pop_front();
+        if (!l.hasWork()) {
+            // Swap-remove from the (unordered) candidate list.
+            Lane *last = candidates_.back();
+            candidates_[l.candidate] = last;
+            last->candidate = l.candidate;
+            candidates_.pop_back();
+            drained_ = &l;
+        }
+        return Choice{l.id, tag, task};
     }
 
-    std::map<StreamId, double> weights_;
-    std::map<StreamId, double> deficit_;
-    std::map<StreamId, uint64_t> served_;
+    void
+    forfeit(Lane &l)
+    {
+        l.deficit = 0;
+        if (l.credited)
+            uncredit(l);
+    }
+
+    // The credited set reuses each lane's map node, so crediting and
+    // uncrediting allocate nothing after a lane's first credit.
+    void
+    credit(Lane &l)
+    {
+        l.credited = true;
+        if (l.spare)
+            credited_.insert(std::move(l.spare));
+        else
+            credited_.emplace(l.id, &l);
+    }
+
+    void
+    uncredit(Lane &l)
+    {
+        l.credited = false;
+        l.spare = credited_.extract(l.id);
+    }
+
+    std::map<StreamId, Lane> lanes_; //!< nodes are stable: Lane * is safe
+    std::deque<std::pair<Lane *, TaskId>> urgent_;
+    std::vector<Lane *> candidates_; //!< lanes with High/Low work
+    CreditMap credited_;
+    Lane *drained_ = nullptr; //!< emptied by the last DRR pick
     StreamId last_served_ = 0;
-    std::vector<const StreamBacklog *> candidates_;
+    uint64_t size_ = 0;
 };
 
 } // namespace sbhbm::runtime

@@ -8,6 +8,13 @@
  * bandwidth, with the random-access sub-mix additionally capped at the
  * tier's random-access peak. The Machine advances flows between
  * events and asks for the next completion time.
+ *
+ * Flows live in one vector in arrival order, which is the order of
+ * every pass: the waterfill's input, each floating-point sum and the
+ * order in which drained flows are reaped. A flow names the Machine
+ * task it belongs to by a 32-bit id instead of holding a callback,
+ * and recompute() sorts in a member scratch vector, so the arbiter
+ * allocates nothing once its vectors have grown to the run's peak.
  */
 
 #ifndef SBHBM_SIM_BANDWIDTH_ARBITER_H
@@ -15,8 +22,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <vector>
 
 #include "common/logging.h"
@@ -29,9 +34,6 @@ namespace sbhbm::sim {
 class BandwidthArbiter
 {
   public:
-    using FlowId = uint64_t;
-    using Callback = std::function<void()>;
-
     BandwidthArbiter(double peak_seq_bw, double peak_rand_bw)
         : peak_seq_bw_(peak_seq_bw), peak_rand_bw_(peak_rand_bw)
     {
@@ -45,18 +47,17 @@ class BandwidthArbiter
      * @param cap_bps  per-flow bandwidth cap (bytes/sec).
      * @param pattern  sequential or random; random flows share the
      *                 (smaller) random-access aggregate budget.
-     * @param on_done  invoked by the Machine once the flow drains.
+     * @param task     the owner's id for the flow, handed back by
+     *                 reapCompleted() once the flow drains.
      */
-    FlowId
+    void
     add(double bytes, double cap_bps, AccessPattern pattern,
-        Callback on_done)
+        uint32_t task)
     {
         sbhbm_assert(bytes > 0 && cap_bps > 0,
                      "flow needs positive bytes/cap");
-        FlowId id = next_id_++;
-        flows_.emplace(id, FlowState{bytes, cap_bps, 0.0, pattern,
-                                     std::move(on_done)});
-        return id;
+        flows_.push_back(FlowState{bytes, cap_bps, 0.0, pattern, task});
+        changed_ = true;
     }
 
     /** Drain bytes at the current rate allocation up to time @p now. */
@@ -68,7 +69,7 @@ class BandwidthArbiter
         last_update_ = now;
         if (dt <= 0)
             return;
-        for (auto &[id, f] : flows_) {
+        for (FlowState &f : flows_) {
             const double moved = f.rate * dt;
             cumulative_bytes_ += std::min(moved, f.remaining);
             f.remaining -= moved;
@@ -78,56 +79,59 @@ class BandwidthArbiter
     }
 
     /**
-     * Remove drained flows and return their completion callbacks for
-     * the Machine to invoke (outside the arbiter, since callbacks may
-     * add new flows).
+     * Remove drained flows and append their task ids to @p done, in
+     * arrival order, for the Machine to finish (outside the arbiter,
+     * since finishing a task may add new flows).
      */
-    std::vector<Callback>
-    reapCompleted()
+    void
+    reapCompleted(std::vector<uint32_t> &done)
     {
-        std::vector<Callback> done;
-        for (auto it = flows_.begin(); it != flows_.end();) {
-            if (it->second.remaining <= 0) {
-                done.push_back(std::move(it->second.on_done));
-                it = flows_.erase(it);
-            } else {
-                ++it;
-            }
+        size_t kept = 0;
+        for (const FlowState &f : flows_) {
+            if (f.remaining <= 0)
+                done.push_back(f.task);
+            else
+                flows_[kept++] = f;
         }
-        return done;
+        changed_ = changed_ || kept != flows_.size();
+        flows_.resize(kept);
     }
 
     /**
      * Recompute the max-min fair allocation. Two stages: random flows
      * first share peak_rand_bw among themselves (their grants become
-     * caps), then all flows share peak_seq_bw.
+     * caps), then all flows share peak_seq_bw. The allocation depends
+     * only on the flows' caps and patterns, in order, so it is kept
+     * while no flow has arrived or left since the last one.
      */
     void
     recompute()
     {
+        if (!changed_)
+            return;
+        changed_ = false;
         if (flows_.empty()) {
             current_rate_ = 0;
             return;
         }
 
         // Stage 1: cap the random-access sub-mix.
-        std::vector<FlowState *> rand_flows;
-        for (auto &[id, f] : flows_) {
+        scratch_.clear();
+        for (FlowState &f : flows_) {
             f.effective_cap = f.cap;
             if (f.pattern == AccessPattern::kRandom)
-                rand_flows.push_back(&f);
+                scratch_.push_back(&f);
         }
-        if (!rand_flows.empty() && peak_rand_bw_ > 0) {
-            waterfill(rand_flows, peak_rand_bw_,
+        if (!scratch_.empty() && peak_rand_bw_ > 0) {
+            waterfill(scratch_, peak_rand_bw_,
                       /* write_effective_cap = */ true);
         }
 
         // Stage 2: all flows share the tier's peak bandwidth.
-        std::vector<FlowState *> all;
-        all.reserve(flows_.size());
-        for (auto &[id, f] : flows_)
-            all.push_back(&f);
-        current_rate_ = waterfill(all, peak_seq_bw_,
+        scratch_.clear();
+        for (FlowState &f : flows_)
+            scratch_.push_back(&f);
+        current_rate_ = waterfill(scratch_, peak_seq_bw_,
                                   /* write_effective_cap = */ false);
     }
 
@@ -136,7 +140,7 @@ class BandwidthArbiter
     nextCompletion() const
     {
         double min_dt = -1;
-        for (const auto &[id, f] : flows_) {
+        for (const FlowState &f : flows_) {
             if (f.rate <= 0)
                 continue;
             const double dt = f.remaining / f.rate;
@@ -169,7 +173,7 @@ class BandwidthArbiter
         if (dt <= 0)
             return cumulative_bytes_;
         double extra = 0;
-        for (const auto &[id, f] : flows_)
+        for (const FlowState &f : flows_)
             extra += std::min(f.rate * dt, f.remaining);
         return cumulative_bytes_ + extra;
     }
@@ -185,7 +189,7 @@ class BandwidthArbiter
         double cap;            //!< per-flow cap, bytes/sec
         double rate;           //!< currently granted rate
         AccessPattern pattern;
-        Callback on_done;
+        uint32_t task;            //!< the owner's id, from add()
         double effective_cap = 0; //!< cap after the random-mix stage
     };
 
@@ -221,8 +225,9 @@ class BandwidthArbiter
 
     double peak_seq_bw_;
     double peak_rand_bw_;
-    std::map<FlowId, FlowState> flows_;
-    FlowId next_id_ = 0;
+    std::vector<FlowState> flows_; //!< in arrival order
+    std::vector<FlowState *> scratch_; //!< recompute()'s waterfill input
+    bool changed_ = false; //!< a flow arrived or left since recompute()
     SimTime last_update_ = 0;
     double current_rate_ = 0;
     double cumulative_bytes_ = 0;

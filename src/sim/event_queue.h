@@ -5,26 +5,35 @@
  * Events at equal timestamps fire in insertion order (a monotone
  * sequence number breaks ties) so the whole simulation is
  * deterministic.
+ *
+ * The heap holds only trivially copyable (when, seq, slot) entries;
+ * each callback waits in a slot of a table that the queue reuses, and
+ * callbacks are UniqueFunctions, whose inline storage holds the
+ * simulator's small captures. So scheduling an event with such a
+ * capture allocates nothing once the heap and the table have grown to
+ * the run's peak.
  */
 
 #ifndef SBHBM_SIM_EVENT_QUEUE_H
 #define SBHBM_SIM_EVENT_QUEUE_H
 
 #include <cstdint>
-#include <functional>
+#include <functional> // std::greater
 #include <queue>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/slot_table.h"
+#include "common/unique_function.h"
 #include "common/units.h"
 
 namespace sbhbm::sim {
 
-/** Min-heap of (time, seq, callback) triples. */
+/** Min-heap of (time, seq) keys over a table of callbacks. */
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = UniqueFunction<void()>;
 
     /**
      * Schedule @p cb at absolute virtual time @p when.
@@ -39,7 +48,9 @@ class EventQueue
     {
         sbhbm_assert(when >= now_, "scheduling into the past: %llu < %llu",
                      (unsigned long long)when, (unsigned long long)now_);
-        heap_.push(Entry{when, next_seq_++, daemon, std::move(cb)});
+        const uint32_t slot = callbacks_.take();
+        callbacks_[slot] = std::move(cb);
+        heap_.push(Entry{when, next_seq_++, slot, daemon});
         if (!daemon)
             ++live_;
     }
@@ -67,14 +78,16 @@ class EventQueue
     {
         if (heap_.empty())
             return false;
-        // Moving out of a priority_queue top requires const_cast; the
-        // entry is popped immediately after so this is safe.
-        Entry entry = std::move(const_cast<Entry &>(heap_.top()));
+        const Entry entry = heap_.top();
         heap_.pop();
         now_ = entry.when;
         if (!entry.daemon)
             --live_;
-        entry.cb();
+        // Its slot is free before it runs, and its captures die after
+        // it returns.
+        Callback cb = std::move(callbacks_[entry.slot]);
+        callbacks_.free(entry.slot);
+        cb();
         return true;
     }
 
@@ -126,9 +139,9 @@ class EventQueue
     struct Entry
     {
         SimTime when;
-        uint64_t seq;
+        uint64_t seq;  //!< unique, so (when, seq) is a total order
+        uint32_t slot; //!< the callback's index in callbacks_
         bool daemon;
-        Callback cb;
 
         bool
         operator>(const Entry &o) const
@@ -138,6 +151,7 @@ class EventQueue
     };
 
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+    SlotTable<Callback> callbacks_;
     SimTime now_ = 0;
     uint64_t next_seq_ = 0;
     uint64_t live_ = 0;

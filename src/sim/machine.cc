@@ -5,14 +5,6 @@
 
 namespace sbhbm::sim {
 
-struct Machine::TaskState
-{
-    CostLog cost;
-    size_t phase_idx = 0;
-    int outstanding = 0;
-    Callback on_done;
-};
-
 Machine::Machine(MachineConfig cfg)
     : cfg_(std::move(cfg)),
       arbiters_{BandwidthArbiter(cfg_.dram.peak_seq_bw,
@@ -64,53 +56,59 @@ Machine::flowCap(Tier tier, AccessPattern pattern) const
 void
 Machine::execute(CostLog cost, Callback on_done)
 {
-    auto task = std::make_shared<TaskState>();
-    task->cost = std::move(cost);
-    task->on_done = std::move(on_done);
+    const TaskId id = tasks_.take();
+    TaskState &task = tasks_[id];
+    task.cost = std::move(cost);
+    task.phase_idx = 0;
+    task.outstanding = 0;
+    task.on_done = std::move(on_done);
 
     for (auto &arb : arbiters_)
         arb.advanceTo(now());
-    startPhase(task);
+    startPhase(id);
     for (auto &arb : arbiters_)
         arb.recompute();
     armTimer();
 }
 
 void
-Machine::startPhase(const std::shared_ptr<TaskState> &task)
+Machine::startPhase(TaskId id)
 {
-    const auto &phases = task->cost.phases();
+    TaskState &task = tasks_[id];
+    const auto &phases = task.cost.phases();
 
     // Skip empty phases.
-    while (task->phase_idx < phases.size()) {
-        const Phase &p = phases[task->phase_idx];
+    while (task.phase_idx < phases.size()) {
+        const Phase &p = phases[task.phase_idx];
         if (p.cpu_ns > 0 || p.cpu_vector_ns > 0 || !p.flows.empty())
             break;
-        ++task->phase_idx;
+        ++task.phase_idx;
     }
 
-    if (task->phase_idx >= phases.size()) {
+    if (task.phase_idx >= phases.size()) {
         // Defer the completion to an event so callers never observe
-        // re-entrant completion from within execute().
-        events_.schedule(now(), [cb = std::move(task->on_done)] { cb(); });
+        // re-entrant completion from within execute(). The task ends
+        // here: its slot is free once the callback has moved out.
+        events_.schedule(now(), std::move(task.on_done));
+        tasks_.free(id);
         return;
     }
 
-    const Phase &p = phases[task->phase_idx];
-    ++task->phase_idx;
+    const Phase &p = phases[task.phase_idx];
+    ++task.phase_idx;
 
-    task->outstanding = static_cast<int>(p.flows.size());
+    task.outstanding = static_cast<int>(p.flows.size());
     const double cpu_total = p.cpu_ns / cfg_.scalar_speed
                            + p.cpu_vector_ns / cfg_.vector_speed;
     if (cpu_total > 0)
-        ++task->outstanding;
+        ++task.outstanding;
 
     if (cpu_total > 0) {
         const auto dur = static_cast<SimTime>(cpu_total) + 1;
-        events_.schedule(now() + dur, [this, task] {
+        events_.schedule(now() + dur, [this, id] {
             for (auto &arb : arbiters_)
                 arb.advanceTo(now());
-            finishPart(task);
+            finishPart(id);
             for (auto &arb : arbiters_)
                 arb.recompute();
             armTimer();
@@ -120,18 +118,19 @@ Machine::startPhase(const std::shared_ptr<TaskState> &task)
     for (const Flow &f : p.flows) {
         sbhbm_assert(cfg_.tier(f.tier).peak_seq_bw > 0,
                      "flow on absent tier %s", tierName(f.tier));
-        arbiters_[tierIndex(f.tier)].add(
-            static_cast<double>(f.bytes), flowCap(f.tier, f.pattern),
-            f.pattern, [this, task] { finishPart(task); });
+        arbiters_[tierIndex(f.tier)].add(static_cast<double>(f.bytes),
+                                         flowCap(f.tier, f.pattern),
+                                         f.pattern, id);
     }
 }
 
 void
-Machine::finishPart(const std::shared_ptr<TaskState> &task)
+Machine::finishPart(TaskId id)
 {
-    sbhbm_assert(task->outstanding > 0, "phase part finished twice");
-    if (--task->outstanding == 0)
-        startPhase(task);
+    TaskState &task = tasks_[id];
+    sbhbm_assert(task.outstanding > 0, "phase part finished twice");
+    if (--task.outstanding == 0)
+        startPhase(id);
 }
 
 void
@@ -140,8 +139,10 @@ Machine::pump()
     for (auto &arb : arbiters_)
         arb.advanceTo(now());
     for (auto &arb : arbiters_) {
-        for (auto &cb : arb.reapCompleted())
-            cb();
+        reaped_.clear();
+        arb.reapCompleted(reaped_);
+        for (const TaskId id : reaped_)
+            finishPart(id);
     }
     for (auto &arb : arbiters_)
         arb.recompute();

@@ -9,14 +9,22 @@
  * is in flight?" by submitting a CostLog. Phase completion times
  * emerge from the fluid bandwidth model, so concurrent tasks slow
  * each other down exactly when they contend for the same tier.
+ *
+ * Each executing task's state sits in a slab slot the machine owns,
+ * addressed by a 32-bit id that its CPU events and flows carry. The
+ * slot is freed when the task's last phase ends, as its completion
+ * callback moves into the deferred completion event; nothing is
+ * reference-counted. The slab belongs to this one machine, so
+ * machines (shards) share no task state.
  */
 
 #ifndef SBHBM_SIM_MACHINE_H
 #define SBHBM_SIM_MACHINE_H
 
-#include <functional>
-#include <memory>
+#include <cstdint>
+#include <vector>
 
+#include "common/slot_table.h"
 #include "common/units.h"
 #include "sim/bandwidth_arbiter.h"
 #include "sim/event_queue.h"
@@ -29,7 +37,7 @@ namespace sbhbm::sim {
 class Machine
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = EventQueue::Callback;
 
     explicit Machine(MachineConfig cfg);
 
@@ -89,10 +97,19 @@ class Machine
     double flowCap(Tier tier, AccessPattern pattern) const;
 
   private:
-    struct TaskState;
+    /** One executing task: a slab slot from execute() to its end. */
+    struct TaskState
+    {
+        CostLog cost;
+        size_t phase_idx = 0;
+        int outstanding = 0; //!< unfinished parts of the current phase
+        Callback on_done;
+    };
 
-    void startPhase(const std::shared_ptr<TaskState> &task);
-    void finishPart(const std::shared_ptr<TaskState> &task);
+    using TaskId = uint32_t;
+
+    void startPhase(TaskId id);
+    void finishPart(TaskId id);
 
     /** Advance arbiters to now, fire drained flows, re-arm the timer. */
     void pump();
@@ -106,6 +123,9 @@ class Machine
 
     /** Time of the earliest pending completion-check event. */
     SimTime timer_at_ = kSimTimeNever;
+
+    SlotTable<TaskState> tasks_;
+    std::vector<TaskId> reaped_; //!< pump()'s drained-flow scratch
 };
 
 } // namespace sbhbm::sim

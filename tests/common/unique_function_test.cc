@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -101,6 +103,94 @@ TEST(UniqueFunction, ForwardsReferenceArguments)
     std::string s = "hi";
     f(s);
     EXPECT_EQ(s, "hi!");
+}
+
+TEST(UniqueFunction, CapturesLargerThanTheInlineBufferWork)
+{
+    using F = UniqueFunction<uint64_t()>;
+    struct Big
+    {
+        uint64_t w[F::kInlineBytes / sizeof(uint64_t) + 1];
+    };
+    Big big{};
+    for (size_t i = 0; i < std::size(big.w); ++i)
+        big.w[i] = i + 1;
+    static_assert(sizeof(Big) > F::kInlineBytes);
+    F f = [big] {
+        uint64_t sum = 0;
+        for (uint64_t x : big.w)
+            sum += x;
+        return sum;
+    };
+    const uint64_t n = std::size(big.w);
+    EXPECT_EQ(f(), n * (n + 1) / 2);
+    F g = std::move(f);
+    EXPECT_FALSE(f); // NOLINT(bugprone-use-after-move): moved-from is empty
+    EXPECT_EQ(g(), n * (n + 1) / 2);
+}
+
+/** Counts live instances; its size is set by @p Pad. */
+template <size_t Pad>
+struct Counted
+{
+    static inline int live = 0;
+    static inline int calls = 0;
+    char pad[Pad] = {};
+
+    Counted() { ++live; }
+    Counted(Counted &&) noexcept { ++live; }
+    Counted(const Counted &) = delete;
+    ~Counted() { --live; }
+    void operator()() { ++calls; }
+};
+
+template <typename T>
+void
+checkLifetime()
+{
+    T::live = 0;
+    T::calls = 0;
+    {
+        UniqueFunction<void()> f{T{}};
+        EXPECT_EQ(T::live, 1);
+        UniqueFunction<void()> g = std::move(f);
+        EXPECT_EQ(T::live, 1) << "a move relocates, it does not copy";
+        EXPECT_FALSE(f); // NOLINT(bugprone-use-after-move)
+        g();
+        UniqueFunction<void()> h;
+        h = std::move(g);
+        EXPECT_EQ(T::live, 1);
+        EXPECT_FALSE(g); // NOLINT(bugprone-use-after-move)
+        h();
+        EXPECT_EQ(T::calls, 2);
+        h = UniqueFunction<void()>{T{}}; // replaces: the old target dies
+        EXPECT_EQ(T::live, 1);
+    }
+    EXPECT_EQ(T::live, 0) << "every target destroyed exactly once";
+}
+
+TEST(UniqueFunction, InlineTargetsAreDestroyedExactlyOnce)
+{
+    using Small = Counted<8>;
+    static_assert(sizeof(Small) <= UniqueFunction<void()>::kInlineBytes);
+    checkLifetime<Small>();
+}
+
+TEST(UniqueFunction, HeapTargetsAreDestroyedExactlyOnce)
+{
+    using Large = Counted<UniqueFunction<void()>::kInlineBytes + 8>;
+    checkLifetime<Large>();
+}
+
+TEST(UniqueFunction, MovedFromStateIsEmptyAndReusable)
+{
+    auto p = std::make_unique<int>(5);
+    UniqueFunction<int()> f = [p = std::move(p)] { return *p; };
+    UniqueFunction<int()> g = std::move(f);
+    EXPECT_FALSE(f); // NOLINT(bugprone-use-after-move): moved-from is empty
+    f = [] { return 6; };
+    EXPECT_EQ(f(), 6);
+    EXPECT_EQ(g(), 5);
 }
 
 TEST(UniqueFunctionDeath, CallingEmptyPanics)

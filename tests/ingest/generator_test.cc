@@ -136,5 +136,36 @@ TEST_F(GeneratorTest, PowerGridLoadsAreStablePerPlug)
         EXPECT_LE(mm.second - mm.first, 20u);
 }
 
+TEST_F(GeneratorTest, EveryTimestampEqualsTheEvenSpacingFormula)
+{
+    // fill() steps a quotient and remainder; each row must still read
+    // t0 + (t1 - t0) * i / n exactly, the formula with a division.
+    const uint32_t kCounts[] = {1, 2, 3, 7, 2000, 50000};
+    const EventTime kStarts[] = {0, EventTime{1} << 40};
+    KvGen kv(1, 100, 1000, /*secondary_key=*/true);
+    YsbGen ysb(2);
+    PowerGridGen grid(3);
+    Generator *const gens[] = {&kv, &ysb, &grid};
+    for (const uint32_t n : kCounts) {
+        const uint64_t spans[] = {0, 1, n - 1u, n, n + 1u, 1000000007};
+        for (const uint64_t span : spans) {
+            for (const EventTime t0 : kStarts) {
+                for (Generator *gen : gens) {
+                    auto b = columnar::BundleHandle::adopt(
+                        columnar::Bundle::create(hm_, gen->cols(), n));
+                    gen->fill(*b, n, t0, t0 + span);
+                    ASSERT_EQ(b->size(), n);
+                    for (uint32_t i = 0; i < n; ++i) {
+                        ASSERT_EQ(b->row(i)[gen->tsCol()],
+                                  t0 + span * i / n)
+                            << "n " << n << " span " << span << " t0 "
+                            << t0 << " row " << i;
+                    }
+                }
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace sbhbm::ingest

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/units.h"
 #include "sim/cost_model.h"
 
@@ -190,6 +193,85 @@ TEST(Machine, LateArrivalSharesBandwidthFromItsStart)
     // A: 0.5 GB done at t=50ms, then 0.5 GB at 6.67 GB/s => 75 ms more.
     EXPECT_NEAR(static_cast<double>(a_done), 0.125e9, 2e6);
     EXPECT_GT(b_done, a_done);
+}
+
+TEST(Machine, InterleavedTasksReuseSlotsInAPinnedEventOrder)
+{
+    // Every kind of task — no phases, only empty phases, CPU only, a
+    // flow only, and phases on both tiers — started at three instants
+    // and from a completion callback, so freed task slots are reused
+    // while other tasks hold theirs. The completion order and instants
+    // and the number of events (redundant timer checks included) are
+    // pinned; they were recorded before the task slab replaced the
+    // reference-counted task state.
+    Machine m(simpleConfig());
+    std::vector<std::pair<char, SimTime>> log;
+    auto start = [&](char name, CostLog cost) {
+        m.execute(std::move(cost),
+                  [&m, &log, name] { log.emplace_back(name, m.now()); });
+    };
+    auto noPhases = [] { return CostLog{}; };
+    auto emptyPhases = [] {
+        CostLog c;
+        c.nextPhase();
+        c.nextPhase();
+        return c;
+    };
+    auto cpuOnly = [](double ns) {
+        CostLog c;
+        c.cpu(ns);
+        return c;
+    };
+    auto flowOnly = [](Tier t, uint64_t bytes) {
+        CostLog c;
+        c.seq(t, bytes);
+        return c;
+    };
+    auto bothTiers = [](uint64_t scale) {
+        CostLog c;
+        c.seq(Tier::kHbm, 2000000 * scale);
+        c.rand(Tier::kDram, 500000 * scale);
+        c.cpu(1000);
+        c.nextPhase();
+        c.nextPhase(); // an empty phase between two full ones
+        c.seq(Tier::kDram, 1000000 * scale);
+        c.cpuVector(3000);
+        return c;
+    };
+
+    start('a', noPhases());
+    start('b', emptyPhases());
+    start('c', cpuOnly(5000));
+    m.execute(flowOnly(Tier::kHbm, 1000000), [&] {
+        log.emplace_back('d', m.now());
+        // A completion callback starts tasks on slots freed earlier.
+        start('m', flowOnly(Tier::kDram, 4096));
+        start('n', cpuOnly(7));
+    });
+    start('e', bothTiers(1));
+    m.at(1000, [&] {
+        start('f', flowOnly(Tier::kDram, 300000));
+        start('g', noPhases());
+        start('h', bothTiers(2));
+    });
+    m.at(40000, [&] {
+        start('i', cpuOnly(100));
+        start('j', emptyPhases());
+        start('k', bothTiers(1));
+        start('l', flowOnly(Tier::kHbm, 64));
+    });
+    uint64_t events = 0;
+    while (m.step())
+        ++events;
+
+    const std::vector<std::pair<char, SimTime>> want = {
+        {'a', 0},          {'b', 0},      {'g', 1000},   {'c', 5001},
+        {'f', 31001},      {'j', 40000},  {'l', 40007},  {'i', 40101},
+        {'d', 100001},     {'n', 100009}, {'m', 100411}, {'e', 308808},
+        {'k', 348808},     {'h', 601001},
+    };
+    EXPECT_EQ(log, want);
+    EXPECT_EQ(events, 41u);
 }
 
 TEST(MachineDeath, FlowOnAbsentTierPanics)
