@@ -103,18 +103,11 @@ chargeKeyedReduce(Ctx ctx, const Kpa &k, uint64_t scanned,
  * "Unkeyed"): one sequential pass over the record data.
  */
 inline void
-chargeUnkeyedReduce(Ctx ctx, const Bundle &b, uint64_t out_records,
-                    uint32_t out_cols)
+chargeUnkeyedReduce(Ctx ctx, const Bundle &b)
 {
     ctx.hm.charge(ctx.log, b.tier(), AccessPattern::kSequential,
                   b.dataBytes());
-    if (out_records > 0) {
-        ctx.hm.charge(ctx.log, mem::Tier::kDram,
-                      AccessPattern::kSequential,
-                      out_records * out_cols * sizeof(uint64_t));
-    }
-    ctx.log.cpu(cost::kReduceNsPerRec * b.size()
-                + cost::kEmitNsPerRec * out_records);
+    ctx.log.cpu(cost::kReduceNsPerRec * b.size());
 }
 
 } // namespace sbhbm::kpa

@@ -65,6 +65,18 @@ struct Block
     explicit operator bool() const { return ptr != nullptr; }
 };
 
+/**
+ * Tier where state lives under memory mode @p mode on machine @p m:
+ * HBM when it is software-visible (flat mode on a machine with HBM),
+ * DRAM otherwise — cache and DRAM-only modes place everything in DRAM.
+ */
+inline Tier
+stateTier(const sim::MachineConfig &m, sim::MemoryMode mode)
+{
+    return mode == sim::MemoryMode::kFlat && m.hasHbm() ? Tier::kHbm
+                                                        : Tier::kDram;
+}
+
 /** Hybrid-memory manager: placement, accounting, traffic charging. */
 class HybridMemory
 {
@@ -75,10 +87,9 @@ class HybridMemory
     HybridMemory(const sim::MachineConfig &cfg, sim::MemoryMode mode)
         : cfg_(cfg), mode_(mode)
     {
-        const uint64_t hbm_cap =
-            (mode == sim::MemoryMode::kFlat && cfg.hasHbm())
-                ? cfg.hbm.capacity_bytes
-                : 0;
+        const uint64_t hbm_cap = stateTier(cfg, mode) == Tier::kHbm
+                                     ? cfg.hbm.capacity_bytes
+                                     : 0;
         const auto reserve = static_cast<uint64_t>(
             static_cast<double>(hbm_cap) * kUrgentReserveFraction);
         gauges_[sim::tierIndex(Tier::kHbm)] =
@@ -303,14 +314,7 @@ class HybridMemory
      * Tier where small hot state (e.g. the external-join KV table)
      * lives: HBM when software-visible HBM exists, DRAM otherwise.
      */
-    Tier
-    smallStateTier() const
-    {
-        return (mode_ == sim::MemoryMode::kFlat
-                && gauge(Tier::kHbm).capacity() > 0)
-                   ? Tier::kHbm
-                   : Tier::kDram;
-    }
+    Tier smallStateTier() const { return stateTier(cfg_, mode_); }
 
     const SlabAllocator &slab(Tier t) const
     {

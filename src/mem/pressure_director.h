@@ -15,7 +15,9 @@
  * The director is ticked by the runtime's ResourceMonitor at every
  * sample, right after the knob refresh. With `enabled = false` (the
  * default) tick() is a no-op and every figure and example reproduces
- * the pre-control-plane output bit for bit.
+ * the pre-control-plane output bit for bit. Both of its sweeps (that
+ * steady-state tick, and the engine's exhaustion relief) charge their
+ * copy traffic through chargeSweep().
  */
 
 #ifndef SBHBM_MEM_PRESSURE_DIRECTOR_H
@@ -27,7 +29,11 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/units.h"
 #include "mem/hybrid_memory.h"
+#include "obs/trace.h"
+#include "runtime/balance_knob.h"
+#include "sim/machine.h"
 #include "sim/traffic.h"
 
 namespace sbhbm::mem {
@@ -74,16 +80,22 @@ struct PressureConfig
     /** Master switch; off reproduces pre-control-plane behavior. */
     bool enabled = false;
 
-    /** HBM used fraction above which demotion starts (matches the
-     *  balance knob's hbm_high default, so the knob and the director
-     *  engage at the same pressure). */
-    double high_water = 0.80;
+    /** HBM used fraction above which demotion starts (the balance
+     *  knob's kHbmHigh, so the knob and the director engage at the
+     *  same pressure). */
+    double high_water = runtime::BalanceKnob::kHbmHigh;
 
     /** Used fraction demotion drives back down to. */
     double low_water = 0.65;
 
     /** Migration budget per tick, charged gauge bytes. */
     uint64_t max_bytes_per_tick = 64ull << 20;
+};
+
+/** Which sweep a charge comes from (names its trace span). */
+enum class SweepKind : uint8_t {
+    kPressure,  //!< the steady-state tick above high water
+    kEmergency, //!< exhaustion relief
 };
 
 /** Sweeps cold-state providers when HBM runs hot. */
@@ -101,6 +113,15 @@ class PressureDirector
     PressureDirector &operator=(const PressureDirector &) = delete;
 
     const PressureConfig &config() const { return cfg_; }
+
+    /** Install the telemetry plane sweep spans are recorded on (null
+     *  disables recording); @p shard labels them. */
+    void
+    setTelemetry(obs::Telemetry *t, uint32_t shard)
+    {
+        tele_ = t;
+        shard_ = shard;
+    }
 
     /** Register a provider (swept in registration order). */
     void
@@ -158,6 +179,7 @@ class PressureDirector
                 ss.charged_bytes += r.charged_bytes;
                 ss.kpas += r.kpas;
                 last_sweep_[p->providerStream()] += r.charged_bytes;
+                last_sweep_kpas_ += r.kpas;
             }
         }
         return log;
@@ -186,10 +208,53 @@ class PressureDirector
                 exhausted, to, want - total.charged_bytes, log);
             total.charged_bytes += r.charged_bytes;
             total.kpas += r.kpas;
-            if (r.kpas > 0)
+            if (r.kpas > 0) {
                 last_sweep_[p->providerStream()] += r.charged_bytes;
+                last_sweep_kpas_ += r.kpas;
+            }
         }
         return total;
+    }
+
+    /**
+     * Charge a sweep's migration traffic @p log to @p machine
+     * DMA-style: it consumes tier bandwidth in virtual time without
+     * occupying a core slot. The copy time is memory stall for the
+     * streams whose state moved: once the charge completes, its
+     * duration is split across them by the bytes each moved, and with
+     * telemetry installed the sweep is recorded as a "pressure" span
+     * (single-threaded control path, so trace-safe).
+     */
+    void
+    chargeSweep(sim::Machine &machine, sim::CostLog log, SweepKind kind)
+    {
+        const SimTime t0 = machine.now();
+        std::map<uint32_t, uint64_t> shares;
+        shares.swap(last_sweep_);
+        const uint64_t kpas = last_sweep_kpas_;
+        last_sweep_kpas_ = 0;
+        machine.execute(
+            std::move(log),
+            [this, &machine, t0, kind, kpas, shares = std::move(shares)] {
+                const SimTime dur = machine.now() - t0;
+                addSweepStallNs(shares, dur);
+                if (tele_ == nullptr)
+                    return;
+                uint64_t bytes = 0;
+                for (const auto &[stream, b] : shares)
+                    bytes += b;
+                if (kind == SweepKind::kPressure) {
+                    tele_->trace.span(t0, dur, shard_, 0, "pressure",
+                                      "pressure_sweep",
+                                      {{"charged_bytes", bytes},
+                                       {"streams", shares.size()}});
+                } else {
+                    tele_->trace.span(t0, dur, shard_, 0, "pressure",
+                                      "emergency_sweep",
+                                      {{"charged_bytes", bytes},
+                                       {"kpas", kpas}});
+                }
+            });
     }
 
     /** Ticks that found pressure above the high-water threshold. */
@@ -216,24 +281,20 @@ class PressureDirector
         return it == by_stream_.end() ? 0 : it->second.kpas;
     }
 
-    // ---------------------------------------------------------------
-    // Sweep stall attribution. A sweep's migration traffic runs
-    // DMA-style in virtual time; the streams whose state moved see
-    // that as memory stall. The sweep caller (monitor tick, engine
-    // exhaustion handler) takes the per-stream byte shares recorded
-    // by the last sweep, then — once the machine finishes charging
-    // the copy — hands the measured duration back to be split across
-    // those streams proportionally to bytes moved.
-    // ---------------------------------------------------------------
-
-    /** Per-stream gauge bytes moved by the last sweep (then reset). */
-    std::map<uint32_t, uint64_t>
-    takeLastSweepShares()
+    /** Cumulative sweep-stall ns attributed to @p stream. */
+    uint64_t
+    sweepStallNs(uint32_t stream) const
     {
-        std::map<uint32_t, uint64_t> out;
-        out.swap(last_sweep_);
-        return out;
+        auto it = stall_ns_by_stream_.find(stream);
+        return it == stall_ns_by_stream_.end() ? 0 : it->second;
     }
+
+  private:
+    struct StreamStats
+    {
+        uint64_t charged_bytes = 0;
+        uint64_t kpas = 0;
+    };
 
     /** Split @p ns of sweep stall across @p shares by byte weight. */
     void
@@ -253,21 +314,6 @@ class PressureDirector
         }
     }
 
-    /** Cumulative sweep-stall ns attributed to @p stream. */
-    uint64_t
-    sweepStallNs(uint32_t stream) const
-    {
-        auto it = stall_ns_by_stream_.find(stream);
-        return it == stall_ns_by_stream_.end() ? 0 : it->second;
-    }
-
-  private:
-    struct StreamStats
-    {
-        uint64_t charged_bytes = 0;
-        uint64_t kpas = 0;
-    };
-
     HybridMemory &hm_;
     PressureConfig cfg_;
     std::vector<ColdStateProvider *> providers_;
@@ -275,8 +321,11 @@ class PressureDirector
     uint64_t demoted_bytes_ = 0;
     uint64_t demoted_kpas_ = 0;
     std::map<uint32_t, StreamStats> by_stream_;
-    std::map<uint32_t, uint64_t> last_sweep_;
+    std::map<uint32_t, uint64_t> last_sweep_; //!< bytes moved per stream
+    uint64_t last_sweep_kpas_ = 0;            //!< KPAs moved
     std::map<uint32_t, uint64_t> stall_ns_by_stream_;
+    obs::Telemetry *tele_ = nullptr;
+    uint32_t shard_ = 0;
 };
 
 } // namespace sbhbm::mem

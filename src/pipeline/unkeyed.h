@@ -49,7 +49,7 @@ class AvgAllOp : public Operator
                 acc.sum += row[value_col_];
                 ++acc.count;
             }
-            kpa::chargeUnkeyedReduce(ctx, b, 0, 0);
+            kpa::chargeUnkeyedReduce(ctx, b);
         });
     }
 

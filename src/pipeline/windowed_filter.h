@@ -105,7 +105,7 @@ class WindowedFilterOp : public Operator
                 ws.sum += row[value_col_];
                 ++ws.count;
             }
-            kpa::chargeUnkeyedReduce(ctx, b, 0, 0);
+            kpa::chargeUnkeyedReduce(ctx, b);
         });
     }
 

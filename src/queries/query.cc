@@ -81,6 +81,9 @@ using pipeline::EgressOp;
 using pipeline::Operator;
 using pipeline::Pipeline;
 
+/** K of TopK Per Key. */
+constexpr uint32_t kTopK = 10;
+
 /** Map an EngineKind to the engine configuration it denotes (Fig 9). */
 runtime::EngineConfig
 engineConfigFor(const QueryConfig &cfg)
@@ -350,7 +353,7 @@ buildQueryPipeline(const QueryConfig &cfg, pipeline::Pipeline &pipe)
       case QueryId::kTopKPerKey:
         return buildKeyedAgg(
             cfg, pipe,
-            pipeline::aggs::topKPerKey(KvGen::kValueCol, cfg.topk_k));
+            pipeline::aggs::topKPerKey(KvGen::kValueCol, kTopK));
       case QueryId::kSumPerKey:
         return buildKeyedAgg(cfg, pipe,
                              pipeline::aggs::sumPerKey(KvGen::kValueCol));

@@ -108,9 +108,6 @@ struct QueryConfig
     /** Value range for the KV benchmarks. */
     uint64_t value_range = 1'000'000;
 
-    /** K of TopK Per Key. */
-    uint32_t topk_k = 10;
-
     /** Bound on in-flight bundles (back-pressure; paper §5). */
     uint32_t max_inflight_bundles = 64;
 
@@ -188,7 +185,7 @@ struct BuiltQuery
  * Wire cfg.id's operator graph into @p pipe (which may target any
  * engine and stream — the serving layer builds one per tenant on a
  * shared engine). Only the query-shape fields of @p cfg are read:
- * id, engine kind, seed, key/value ranges, topk_k.
+ * id, engine kind, seed, key/value ranges.
  */
 BuiltQuery buildQueryPipeline(const QueryConfig &cfg,
                               pipeline::Pipeline &pipe);

@@ -22,33 +22,27 @@
 
 namespace sbhbm::runtime {
 
-/** Tunable thresholds of the balancing policy. */
-struct KnobPolicy
-{
-    /** Increment Delta per refresh (paper: 0.05). */
-    double delta = 0.05;
-
-    /** HBM capacity fraction above which we shift load to DRAM. */
-    double hbm_high = 0.80;
-
-    /** HBM capacity fraction below which we shift load back to HBM. */
-    double hbm_low = 0.50;
-
-    /** DRAM bandwidth fraction considered saturated. */
-    double dram_high = 0.85;
-
-    /** Required output-delay headroom before k_high may move. */
-    double delay_headroom = 0.10;
-};
-
 /** The {k_low, k_high} placement-probability knob. */
 class BalanceKnob
 {
   public:
-    explicit BalanceKnob(KnobPolicy policy = KnobPolicy{})
-        : policy_(policy)
-    {
-    }
+    /** Increment Delta per refresh (paper: 0.05). */
+    static constexpr double kDelta = 0.05;
+
+    /** HBM capacity fraction above which we shift load to DRAM. */
+    static constexpr double kHbmHigh = 0.80;
+
+    /** HBM capacity fraction below which we shift load back to HBM. */
+    static constexpr double kHbmLow = 0.50;
+
+    /** DRAM bandwidth fraction considered saturated. */
+    static constexpr double kDramHigh = 0.85;
+
+    /**
+     * Output delay, as a fraction of the target, at or below which
+     * k_high may move (paper: >= 10% headroom below the target).
+     */
+    static constexpr double kDelayHeadroomFrac = 0.9;
 
     double kLow() const { return k_low_; }
     double kHigh() const { return k_high_; }
@@ -83,8 +77,8 @@ class BalanceKnob
     update(double hbm_capacity_frac, double dram_bw_frac,
            bool delay_headroom_ok)
     {
-        const bool hbm_pressured = hbm_capacity_frac > policy_.hbm_high;
-        const bool dram_saturated = dram_bw_frac > policy_.dram_high;
+        const bool hbm_pressured = hbm_capacity_frac > kHbmHigh;
+        const bool dram_saturated = dram_bw_frac > kDramHigh;
 
         if (hbm_pressured && !dram_saturated) {
             // Zone 2: high demand for HBM capacity -> spill more KPAs
@@ -94,7 +88,7 @@ class BalanceKnob
             // Zone 3: DRAM bandwidth is the bottleneck and HBM has
             // room -> pull allocations back onto HBM.
             raise(delay_headroom_ok);
-        } else if (hbm_capacity_frac < policy_.hbm_low && !dram_saturated
+        } else if (hbm_capacity_frac < kHbmLow && !dram_saturated
                    && (k_low_ < 1.0 || k_high_ < 1.0)) {
             // Comfortable on both axes: drift back to the default of
             // everything-on-HBM.
@@ -106,11 +100,11 @@ class BalanceKnob
 
   private:
     /** Snap to an exact multiple of delta to avoid drift. */
-    double
-    quantize(double k) const
+    static double
+    quantize(double k)
     {
-        const double steps = std::round(k / policy_.delta);
-        return std::clamp(steps * policy_.delta, 0.0, 1.0);
+        const double steps = std::round(k / kDelta);
+        return std::clamp(steps * kDelta, 0.0, 1.0);
     }
 
     /** Shift placement toward DRAM: k_low first, then k_high. */
@@ -118,9 +112,9 @@ class BalanceKnob
     lower(bool delay_headroom_ok)
     {
         if (k_low_ > 0.0)
-            k_low_ = quantize(k_low_ - policy_.delta);
+            k_low_ = quantize(k_low_ - kDelta);
         else if (delay_headroom_ok && k_high_ > 0.0)
-            k_high_ = quantize(k_high_ - policy_.delta);
+            k_high_ = quantize(k_high_ - kDelta);
     }
 
     /**
@@ -132,12 +126,11 @@ class BalanceKnob
     raise(bool delay_headroom_ok)
     {
         if (k_low_ < 1.0)
-            k_low_ = quantize(k_low_ + policy_.delta);
+            k_low_ = quantize(k_low_ + kDelta);
         else if (delay_headroom_ok && k_high_ < 1.0)
-            k_high_ = quantize(k_high_ + policy_.delta);
+            k_high_ = quantize(k_high_ + kDelta);
     }
 
-    KnobPolicy policy_;
     double k_low_ = 1.0;  //!< paper: initial value 1
     double k_high_ = 1.0; //!< paper: initial value 1
 };

@@ -115,11 +115,12 @@ class Engine
     bool useKpa() const { return cfg_.use_kpa; }
 
     /**
-     * Install the telemetry plane on this engine and its executor and
-     * monitor. @p shard labels every event this engine records (the
-     * trace's pid track). Null uninstalls; the default — no telemetry
-     * — keeps every hot path at a single pointer null check and the
-     * simulation bit-identical to the uninstrumented build.
+     * Install the telemetry plane on this engine, its executor and its
+     * pressure director. @p shard labels every event this engine
+     * records (the trace's pid track). Null uninstalls; the default —
+     * no telemetry — keeps every hot path at a single pointer null
+     * check and the simulation bit-identical to the uninstrumented
+     * build.
      */
     void
     setTelemetry(obs::Telemetry *t, uint32_t shard = 0)
@@ -127,7 +128,7 @@ class Engine
         tele_ = t;
         tele_shard_ = shard;
         exec_.setTelemetry(t, shard);
-        monitor_.setTelemetry(t, shard);
+        director_.setTelemetry(t, shard);
     }
 
     /** The installed telemetry plane (null = disabled). */
@@ -197,27 +198,8 @@ class Engine
                 director_.emergencySweep(t, want, relief);
             if (r.kpas == 0)
                 return false;
-            // Like the monitor's steady-state sweep: attribute the
-            // copy time as memory stall to the streams whose state
-            // moved, and record the emergency span.
-            const SimTime t0 = machine_.now();
-            auto shares = director_.takeLastSweepShares();
-            const uint64_t kpas = r.kpas;
-            machine_.execute(
-                std::move(relief),
-                [this, t0, kpas, shares = std::move(shares)] {
-                    const SimTime dur = machine_.now() - t0;
-                    director_.addSweepStallNs(shares, dur);
-                    if (tele_ != nullptr) {
-                        uint64_t bytes = 0;
-                        for (const auto &[stream, b] : shares)
-                            bytes += b;
-                        tele_->trace.span(t0, dur, tele_shard_, 0,
-                                          "pressure", "emergency_sweep",
-                                          {{"charged_bytes", bytes},
-                                           {"kpas", kpas}});
-                    }
-                });
+            director_.chargeSweep(machine_, std::move(relief),
+                                  mem::SweepKind::kEmergency);
             return true;
         });
     }
@@ -235,7 +217,8 @@ class Engine
     delayHeadroomOk() const
     {
         return static_cast<double>(last_delay_)
-               <= 0.9 * static_cast<double>(cfg_.target_delay);
+               <= BalanceKnob::kDelayHeadroomFrac
+                      * static_cast<double>(cfg_.target_delay);
     }
 
     const SampleSet &outputDelays() const { return delays_; }
@@ -271,7 +254,6 @@ class Engine
         sbhbm_assert(it != stream_flows_.end() && it->second.inflight > 0,
                      "stream %u bundle accounting underflow", stream);
         --it->second.inflight;
-        ++it->second.released;
     }
 
     uint32_t inflightBundles() const { return inflight_bundles_; }
@@ -352,7 +334,6 @@ class Engine
     struct StreamFlow
     {
         uint32_t inflight = 0;
-        uint64_t released = 0;
         uint32_t cap = 0; //!< 0 = no per-stream cap
     };
 

@@ -24,17 +24,6 @@ enum class ImpactTag : uint8_t {
 
 constexpr int kNumTags = 3;
 
-constexpr const char *
-tagName(ImpactTag t)
-{
-    switch (t) {
-      case ImpactTag::kUrgent: return "urgent";
-      case ImpactTag::kHigh: return "high";
-      case ImpactTag::kLow: return "low";
-    }
-    return "?";
-}
-
 } // namespace sbhbm::runtime
 
 #endif // SBHBM_RUNTIME_IMPACT_TAG_H

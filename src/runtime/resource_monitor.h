@@ -19,7 +19,6 @@
 #include "common/units.h"
 #include "mem/hybrid_memory.h"
 #include "mem/pressure_director.h"
-#include "obs/trace.h"
 #include "runtime/balance_knob.h"
 #include "sim/machine.h"
 
@@ -48,9 +47,8 @@ class ResourceMonitor
 
     /**
      * @param director optional pressure director ticked right after
-     *        the knob refresh; its migration traffic is charged to
-     *        the machine (DMA-style: consumes tier bandwidth, no
-     *        core slot).
+     *        the knob refresh; it charges its migration traffic to
+     *        the machine (PressureDirector::chargeSweep).
      */
     ResourceMonitor(sim::Machine &machine, mem::HybridMemory &hm,
                     BalanceKnob &knob, HeadroomFn headroom,
@@ -80,14 +78,6 @@ class ResourceMonitor
 
     /** Stop sampling after the next tick. */
     void stop() { running_ = false; }
-
-    /** Install the telemetry plane (null disables recording). */
-    void
-    setTelemetry(obs::Telemetry *t, uint32_t shard)
-    {
-        tele_ = t;
-        shard_ = shard;
-    }
 
     bool running() const { return running_; }
 
@@ -130,34 +120,12 @@ class ResourceMonitor
         s.k_high = knob_.kHigh();
 
         // Pressure feedback: the knob only steers future allocations;
-        // the director reclaims HBM *now* by demoting cold state. Its
-        // migration traffic consumes tier bandwidth in virtual time
-        // without occupying a core slot (DMA-style copy).
+        // the director reclaims HBM *now* by demoting cold state.
         if (director_ != nullptr) {
             sim::CostLog migration = director_->tick();
             if (!migration.empty()) {
-                // The sweep's copy time is memory stall for the
-                // streams whose state moved: split the measured
-                // duration by byte share once the charge completes
-                // (single-threaded control path — trace-safe).
-                const SimTime t0 = machine_.now();
-                auto shares = director_->takeLastSweepShares();
-                machine_.execute(
-                    std::move(migration),
-                    [this, t0, shares = std::move(shares)] {
-                        const SimTime dur = machine_.now() - t0;
-                        director_->addSweepStallNs(shares, dur);
-                        if (tele_ != nullptr) {
-                            uint64_t bytes = 0;
-                            for (const auto &[stream, b] : shares)
-                                bytes += b;
-                            tele_->trace.span(
-                                t0, dur, shard_, 0, "pressure",
-                                "pressure_sweep",
-                                {{"charged_bytes", bytes},
-                                 {"streams", shares.size()}});
-                        }
-                    });
+                director_->chargeSweep(machine_, std::move(migration),
+                                       mem::SweepKind::kPressure);
             }
             s.demoted_bytes = director_->demotedBytes();
         }
@@ -179,8 +147,6 @@ class ResourceMonitor
     HeadroomFn headroom_;
     SimTime period_;
     mem::PressureDirector *director_;
-    obs::Telemetry *tele_ = nullptr;
-    uint32_t shard_ = 0;
     bool running_ = false;
 
     SimTime last_t_ = 0;

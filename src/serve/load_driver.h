@@ -17,10 +17,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "queries/query.h"
@@ -29,23 +29,31 @@
 
 namespace sbhbm::serve {
 
+/** Leading fraction of a generated fleet that is hot (at least one
+ *  tenant when the fleet is not empty). */
+constexpr double kFleetHotFraction = 0.25;
+
+/** Fair-share weights of hot and cold fleet tenants. */
+constexpr double kFleetHotWeight = 4.0;
+constexpr double kFleetColdWeight = 1.0;
+
+/** Queries assigned round-robin across a generated fleet. Key and
+ *  value ranges are TenantSpec's defaults. */
+constexpr queries::QueryId kFleetQueryMix[] = {
+    queries::QueryId::kSumPerKey,
+    queries::QueryId::kAvgPerKey,
+    queries::QueryId::kUniqueCountPerKey,
+};
+
 /** Shape of a generated tenant fleet. */
 struct FleetConfig
 {
     uint32_t tenants = 8;
     uint64_t seed = 42;
 
-    /** Leading fraction of the fleet that is hot (at least one when
-     *  tenants > 0 and hot_fraction > 0). */
-    double hot_fraction = 0.25;
-
     /** Offered records/sec. */
     double hot_rate = 2e6;
     double cold_rate = 4e5;
-
-    /** Fair-share weights. */
-    double hot_weight = 4.0;
-    double cold_weight = 1.0;
 
     /** Session length, records. */
     uint64_t hot_records = 600'000;
@@ -65,31 +73,20 @@ struct FleetConfig
      * (0 = everyone arrives at t = 0).
      */
     SimTime arrival_span = 0;
-
-    /** Queries assigned round-robin across the fleet. */
-    std::vector<queries::QueryId> query_mix = {
-        queries::QueryId::kSumPerKey,
-        queries::QueryId::kAvgPerKey,
-        queries::QueryId::kUniqueCountPerKey,
-    };
-
-    uint64_t key_range = 10'000;
-    uint64_t value_range = 1'000'000;
 };
 
 /**
  * Build the fleet: tenant ids 1..tenants, the first
- * ceil(hot_fraction * tenants) of them hot, Poisson bundle arrivals,
- * exponential session-arrival gaps, per-tenant seeds drawn from the
- * fleet seed in id order.
+ * ceil(kFleetHotFraction * tenants) of them hot, Poisson bundle
+ * arrivals, exponential session-arrival gaps, per-tenant seeds drawn
+ * from the fleet seed in id order.
  */
 inline std::vector<TenantSpec>
 makeFleet(const FleetConfig &cfg)
 {
-    sbhbm_assert(!cfg.query_mix.empty(), "fleet needs a query mix");
     Rng rng(cfg.seed);
     const auto hot_count = static_cast<uint32_t>(
-        std::ceil(cfg.hot_fraction * cfg.tenants));
+        std::ceil(kFleetHotFraction * cfg.tenants));
 
     std::vector<TenantSpec> fleet;
     fleet.reserve(cfg.tenants);
@@ -104,14 +101,12 @@ makeFleet(const FleetConfig &cfg)
         TenantSpec t;
         t.id = i + 1;
         t.name = (hot ? "hot-" : "cold-") + std::to_string(t.id);
-        t.weight = hot ? cfg.hot_weight : cfg.cold_weight;
-        t.query = cfg.query_mix[i % cfg.query_mix.size()];
+        t.weight = hot ? kFleetHotWeight : kFleetColdWeight;
+        t.query = kFleetQueryMix[i % std::size(kFleetQueryMix)];
         t.total_records = hot ? cfg.hot_records : cfg.cold_records;
         t.bundle_records = cfg.bundle_records;
         t.offered_rate = hot ? cfg.hot_rate : cfg.cold_rate;
         t.poisson_arrivals = t.offered_rate > 0;
-        t.key_range = cfg.key_range;
-        t.value_range = cfg.value_range;
         t.hbm_reserve_bytes =
             hot ? cfg.hot_hbm_reserve : cfg.cold_hbm_reserve;
         t.max_inflight_bundles = cfg.max_inflight_bundles;

@@ -34,7 +34,7 @@
  * the single-engine server.
  *
  * Fault tolerance (ServeConfig::fault) layers four mechanisms on the
- * same invariants: a deterministic FaultInjector armed on the
+ * same invariants: a deterministic fault plan armed on the
  * control-plane machine; watermark-aligned per-session checkpoints
  * (quiesce → snapshot operator state → charge the copy traffic);
  * shard failover (a crashed shard's sessions restart on survivors
@@ -44,11 +44,10 @@
  * run); and graceful degradation (typed allocation failures shed
  * tasks instead of aborting, emergency relocation sweeps relieve
  * exhaustion, rejected arrivals retry with backoff, slow shards
- * degrade and recover). With telemetry installed, the injector
- * records every firing as a "fault" instant and the server every
- * fault, crash, recovery and loss as a "recovery" instant on the
- * trace sink — the reproducibility fingerprint; without telemetry
- * neither is recorded.
+ * degrade and recover). With telemetry installed, the server records
+ * every firing as a "fault" instant, and every fault, crash, recovery
+ * and loss as a "recovery" instant, on the trace sink — the
+ * reproducibility fingerprint; without telemetry neither is recorded.
  */
 
 #ifndef SBHBM_SERVE_SERVER_H
@@ -72,7 +71,7 @@
 #include "serve/engine_fleet.h"
 #include "serve/tenant.h"
 #include "serve/tenant_registry.h"
-#include "sim/fault_injector.h"
+#include "sim/fault_plan.h"
 
 namespace sbhbm::serve {
 
@@ -84,7 +83,7 @@ namespace sbhbm::serve {
  */
 struct FaultToleranceConfig
 {
-    /** Master switch: injector, checkpointing, failover, recovery. */
+    /** Master switch: fault plan, checkpointing, failover, recovery. */
     bool enabled = false;
 
     /** The fault schedule (explicit or FaultPlan::scatter). */
@@ -144,7 +143,7 @@ struct ServeConfig
      * none) times the shard count. admission.mode selects
      * static-reservation vs live-pressure headroom; live mode samples
      * each shard's engine HBM gauge windowed high-water per admission
-     * tick. admission.shards is overwritten from `shards` below.
+     * tick. The budget divides evenly over `shards` below.
      */
     AdmissionConfig admission{0, 64, 64};
 
@@ -298,7 +297,7 @@ class Server
         : cfg_(fillDefaults(std::move(cfg))),
           fleet_(cfg_.engine, cfg_.shards, cfg_.telemetry,
                  cfg_.fault.enabled),
-          registry_(cfg_.admission)
+          registry_(cfg_.admission, cfg_.shards)
     {
         if (cfg_.admission.mode != AdmissionMode::kLivePressure)
             return;
@@ -367,15 +366,17 @@ class Server
             fleet_.engine(s).monitor().start();
         if (cfg_.admission.mode == AdmissionMode::kLivePressure)
             admissionTick();
-        if (cfg_.fault.enabled && !cfg_.fault.plan.empty()) {
+        if (cfg_.fault.enabled) {
             // Faults fire on the control-plane machine (the
-            // globally-earliest event when they do), so handlers may
-            // syncTo any shard before acting on it.
-            injector_ = std::make_unique<sim::FaultInjector>(
-                fleet_.control(), cfg_.fault.plan,
-                [this](const sim::FaultEvent &e) { onFault(e); },
-                cfg_.telemetry);
-            injector_->arm();
+            // globally-earliest event when they do), so onFault may
+            // syncTo any shard before acting on it. Daemon events:
+            // faults never keep an otherwise-finished run alive.
+            sim::FaultPlan plan = cfg_.fault.plan;
+            plan.canonicalize();
+            for (const sim::FaultEvent &e : plan.events) {
+                fleet_.control().at(
+                    e.at, [this, e] { onFault(e); }, /*daemon=*/true);
+            }
         }
         fleet_.run();
 
@@ -461,19 +462,15 @@ class Server
     {
         sbhbm_assert(cfg.shards >= 1, "server needs >= 1 shard");
         if (cfg.admission.hbm_budget_bytes == 0) {
-            // Budget over the tier sessions actually allocate on:
-            // HBM only in flat mode (cache / DRAM-only modes place
-            // everything in DRAM). Every shard brings its own
-            // machine, so the fleet budget scales with the count.
+            // Budget over the tier sessions actually allocate on.
+            // Every shard brings its own machine, so the fleet budget
+            // scales with the count.
             const auto &m = cfg.engine.machine;
             const uint64_t pool =
-                cfg.engine.mode == sim::MemoryMode::kFlat && m.hasHbm()
-                    ? m.hbm.capacity_bytes
-                    : m.dram.capacity_bytes;
+                m.tier(mem::stateTier(m, cfg.engine.mode)).capacity_bytes;
             cfg.admission.hbm_budget_bytes =
                 std::max<uint64_t>(1, pool / 2) * cfg.shards;
         }
-        cfg.admission.shards = cfg.shards;
         return cfg;
     }
 
@@ -629,10 +626,7 @@ class Server
     mem::Tier
     pressureTier() const
     {
-        return cfg_.engine.mode == sim::MemoryMode::kFlat
-                       && cfg_.engine.machine.hasHbm()
-                   ? mem::Tier::kHbm
-                   : mem::Tier::kDram;
+        return mem::stateTier(cfg_.engine.machine, cfg_.engine.mode);
     }
 
     void
@@ -843,12 +837,21 @@ class Server
     /**
      * Dispatch one injected fault. Fires on the control-plane machine
      * inside the globally-earliest event, so syncing any shard forward
-     * before acting on it is legal.
+     * before acting on it is legal. With telemetry installed, records
+     * the firing as a "fault" instant on the target's shard and tenant
+     * track first.
      */
     void
     onFault(const sim::FaultEvent &e)
     {
         const SimTime now = fleet_.control().now();
+        if (obs::Telemetry *tp = cfg_.telemetry) {
+            tp->trace.instant(e.at, e.shard, e.tenant, "fault",
+                              sim::faultKindName(e.kind),
+                              {{"kind", static_cast<uint64_t>(e.kind)},
+                               {"arg", e.arg},
+                               {"arg2", e.arg2}});
+        }
         trace("t=%llu fault %s shard=%u tenant=%u arg=%llu arg2=%llu",
               (unsigned long long)now, sim::faultKindName(e.kind),
               e.shard, e.tenant, (unsigned long long)e.arg,
@@ -1101,9 +1104,7 @@ class Server
     std::vector<TenantReport> report_list_;
     bool ran_ = false;
 
-    // Fault tolerance. The injector is declared after the fleet, whose
-    // control-plane machine it schedules on.
-    std::unique_ptr<sim::FaultInjector> injector_;
+    // Fault tolerance.
     std::vector<PendingRecovery> pending_recovery_;
     bool recovery_scheduled_ = false;
 

@@ -86,9 +86,6 @@ struct AdmissionConfig
 
     /** Headroom source (static reservations vs live gauge). */
     AdmissionMode mode = AdmissionMode::kStaticReservation;
-
-    /** Engine shards the budget divides into (1 = single engine). */
-    uint32_t shards = 1;
 };
 
 /** Outcome of offering a session to the admission controller. */
@@ -113,20 +110,22 @@ admissionName(Admission a)
 class TenantRegistry
 {
   public:
-    explicit TenantRegistry(AdmissionConfig cfg) : cfg_(cfg)
+    /** @param shards engine shards the budget divides into. */
+    TenantRegistry(AdmissionConfig cfg, uint32_t shards)
+        : cfg_(cfg), shards_(shards)
     {
         sbhbm_assert(cfg.hbm_budget_bytes > 0,
                      "admission needs a positive HBM budget");
-        sbhbm_assert(cfg.shards >= 1, "admission needs >= 1 shard");
-        const uint64_t per_shard = cfg.hbm_budget_bytes / cfg.shards;
+        sbhbm_assert(shards >= 1, "admission needs >= 1 shard");
+        const uint64_t per_shard = cfg.hbm_budget_bytes / shards;
         sbhbm_assert(per_shard > 0, "budget smaller than shard count");
-        gauges_.reserve(cfg.shards);
-        for (uint32_t s = 0; s < cfg.shards; ++s)
+        gauges_.reserve(shards);
+        for (uint32_t s = 0; s < shards; ++s)
             gauges_.emplace_back(per_shard, 0);
-        live_.resize(cfg.shards);
-        unmeasured_total_.assign(cfg.shards, 0);
-        load_.assign(cfg.shards, 0.0);
-        down_.assign(cfg.shards, false);
+        live_.resize(shards);
+        unmeasured_total_.assign(shards, 0);
+        load_.assign(shards, 0.0);
+        down_.assign(shards, false);
     }
 
     TenantRegistry(const TenantRegistry &) = delete;
@@ -140,8 +139,6 @@ class TenantRegistry
      * can-never-fit check only.
      */
     using LivePressureFn = std::function<uint64_t()>;
-
-    void setLivePressure(LivePressureFn fn) { live_[0] = std::move(fn); }
 
     void
     setLivePressure(uint32_t shard, LivePressureFn fn)
@@ -229,7 +226,7 @@ class TenantRegistry
      * before this call, so their reserves leave the unmeasured term.
      */
     void
-    noteGaugeMarked(uint32_t shard = 0)
+    noteGaugeMarked(uint32_t shard)
     {
         for (auto it = unmeasured_.begin(); it != unmeasured_.end();) {
             if (it->second.shard == shard)
@@ -298,7 +295,7 @@ class TenantRegistry
     /** Per-shard slice of the global budget. */
     uint64_t perShardBudget() const
     {
-        return cfg_.hbm_budget_bytes / cfg_.shards;
+        return cfg_.hbm_budget_bytes / shards_;
     }
 
     /** Shard the resident session @p id was placed on. */
@@ -323,10 +320,7 @@ class TenantRegistry
         return n;
     }
 
-    /** The admission gauge of shard 0 (static mode accounting). */
-    const mem::CapacityGauge &gauge() const { return gauges_[0]; }
-
-    /** The admission gauge of @p shard. */
+    /** The admission gauge of @p shard (static mode accounting). */
     const mem::CapacityGauge &gauge(uint32_t shard) const
     {
         return gauges_[shard];
@@ -334,14 +328,14 @@ class TenantRegistry
 
     /** Current live pressure of @p shard, bytes (0 without a source). */
     uint64_t
-    livePressure(uint32_t shard = 0) const
+    livePressure(uint32_t shard) const
     {
         return live_[shard] ? live_[shard]() : 0;
     }
 
     /** Reserves admitted on @p shard that no gauge sample covers yet. */
     uint64_t
-    unmeasuredReserve(uint32_t shard = 0) const
+    unmeasuredReserve(uint32_t shard) const
     {
         return unmeasured_total_[shard];
     }
@@ -385,8 +379,8 @@ class TenantRegistry
         // shard that has headroom. Ties break on the lowest index, so
         // placement is deterministic and one shard reduces exactly to
         // the single-engine check.
-        order_.resize(cfg_.shards);
-        for (uint32_t s = 0; s < cfg_.shards; ++s)
+        order_.resize(shards_);
+        for (uint32_t s = 0; s < shards_; ++s)
             order_[s] = s;
         std::stable_sort(order_.begin(), order_.end(),
                          [this](uint32_t a, uint32_t b) {
@@ -449,6 +443,7 @@ class TenantRegistry
     }
 
     AdmissionConfig cfg_;
+    uint32_t shards_;
     std::vector<mem::CapacityGauge> gauges_;
     std::vector<LivePressureFn> live_;
     std::map<runtime::StreamId, Resident> resident_;

@@ -1,40 +1,31 @@
 /**
  * @file
- * Deterministic fault injection: a seeded, schedule-driven injector
- * that fires faults at exact virtual times, so every chaos run is
- * reproducible bit for bit.
+ * Deterministic fault plans: a seeded schedule of faults at exact
+ * virtual times, so every chaos run is reproducible bit for bit.
  *
- * The injector itself is policy-free: a FaultPlan is just an ordered
- * list of (time, kind, target) events, and the injector arms one
- * daemon event per entry on a machine (the serving layer uses the
- * fleet's control-plane machine). What a fault *means* — crash this
- * shard, fail that tenant's next allocations, stall an ingest source —
- * is decided by the handler the owner installs; the injector only
- * guarantees the schedule: same plan, same run, same firing order.
+ * A FaultPlan is policy-free: an ordered list of (time, kind, target)
+ * events. Its owner (serve::Server) arms one daemon event per entry,
+ * in canonical order, on the fleet's control-plane machine, and
+ * decides what a fault *means* — crash this shard, fail that tenant's
+ * next allocations, stall an ingest source. Same plan, same run, same
+ * firing order.
  *
  * Plans come from two places: tests build them explicitly (add one
  * crash at t = 200 ms), and chaos soaks derive them from a seed via
  * FaultPlan::scatter() — the seed fully determines the plan, which
  * fully determines the run.
- *
- * The record of what fired is the installed telemetry's trace sink,
- * the one sink every layer records on: with no telemetry installed a
- * run records nothing, exactly like every other trace point.
  */
 
-#ifndef SBHBM_SIM_FAULT_INJECTOR_H
-#define SBHBM_SIM_FAULT_INJECTOR_H
+#ifndef SBHBM_SIM_FAULT_PLAN_H
+#define SBHBM_SIM_FAULT_PLAN_H
 
 #include <algorithm>
-#include <functional>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/units.h"
-#include "obs/trace.h"
-#include "sim/machine.h"
 
 namespace sbhbm::sim {
 
@@ -187,64 +178,6 @@ struct FaultPlan
     }
 };
 
-/**
- * Arms a FaultPlan on a machine and fires each event through the
- * installed handler at its exact virtual time. With telemetry
- * installed, every firing is recorded on its trace sink (category
- * "fault", pid = target shard, tid = target tenant, args kind / arg /
- * arg2), merging the fault timeline into the run's unified trace.
- */
-class FaultInjector
-{
-  public:
-    using Handler = std::function<void(const FaultEvent &)>;
-
-    /** @param tele trace sink of the firings; null records nothing. */
-    FaultInjector(Machine &machine, FaultPlan plan, Handler handler,
-                  obs::Telemetry *tele = nullptr)
-        : machine_(machine), plan_(std::move(plan)),
-          handler_(std::move(handler)), tele_(tele)
-    {
-        sbhbm_assert(handler_ != nullptr, "fault injector needs a handler");
-        plan_.canonicalize();
-    }
-
-    FaultInjector(const FaultInjector &) = delete;
-    FaultInjector &operator=(const FaultInjector &) = delete;
-
-    /** Schedule every plan entry (daemon events: faults never keep an
-     *  otherwise-finished run alive). */
-    void
-    arm()
-    {
-        sbhbm_assert(!armed_, "fault plan armed twice");
-        armed_ = true;
-        for (const FaultEvent &e : plan_.events) {
-            machine_.at(
-                e.at,
-                [this, e] {
-                    if (tele_ != nullptr) {
-                        tele_->trace.instant(
-                            e.at, e.shard, e.tenant, "fault",
-                            faultKindName(e.kind),
-                            {{"kind", static_cast<uint64_t>(e.kind)},
-                             {"arg", e.arg},
-                             {"arg2", e.arg2}});
-                    }
-                    handler_(e);
-                },
-                /*daemon=*/true);
-        }
-    }
-
-  private:
-    Machine &machine_;
-    FaultPlan plan_;
-    Handler handler_;
-    obs::Telemetry *tele_;
-    bool armed_ = false;
-};
-
 } // namespace sbhbm::sim
 
-#endif // SBHBM_SIM_FAULT_INJECTOR_H
+#endif // SBHBM_SIM_FAULT_PLAN_H

@@ -89,8 +89,6 @@ struct MachineConfig
     TierSpec hbm;
     TierSpec dram;
 
-    MemoryMode mode = MemoryMode::kFlat;
-
     /** Ingestion NIC payload bandwidth, bytes/sec. */
     double nic_rdma_bw = 0;
     double nic_ethernet_bw = 0;

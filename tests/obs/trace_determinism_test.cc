@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -250,6 +251,56 @@ TEST(ObsCostLogNeutral, TelemetryOnDoesNotPerturbAFaultedRun)
     }
     EXPECT_EQ(faults, 3u);
     EXPECT_GT(recoveries, 0u);
+
+    // The plan was built out of time order; its faults fire in time
+    // order, each on its shard and tenant track with its kind and
+    // magnitudes, and each right before its own "recovery" fault line.
+    struct Want
+    {
+        SimTime at;
+        sim::FaultKind kind;
+        uint32_t shard;
+        uint32_t tenant;
+        uint64_t arg;
+    };
+    const Want want[] = {
+        {4 * kNsPerMs, sim::FaultKind::kIngestStall, 0, 1, kNsPerMs},
+        {6 * kNsPerMs, sim::FaultKind::kIngestDrop, 0, 1, 2},
+        {10 * kNsPerMs, sim::FaultKind::kShardCrash, 1, 0, 0},
+    };
+    const std::vector<obs::TraceEvent> &events = tele.trace.events();
+    size_t next = 0;
+    for (size_t i = 0; i < events.size(); ++i) {
+        const obs::TraceEvent &e = events[i];
+        if (std::strcmp(e.cat, "fault") != 0)
+            continue;
+        ASSERT_LT(next, std::size(want));
+        const Want &w = want[next++];
+        EXPECT_EQ(e.ph, 'i');
+        EXPECT_EQ(e.ts, w.at);
+        EXPECT_EQ(e.pid, w.shard);
+        EXPECT_EQ(e.tid, w.tenant);
+        EXPECT_EQ(e.name, sim::faultKindName(w.kind));
+        ASSERT_EQ(e.nargs, 3u);
+        EXPECT_STREQ(e.args[0].key, "kind");
+        EXPECT_EQ(e.args[0].value, static_cast<uint64_t>(w.kind));
+        EXPECT_STREQ(e.args[1].key, "arg");
+        EXPECT_EQ(e.args[1].value, w.arg);
+        EXPECT_STREQ(e.args[2].key, "arg2");
+        EXPECT_EQ(e.args[2].value, 0u);
+
+        ASSERT_LT(i + 1, events.size());
+        const obs::TraceEvent &line = events[i + 1];
+        EXPECT_STREQ(line.cat, "recovery");
+        EXPECT_EQ(line.name,
+                  "t=" + std::to_string(w.at) + " fault "
+                      + sim::faultKindName(w.kind)
+                      + " shard=" + std::to_string(w.shard)
+                      + " tenant=" + std::to_string(w.tenant)
+                      + " arg=" + std::to_string(w.arg) + " arg2=0");
+    }
+    EXPECT_EQ(next, std::size(want));
+
     EXPECT_EQ(on.recoveries, (std::vector<uint32_t>{0, 1}));
     EXPECT_GT(on.replayed[1], 0u);
     EXPECT_GT(on.shed[0], 0u) << "the drop shed tenant 1's records";

@@ -67,7 +67,13 @@ TEST(Engine, DelayHeadroomTracksTarget)
     EXPECT_TRUE(e.delayHeadroomOk());
     e.reportOutputDelay(950 * kNsPerMs);
     EXPECT_FALSE(e.delayHeadroomOk());
-    EXPECT_EQ(e.outputDelays().size(), 2u);
+    // The boundary: a delay of exactly 0.9 x target is ok, and 1 ns
+    // more is not.
+    e.reportOutputDelay(900 * kNsPerMs);
+    EXPECT_TRUE(e.delayHeadroomOk());
+    e.reportOutputDelay(900 * kNsPerMs + 1);
+    EXPECT_FALSE(e.delayHeadroomOk());
+    EXPECT_EQ(e.outputDelays().size(), 4u);
 }
 
 TEST(Engine, BackpressureEngagesAtCreditLimit)

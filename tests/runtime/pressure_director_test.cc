@@ -6,7 +6,8 @@
  *    per-stream DRAM-lean demotion;
  *  - PressureDirector demotes cold provider state above the
  *    high-water threshold, down to the low-water target, within the
- *    per-tick budget, in deterministic provider order;
+ *    per-tick budget, in deterministic provider order, and charges
+ *    each sweep's copy as stall split over the streams it moved;
  *  - end to end, an overloaded engine with demotion enabled shows a
  *    deterministic demotion count, a strictly lower HBM high-water
  *    than the identical run without demotion, and identical pipeline
@@ -24,6 +25,7 @@
 #include "ingest/source.h"
 #include "mem/placement_policy.h"
 #include "mem/pressure_director.h"
+#include "obs/trace.h"
 #include "pipeline/aggregations.h"
 #include "pipeline/egress.h"
 #include "pipeline/extract.h"
@@ -256,6 +258,68 @@ TEST(PressureDirector, RespectsPerTickBudgetAndProviderOrder)
     // the remaining cold state alone (demote only under pressure).
     EXPECT_TRUE(dir.tick().empty());
     EXPECT_EQ(dir.demotedKpas(), 4u);
+    dir.unregisterProvider(&first);
+    dir.unregisterProvider(&second);
+}
+
+TEST(PressureDirector, ChargeSweepSplitsStallAndRecordsItsSpan)
+{
+    auto mc = sim::MachineConfig::knl();
+    mc.hbm.capacity_bytes = 1_MiB;
+    sim::Machine machine(mc);
+    mem::HybridMemory hm(mc, sim::MemoryMode::kFlat);
+    mem::PressureDirector dir(hm, pressureOn());
+    obs::Telemetry tele;
+    dir.setTelemetry(&tele, 3);
+    // 93.75% used: one block in stream 1, the rest in stream 2.
+    FakeProvider first(hm, 1, 1, 60_KiB);
+    FakeProvider second(hm, 2, 14, 60_KiB);
+    dir.registerProvider(&first);
+    dir.registerProvider(&second);
+
+    // The steady-state sweep moves 7 blocks (1 + 6) down to 50%.
+    dir.chargeSweep(machine, dir.tick(), mem::SweepKind::kPressure);
+    machine.run();
+    ASSERT_EQ(tele.trace.size(), 1u);
+    const obs::TraceEvent &p = tele.trace.events()[0];
+    EXPECT_EQ(p.ph, 'X');
+    EXPECT_STREQ(p.cat, "pressure");
+    EXPECT_EQ(p.name, "pressure_sweep");
+    EXPECT_EQ(p.pid, 3u);
+    EXPECT_EQ(p.tid, 0u);
+    ASSERT_EQ(p.nargs, 2u);
+    EXPECT_STREQ(p.args[0].key, "charged_bytes");
+    EXPECT_EQ(p.args[0].value, 7u * 64_KiB);
+    EXPECT_STREQ(p.args[1].key, "streams");
+    EXPECT_EQ(p.args[1].value, 2u);
+    // The copy time is split over the two streams by bytes moved.
+    ASSERT_GT(p.dur, 0u);
+    const uint64_t s1 = dir.sweepStallNs(1);
+    const uint64_t s2 = dir.sweepStallNs(2);
+    EXPECT_LE(s1 + s2, p.dur);
+    EXPECT_GE(s1 + s2 + 2, p.dur);
+    EXPECT_NEAR(static_cast<double>(s2), 6.0 * static_cast<double>(s1),
+                6.0);
+
+    // Exhaustion relief moves the rest of stream 2's HBM blocks and
+    // records its own span, with the KPAs it moved.
+    sim::CostLog relief;
+    const mem::DemoteResult r =
+        dir.emergencySweep(Tier::kHbm, 1_MiB, relief);
+    EXPECT_EQ(r.kpas, 8u);
+    dir.chargeSweep(machine, std::move(relief), mem::SweepKind::kEmergency);
+    machine.run();
+    ASSERT_EQ(tele.trace.size(), 2u);
+    const obs::TraceEvent &e = tele.trace.events()[1];
+    EXPECT_EQ(e.name, "emergency_sweep");
+    EXPECT_EQ(e.pid, 3u);
+    ASSERT_EQ(e.nargs, 2u);
+    EXPECT_STREQ(e.args[0].key, "charged_bytes");
+    EXPECT_EQ(e.args[0].value, r.charged_bytes);
+    EXPECT_STREQ(e.args[1].key, "kpas");
+    EXPECT_EQ(e.args[1].value, 8u);
+    EXPECT_EQ(dir.sweepStallNs(1), s1) << "stream 1 moved nothing";
+    EXPECT_EQ(dir.sweepStallNs(2), s2 + e.dur);
     dir.unregisterProvider(&first);
     dir.unregisterProvider(&second);
 }

@@ -25,16 +25,16 @@ budget(uint64_t bytes, uint32_t max_active = 64,
 
 TEST(TenantRegistry, AdmitsWithinBudget)
 {
-    TenantRegistry reg(budget(100_MiB));
+    TenantRegistry reg(budget(100_MiB), 1);
     EXPECT_EQ(reg.offer(spec(1, 40_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.offer(spec(2, 60_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.active(), 2u);
-    EXPECT_EQ(reg.gauge().used(), 100_MiB);
+    EXPECT_EQ(reg.gauge(0).used(), 100_MiB);
 }
 
 TEST(TenantRegistry, QueuesPastBudgetAndAdmitsOnRelease)
 {
-    TenantRegistry reg(budget(100_MiB));
+    TenantRegistry reg(budget(100_MiB), 1);
     EXPECT_EQ(reg.offer(spec(1, 80_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.offer(spec(2, 30_MiB)), Admission::kQueued);
     EXPECT_EQ(reg.queued(), 1u);
@@ -44,12 +44,12 @@ TEST(TenantRegistry, QueuesPastBudgetAndAdmitsOnRelease)
     EXPECT_EQ(admitted[0].id, 2u);
     EXPECT_EQ(reg.active(), 1u);
     EXPECT_EQ(reg.queued(), 0u);
-    EXPECT_EQ(reg.gauge().used(), 30_MiB);
+    EXPECT_EQ(reg.gauge(0).used(), 30_MiB);
 }
 
 TEST(TenantRegistry, ReleaseAdmitsInArrivalOrderWithHeadOfLine)
 {
-    TenantRegistry reg(budget(100_MiB));
+    TenantRegistry reg(budget(100_MiB), 1);
     EXPECT_EQ(reg.offer(spec(1, 100_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.offer(spec(2, 90_MiB)), Admission::kQueued);
     EXPECT_EQ(reg.offer(spec(3, 10_MiB)), Admission::kQueued);
@@ -65,14 +65,14 @@ TEST(TenantRegistry, ReleaseAdmitsInArrivalOrderWithHeadOfLine)
 
 TEST(TenantRegistry, HeadOfLineBlocksSmallerWaiters)
 {
-    TenantRegistry reg(budget(100_MiB));
+    TenantRegistry reg(budget(100_MiB), 1);
     EXPECT_EQ(reg.offer(spec(1, 60_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.offer(spec(2, 60_MiB)), Admission::kQueued);
     EXPECT_EQ(reg.offer(spec(3, 10_MiB)), Admission::kQueued);
     // Tenant 3 fits beside 1 right now, but 2 is ahead of it in the
     // queue and does not fit: a release that only frees room for 3
     // must admit nobody (no starving the big waiter).
-    TenantRegistry reg2(budget(100_MiB));
+    TenantRegistry reg2(budget(100_MiB), 1);
     EXPECT_EQ(reg2.offer(spec(1, 60_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg2.offer(spec(2, 30_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg2.offer(spec(4, 80_MiB)), Admission::kQueued);
@@ -88,7 +88,7 @@ TEST(TenantRegistry, HeadOfLineBlocksSmallerWaiters)
 
 TEST(TenantRegistry, RejectsReservationLargerThanBudget)
 {
-    TenantRegistry reg(budget(100_MiB));
+    TenantRegistry reg(budget(100_MiB), 1);
     EXPECT_EQ(reg.offer(spec(1, 101_MiB)), Admission::kRejected);
     EXPECT_EQ(reg.rejected(), 1u);
     EXPECT_EQ(reg.queued(), 0u) << "a session that can never fit "
@@ -97,7 +97,7 @@ TEST(TenantRegistry, RejectsReservationLargerThanBudget)
 
 TEST(TenantRegistry, RejectsWhenQueueFull)
 {
-    TenantRegistry reg(budget(100_MiB, 64, /*max_queued=*/1));
+    TenantRegistry reg(budget(100_MiB, 64, /*max_queued=*/1), 1);
     EXPECT_EQ(reg.offer(spec(1, 100_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.offer(spec(2, 10_MiB)), Admission::kQueued);
     EXPECT_EQ(reg.offer(spec(3, 10_MiB)), Admission::kRejected);
@@ -105,7 +105,7 @@ TEST(TenantRegistry, RejectsWhenQueueFull)
 
 TEST(TenantRegistry, MaxActiveCapsConcurrency)
 {
-    TenantRegistry reg(budget(100_MiB, /*max_active=*/2));
+    TenantRegistry reg(budget(100_MiB, /*max_active=*/2), 1);
     EXPECT_EQ(reg.offer(spec(1, 1_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.offer(spec(2, 1_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.offer(spec(3, 1_MiB)), Admission::kQueued);
@@ -132,15 +132,15 @@ TEST(TenantRegistryLive, AdmitsOnMeasuredPressureNotReservations)
     // is low: live mode packs all three sessions in where the static
     // mode would queue two.
     uint64_t pressure = 10_MiB;
-    TenantRegistry reg(liveBudget(100_MiB));
-    reg.setLivePressure([&pressure] { return pressure; });
+    TenantRegistry reg(liveBudget(100_MiB), 1);
+    reg.setLivePressure(0, [&pressure] { return pressure; });
     EXPECT_EQ(reg.offer(spec(1, 80_MiB)), Admission::kAdmitted);
     // Each noteGaugeMarked() models the server re-marking the gauge
     // window: the sample now covers the session just admitted, so its
     // declared reserve leaves the unmeasured headroom term.
-    reg.noteGaugeMarked();
+    reg.noteGaugeMarked(0);
     EXPECT_EQ(reg.offer(spec(2, 80_MiB)), Admission::kAdmitted);
-    reg.noteGaugeMarked();
+    reg.noteGaugeMarked(0);
     EXPECT_EQ(reg.offer(spec(3, 80_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.active(), 3u);
 }
@@ -153,10 +153,10 @@ TEST(TenantRegistryLive, BackToBackOffersCountUnmeasuredAdmits)
     // the budget of working sets on a tier whose measured pressure
     // has not caught up yet.
     uint64_t pressure = 10_MiB;
-    TenantRegistry reg(liveBudget(100_MiB));
-    reg.setLivePressure([&pressure] { return pressure; });
+    TenantRegistry reg(liveBudget(100_MiB), 1);
+    reg.setLivePressure(0, [&pressure] { return pressure; });
     EXPECT_EQ(reg.offer(spec(1, 50_MiB)), Admission::kAdmitted);
-    EXPECT_EQ(reg.unmeasuredReserve(), 50_MiB);
+    EXPECT_EQ(reg.unmeasuredReserve(0), 50_MiB);
     EXPECT_EQ(reg.offer(spec(2, 50_MiB)), Admission::kQueued)
         << "10 + 50 (unmeasured) + 50 exceeds the 100 MiB budget";
     EXPECT_EQ(reg.active(), 1u);
@@ -164,13 +164,13 @@ TEST(TenantRegistryLive, BackToBackOffersCountUnmeasuredAdmits)
     // The window re-marks with tenant 1's real footprint in the
     // sample: still no room at 60 MiB measured...
     pressure = 60_MiB;
-    reg.noteGaugeMarked();
-    EXPECT_EQ(reg.unmeasuredReserve(), 0u);
+    reg.noteGaugeMarked(0);
+    EXPECT_EQ(reg.unmeasuredReserve(0), 0u);
     EXPECT_TRUE(reg.pumpAdmission().empty());
 
     // ...but once the measured gauge recedes, the waiter admits.
     pressure = 45_MiB;
-    reg.noteGaugeMarked();
+    reg.noteGaugeMarked(0);
     auto admitted = reg.pumpAdmission();
     ASSERT_EQ(admitted.size(), 1u);
     EXPECT_EQ(admitted[0].id, 2u);
@@ -181,19 +181,19 @@ TEST(TenantRegistryLive, ReleaseForgetsUnmeasuredReserve)
     // A session that admits and drains within one gauge window must
     // not leave a ghost reserve behind blocking later arrivals.
     uint64_t pressure = 10_MiB;
-    TenantRegistry reg(liveBudget(100_MiB));
-    reg.setLivePressure([&pressure] { return pressure; });
+    TenantRegistry reg(liveBudget(100_MiB), 1);
+    reg.setLivePressure(0, [&pressure] { return pressure; });
     EXPECT_EQ(reg.offer(spec(1, 50_MiB)), Admission::kAdmitted);
     reg.release(1);
-    EXPECT_EQ(reg.unmeasuredReserve(), 0u);
+    EXPECT_EQ(reg.unmeasuredReserve(0), 0u);
     EXPECT_EQ(reg.offer(spec(2, 60_MiB)), Admission::kAdmitted);
 }
 
 TEST(TenantRegistryLive, HighPressureQueuesAndPumpAdmits)
 {
     uint64_t pressure = 70_MiB;
-    TenantRegistry reg(liveBudget(100_MiB));
-    reg.setLivePressure([&pressure] { return pressure; });
+    TenantRegistry reg(liveBudget(100_MiB), 1);
+    reg.setLivePressure(0, [&pressure] { return pressure; });
     EXPECT_EQ(reg.offer(spec(1, 20_MiB)), Admission::kAdmitted);
     // 70 + 40 > 100: waits for the gauge to recede.
     EXPECT_EQ(reg.offer(spec(2, 40_MiB)), Admission::kQueued);
@@ -203,14 +203,14 @@ TEST(TenantRegistryLive, HighPressureQueuesAndPumpAdmits)
     // (Each drop is a freshly measured window, so the registry is
     // told the sample covers everything admitted so far.)
     pressure = 65_MiB;
-    reg.noteGaugeMarked();
+    reg.noteGaugeMarked(0);
     EXPECT_TRUE(reg.pumpAdmission().empty());
 
     // Pressure recedes enough: the pump admits the waiter with no
     // release having happened — headroom in live mode comes from the
     // gauge, not from reservations handed back.
     pressure = 55_MiB;
-    reg.noteGaugeMarked();
+    reg.noteGaugeMarked(0);
     auto admitted = reg.pumpAdmission();
     ASSERT_EQ(admitted.size(), 1u);
     EXPECT_EQ(admitted[0].id, 2u);
@@ -221,8 +221,8 @@ TEST(TenantRegistryLive, HighPressureQueuesAndPumpAdmits)
 TEST(TenantRegistryLive, HeadOfLinePreservedUnderPressure)
 {
     uint64_t pressure = 90_MiB;
-    TenantRegistry reg(liveBudget(100_MiB));
-    reg.setLivePressure([&pressure] { return pressure; });
+    TenantRegistry reg(liveBudget(100_MiB), 1);
+    reg.setLivePressure(0, [&pressure] { return pressure; });
     EXPECT_EQ(reg.offer(spec(1, 5_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.offer(spec(2, 40_MiB)), Admission::kQueued);
     // Would fit right now, but 2 is ahead: must queue behind it.
@@ -237,11 +237,11 @@ TEST(TenantRegistryLive, HeadOfLinePreservedUnderPressure)
 TEST(TenantRegistryLive, ReleaseStillPumpsAndNeverTouchesGauge)
 {
     uint64_t pressure = 95_MiB;
-    TenantRegistry reg(liveBudget(100_MiB));
-    reg.setLivePressure([&pressure] { return pressure; });
+    TenantRegistry reg(liveBudget(100_MiB), 1);
+    reg.setLivePressure(0, [&pressure] { return pressure; });
     EXPECT_EQ(reg.offer(spec(1, 4_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.offer(spec(2, 30_MiB)), Admission::kQueued);
-    EXPECT_EQ(reg.gauge().used(), 0u)
+    EXPECT_EQ(reg.gauge(0).used(), 0u)
         << "live mode accounts on the machine gauge, not this one";
 
     // The drain drops measured pressure; release() pumps the queue.
@@ -262,8 +262,8 @@ TEST(TenantRegistryLive, OnePumpCannotOverAdmitAgainstStaleSample)
     // when declared working sets fill the budget, instead of
     // admitting everyone against the stale low reading.
     uint64_t pressure = 90_MiB;
-    TenantRegistry reg(liveBudget(100_MiB));
-    reg.setLivePressure([&pressure] { return pressure; });
+    TenantRegistry reg(liveBudget(100_MiB), 1);
+    reg.setLivePressure(0, [&pressure] { return pressure; });
     EXPECT_EQ(reg.offer(spec(1, 5_MiB)), Admission::kAdmitted);
     for (runtime::StreamId id = 2; id <= 11; ++id)
         EXPECT_EQ(reg.offer(spec(id, 20_MiB)), Admission::kQueued);
@@ -284,23 +284,23 @@ TEST(TenantRegistryLive, OnePumpCannotOverAdmitAgainstStaleSample)
 TEST(TenantRegistryLive, CanNeverFitStillRejected)
 {
     uint64_t pressure = 0;
-    TenantRegistry reg(liveBudget(100_MiB));
-    reg.setLivePressure([&pressure] { return pressure; });
+    TenantRegistry reg(liveBudget(100_MiB), 1);
+    reg.setLivePressure(0, [&pressure] { return pressure; });
     EXPECT_EQ(reg.offer(spec(1, 101_MiB)), Admission::kRejected);
     EXPECT_EQ(reg.rejected(), 1u);
 }
 
 TEST(TenantRegistry, ZeroReservationAlwaysFitsBudget)
 {
-    TenantRegistry reg(budget(1));
+    TenantRegistry reg(budget(1), 1);
     EXPECT_EQ(reg.offer(spec(1, 0)), Admission::kAdmitted);
     EXPECT_EQ(reg.offer(spec(2, 0)), Admission::kAdmitted);
-    EXPECT_EQ(reg.gauge().used(), 0u);
+    EXPECT_EQ(reg.gauge(0).used(), 0u);
 }
 
 TEST(TenantRegistry, EverAdmittedCountsReadmissions)
 {
-    TenantRegistry reg(budget(100_MiB));
+    TenantRegistry reg(budget(100_MiB), 1);
     EXPECT_EQ(reg.offer(spec(1, 100_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.offer(spec(2, 100_MiB)), Admission::kQueued);
     reg.release(1);

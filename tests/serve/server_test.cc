@@ -256,9 +256,9 @@ TEST(Server, LoadDriverFleetIsDeterministic)
         EXPECT_EQ(a[i].offered_rate, b[i].offered_rate);
     }
     // 25% of 6 rounds up to 2 hot tenants, leading the fleet.
-    EXPECT_EQ(a[0].weight, fc.hot_weight);
-    EXPECT_EQ(a[1].weight, fc.hot_weight);
-    EXPECT_EQ(a[2].weight, fc.cold_weight);
+    EXPECT_EQ(a[0].weight, kFleetHotWeight);
+    EXPECT_EQ(a[1].weight, kFleetHotWeight);
+    EXPECT_EQ(a[2].weight, kFleetColdWeight);
     // Arrivals are staggered and non-decreasing.
     for (size_t i = 1; i < a.size(); ++i)
         EXPECT_GE(a[i].arrives_at, a[i - 1].arrives_at);

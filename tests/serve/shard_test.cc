@@ -34,12 +34,11 @@ spec(runtime::StreamId id, uint64_t reserve, double rate = 0)
 }
 
 AdmissionConfig
-shardedBudget(uint64_t bytes, uint32_t shards,
+shardedBudget(uint64_t bytes,
               AdmissionMode mode = AdmissionMode::kStaticReservation)
 {
     AdmissionConfig cfg;
     cfg.hbm_budget_bytes = bytes;
-    cfg.shards = shards;
     cfg.mode = mode;
     return cfg;
 }
@@ -50,7 +49,7 @@ shardedBudget(uint64_t bytes, uint32_t shards,
 
 TEST(ShardRegistry, PlacesOnLeastLoadedShardTiesToLowestIndex)
 {
-    TenantRegistry reg(shardedBudget(400_MiB, 4));
+    TenantRegistry reg(shardedBudget(400_MiB), 4);
     EXPECT_EQ(reg.perShardBudget(), 100_MiB);
 
     // A hot session pins shard 0's load far above the others.
@@ -74,7 +73,7 @@ TEST(ShardRegistry, PlacesOnLeastLoadedShardTiesToLowestIndex)
 TEST(ShardRegistry, PerShardBudgetGovernsAdmission)
 {
     // 100 MiB over 4 shards: 25 MiB per shard.
-    TenantRegistry reg(shardedBudget(100_MiB, 4));
+    TenantRegistry reg(shardedBudget(100_MiB), 4);
 
     // Bigger than a whole shard's slice: can never fit anywhere.
     EXPECT_EQ(reg.offer(spec(9, 30_MiB)), Admission::kRejected);
@@ -101,7 +100,7 @@ TEST(ShardRegistry, PerShardBudgetGovernsAdmission)
 
 TEST(ShardRegistry, MigrateConservesGaugeAccounting)
 {
-    TenantRegistry reg(shardedBudget(80_MiB, 2)); // 40 MiB per shard
+    TenantRegistry reg(shardedBudget(80_MiB), 2); // 40 MiB per shard
     EXPECT_EQ(reg.offer(spec(1, 30_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.offer(spec(2, 30_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.shardOf(1), 0u);
@@ -128,8 +127,8 @@ TEST(ShardRegistry, MigrateConservesGaugeAccounting)
 
 TEST(ShardRegistry, LiveMigrationMovesUnmeasuredReserve)
 {
-    TenantRegistry reg(
-        shardedBudget(100_MiB, 2, AdmissionMode::kLivePressure));
+    TenantRegistry reg(shardedBudget(100_MiB, AdmissionMode::kLivePressure),
+                       2);
     EXPECT_EQ(reg.offer(spec(1, 20_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.shardOf(1), 0u);
     EXPECT_EQ(reg.unmeasuredReserve(0), 20_MiB);
