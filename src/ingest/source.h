@@ -428,16 +428,8 @@ class Source
             return;
         }
 
-        columnar::Bundle *b = nullptr;
-        try {
-            b = columnar::Bundle::create(eng_.memory(), gen_.cols(), n);
-        } catch (const mem::AllocFailure &) {
-            // Ingest allocation failed (injected OOM or genuine
-            // exhaustion under typed-error mode): this bundle is shed
-            // and the next one tries to allocate afresh.
-            shed(n, t1);
-            return;
-        }
+        columnar::Bundle *b =
+            columnar::Bundle::create(eng_.memory(), gen_.cols(), n);
         sbhbm_assert(last_delivery_ >= emitted_wm_,
                      "source would violate its own watermark");
         gen_.fill(*b, n, t0, t1);

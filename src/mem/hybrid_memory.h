@@ -23,9 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <map>
-#include <utility>
 
 #include "common/logging.h"
 #include "mem/capacity_gauge.h"
@@ -37,21 +35,6 @@ namespace sbhbm::mem {
 
 using sim::AccessPattern;
 using sim::Tier;
-
-/**
- * Typed allocation failure. Thrown instead of aborting when the owner
- * opted into recoverable exhaustion (setThrowOnExhaustion) — the
- * serving layer's shed path catches it at the task dispatch boundary,
- * counts the task as shed and keeps the pipeline draining. Default
- * behaviour (no opt-in) is still the hard sbhbm_fatal, so every
- * single-pipeline run reproduces the pre-fault-tolerance output.
- */
-struct AllocFailure
-{
-    Tier want = Tier::kDram;   //!< tier the allocation asked for
-    uint64_t bytes = 0;        //!< charged size-class bytes requested
-    bool injected = false;     //!< fired by fault injection, not capacity
-};
 
 /** A placed allocation. */
 struct Block
@@ -124,42 +107,15 @@ class HybridMemory
             tier = Tier::kDram;
 
         const uint64_t charged = SlabAllocator::classSize(bytes);
-        if (fail_next_allocs_ > 0) {
-            // Injected fault: this allocation fails regardless of
-            // capacity. The relief hook still runs (an emergency
-            // demotion sweep frees HBM for what comes after), but the
-            // failing request itself is lost — the caller's shed path
-            // decides what that means.
-            --fail_next_allocs_;
-            ++injected_failures_;
-            if (exhaustion_handler_)
-                exhaustion_handler_(want, charged);
-            if (throw_on_exhaustion_)
-                throw AllocFailure{want, charged, /*injected=*/true};
-            sbhbm_fatal("injected allocation failure: %llu bytes on %s",
-                        (unsigned long long)charged, sim::tierName(want));
-        }
         if (tier == Tier::kHbm
             && !mutableGauge(Tier::kHbm).tryReserve(charged, urgent)) {
             tier = Tier::kDram; // spill
         }
         if (tier == Tier::kDram
             && !mutableGauge(Tier::kDram).tryReserve(charged, urgent)) {
-            // Genuine exhaustion: give the relief hook one chance to
-            // free capacity (emergency demotion of cold state), then
-            // retry once before declaring failure.
-            if (exhaustion_handler_
-                && exhaustion_handler_(Tier::kDram, charged)
-                && mutableGauge(Tier::kDram).tryReserve(charged, urgent)) {
-                // relieved
-            } else if (throw_on_exhaustion_) {
-                throw AllocFailure{Tier::kDram, charged};
-            } else {
-                sbhbm_fatal(
-                    "simulated DRAM exhausted: %llu used + %llu",
-                    (unsigned long long)gauge(Tier::kDram).used(),
-                    (unsigned long long)charged);
-            }
+            sbhbm_fatal("simulated DRAM exhausted: %llu used + %llu",
+                        (unsigned long long)gauge(Tier::kDram).used(),
+                        (unsigned long long)charged);
         }
 
         Block b;
@@ -321,37 +277,6 @@ class HybridMemory
         return slabs_[sim::tierIndex(t)];
     }
 
-    // ---------------------------------------------------------------
-    // Recoverable exhaustion (fault tolerance).
-    // ---------------------------------------------------------------
-
-    /**
-     * Opt into typed exhaustion: alloc() throws AllocFailure instead
-     * of aborting when capacity (or an injected fault) denies it. The
-     * serving layer enables this; standalone pipelines keep the fatal.
-     */
-    void setThrowOnExhaustion(bool on) { throw_on_exhaustion_ = on; }
-
-    /**
-     * Last-resort relief hook, called with (tier wanted, charged
-     * bytes) before an exhaustion is declared. Returns true when it
-     * freed capacity worth retrying for — the engine wires an
-     * emergency demotion sweep through the pressure director here.
-     */
-    using ExhaustionHandler = std::function<bool(Tier, uint64_t)>;
-
-    void
-    setExhaustionHandler(ExhaustionHandler h)
-    {
-        exhaustion_handler_ = std::move(h);
-    }
-
-    /** Fault injection: fail the next @p n allocations outright. */
-    void failNextAllocs(uint32_t n) { fail_next_allocs_ += n; }
-
-    /** Injected allocation failures fired so far. */
-    uint64_t injectedFailures() const { return injected_failures_; }
-
   private:
     /** Per-stream (tenant) occupancy, in charged size-class bytes. */
     struct StreamUsage
@@ -401,10 +326,6 @@ class HybridMemory
     SlabAllocator slabs_[sim::kNumTiers];
     StreamUsage stream0_;
     std::map<uint32_t, StreamUsage> streams_;
-    ExhaustionHandler exhaustion_handler_;
-    uint32_t fail_next_allocs_ = 0;
-    uint64_t injected_failures_ = 0;
-    bool throw_on_exhaustion_ = false;
 };
 
 } // namespace sbhbm::mem

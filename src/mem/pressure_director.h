@@ -15,9 +15,8 @@
  * The director is ticked by the runtime's ResourceMonitor at every
  * sample, right after the knob refresh. With `enabled = false` (the
  * default) tick() is a no-op and every figure and example reproduces
- * the pre-control-plane output bit for bit. Both of its sweeps (that
- * steady-state tick, and the engine's exhaustion relief) charge their
- * copy traffic through chargeSweep().
+ * the pre-control-plane output bit for bit. The monitor charges each
+ * sweep's copy traffic through chargeSweep().
  */
 
 #ifndef SBHBM_MEM_PRESSURE_DIRECTOR_H
@@ -60,18 +59,14 @@ class ColdStateProvider
     virtual uint32_t providerStream() const { return 0; }
 
     /**
-     * Move cold state off @p from onto @p to until about
-     * @p want_charged_bytes of @p from's gauge capacity is freed,
-     * charging the migration traffic (read source tier, write
-     * destination) to @p log. Must move coldest state first and never
-     * touch state on the close critical path. The steady-state loop
-     * demotes HBM -> DRAM; the exhaustion path uses both directions
-     * (DRAM exhaustion is relieved by *promoting* cold state into
-     * spare HBM).
+     * Demote cold state from HBM to DRAM until about
+     * @p want_charged_bytes of HBM gauge capacity is freed, charging
+     * the migration traffic (read HBM, write DRAM) to @p log. Must
+     * move coldest state first and never touch state on the close
+     * critical path.
      */
-    virtual DemoteResult relocateColdState(Tier from, Tier to,
-                                           uint64_t want_charged_bytes,
-                                           sim::CostLog &log) = 0;
+    virtual DemoteResult demoteColdState(uint64_t want_charged_bytes,
+                                         sim::CostLog &log) = 0;
 };
 
 /** Demotion control knobs. */
@@ -90,12 +85,6 @@ struct PressureConfig
 
     /** Migration budget per tick, charged gauge bytes. */
     uint64_t max_bytes_per_tick = 64ull << 20;
-};
-
-/** Which sweep a charge comes from (names its trace span). */
-enum class SweepKind : uint8_t {
-    kPressure,  //!< the steady-state tick above high water
-    kEmergency, //!< exhaustion relief
 };
 
 /** Sweeps cold-state providers when HBM runs hot. */
@@ -142,35 +131,41 @@ class PressureDirector
         }
     }
 
+    /** What one tick demoted. */
+    struct Sweep
+    {
+        sim::CostLog log; //!< migration traffic to charge
+        std::map<uint32_t, uint64_t> shares; //!< bytes moved per stream
+    };
+
     /**
      * One control decision: demote cold state when HBM usage is above
      * the high-water threshold, down to the low-water target (bounded
-     * by the per-tick budget). @return the migration traffic to charge
-     * to the machine; empty when no demotion happened.
+     * by the per-tick budget). @return the sweep to charge to the
+     * machine; its log is empty when no demotion happened.
      */
-    sim::CostLog
+    Sweep
     tick()
     {
-        sim::CostLog log;
+        Sweep sweep;
         if (!cfg_.enabled || hm_.mode() != sim::MemoryMode::kFlat)
-            return log;
+            return sweep;
         const CapacityGauge &g = hm_.gauge(Tier::kHbm);
         if (g.capacity() == 0 || g.usedFraction() <= cfg_.high_water)
-            return log;
+            return sweep;
 
         const auto target = static_cast<uint64_t>(
             cfg_.low_water * static_cast<double>(g.capacity()));
         uint64_t want = g.used() > target ? g.used() - target : 0;
         want = std::min(want, cfg_.max_bytes_per_tick);
         if (want == 0)
-            return log;
+            return sweep;
         ++pressure_ticks_;
 
         for (ColdStateProvider *p : providers_) {
             if (want == 0)
                 break;
-            const DemoteResult r =
-                p->relocateColdState(Tier::kHbm, Tier::kDram, want, log);
+            const DemoteResult r = p->demoteColdState(want, sweep.log);
             want -= std::min(want, r.charged_bytes);
             demoted_bytes_ += r.charged_bytes;
             demoted_kpas_ += r.kpas;
@@ -178,64 +173,28 @@ class PressureDirector
                 StreamStats &ss = by_stream_[p->providerStream()];
                 ss.charged_bytes += r.charged_bytes;
                 ss.kpas += r.kpas;
-                last_sweep_[p->providerStream()] += r.charged_bytes;
-                last_sweep_kpas_ += r.kpas;
+                sweep.shares[p->providerStream()] += r.charged_bytes;
             }
         }
-        return log;
+        return sweep;
     }
 
     /**
-     * Exhaustion relief: free about @p want gauge bytes on the
-     * @p exhausted tier by relocating cold state to the other tier,
-     * charging the copy traffic to @p log. Unlike tick() this runs
-     * even when the steady-state loop is disabled — it is the last
-     * resort before load shedding, invoked from HybridMemory's
-     * exhaustion handler.
-     */
-    DemoteResult
-    emergencySweep(Tier exhausted, uint64_t want, sim::CostLog &log)
-    {
-        DemoteResult total;
-        if (hm_.mode() != sim::MemoryMode::kFlat || want == 0)
-            return total;
-        const Tier to =
-            exhausted == Tier::kHbm ? Tier::kDram : Tier::kHbm;
-        for (ColdStateProvider *p : providers_) {
-            if (total.charged_bytes >= want)
-                break;
-            const DemoteResult r = p->relocateColdState(
-                exhausted, to, want - total.charged_bytes, log);
-            total.charged_bytes += r.charged_bytes;
-            total.kpas += r.kpas;
-            if (r.kpas > 0) {
-                last_sweep_[p->providerStream()] += r.charged_bytes;
-                last_sweep_kpas_ += r.kpas;
-            }
-        }
-        return total;
-    }
-
-    /**
-     * Charge a sweep's migration traffic @p log to @p machine
-     * DMA-style: it consumes tier bandwidth in virtual time without
-     * occupying a core slot. The copy time is memory stall for the
-     * streams whose state moved: once the charge completes, its
-     * duration is split across them by the bytes each moved, and with
-     * telemetry installed the sweep is recorded as a "pressure" span
-     * (single-threaded control path, so trace-safe).
+     * Charge @p sweep's migration traffic to @p machine DMA-style: it
+     * consumes tier bandwidth in virtual time without occupying a core
+     * slot. The copy time is memory stall for the streams whose state
+     * moved: once the charge completes, its duration is split across
+     * them by the bytes each moved, and with telemetry installed the
+     * sweep is recorded as a "pressure" span (single-threaded control
+     * path, so trace-safe).
      */
     void
-    chargeSweep(sim::Machine &machine, sim::CostLog log, SweepKind kind)
+    chargeSweep(sim::Machine &machine, Sweep sweep)
     {
         const SimTime t0 = machine.now();
-        std::map<uint32_t, uint64_t> shares;
-        shares.swap(last_sweep_);
-        const uint64_t kpas = last_sweep_kpas_;
-        last_sweep_kpas_ = 0;
         machine.execute(
-            std::move(log),
-            [this, &machine, t0, kind, kpas, shares = std::move(shares)] {
+            std::move(sweep.log),
+            [this, &machine, t0, shares = std::move(sweep.shares)] {
                 const SimTime dur = machine.now() - t0;
                 addSweepStallNs(shares, dur);
                 if (tele_ == nullptr)
@@ -243,17 +202,10 @@ class PressureDirector
                 uint64_t bytes = 0;
                 for (const auto &[stream, b] : shares)
                     bytes += b;
-                if (kind == SweepKind::kPressure) {
-                    tele_->trace.span(t0, dur, shard_, 0, "pressure",
-                                      "pressure_sweep",
-                                      {{"charged_bytes", bytes},
-                                       {"streams", shares.size()}});
-                } else {
-                    tele_->trace.span(t0, dur, shard_, 0, "pressure",
-                                      "emergency_sweep",
-                                      {{"charged_bytes", bytes},
-                                       {"kpas", kpas}});
-                }
+                tele_->trace.span(t0, dur, shard_, 0, "pressure",
+                                  "pressure_sweep",
+                                  {{"charged_bytes", bytes},
+                                   {"streams", shares.size()}});
             });
     }
 
@@ -321,8 +273,6 @@ class PressureDirector
     uint64_t demoted_bytes_ = 0;
     uint64_t demoted_kpas_ = 0;
     std::map<uint32_t, StreamStats> by_stream_;
-    std::map<uint32_t, uint64_t> last_sweep_; //!< bytes moved per stream
-    uint64_t last_sweep_kpas_ = 0;            //!< KPAs moved
     std::map<uint32_t, uint64_t> stall_ns_by_stream_;
     obs::Telemetry *tele_ = nullptr;
     uint32_t shard_ = 0;

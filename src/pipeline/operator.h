@@ -86,33 +86,30 @@ class Operator : public mem::ColdStateProvider
     uint32_t providerStream() const override { return pipe_.streamId(); }
 
     /**
-     * Tier-generic relief sweep over coldState(): migrate cold KPAs
-     * resident on @p from onto @p to until ~@p want_charged_bytes of
-     * @p from's gauge capacity is freed. Serves both the steady-state
-     * demotion loop (HBM -> DRAM) and the exhaustion handler's
-     * emergency direction (DRAM -> HBM promotion).
+     * The pressure director's demotion sweep over coldState(): migrate
+     * cold HBM-resident KPAs to DRAM until ~@p want_charged_bytes of
+     * HBM gauge capacity is freed.
      */
     mem::DemoteResult
-    relocateColdState(mem::Tier from, mem::Tier to,
-                      uint64_t want_charged_bytes,
-                      sim::CostLog &log) override
+    demoteColdState(uint64_t want_charged_bytes,
+                    sim::CostLog &log) override
     {
         mem::DemoteResult res;
         for (kpa::Kpa *k : coldState()) {
             if (res.charged_bytes >= want_charged_bytes)
                 break;
-            if (k->tier() != from)
+            if (k->tier() != mem::Tier::kHbm)
                 continue;
             const uint64_t charged = k->chargedBytes();
             // Charge what the migration actually moves: the backing
             // allocation — entry_scale times larger than bytes() when
             // grouping state is full records (the NoKPA ablation).
             const uint64_t bytes = k->allocatedBytes();
-            if (!k->migrate(to))
-                continue; // destination full: keep the KPA where it is
-            eng_.memory().charge(log, from,
+            if (!k->migrate(mem::Tier::kDram))
+                continue; // DRAM full: keep the KPA where it is
+            eng_.memory().charge(log, mem::Tier::kHbm,
                                  sim::AccessPattern::kSequential, bytes);
-            eng_.memory().charge(log, to,
+            eng_.memory().charge(log, mem::Tier::kDram,
                                  sim::AccessPattern::kSequential,
                                  2 * bytes);
             res.charged_bytes += charged;

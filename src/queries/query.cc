@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "baseline/hash_engine.h"
@@ -548,18 +547,6 @@ runQuery(const QueryConfig &cfg)
                              / total_sec / 1e6
                        : 0.0;
     return r;
-}
-
-std::string
-formatResult(const QueryConfig &cfg, const QueryResult &r)
-{
-    std::ostringstream os;
-    os << queryName(cfg.id) << " [" << engineKindName(cfg.engine) << ", "
-       << cfg.cores << " cores]: " << r.throughput_mrps << " M rec/s, "
-       << "peak HBM " << r.peak_hbm_bw_gbps << " GB/s, peak DRAM "
-       << r.peak_dram_bw_gbps << " GB/s, max delay " << r.max_delay_s
-       << " s";
-    return os.str();
 }
 
 } // namespace sbhbm::queries

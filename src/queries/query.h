@@ -17,7 +17,6 @@
 
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "columnar/window.h"
@@ -199,9 +198,6 @@ uint32_t queryRecordBytes(QueryId id);
  * drains, and report the measured rates.
  */
 QueryResult runQuery(const QueryConfig &cfg);
-
-/** Pretty one-line summary (used by examples and benches). */
-std::string formatResult(const QueryConfig &cfg, const QueryResult &r);
 
 } // namespace sbhbm::queries
 

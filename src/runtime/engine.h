@@ -174,36 +174,6 @@ class Engine
     mem::PressureDirector &director() { return director_; }
     const mem::PressureDirector &director() const { return director_; }
 
-    // ---------------------------------------------------------------
-    // Graceful exhaustion (the fault-tolerant serving layer's opt-in).
-    //
-    // By default allocation exhaustion is fatal — the historical
-    // behaviour every single-pipeline figure reproduces bit for bit.
-    // A serving fleet instead wants to *degrade*: first try to free
-    // capacity by relocating cold window state off the exhausted tier
-    // (an emergency director sweep, charged DMA-style), and only if
-    // that still leaves the allocation unsatisfiable, throw
-    // mem::AllocFailure so the executor / ingest sheds the one task
-    // or bundle instead of aborting the whole fleet.
-    // ---------------------------------------------------------------
-
-    /** Make exhaustion recoverable (see block comment above). */
-    void
-    enableGracefulExhaustion()
-    {
-        hm_.setThrowOnExhaustion(true);
-        hm_.setExhaustionHandler([this](mem::Tier t, uint64_t want) {
-            sim::CostLog relief;
-            const mem::DemoteResult r =
-                director_.emergencySweep(t, want, relief);
-            if (r.kpas == 0)
-                return false;
-            director_.chargeSweep(machine_, std::move(relief),
-                                  mem::SweepKind::kEmergency);
-            return true;
-        });
-    }
-
     /** Record one per-window output delay (drives knob headroom). */
     void
     reportOutputDelay(SimTime delay)

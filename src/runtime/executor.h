@@ -45,7 +45,6 @@
 #include "common/slot_table.h"
 #include "common/unique_function.h"
 #include "common/worker_pool.h"
-#include "mem/hybrid_memory.h"
 #include "obs/trace.h"
 #include "runtime/fair_scheduler.h"
 #include "runtime/impact_tag.h"
@@ -67,7 +66,6 @@ class Executor
     {
         uint64_t spawned = 0;
         uint64_t completed = 0;
-        uint64_t shed = 0;       //!< tasks aborted by AllocFailure
         double cpu_ns = 0;       //!< total charged CPU ns
         uint64_t hbm_bytes = 0;  //!< total charged HBM traffic
         uint64_t dram_bytes = 0; //!< total charged DRAM traffic
@@ -208,8 +206,9 @@ class Executor
         pump();
     }
 
-    /** Tasks shed by AllocFailure, summed over all streams. */
-    uint64_t shedTasks() const { return shed_; }
+    /** Tasks shed: always 0, since every task runs to completion and
+     *  allocation failure is fatal. perfbench still reports it. */
+    uint64_t shedTasks() const { return 0; }
 
     uint64_t queuedTasks() const { return sched_.size(); }
 
@@ -268,16 +267,7 @@ class Executor
             // only at simulated completion: a real worker's working
             // set is pinned while the task runs, and back-pressure
             // must see it.
-            try {
-                t.fn(cost);
-            } catch (const mem::AllocFailure &) {
-                // Graceful degradation: a task whose allocation
-                // failed is shed, not fatal. Cost accrued before the
-                // failure is still charged, and the done hook below
-                // still fires so watermark barriers release.
-                ++ss.shed;
-                ++shed_;
-            }
+            t.fn(cost);
             ss.cpu_ns += cost.totalCpuNs();
             ss.hbm_bytes += cost.bytesOn(sim::Tier::kHbm);
             ss.dram_bytes += cost.bytesOn(sim::Tier::kDram);
@@ -315,7 +305,6 @@ class Executor
     unsigned busy_ = 0;
     uint64_t spawned_ = 0;
     uint64_t completed_ = 0;
-    uint64_t shed_ = 0;
     std::map<StreamId, StreamStats> stats_;
     SlotTable<Slot> slots_;
     FairScheduler sched_; //!< queues slot ids

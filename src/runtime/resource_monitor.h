@@ -122,10 +122,9 @@ class ResourceMonitor
         // Pressure feedback: the knob only steers future allocations;
         // the director reclaims HBM *now* by demoting cold state.
         if (director_ != nullptr) {
-            sim::CostLog migration = director_->tick();
-            if (!migration.empty()) {
-                director_->chargeSweep(machine_, std::move(migration),
-                                       mem::SweepKind::kPressure);
+            mem::PressureDirector::Sweep sweep = director_->tick();
+            if (!sweep.log.empty()) {
+                director_->chargeSweep(machine_, std::move(sweep));
             }
             s.demoted_bytes = director_->demotedBytes();
         }

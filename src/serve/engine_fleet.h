@@ -57,11 +57,10 @@ class EngineFleet
      * is the whole fleet's host pool: each shard gets an equal slice
      * (the wall-clock fork-join threads; simulated cores are per
      * machine and not shared). @p telemetry (may be null) labels each
-     * engine's trace events with its shard; @p graceful_exhaustion
-     * makes allocation exhaustion shed work instead of aborting.
+     * engine's trace events with its shard.
      */
     EngineFleet(const runtime::EngineConfig &ec, uint32_t shards,
-                obs::Telemetry *telemetry, bool graceful_exhaustion)
+                obs::Telemetry *telemetry)
         : dead_(shards, false)
     {
         shards_.reserve(shards);
@@ -70,11 +69,8 @@ class EngineFleet
             if (sc.host_threads > 0)
                 sc.host_threads = std::max(1u, sc.host_threads / shards);
             shards_.push_back(std::make_unique<EngineShard>(sc));
-            runtime::Engine &eng = shards_.back()->eng;
             if (telemetry != nullptr)
-                eng.setTelemetry(telemetry, s);
-            if (graceful_exhaustion)
-                eng.enableGracefulExhaustion();
+                shards_.back()->eng.setTelemetry(telemetry, s);
         }
     }
 

@@ -41,13 +41,15 @@
  * from their last checkpoint, replay their source past the cut under
  * logical event time, and deduplicate already-delivered windows at
  * the egress — recovered output is bit-identical to a fault-free
- * run); and graceful degradation (typed allocation failures shed
- * tasks instead of aborting, emergency relocation sweeps relieve
- * exhaustion, rejected arrivals retry with backoff, slow shards
- * degrade and recover). With telemetry installed, the server records
- * every firing as a "fault" instant, and every fault, crash, recovery
- * and loss as a "recovery" instant, on the trace sink — the
- * reproducibility fingerprint; without telemetry neither is recorded.
+ * run); and graceful degradation (rejected arrivals retry with
+ * backoff, slow shards degrade and recover). Memory pressure is met
+ * by spill and back-pressure alone, never by dropping work: running
+ * out of simulated DRAM is fatal in every mode, so size DRAM and the
+ * in-flight budgets for the load. With telemetry installed, the
+ * server records every firing as a "fault" instant, and every fault,
+ * crash, recovery and loss as a "recovery" instant, on the trace
+ * sink — the reproducibility fingerprint; without telemetry neither
+ * is recorded.
  */
 
 #ifndef SBHBM_SERVE_SERVER_H
@@ -104,10 +106,7 @@ struct FaultToleranceConfig
 
 // Fixed fault-tolerance timing. With fault tolerance enabled,
 // checkpoints are always incremental (unchanged runs are reused from
-// the previous cut without a copy charge) and allocation exhaustion is
-// always typed: an exhausted tier first triggers an emergency
-// relocation sweep, and a task whose allocation still fails is shed
-// (counted, watermarks released) rather than fatal.
+// the previous cut without a copy charge).
 
 /** Poll interval while waiting for checkpoint quiescence. */
 constexpr SimTime kQuiescePoll = kNsPerMs / 10;
@@ -244,12 +243,8 @@ struct TenantReport
      *  for every drained session. */
     uint64_t records_replayed = 0;
 
-    /** Records consumed but dropped (injected drops, failed ingest
-     *  allocations). */
+    /** Records consumed but dropped by injected ingest drops. */
     uint64_t records_shed = 0;
-
-    /** Tasks shed on allocation failure (graceful exhaustion). */
-    uint64_t shed_tasks = 0;
 
     /** Replayed result records the egress deduplicated. */
     uint64_t suppressed_records = 0;
@@ -295,8 +290,7 @@ class Server
   public:
     explicit Server(ServeConfig cfg)
         : cfg_(fillDefaults(std::move(cfg))),
-          fleet_(cfg_.engine, cfg_.shards, cfg_.telemetry,
-                 cfg_.fault.enabled),
+          fleet_(cfg_.engine, cfg_.shards, cfg_.telemetry),
           registry_(cfg_.admission, cfg_.shards)
     {
         if (cfg_.admission.mode != AdmissionMode::kLivePressure)
@@ -719,7 +713,6 @@ class Server
         rep.demoted_bytes += eng.director().demotedBytes(id);
 
         // Fault-tolerance accounting for this segment.
-        rep.shed_tasks += ss.shed;
         rep.records_shed += t.recordsShed();
         rep.suppressed_records += t.egress().suppressedRecords();
         rep.downtime_ns += sla.downtimeNs();
@@ -859,12 +852,6 @@ class Server
         switch (e.kind) {
           case sim::FaultKind::kShardCrash:
             crashShard(e.shard);
-            break;
-          case sim::FaultKind::kAllocFail:
-            if (e.shard < cfg_.shards && !fleet_.dead(e.shard)) {
-                fleet_.engine(e.shard).memory().failNextAllocs(
-                    static_cast<uint32_t>(e.arg));
-            }
             break;
           case sim::FaultKind::kIngestStall:
             if (Tenant *t = fleet_.findTenant(e.tenant))

@@ -41,7 +41,7 @@ enum class StallCause : uint32_t
 {
     kRecovery = 0, //!< crash downtime + replay of lost progress
     kIngest,       //!< source stalled: injected, back-pressure, pause
-    kMemory,       //!< pressure/emergency sweep copy time
+    kMemory,       //!< pressure sweep copy time
     kSched,        //!< ready tasks waiting for an executor slot
     kCompute,      //!< the residual: actually doing the work
 };

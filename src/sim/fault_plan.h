@@ -6,8 +6,8 @@
  * A FaultPlan is policy-free: an ordered list of (time, kind, target)
  * events. Its owner (serve::Server) arms one daemon event per entry,
  * in canonical order, on the fleet's control-plane machine, and
- * decides what a fault *means* — crash this shard, fail that tenant's
- * next allocations, stall an ingest source. Same plan, same run, same
+ * decides what a fault *means* — crash this shard, stall or drop an
+ * ingest source, slow a shard down. Same plan, same run, same
  * firing order.
  *
  * Plans come from two places: tests build them explicitly (add one
@@ -32,7 +32,6 @@ namespace sbhbm::sim {
 /** What kind of fault fires. */
 enum class FaultKind : uint8_t {
     kShardCrash = 0, //!< shard loses all state; tenants fail over
-    kAllocFail,      //!< next `arg` HybridMemory allocations fail
     kIngestStall,    //!< a source delivers nothing for `arg` ns
     kIngestDrop,     //!< a source sheds its next `arg` bundles
     kSlowShard,      //!< shard degrades to `arg` cores for `arg2` ns
@@ -43,7 +42,6 @@ faultKindName(FaultKind k)
 {
     switch (k) {
       case FaultKind::kShardCrash: return "shard-crash";
-      case FaultKind::kAllocFail: return "alloc-fail";
       case FaultKind::kIngestStall: return "ingest-stall";
       case FaultKind::kIngestDrop: return "ingest-drop";
       case FaultKind::kSlowShard: return "slow-shard";
@@ -73,14 +71,6 @@ struct FaultPlan
     crash(SimTime at, uint32_t shard)
     {
         events.push_back({at, FaultKind::kShardCrash, shard, 0, 0, 0});
-        return *this;
-    }
-
-    FaultPlan &
-    failAllocs(SimTime at, uint32_t shard, uint64_t count)
-    {
-        events.push_back(
-            {at, FaultKind::kAllocFail, shard, 0, count, 0});
         return *this;
     }
 
@@ -134,7 +124,7 @@ struct FaultPlan
             e.at = 1 + static_cast<SimTime>(rng.nextBounded(
                        static_cast<uint64_t>(horizon)));
             // Crashes only when a non-control shard exists to kill.
-            const uint64_t kinds = shards > 1 ? 5 : 4;
+            const uint64_t kinds = shards > 1 ? 4 : 3;
             const uint64_t k = rng.nextBounded(kinds);
             switch (shards > 1 ? k : k + 1) {
               case 0:
@@ -144,11 +134,6 @@ struct FaultPlan
                               rng.nextBounded(shards - 1));
                 break;
               case 1:
-                e.kind = FaultKind::kAllocFail;
-                e.shard = static_cast<uint32_t>(rng.nextBounded(shards));
-                e.arg = 1 + rng.nextBounded(3);
-                break;
-              case 2:
                 e.kind = FaultKind::kIngestStall;
                 e.tenant = 1
                            + static_cast<uint32_t>(
@@ -156,7 +141,7 @@ struct FaultPlan
                 e.arg = 1 + rng.nextBounded(
                             static_cast<uint64_t>(horizon / 8));
                 break;
-              case 3:
+              case 2:
                 e.kind = FaultKind::kIngestDrop;
                 e.tenant = 1
                            + static_cast<uint32_t>(

@@ -44,27 +44,6 @@ class PrimitivesTest : public ::testing::Test
         return b;
     }
 
-    /**
-     * Copy of @p src, same rows and sources, with its entries stably
-     * reordered by range: the ranges then never decrease, so
-     * partitioning the copy takes the span path.
-     */
-    KpaPtr
-    rangeOrderedCopy(const Kpa &src, uint64_t width)
-    {
-        std::vector<KpEntry> es(src.entries(), src.entries() + src.size());
-        std::stable_sort(es.begin(), es.end(),
-                         [width](const KpEntry &a, const KpEntry &b) {
-                             return a.key / width < b.key / width;
-                         });
-        KpaPtr k = Kpa::create(hm_, src.size(), hbm_);
-        for (const KpEntry &e : es)
-            k->push(e.key, e.row);
-        k->setResidentColumn(src.residentColumn());
-        k->adoptSourcesFrom(src);
-        return k;
-    }
-
     static void
     expectSamePartitions(const std::vector<RangePartition> &a,
                          const std::vector<RangePartition> &b)
@@ -556,8 +535,8 @@ TEST_F(PrimitivesTest, JoinMatchesNestedLoopReference)
 
 TEST_F(PrimitivesTest, PartitionSortedAndUnsortedPathsAgree)
 {
-    // Ascending ts takes the span path whether the sorted flag proves
-    // the order or the range pass finds it: both must agree.
+    // Ascending ts partitions the same whether the sorted flag proves
+    // the order or the order check finds it.
     BundleHandle b = makeKvBundle(900, 21);
     KpaPtr unsorted = extract(ctx(), *b, 2, hbm_); // ts ascending
     ASSERT_FALSE(unsorted->sorted());
@@ -565,177 +544,54 @@ TEST_F(PrimitivesTest, PartitionSortedAndUnsortedPathsAgree)
     unsorted->setSorted(true); // ts really is ascending
     auto via_flag = partitionByRange(ctx(), *unsorted, 300, hbm_);
     expectSamePartitions(via_check, via_flag);
-
-    // One late entry mid-KPA and one at the end step back to range 3,
-    // which sends the input down the count/scatter path. It must
-    // agree with the span path over the same entries ordered by range.
-    BundleHandle late = makeKvBundle(900, 21);
-    late->row(450)[2] = 1050; // ts 1450 (range 4) -> range 3
-    late->row(899)[2] = 1100; // ts 1899 (range 6) -> range 3
-    KpaPtr k = extract(ctx(), *late, 2, hbm_);
-    auto via_scatter = partitionByRange(ctx(), *k, 300, hbm_);
-    auto via_span =
-        partitionByRange(ctx(), *rangeOrderedCopy(*k, 300), 300, hbm_);
-    ASSERT_EQ(via_scatter.size(), 4u);
-    EXPECT_EQ(via_scatter[0].part->size(), 202u);
-    EXPECT_EQ(via_scatter[0].part->at(200).row, late->row(450));
-    EXPECT_EQ(via_scatter[0].part->at(201).row, late->row(899));
-    expectSamePartitions(via_scatter, via_span);
-}
-
-TEST_F(PrimitivesTest, PartitionSpanPathMatchesDensePath)
-{
-    // Partitioning @p k in arrival order and its range-ordered copy
-    // (span path) must give the same partitions (range, size, every
-    // entry and row) and the same CostLog, phase by phase; @p parts
-    // gets the partition count.
-    auto expect_same_as_span = [&](const Kpa &k, uint64_t width,
-                                   size_t *parts) {
-        KpaPtr ordered = rangeOrderedCopy(k, width);
-        CostLog arrival_log, span_log;
-        auto arrival =
-            partitionByRange(Ctx{hm_, arrival_log}, k, width, hbm_);
-        auto span = partitionByRange(Ctx{hm_, span_log}, *ordered, width,
-                                     hbm_);
-        *parts = arrival.size();
-        expectSamePartitions(arrival, span);
-
-        ASSERT_EQ(arrival_log.phases().size(), span_log.phases().size());
-        for (size_t p = 0; p < arrival_log.phases().size(); ++p) {
-            const sim::Phase &d = arrival_log.phases()[p];
-            const sim::Phase &s = span_log.phases()[p];
-            EXPECT_EQ(d.cpu_ns, s.cpu_ns);
-            EXPECT_EQ(d.cpu_vector_ns, s.cpu_vector_ns);
-            ASSERT_EQ(d.flows.size(), s.flows.size());
-            for (size_t f = 0; f < d.flows.size(); ++f) {
-                EXPECT_EQ(d.flows[f].tier, s.flows[f].tier);
-                EXPECT_EQ(d.flows[f].pattern, s.flows[f].pattern);
-                EXPECT_EQ(d.flows[f].bytes, s.flows[f].bytes);
-            }
-        }
-    };
-    auto steps_back = [](const Kpa &k, uint64_t width) {
-        for (uint32_t i = 1; i < k.size(); ++i)
-            if (k.at(i).key / width < k.at(i - 1).key / width)
-                return true;
-        return false;
-    };
-
-    // Many windows with late entries scattered through the KPA: the
-    // dense count/scatter path.
-    const uint32_t rows = 5000;
-    const uint64_t width = 64;
-    BundleHandle b = makeKvBundle(rows, 31);
-    Rng rng(32);
-    for (int late = 0; late < 40; ++late) {
-        uint64_t *row = b->row(
-            static_cast<uint32_t>(rng.nextBounded(rows)));
-        row[2] -= std::min<uint64_t>(row[2] - 1000,
-                                     rng.nextBounded(4 * width));
-    }
-    KpaPtr k = extract(ctx(), *b, 2, hbm_);
-    ASSERT_TRUE(steps_back(*k, width)) << "input must miss the span path";
-    size_t parts = 0;
-    expect_same_as_span(*k, width, &parts);
-    EXPECT_GT(parts, 70u);
-
-    // A prime entry count, which no shard count divides, over 60
-    // ranges in random order: the dense path again.
-    const uint32_t prime_rows = 65'537;
-    BundleHandle ragged = makeKvBundle(prime_rows, 33, 777);
-    KpaPtr rk = extract(ctx(), *ragged, 0, hbm_);
-    ASSERT_TRUE(steps_back(*rk, 13));
-    expect_same_as_span(*rk, 13, &parts);
-    EXPECT_EQ(parts, 60u);
-
-    // One range, unsorted flag: the range pass runs, finds no step
-    // back (a single range cannot step back, so it never reaches the
-    // dense path) and copies one span.
-    ASSERT_FALSE(rk->sorted());
-    expect_same_as_span(*rk, 1u << 20, &parts);
-    EXPECT_EQ(parts, 1u);
 }
 
 TEST_F(PrimitivesTest, PartitionPreservesArrivalOrderWithinRanges)
 {
-    // The hash-count fill pass must be stable: entries of one range
-    // keep their input order (downstream sort relies on determinism).
+    // Keys out of order within each range, ranges never decreasing:
+    // the order check must accept the input, and each partition keeps
+    // its entries' input order (downstream sort relies on determinism).
     BundleHandle b = BundleHandle::adopt(Bundle::create(hm_, 3, 9));
-    const uint64_t keys[9] = {25, 5, 17, 3, 28, 11, 9, 22, 1};
+    const uint64_t keys[9] = {5, 3, 9, 1, 17, 11, 25, 28, 22};
     for (uint64_t k : keys)
         b->append({k, 0, 0});
     KpaPtr kpa = extract(ctx(), *b, 0, hbm_);
+    ASSERT_FALSE(kpa->sorted());
     auto parts = partitionByRange(ctx(), *kpa, 10, hbm_);
     ASSERT_EQ(parts.size(), 3u);
-    // Range 0: 5, 3, 9, 1; range 1: 17, 11; range 2: 25, 28, 22.
     const std::vector<std::vector<uint64_t>> expect = {
         {5, 3, 9, 1}, {17, 11}, {25, 28, 22}};
+    uint32_t row = 0;
     for (size_t p = 0; p < parts.size(); ++p) {
         EXPECT_EQ(parts[p].range, p);
         ASSERT_EQ(parts[p].part->size(), expect[p].size());
-        for (uint32_t i = 0; i < parts[p].part->size(); ++i)
+        for (uint32_t i = 0; i < parts[p].part->size(); ++i, ++row) {
             EXPECT_EQ(parts[p].part->at(i).key, expect[p][i]);
+            EXPECT_EQ(parts[p].part->at(i).row, b->row(row));
+        }
     }
 }
 
-TEST_F(PrimitivesTest, PartitionHandlesSparseRanges)
+TEST_F(PrimitivesTest, PartitionRejectsRangesThatStepBack)
 {
-    // Keys spread over a span vastly larger than the entry count force
-    // the hashed fallback (the dense direct-index path would need a
-    // cursor slot per range in the span).
-    const uint32_t rows = 64;
-    BundleHandle b = BundleHandle::adopt(Bundle::create(hm_, 3, rows));
-    Rng rng(22);
-    for (uint32_t r = 0; r < rows; ++r)
-        b->append({rng.nextBounded(1u << 30), 0, 0});
-    KpaPtr k = extract(ctx(), *b, 0, hbm_);
-    auto parts = partitionByRange(ctx(), *k, 3, hbm_);
-    uint32_t total = 0;
-    uint64_t prev_range = 0;
-    for (size_t p = 0; p < parts.size(); ++p) {
-        if (p > 0) {
-            EXPECT_GT(parts[p].range, prev_range); // ascending
-        }
-        prev_range = parts[p].range;
-        for (uint32_t i = 0; i < parts[p].part->size(); ++i)
-            EXPECT_EQ(parts[p].part->at(i).key / 3, parts[p].range);
-        total += parts[p].part->size();
-    }
-    EXPECT_EQ(total, rows);
-
-    // Range ids that are multiples of 2^20 share one home slot in any
-    // hash table of up to 2^20 slots, so every new range walks the one
-    // probe chain. Each entry must still reach its own range's
-    // partition, in input order.
-    const uint64_t kHome = uint64_t{1} << 20;
-    const uint64_t ids[] = {5, 3, 5, 0, 7, 3, 9, 0, 5, 2, 7, 7};
-    BundleHandle c = BundleHandle::adopt(Bundle::create(hm_, 3, 12));
-    for (uint32_t r = 0; r < 12; ++r)
-        c->append({ids[r] * kHome * 3 + r % 3, r, 0});
-    KpaPtr ck = extract(ctx(), *c, 0, hbm_);
-    auto chained = partitionByRange(ctx(), *ck, 3, hbm_);
-    const std::vector<std::pair<uint64_t, std::vector<uint64_t>>> expect =
-        {{0, {3, 7}},    {2, {9}},        {3, {1, 5}},
-         {5, {0, 2, 8}}, {7, {4, 10, 11}}, {9, {6}}};
-    ASSERT_EQ(chained.size(), expect.size());
-    for (size_t p = 0; p < expect.size(); ++p) {
-        EXPECT_EQ(chained[p].range, expect[p].first * kHome);
-        ASSERT_EQ(chained[p].part->size(), expect[p].second.size());
-        for (uint32_t i = 0; i < chained[p].part->size(); ++i)
-            EXPECT_EQ(chained[p].part->at(i).row[1], expect[p].second[i])
-                << "range id " << expect[p].first << " entry " << i;
-    }
+    // One late entry mid-KPA steps back from range 4 to range 3: the
+    // order check must abort rather than emit a split range.
+    BundleHandle late = makeKvBundle(900, 21);
+    late->row(450)[2] = 1050; // ts 1450 (range 4) -> range 3
+    KpaPtr k = extract(ctx(), *late, 2, hbm_);
+    ASSERT_FALSE(k->sorted());
+    EXPECT_DEATH((void)partitionByRange(ctx(), *k, 300, hbm_),
+                 "never decrease");
 }
 
 TEST_F(PrimitivesTest, PartitionHandlesFullKeyspaceExtremes)
 {
-    // Keys 0 and UINT64_MAX with width 1: the range extent covers the
-    // whole 64-bit space, which must not wrap the dense-path span to
-    // zero (regression: out-of-bounds scatter).
+    // Keys 0 and UINT64_MAX with width 1: the ranges cover the whole
+    // 64-bit space, and each key still gets its own partition.
     BundleHandle b = BundleHandle::adopt(Bundle::create(hm_, 3, 3));
     b->append({0, 1, 2});
-    b->append({~uint64_t{0}, 3, 4});
     b->append({5, 6, 7});
+    b->append({~uint64_t{0}, 3, 4});
     KpaPtr k = extract(ctx(), *b, 0, hbm_);
     auto parts = partitionByRange(ctx(), *k, 1, hbm_);
     ASSERT_EQ(parts.size(), 3u);

@@ -150,20 +150,19 @@ class FakeProvider : public mem::ColdStateProvider
     uint32_t providerStream() const override { return stream_; }
 
     mem::DemoteResult
-    relocateColdState(Tier from, Tier to, uint64_t want,
-                      sim::CostLog &log) override
+    demoteColdState(uint64_t want, sim::CostLog &log) override
     {
         mem::DemoteResult r;
         for (auto &b : blocks_) {
             if (r.charged_bytes >= want)
                 break;
-            if (b.tier != from)
+            if (b.tier != Tier::kHbm)
                 continue;
             const uint64_t charged = b.charged_bytes;
-            if (!hm_.migrate(b, to))
+            if (!hm_.migrate(b, Tier::kDram))
                 continue;
-            log.seq(from, b.bytes);
-            log.seq(to, b.bytes);
+            log.seq(Tier::kHbm, b.bytes);
+            log.seq(Tier::kDram, b.bytes);
             r.charged_bytes += charged;
             ++r.kpas;
         }
@@ -195,7 +194,7 @@ TEST(PressureDirector, DisabledTickIsANoOp)
     // 15 x 64 KiB: all that fits under the 5% urgent reserve (93.75%).
     FakeProvider prov(hm, 1, 15, 60_KiB);
     dir.registerProvider(&prov);
-    EXPECT_TRUE(dir.tick().empty());
+    EXPECT_TRUE(dir.tick().log.empty());
     EXPECT_EQ(dir.demotedKpas(), 0u);
     EXPECT_EQ(hm.gauge(Tier::kHbm).used(), 15u * 64_KiB);
     dir.unregisterProvider(&prov);
@@ -211,8 +210,8 @@ TEST(PressureDirector, DemotesDownToLowWaterTarget)
     FakeProvider prov(hm, 4, 15, 60_KiB);
     dir.registerProvider(&prov);
 
-    sim::CostLog log = dir.tick();
-    EXPECT_FALSE(log.empty()) << "migration traffic must be charged";
+    mem::PressureDirector::Sweep sweep = dir.tick();
+    EXPECT_FALSE(sweep.log.empty()) << "migration traffic must be charged";
     // Demotion stops at the first block that reaches the 50% target:
     // 960 KiB - 512 KiB = 448 KiB to free -> ceil(448/64) = 7 blocks.
     EXPECT_EQ(dir.demotedKpas(), 7u);
@@ -224,7 +223,7 @@ TEST(PressureDirector, DemotesDownToLowWaterTarget)
     EXPECT_EQ(dir.demotedBytes(4), 7u * 64_KiB);
 
     // Now below high water: the next tick does nothing.
-    EXPECT_TRUE(dir.tick().empty());
+    EXPECT_TRUE(dir.tick().log.empty());
     EXPECT_EQ(dir.demotedKpas(), 7u);
     dir.unregisterProvider(&prov);
 }
@@ -256,7 +255,7 @@ TEST(PressureDirector, RespectsPerTickBudgetAndProviderOrder)
     EXPECT_EQ(dir.demotedKpas(2), 3u);
     // 11 x 64 KiB = 68.75%: below high water — the director leaves
     // the remaining cold state alone (demote only under pressure).
-    EXPECT_TRUE(dir.tick().empty());
+    EXPECT_TRUE(dir.tick().log.empty());
     EXPECT_EQ(dir.demotedKpas(), 4u);
     dir.unregisterProvider(&first);
     dir.unregisterProvider(&second);
@@ -278,7 +277,7 @@ TEST(PressureDirector, ChargeSweepSplitsStallAndRecordsItsSpan)
     dir.registerProvider(&second);
 
     // The steady-state sweep moves 7 blocks (1 + 6) down to 50%.
-    dir.chargeSweep(machine, dir.tick(), mem::SweepKind::kPressure);
+    dir.chargeSweep(machine, dir.tick());
     machine.run();
     ASSERT_EQ(tele.trace.size(), 1u);
     const obs::TraceEvent &p = tele.trace.events()[0];
@@ -300,26 +299,6 @@ TEST(PressureDirector, ChargeSweepSplitsStallAndRecordsItsSpan)
     EXPECT_GE(s1 + s2 + 2, p.dur);
     EXPECT_NEAR(static_cast<double>(s2), 6.0 * static_cast<double>(s1),
                 6.0);
-
-    // Exhaustion relief moves the rest of stream 2's HBM blocks and
-    // records its own span, with the KPAs it moved.
-    sim::CostLog relief;
-    const mem::DemoteResult r =
-        dir.emergencySweep(Tier::kHbm, 1_MiB, relief);
-    EXPECT_EQ(r.kpas, 8u);
-    dir.chargeSweep(machine, std::move(relief), mem::SweepKind::kEmergency);
-    machine.run();
-    ASSERT_EQ(tele.trace.size(), 2u);
-    const obs::TraceEvent &e = tele.trace.events()[1];
-    EXPECT_EQ(e.name, "emergency_sweep");
-    EXPECT_EQ(e.pid, 3u);
-    ASSERT_EQ(e.nargs, 2u);
-    EXPECT_STREQ(e.args[0].key, "charged_bytes");
-    EXPECT_EQ(e.args[0].value, r.charged_bytes);
-    EXPECT_STREQ(e.args[1].key, "kpas");
-    EXPECT_EQ(e.args[1].value, 8u);
-    EXPECT_EQ(dir.sweepStallNs(1), s1) << "stream 1 moved nothing";
-    EXPECT_EQ(dir.sweepStallNs(2), s2 + e.dur);
     dir.unregisterProvider(&first);
     dir.unregisterProvider(&second);
 }

@@ -37,7 +37,7 @@ struct EventLog
 
 TEST(EngineFleet, StepsGlobalTimeOrderWithTiesToTheLowestShard)
 {
-    EngineFleet fleet(runtime::EngineConfig{}, 3, nullptr, false);
+    EngineFleet fleet(runtime::EngineConfig{}, 3, nullptr);
     sim::Machine &m0 = fleet.engine(0).machine();
     sim::Machine &m1 = fleet.engine(1).machine();
     sim::Machine &m2 = fleet.engine(2).machine();
@@ -59,7 +59,7 @@ TEST(EngineFleet, StepsGlobalTimeOrderWithTiesToTheLowestShard)
 
 TEST(EngineFleet, CrossShardScheduleAtNowRunsNext)
 {
-    EngineFleet fleet(runtime::EngineConfig{}, 2, nullptr, false);
+    EngineFleet fleet(runtime::EngineConfig{}, 2, nullptr);
     sim::Machine &m0 = fleet.engine(0).machine();
     sim::Machine &m1 = fleet.engine(1).machine();
     EventLog log;
@@ -81,7 +81,7 @@ TEST(EngineFleet, CrossShardScheduleAtNowRunsNext)
 
 TEST(EngineFleet, DaemonOnlyShardKeepsPaceButDoesNotKeepTheLoopAlive)
 {
-    EngineFleet fleet(runtime::EngineConfig{}, 2, nullptr, false);
+    EngineFleet fleet(runtime::EngineConfig{}, 2, nullptr);
     sim::Machine &m0 = fleet.engine(0).machine();
     sim::Machine &m1 = fleet.engine(1).machine();
     std::vector<SimTime> ticks;
@@ -137,7 +137,7 @@ TEST(EngineFleet, OneShardRunsExactlyLikeMachineRun)
     script(machine, alone);
     machine.run();
 
-    EngineFleet fleet(runtime::EngineConfig{}, 1, nullptr, false);
+    EngineFleet fleet(runtime::EngineConfig{}, 1, nullptr);
     EventLog fleet_log;
     script(fleet.control(), fleet_log);
     fleet.run();
