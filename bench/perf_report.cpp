@@ -512,9 +512,10 @@ main(int argc, char **argv)
     }
 
     // --- sortRun, by key width ---------------------------------------
-    // The radix sort makes one pass per key byte that varies: 7-bit
-    // keys (YSB campaign ids) take one pass, 20-bit keys (up to 1 M
-    // distinct) three, and full 64-bit keys eight, its worst case.
+    // The radix sort plans the fewest digits of up to 11 bits over the
+    // key bits that vary: 7-bit keys (YSB campaign ids) take one pass,
+    // 20-bit keys (up to 1 M distinct) two, and full 64-bit keys six,
+    // its worst case.
     for (const int bits : {7, 20, 64}) {
         Rng rng(5);
         std::vector<KpEntry> input(n);
@@ -538,6 +539,31 @@ main(int argc, char **argv)
         char name[32];
         std::snprintf(name, sizeof(name), "sortRun/keys-%dbit", bits);
         report.add(result(name, t, n, reps));
+    }
+
+    // --- sortRun, a small KPA -----------------------------------------
+    // 20-bit keys at four times the insertion-sort cutoff: too few
+    // entries for digits wider than 8 bits, so three passes. Timed per
+    // call.
+    {
+        constexpr uint32_t kSmall = 4 * algo::kRadixSortMin;
+        Rng rng(6);
+        std::vector<KpEntry> input(kSmall);
+        for (KpEntry &e : input)
+            e = KpEntry{rng.nextBounded(uint64_t{1} << 20), nullptr};
+        std::vector<KpEntry> work(kSmall), scratch(kSmall);
+        const uint64_t bytes = uint64_t{kSmall} * sizeof(KpEntry);
+        const TimedPair t = bestNsVsPerCall(
+            reps,
+            [&] {
+                std::memcpy(work.data(), input.data(), bytes);
+                algo::sortRun(work.data(), kSmall, scratch.data());
+            },
+            [&] {
+                std::memcpy(work.data(), input.data(), bytes);
+                naiveSortRun(work.data(), kSmall, scratch.data());
+            });
+        report.add(result("sortRun/keys-20bit-256", t, kSmall, reps));
     }
 
     // --- sortRun, already-sorted input (presorted early-out) --------

@@ -6,10 +6,11 @@
  * The paper's Sort bitonic-sorts blocks of 64 pairs, then merges them
  * bottom-up. kpa::sortKpa charges the simulated machine for exactly
  * that algorithm (kSortBlock, mergeLevels). The host runs a stable
- * radix sort instead: sortRun makes one counting-sort pass per key
- * byte that varies, so the narrow keys of streaming windows (ids,
- * bounded ranges) sort in one to three sequential passes. Equal keys
- * keep their input order.
+ * radix sort instead: sortRun plans its digits over the key bits that
+ * vary, the fewest counting-sort passes with digits of at most
+ * kRadixDigitMaxBits bits, so once a run has a few thousand entries
+ * the narrow keys of streaming windows (ids, bounded ranges) sort in
+ * one or two sequential passes. Equal keys keep their input order.
  *
  * The merge kernels serve kpa::merge and the merge slices of
  * SortedRunsOp. mergeRuns is a stable merge: equal keys keep every
@@ -42,6 +43,7 @@
 #define SBHBM_ALGO_SORT_H
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -63,6 +65,14 @@ constexpr size_t kSortBlock = 64;
 
 /** Entries below which sortRun insertion-sorts instead of radix. */
 constexpr size_t kRadixSortMin = 64;
+
+/**
+ * Widest radix digit: a pass over 2^11 buckets. A digit wider than 8
+ * bits is used only while its bucket count is at most the entry
+ * count, since the histogram's clear and prefix sum grow with the
+ * bucket count and outweigh the pass they save on short runs.
+ */
+constexpr unsigned kRadixDigitMaxBits = 11;
 
 /** Stable insertion sort: sortRun's kernel below kRadixSortMin. */
 inline void
@@ -157,6 +167,74 @@ isSortedByKey(const KpEntry *e, size_t n)
 namespace detail {
 
 /**
+ * The digits of one radix sort: @p passes counting-sort passes, pass
+ * p on the digit (key >> shift[p]) & (2^width - 1). A digit is at
+ * least one bit wide, so no cover of a 64-bit key has more than 64.
+ */
+struct DigitPlan
+{
+    unsigned width = 0;
+    int passes = 0;
+    unsigned shift[64] = {};
+};
+
+/**
+ * Digits of @p width bits covering every bit set in @p varying,
+ * greedily from the lowest: each digit starts at the lowest varying
+ * bit the digits before it left uncovered, so bits that never vary
+ * (below, between or above the varying ones) get no pass. Greedy
+ * covering takes the fewest digits of that width.
+ */
+inline DigitPlan
+coverBits(uint64_t varying, unsigned width)
+{
+    DigitPlan plan;
+    plan.width = width;
+    while (varying != 0) {
+        const auto s = static_cast<unsigned>(std::countr_zero(varying));
+        plan.shift[plan.passes++] = s;
+        varying = s + width >= 64 ? 0 : varying >> (s + width) << (s + width);
+    }
+    return plan;
+}
+
+/**
+ * The digit plan radixSort runs for @p n entries whose keys differ
+ * from each other in the bits of @p varying (nonzero): the fewest
+ * passes with digits at most 8 bits wide, or wider up to
+ * kRadixDigitMaxBits while 2^width <= n, and of those the narrowest
+ * digits that still make that many passes, for the smallest
+ * histograms. 20-bit keys take two 10-bit passes from 1,024 entries
+ * up, 64-bit keys six 11-bit passes from 2,048 up, and below 512
+ * entries the passes are never more than one per varying byte.
+ *
+ * Narrowing pays on the runs streaming windows sort: against digits
+ * of the cap's width, two 7-bit passes over 14-bit keys took 0.77-0.89
+ * of the time at 1,024-50,000 entries, and one 7-bit pass 0.86-0.94 at
+ * 1,024-4,096 (GCC 12, -O2, 4-vCPU VM). On 20-bit keys two 10-bit
+ * passes took 0.93-1.05 of two 11-bit ones up to 50,000 entries. Only
+ * runs of about a million entries, far longer than the bundles
+ * pipelines sort, favour the cap's width: 14-bit keys took 1.25-1.45
+ * times as long narrowed.
+ */
+inline DigitPlan
+planDigits(uint64_t varying, size_t n)
+{
+    unsigned cap = 8;
+    while (cap < kRadixDigitMaxBits && (size_t{2} << cap) <= n)
+        ++cap;
+    const int passes = coverBits(varying, cap).passes;
+    // No digit covers more than width varying bits, so narrower digits
+    // than popcount / passes cannot make that few passes.
+    auto width = static_cast<unsigned>(
+        (std::popcount(varying) + passes - 1) / passes);
+    DigitPlan plan = coverBits(varying, width);
+    while (plan.passes > passes)
+        plan = coverBits(varying, ++width);
+    return plan;
+}
+
+/**
  * The body of sortRun and sortRunInto: sorts @p data's @p n entries
  * and returns the buffer that holds them sorted. That is @p scratch
  * when the radix passes ran and @p to_scratch asks for it, else
@@ -181,43 +259,44 @@ radixSort(KpEntry *data, size_t n, KpEntry *scratch, bool precheck,
     }
     if (precheck && sorted)
         return data;
-    unsigned shifts[8];
-    int passes = 0;
-    for (unsigned s = 0; s < 64; s += 8)
-        if (((varying >> s) & 0xff) != 0)
-            shifts[passes++] = s;
-    if (passes == 0)
+    if (varying == 0)
         return data; // all keys equal
+    sbhbm_assert(n <= UINT32_MAX, "radix bucket counts are 32-bit");
+    const DigitPlan plan = planDigits(varying, n);
+    const size_t buckets = size_t{1} << plan.width;
+    const uint64_t mask = buckets - 1;
 
     // The passes alternate buffers, so the parity of the pass count
     // and the buffer wanted decide whether the first histogram scan
     // copies the input into scratch to start from there.
-    const bool copy = (passes % 2 == 1) != to_scratch;
-    size_t hist[2][256] = {};
-    size_t *count = hist[0], *next = hist[1];
+    const bool copy = (plan.passes % 2 == 1) != to_scratch;
+    uint32_t hist[2][size_t{1} << kRadixDigitMaxBits];
+    uint32_t *count = hist[0], *next = hist[1];
+    std::memset(count, 0, buckets * sizeof(uint32_t));
     for (size_t i = 0; i < n; ++i) {
-        ++count[(data[i].key >> shifts[0]) & 0xff];
+        ++count[(data[i].key >> plan.shift[0]) & mask];
         if (copy)
             scratch[i] = data[i];
     }
     KpEntry *src = copy ? scratch : data;
     KpEntry *dst = copy ? data : scratch;
-    for (int p = 0; p < passes; ++p) {
-        size_t sum = 0;
-        for (size_t d = 0; d < 256; ++d) {
-            const size_t digits = count[d];
+    for (int p = 0; p < plan.passes; ++p) {
+        uint32_t sum = 0;
+        for (size_t d = 0; d < buckets; ++d) {
+            const uint32_t digits = count[d];
             count[d] = sum;
             sum += digits;
         }
-        const unsigned s = shifts[p];
-        const bool more = p + 1 < passes;
-        const unsigned ns = more ? shifts[p + 1] : 0;
-        std::memset(next, 0, sizeof(hist[1]));
+        const unsigned s = plan.shift[p];
+        const bool more = p + 1 < plan.passes;
+        const unsigned ns = more ? plan.shift[p + 1] : 0;
+        if (more)
+            std::memset(next, 0, buckets * sizeof(uint32_t));
         for (size_t i = 0; i < n; ++i) {
             const KpEntry e = src[i];
             if (more)
-                ++next[(e.key >> ns) & 0xff];
-            dst[count[(e.key >> s) & 0xff]++] = e;
+                ++next[(e.key >> ns) & mask];
+            dst[count[(e.key >> s) & mask]++] = e;
         }
         std::swap(count, next);
         std::swap(src, dst);
@@ -229,20 +308,22 @@ radixSort(KpEntry *data, size_t n, KpEntry *scratch, bool precheck,
 
 /**
  * Stable sort of @p n entries by key in place, using @p scratch (at
- * least n entries): an LSD radix sort on 8-bit digits.
+ * least n entries): an LSD radix sort on the digits of
+ * detail::planDigits.
  *
  * One scan ORs every key's difference from the first key, so only
- * the bytes that vary get a pass; with @p precheck it also tests
+ * the bits that vary get a pass; with @p precheck it also tests
  * whether the input is already sorted and then returns. Streaming
  * pipelines extract KPAs from time-ordered bundles, so sorting on the
  * timestamp column routinely sees fully sorted runs. Callers that
  * have already proven the input unsorted pass @p precheck false.
  *
- * Each pass scatters through per-digit cursors and counts the next
- * pass's digits on the way. The passes ping-pong between @p data and
- * @p scratch; with an odd pass count the first histogram scan also
- * copies the input into scratch, so the last pass always writes into
- * @p data and no copy-back pass is needed.
+ * Each pass scatters through per-digit cursors (32-bit, so n is at
+ * most 2^32 - 1) and counts the next pass's digits on the way. The
+ * passes ping-pong between @p data and @p scratch; with an odd pass
+ * count the first histogram scan also copies the input into scratch,
+ * so the last pass always writes into @p data and no copy-back pass
+ * is needed.
  */
 inline void
 sortRun(KpEntry *data, size_t n, KpEntry *scratch, bool precheck = true)

@@ -12,6 +12,17 @@
  * speed while their simulated CostLog charges — which depend only on
  * input sizes — stay bit-identical to the serial path.
  *
+ * Waiting spins, then parks. A worker that finishes a job spins for
+ * kSpinWindow on the job generation counter before it parks on a
+ * condition variable, and the caller of parallelFor spins as long on
+ * the done counters before it blocks at the barrier. Waking a parked
+ * thread costs tens of microseconds on a VM, so a job that follows
+ * the last one within the window reaches a spinning worker with no
+ * wake-up, and a short shard's caller never sleeps. The spin is
+ * bounded: an idle pool parks every worker within kSpinWindow. The
+ * mutex still hands each job over: a worker registers under it, and
+ * the caller retires a job under it.
+ *
  * Guarantees the kernels rely on:
  *  - parallelFor(shards, fn) returns only after every shard ran
  *    (fork-join barrier), so callers may use results immediately;
@@ -31,6 +42,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
@@ -73,11 +85,17 @@ class WorkerPool
         {
             std::lock_guard<std::mutex> lk(mu_);
             stop_ = true;
+            // A new generation ends the spin of workers still waiting
+            // for the next job, as well as the park.
+            generation_.fetch_add(1, std::memory_order_relaxed);
         }
         start_cv_.notify_all();
         for (auto &w : workers_)
             w.join();
     }
+
+    /** How long a waiting worker or caller spins before it blocks. */
+    static constexpr std::chrono::microseconds kSpinWindow{50};
 
     unsigned threads() const { return threads_; }
 
@@ -165,23 +183,27 @@ class WorkerPool
             done_shards_.store(0, std::memory_order_relaxed);
             first_error_shard_ = kNoError;
             error_ = nullptr;
-            ++generation_;
+            generation_.fetch_add(1, std::memory_order_relaxed);
         }
-        start_cv_.notify_all();
+        start_cv_.notify_all(); // cheap when no worker is parked
 
         runShards(fn, shards); // the caller is worker 0
 
+        // Wait for every shard to finish AND every woken worker to
+        // leave the pull loop: a straggler that lost the race for the
+        // final shard must not observe the next job's reset counters
+        // (or this frame's dead fn reference). The spin only saves the
+        // block; the decision is made under the mutex, in the same
+        // critical section that retires the job.
+        auto drained = [this, shards] {
+            return done_shards_.load(std::memory_order_acquire) == shards
+                   && running_workers_.load(std::memory_order_relaxed)
+                          == 0;
+        };
+        spinUntil(drained);
         {
             std::unique_lock<std::mutex> lk(mu_);
-            // Wait for every shard to finish AND every woken worker
-            // to leave the pull loop: a straggler that lost the race
-            // for the final shard must not observe the next job's
-            // reset counters (or this frame's dead fn reference).
-            done_cv_.wait(lk, [this, shards] {
-                return done_shards_.load(std::memory_order_acquire)
-                           == shards
-                       && running_workers_ == 0;
-            });
+            done_cv_.wait(lk, drained);
             job_fn_ = nullptr;
             if (error_ != nullptr) {
                 std::exception_ptr e = error_;
@@ -193,6 +215,32 @@ class WorkerPool
 
   private:
     static constexpr uint32_t kNoError = ~uint32_t{0};
+
+    /** Hint to the core that this thread is busy-waiting. */
+    static void
+    cpuRelax()
+    {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#elif defined(__aarch64__)
+        asm volatile("yield");
+#endif
+    }
+
+    /** Spin until @p ready() holds, for at most kSpinWindow. */
+    template <typename Ready>
+    static void
+    spinUntil(const Ready &ready)
+    {
+        const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
+        do {
+            for (int i = 0; i < 16; ++i) {
+                if (ready())
+                    return;
+                cpuRelax();
+            }
+        } while (std::chrono::steady_clock::now() < deadline);
+    }
 
     /** Pull shards until the job's counter is exhausted. */
     void
@@ -215,11 +263,9 @@ class WorkerPool
                     error_ = std::current_exception();
                 }
             }
-            if (done_shards_.fetch_add(1, std::memory_order_acq_rel) + 1
-                == shards) {
-                std::lock_guard<std::mutex> lk(mu_);
-                done_cv_.notify_all();
-            }
+            // No notify: a worker that finishes the last shard still
+            // counts as running, and its leaving wakes the caller.
+            done_shards_.fetch_add(1, std::memory_order_acq_rel);
         }
         in_shard_ = false;
     }
@@ -228,26 +274,28 @@ class WorkerPool
     workerLoop()
     {
         uint64_t seen = 0;
+        auto published = [this, &seen] {
+            return generation_.load(std::memory_order_relaxed) != seen;
+        };
         for (;;) {
+            spinUntil(published);
             const ShardFn *fn = nullptr;
             uint32_t shards = 0;
             {
                 std::unique_lock<std::mutex> lk(mu_);
-                start_cv_.wait(lk, [this, seen] {
-                    return stop_ || generation_ != seen;
-                });
+                start_cv_.wait(lk, published);
                 if (stop_)
                     return;
-                seen = generation_;
+                seen = generation_.load(std::memory_order_relaxed);
                 fn = job_fn_; // null once the job fully drained
                 shards = job_shards_;
                 if (fn != nullptr)
-                    ++running_workers_;
+                    running_workers_.fetch_add(1, std::memory_order_relaxed);
             }
             if (fn != nullptr) {
                 runShards(*fn, shards);
                 std::lock_guard<std::mutex> lk(mu_);
-                --running_workers_;
+                running_workers_.fetch_sub(1, std::memory_order_relaxed);
                 done_cv_.notify_all();
             }
         }
@@ -256,14 +304,16 @@ class WorkerPool
     const unsigned threads_;
     std::vector<std::thread> workers_;
 
+    // Guarded by mu_. generation_ and running_workers_ change only
+    // under it too, and are atomic so the spins may read them without.
     std::mutex mu_;
     std::condition_variable start_cv_;
     std::condition_variable done_cv_;
     bool stop_ = false;
-    uint64_t generation_ = 0;
+    std::atomic<uint64_t> generation_{0};
     const ShardFn *job_fn_ = nullptr;
     uint32_t job_shards_ = 0;
-    unsigned running_workers_ = 0;
+    std::atomic<unsigned> running_workers_{0};
     std::atomic<uint32_t> next_shard_{0};
     std::atomic<uint32_t> done_shards_{0};
     uint32_t first_error_shard_ = kNoError;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <map>
 #include <utility>
@@ -151,8 +152,8 @@ TEST(SortRun, ResultLandsInDataForBothMergeParities)
 {
     // The ping-pong parity is fixed up front so no copy-back pass
     // runs: verify `data` holds the sorted result for an odd (one
-    // varying byte) and an even (two varying bytes, one skipped
-    // between them) radix pass count.
+    // varying byte: one pass) and an even (two varying bytes, the one
+    // between them skipped: two passes) radix pass count.
     for (const uint64_t mask : {uint64_t{0xff}, uint64_t{0xff00ff}}) {
         for (const size_t n : {kRadixSortMin, size_t{1000}, size_t{8193}}) {
             SCOPED_TRACE(testing::Message() << "mask " << mask << " n " << n);
@@ -230,8 +231,9 @@ TEST(SortRun, IsStable)
 
 TEST(SortRunInto, LandsInScratchAsSortRunLandsInData)
 {
-    // Odd and even pass counts (1, 2 and 3 varying bytes), plus the
-    // inputs the passes skip: too short, presorted and all keys equal.
+    // Odd and even pass counts (1, 2 and 3 varying bytes make 1, 2
+    // and 3 passes), plus the inputs the passes skip: too short,
+    // presorted and all keys equal.
     for (const uint64_t mask : {uint64_t{0xff}, uint64_t{0xff00ff},
                                 uint64_t{0xffffff}, uint64_t{0}}) {
         for (const size_t n : {size_t{0}, size_t{1}, kRadixSortMin - 1,
@@ -256,6 +258,150 @@ TEST(SortRunInto, LandsInScratchAsSortRunLandsInData)
                     ASSERT_EQ(into[i].row, expect[i].row) << "at " << i;
                 }
             }
+        }
+    }
+}
+
+/** The widest digit planDigits may use for @p n entries. */
+unsigned
+digitCap(size_t n)
+{
+    return n >= 2048 ? 11 : n >= 1024 ? 10 : n >= 512 ? 9 : 8;
+}
+
+TEST(SortRun, PlansTheFewestDigitsOverTheVaryingBits)
+{
+    struct Case
+    {
+        uint64_t varying;
+        size_t n;
+        int passes;
+        unsigned width;
+    };
+    const Case cases[] = {
+        {0x7f, 1 << 20, 1, 7},          // YSB campaign ids
+        {0xfffff, 1 << 20, 2, 10},      // the join's 20-bit keys
+        {0xfffff, 4 * kRadixSortMin, 3, 7},
+        {0xfffff, 1023, 3, 7},          // 10-bit digits start at 1,024
+        {0xfffff, 1024, 2, 10},
+        {0x3fffff, 2047, 3, 8},         // 11-bit digits start at 2,048
+        {0x3fffff, 2048, 2, 11},
+        {0x1ff, 511, 2, 5},             // 9-bit digits start at 512
+        {0x1ff, 512, 1, 9},
+        {uint64_t{0xfffff} << 13, 1 << 20, 2, 10}, // low 13 bits fixed
+        {0xff00ff, 100, 2, 8},          // the byte between gets no pass
+        {~uint64_t{0}, 1 << 20, 6, 11},
+        {~uint64_t{0}, 100, 8, 8},      // never more than one per byte
+        {uint64_t{1} << 63, 100, 1, 1},
+        // Sparse masks: the narrower widths the search tries first
+        // need 9 to 16 digits.
+        {0x1111111111111111, 100, 8, 5},
+        {0x1111111111111111, 4096, 6, 9},
+        {0x8181818181818181, 100, 8, 8},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(testing::Message() << std::hex << "varying 0x"
+                                        << c.varying << std::dec << " n "
+                                        << c.n);
+        const detail::DigitPlan plan = detail::planDigits(c.varying, c.n);
+        EXPECT_EQ(plan.passes, c.passes);
+        EXPECT_EQ(plan.width, c.width);
+        // The digits cover every varying bit, lowest first.
+        uint64_t covered = 0;
+        for (int p = 0; p < plan.passes; ++p) {
+            if (p > 0) {
+                EXPECT_GE(plan.shift[p], plan.shift[p - 1] + plan.width);
+            }
+            covered |= ((uint64_t{1} << plan.width) - 1) << plan.shift[p];
+        }
+        EXPECT_EQ(c.varying & ~covered, 0u);
+        EXPECT_EQ(plan.shift[0],
+                  static_cast<unsigned>(std::countr_zero(c.varying)));
+    }
+}
+
+/**
+ * @return @p n entries whose keys vary in exactly the bits of @p mask,
+ * every other bit fixed to one pattern, drawn from a pool of about
+ * n / 8 keys so equal keys repeat.
+ */
+std::vector<KpEntry>
+maskedEntries(size_t n, uint64_t mask, uint64_t seed)
+{
+    const uint64_t fixed = 0xa5a5a5a5a5a5a5a5ull & ~mask;
+    Rng rng(seed);
+    std::vector<uint64_t> pool = {fixed, fixed | mask}; // both extremes
+    while (pool.size() < std::max<size_t>(n / 8, 3))
+        pool.push_back(fixed | (rng.next() & mask));
+    std::vector<KpEntry> v(n);
+    for (size_t i = 0; i < n; ++i)
+        v[i] = KpEntry{pool[i < 2 ? i : rng.nextBounded(pool.size())],
+                       reinterpret_cast<uint64_t *>(i + 1)};
+    std::swap(v[0], v[n / 2]);
+    return v;
+}
+
+/** Both sortRun and sortRunInto give std::stable_sort's order of @p v. */
+void
+expectStableSortOrder(const std::vector<KpEntry> &v)
+{
+    const size_t n = v.size();
+    auto expect = v;
+    std::stable_sort(expect.begin(), expect.end(),
+                     [](const KpEntry &a, const KpEntry &b) {
+                         return a.key < b.key;
+                     });
+    auto in_place = v;
+    std::vector<KpEntry> scratch(n);
+    sortRun(in_place.data(), n, scratch.data());
+    auto from = v;
+    std::vector<KpEntry> into(n);
+    sortRunInto(from.data(), n, into.data());
+    for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(in_place[i].key, expect[i].key) << "at " << i;
+        ASSERT_EQ(in_place[i].row, expect[i].row) << "at " << i;
+        ASSERT_EQ(into[i].key, expect[i].key) << "at " << i;
+        ASSERT_EQ(into[i].row, expect[i].row) << "at " << i;
+    }
+}
+
+TEST(SortRun, EveryDigitPlanMatchesStableSort)
+{
+    // Spans, most not byte-aligned, starting at bit 0 and above a run
+    // of fixed low bits, at sizes just below and at each widening of
+    // the digit cap. Contiguous spans make plans of one to six
+    // passes, and both sortRun and sortRunInto must give
+    // std::stable_sort's order, row pointers included.
+    for (const unsigned bits : {1u, 7u, 11u, 12u, 20u, 22u, 23u, 33u, 44u,
+                                55u, 64u}) {
+        for (const unsigned lo : {0u, 13u}) {
+            if (bits + lo > 64)
+                continue;
+            const uint64_t span =
+                (bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1) << lo;
+            for (const size_t n :
+                 {kRadixSortMin, size_t{511}, size_t{512}, size_t{1023},
+                  size_t{1024}, size_t{2047}, size_t{2048},
+                  size_t{50'000}}) {
+                SCOPED_TRACE(testing::Message() << bits << " bits from bit "
+                                                << lo << ", n " << n);
+                EXPECT_EQ(detail::planDigits(span, n).passes,
+                          static_cast<int>((bits + digitCap(n) - 1)
+                                           / digitCap(n)));
+                expectStableSortOrder(
+                    maskedEntries(n, span, 97 * n + bits + lo));
+            }
+        }
+    }
+    // Sparse masks, whose narrower trial digits need more passes than
+    // a plan may keep.
+    for (const uint64_t mask : {uint64_t{0x1111111111111111},
+                                uint64_t{0x8181818181818181}}) {
+        for (const size_t n : {kRadixSortMin, size_t{100}, size_t{2048},
+                               size_t{4096}}) {
+            SCOPED_TRACE(testing::Message() << std::hex << "mask 0x" << mask
+                                            << std::dec << ", n " << n);
+            expectStableSortOrder(maskedEntries(n, mask, 89 * n + mask % 83));
         }
     }
 }

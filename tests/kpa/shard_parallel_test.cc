@@ -289,7 +289,10 @@ randomKeys(uint32_t n, uint64_t range, uint64_t seed)
 
 TEST_F(ShardParallelTest, SwapAndSortAtThresholdEdgesAndOddSizes)
 {
-    for (const uint32_t n : {kMin - 1, kMin, kMin + 1, 3 * kMin + 7}) {
+    // 20-bit keys, the join workload's: each half of the pooled sort
+    // takes the two 10-bit radix passes the serial sort takes.
+    for (const uint32_t n :
+         {kMin - 1, kMin, kMin + 1, uint32_t{50'000}, 3 * kMin + 7}) {
         checkSwapAndSort(randomKeys(n, 1u << 20, n),
                          ("20-bit keys, n=" + std::to_string(n)).c_str());
     }
@@ -360,15 +363,25 @@ TEST_F(ShardParallelTest, MergeAtThresholdEdge)
 
 TEST_F(ShardParallelTest, JoinAtThresholdEdgesAndOddSizes)
 {
-    // ln + rn at kMin - 1 (serial), kMin, and odd splits above it.
-    const uint32_t sizes[][2] = {{kMin / 3, kMin - 1 - kMin / 3},
-                                 {kMin / 3, kMin - kMin / 3},
-                                 {12'345, 54'321},
-                                 {43'001, 126'003}};
-    for (const auto &s : sizes) {
-        checkJoin(randomKeys(s[0], 60'000, s[0]),
-                  randomKeys(s[1], 60'000, s[1] + 1),
-                  (std::to_string(s[0]) + " x " + std::to_string(s[1]))
+    // ln + rn at kMin - 1 (serial), kMin, and odd splits above it, on
+    // 60,000 keys; then 20-bit keys, the join workload's, at kMin and
+    // 50,000 a side.
+    struct Sides
+    {
+        uint32_t ln, rn;
+        uint64_t range;
+    };
+    const Sides sizes[] = {{kMin / 3, kMin - 1 - kMin / 3, 60'000},
+                           {kMin / 3, kMin - kMin / 3, 60'000},
+                           {12'345, 54'321, 60'000},
+                           {43'001, 126'003, 60'000},
+                           {kMin, kMin, 1u << 20},
+                           {50'000, 50'000, 1u << 20}};
+    for (const Sides &s : sizes) {
+        checkJoin(randomKeys(s.ln, s.range, s.ln),
+                  randomKeys(s.rn, s.range, s.rn + 1),
+                  (std::to_string(s.ln) + " x " + std::to_string(s.rn)
+                   + " keys < " + std::to_string(s.range))
                       .c_str());
     }
 }

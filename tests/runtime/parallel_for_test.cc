@@ -156,6 +156,78 @@ TEST(WorkerPool, InlinePathMatchesPooledFailureSemantics)
 }
 
 /**
+ * Thousands of back-to-back tiny jobs. A pause longer than the spin
+ * window comes before every 64th, so workers take jobs both while
+ * they spin and after they park. Among the jobs are throwing ones and
+ * nested dispatches; every shard of every job runs exactly once.
+ */
+TEST(WorkerPool, BackToBackTinyJobsAcrossSpinAndPark)
+{
+    constexpr int kJobs = 3000;
+    const std::thread::id caller = std::this_thread::get_id();
+    for (unsigned threads : {2u, 3u, 8u}) {
+        SCOPED_TRACE(testing::Message() << threads << " threads");
+        WorkerPool pool(threads);
+        std::vector<uint32_t> hits(2 * threads + 1);
+        std::atomic<uint64_t> off_caller{0};
+        for (int j = 0; j < kJobs; ++j) {
+            if (j % 64 == 63)
+                std::this_thread::sleep_for(4 * WorkerPool::kSpinWindow);
+            const auto shards = static_cast<uint32_t>(1 + j % hits.size());
+            std::fill(hits.begin(), hits.end(), 0);
+            auto ran = [&](uint32_t s) {
+                ++hits[s];
+                if (std::this_thread::get_id() != caller)
+                    off_caller.fetch_add(1, std::memory_order_relaxed);
+            };
+            if (j % 10 == 3) {
+                // Every odd shard throws; shard 1 (or none) wins.
+                try {
+                    pool.parallelFor(shards, [&](uint32_t s) {
+                        ran(s);
+                        if (s % 2 == 1)
+                            throw std::runtime_error(std::to_string(s));
+                    });
+                    EXPECT_EQ(shards, 1u) << "job " << j;
+                } catch (const std::runtime_error &e) {
+                    EXPECT_STREQ(e.what(), "1") << "job " << j;
+                }
+            } else if (j % 10 == 7) {
+                std::vector<uint32_t> inner(shards * 4, 0);
+                pool.parallelFor(shards, [&](uint32_t s) {
+                    ran(s);
+                    pool.parallelFor(4, [&, s](uint32_t i) {
+                        ++inner[s * 4 + i];
+                    });
+                });
+                for (const uint32_t h : inner)
+                    ASSERT_EQ(h, 1u) << "job " << j;
+            } else {
+                pool.parallelFor(shards, ran);
+            }
+            for (uint32_t s = 0; s < hits.size(); ++s)
+                ASSERT_EQ(hits[s], s < shards ? 1u : 0u)
+                    << "job " << j << " shard " << s;
+        }
+        EXPECT_GT(off_caller.load(), 0u) << "the workers ran no shard";
+    }
+}
+
+TEST(WorkerPool, DestroyedRightAfterAJobWhileItsWorkersSpin)
+{
+    for (unsigned threads : {2u, 3u, 8u}) {
+        for (int round = 0; round < 50; ++round) {
+            WorkerPool pool(threads);
+            std::vector<uint32_t> got(2 * threads, 0);
+            pool.parallelFor(static_cast<uint32_t>(got.size()),
+                             [&](uint32_t s) { got[s] = s + 1; });
+            for (uint32_t s = 0; s < got.size(); ++s)
+                ASSERT_EQ(got[s], s + 1) << threads << " threads";
+        } // joins workers that are still inside their spin window
+    }
+}
+
+/**
  * Sets $SBHBM_HOST_THREADS (unsets it for nullptr) for one scope and
  * restores the caller's value after. The tests only read
  * defaultThreads(); none builds a pool from these values.
