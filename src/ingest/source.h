@@ -13,6 +13,11 @@
  * Event time == delivery time: records are stamped as they arrive, so
  * watermarks follow the stream with no artificial skew. Fig 10b's
  * delayed watermarks are reproduced with bundles_per_watermark.
+ *
+ * For the serving layer's fault tolerance a source pauses while a
+ * checkpoint quiesces its session, halts when its shard crashes, and
+ * can start at a record offset under logical event time, which is how
+ * a recovered session replays past its last checkpoint.
  */
 
 #ifndef SBHBM_INGEST_SOURCE_H
@@ -132,19 +137,16 @@ class Source
     uint64_t recordsIngested() const { return records_ingested_; }
     bool finished() const { return finished_; }
 
-    /** Records consumed from the stream but dropped (shed/faults). */
-    uint64_t recordsShed() const { return records_shed_; }
-
     /**
      * Absolute stream position: records of the underlying stream
-     * consumed so far, including the replay offset and shed records.
-     * This is the offset a checkpoint stores and a restored source
-     * passes as start_record.
+     * delivered so far, including the replay offset. This is the
+     * offset a checkpoint stores and a restored source passes as
+     * start_record.
      */
     uint64_t
     streamPosition() const
     {
-        return cfg_.start_record + records_ingested_ + records_shed_;
+        return cfg_.start_record + records_ingested_;
     }
 
     /**
@@ -155,10 +157,10 @@ class Source
      * flight still lands and is counted, keeping records conservation
      * exact.
      */
-    void truncate() { cfg_.total_records = records_ingested_ + records_shed_; }
+    void truncate() { cfg_.total_records = records_ingested_; }
 
     // ---------------------------------------------------------------
-    // Fault-tolerance controls (checkpoint quiesce + injected faults).
+    // Fault-tolerance controls (checkpoint quiesce + shard crash).
     // ---------------------------------------------------------------
 
     /**
@@ -209,16 +211,6 @@ class Source
                && next_forward_seq_ == next_deliver_seq_;
     }
 
-    /** Injected fault: deliver nothing until @p until (virtual time). */
-    void
-    stallUntil(SimTime until)
-    {
-        stalled_until_ = std::max(stalled_until_, until);
-    }
-
-    /** Injected fault: shed the next @p n bundles. */
-    void dropBundles(uint64_t n) { drop_bundles_ += n; }
-
     /** One ingestion checkpoint: cumulative records at a sim time. */
     struct Checkpoint
     {
@@ -240,16 +232,13 @@ class Source
 
     /**
      * Cumulative virtual ns this source spent not delivering for
-     * reasons outside the pipeline's compute: injected stalls,
-     * back-pressure episodes, and checkpoint-quiesce pauses. The
-     * ingest-wait component of SLA attribution.
+     * reasons outside the pipeline's compute: back-pressure episodes
+     * and checkpoint-quiesce pauses. The ingest-wait component of SLA
+     * attribution.
      */
     uint64_t ingestWaitNs() const { return ingest_wait_ns_; }
 
   private:
-    /** Records consumed from the stream so far (delivered or shed). */
-    uint64_t consumed() const { return records_ingested_ + records_shed_; }
-
     /** Logical timestamp of absolute stream position @p pos. */
     EventTime
     logicalTs(uint64_t pos) const
@@ -268,30 +257,12 @@ class Source
             parked_since_ = eng_.machine().now();
             return;
         }
-        if (consumed() >= cfg_.total_records) {
+        if (records_ingested_ >= cfg_.total_records) {
             all_delivered_ = true;
             // finish() fires from forward() once the ingestion stage
             // drains; handle the empty-stream edge case here.
             if (next_forward_seq_ == next_deliver_seq_)
                 finish();
-            return;
-        }
-        // Injected ingest stall: the sender goes dark until the
-        // deadline. Watermarks may still advance over the gap (no
-        // data can arrive before what was already sent).
-        if (stalled_until_ > eng_.machine().now()) {
-            const SimTime now = eng_.machine().now();
-            const SimTime until = stalled_until_;
-            // Re-entry at the deadline only adds later extensions, so
-            // an extended stall never double-counts.
-            ingest_wait_ns_ += until - now;
-            if (obs::Telemetry *t = eng_.telemetry()) {
-                t->trace.instant(now, eng_.telemetryShard(), stream_,
-                                 "ingest", "ingest_stall",
-                                 {{"until_us", until / 1000}});
-            }
-            advanceIdleWatermark();
-            eng_.machine().at(until, [this] { scheduleNext(); });
             return;
         }
         // While the pipeline lags (late output — or no output yet, so
@@ -367,7 +338,7 @@ class Source
 
         const auto n = static_cast<uint32_t>(
             std::min<uint64_t>(cfg_.bundle_records,
-                               cfg_.total_records - consumed()));
+                               cfg_.total_records - records_ingested_));
         const uint64_t bytes = uint64_t{n} * gen_.cols() * sizeof(uint64_t);
         double dt_sec = static_cast<double>(bytes) / cfg_.nic_bw;
         if (cfg_.offered_rate > 0) {
@@ -414,19 +385,8 @@ class Source
         const EventTime t0 = last_delivery_;
         const EventTime t1 = cfg_.logical_time
                                  ? logicalTs(cfg_.start_record
-                                             + consumed() + n)
+                                             + records_ingested_ + n)
                                  : now;
-
-        // Injected drops: consume the records from the stream without
-        // materializing them. The generator still advances n records,
-        // so replay and later bundles stay bit-identical to their
-        // stream position; watermark progress follows, so windows
-        // close (with less data — lossy by design, and counted).
-        if (drop_bundles_ > 0) {
-            --drop_bundles_;
-            shed(n, t1);
-            return;
-        }
 
         columnar::Bundle *b =
             columnar::Bundle::create(eng_.memory(), gen_.cols(), n);
@@ -474,21 +434,6 @@ class Source
                 forward(seq, std::move(handle), min_ts, end_ts);
             },
             stream_);
-    }
-
-    /** Consume @p n records from the stream without delivering them. */
-    void
-    shed(uint32_t n, EventTime t1)
-    {
-        gen_.skipRecords(n);
-        records_shed_ += n;
-        last_delivery_ = std::max(last_delivery_, t1);
-        // Watermark progress over the hole — but only when nothing is
-        // still inside the ingestion stage (a watermark must not
-        // overtake a bundle awaiting forward()).
-        if (ready_.empty() && next_forward_seq_ == next_deliver_seq_)
-            maybeEmitWatermark(last_delivery_);
-        scheduleNext();
     }
 
     /**
@@ -602,9 +547,6 @@ class Source
     bool parked_ = false;
     bool halted_ = false;
     bool delivery_pending_ = false;
-    SimTime stalled_until_ = 0;
-    uint64_t drop_bundles_ = 0;
-    uint64_t records_shed_ = 0;
     SimTime finished_at_ = 0;
     SimTime last_delivery_ = 0;
     SimTime backpressured_since_ = 0;

@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/fast_divide.h"
 #include "common/logging.h"
 #include "kpa/ctx.h"
 #include "kpa/kpa.h"
@@ -37,10 +36,11 @@ struct RangePartition
  * timestamps in arrival order, so windowing a time-ordered KPA meets
  * this, and every range is one contiguous span. A sorted flag proves
  * the order up front; otherwise one pass checks it and aborts on the
- * first step back. Each range's end is then binary-searched and its
- * span copied with one memcpy: partitions come out in ascending range
- * order, each keeping its entries' input order, and every charge
- * depends on sizes alone.
+ * first step back. Each range's end is then binary-searched by key
+ * and its span copied with one memcpy: partitions come out in
+ * ascending range order, each keeping its entries' input order, and
+ * every charge depends on sizes alone. Both passes divide once per
+ * range, not once per entry.
  */
 inline std::vector<RangePartition>
 partitionByRange(Ctx ctx, const Kpa &src, uint64_t range_width,
@@ -50,35 +50,38 @@ partitionByRange(Ctx ctx, const Kpa &src, uint64_t range_width,
     const KpEntry *e = src.entries();
     const uint32_t n = src.size();
 
-    // Every division is by the invariant width, via multiply-high: the
-    // order check divides once per range, the span search about
-    // log2(n) times per range.
-    const FastDivider by_width(range_width);
-
-    // Order check: compare each key with the current range's lower
-    // bound, dividing only where a new range starts. Keys may come in
-    // any order within a range; a key below the bound steps back to an
-    // earlier range.
+    // Order check: compare each key with the current range, dividing
+    // only where a new range starts. Keys may come in any order within
+    // a range; a key below the range's lower bound steps back to an
+    // earlier one. One unsigned compare per entry tests both ends: a
+    // key below lo wraps past span, which the key space's top, partial
+    // range cuts short at UINT64_MAX.
     if (!src.sorted()) {
-        uint64_t lo = 0; // current range * range_width
+        uint64_t lo = 0;                 // current range * range_width
+        uint64_t span = range_width - 1; // its last key - lo
         for (const KpEntry *p = e; p != e + n; ++p) {
-            sbhbm_assert(p->key >= lo,
-                         "partition ranges must never decrease: entry "
-                         "%td steps back below key %llu",
-                         p - e, (unsigned long long)lo);
-            if (p->key - lo >= range_width)
-                lo = by_width.divide(p->key) * range_width;
+            if (p->key - lo > span) {
+                sbhbm_assert(p->key >= lo,
+                             "partition ranges must never decrease: "
+                             "entry %td steps back below key %llu",
+                             p - e, (unsigned long long)lo);
+                lo = p->key - p->key % range_width;
+                span = std::min(range_width - 1, UINT64_MAX - lo);
+            }
         }
     }
 
     std::vector<RangePartition> out;
     uint32_t i = 0;
     while (i < n) {
-        const uint64_t rg = by_width.divide(e[i].key);
+        const uint64_t rg = e[i].key / range_width;
+        // The range's last key, rg * width + width - 1, saturating:
+        // the top range of the key space may be partial.
+        const uint64_t lo = rg * range_width;
+        const uint64_t last = lo + std::min(range_width - 1, UINT64_MAX - lo);
         const KpEntry *end = std::upper_bound(
-            e + i, e + n, rg,
-            [&by_width](uint64_t range, const KpEntry &x) {
-                return range < by_width.divide(x.key);
+            e + i, e + n, last, [](uint64_t key, const KpEntry &x) {
+                return key < x.key;
             });
         const auto len = static_cast<uint32_t>(end - (e + i));
         RangePartition rp;

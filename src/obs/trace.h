@@ -3,7 +3,7 @@
  * The telemetry plane: one deterministic recorder of spans and
  * instants stamped on *virtual* time, exported as Chrome `trace_event`
  * JSON (load the file in Perfetto or chrome://tracing). It is the only
- * sink: task spans, ingest stalls, pressure sweeps, admission
+ * sink: task spans, ingest back-pressure, pressure sweeps, admission
  * decisions, checkpoints, fault firings and recovery lines all land
  * here, and tests query it by category.
  *

@@ -127,11 +127,14 @@ class Operator : public mem::ColdStateProvider
      * on the first checkpoint); copy traffic goes to @p log.
      *
      * The default declares the operator stateless (pass-through /
-     * externally-reconstructible state). Stateful operators either
-     * implement a real capture (SortedRunsOp) or override to return
-     * kUnsupported, which makes the owning tenant recover by
-     * scratch-restart (full replay + output dedup) instead of
-     * checkpoint restore.
+     * externally-reconstructible state). Stateful operators of
+     * single-stream sessions either implement a real capture
+     * (SortedRunsOp) or override to return kUnsupported (AvgAllOp),
+     * which makes the owning tenant recover by scratch-restart (full
+     * replay + output dedup) instead of checkpoint restore. The
+     * two-stream operators (TemporalJoinOp, WindowedFilterOp) need no
+     * override: the server never checkpoints a two-stream session,
+     * and Tenant::capture marks such a cut non-restorable.
      */
     virtual SnapshotSupport
     snapshotState(OperatorSnapshot &out, const OperatorSnapshot *prev,

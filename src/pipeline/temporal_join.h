@@ -132,15 +132,6 @@ class TemporalJoinOp : public Operator
         kpa::KpaPtr side[2];
     };
 
-    /** Holds join state it does not capture: tenants running this
-     *  operator recover by scratch-restart (replay + dedup). */
-    SnapshotSupport
-    snapshotState(OperatorSnapshot &, const OperatorSnapshot *,
-                  sim::CostLog &) override
-    {
-        return SnapshotSupport::kUnsupported;
-    }
-
     columnar::ColumnId key_col_;
     columnar::ColumnId value_col_;
     std::map<columnar::WindowId, WindowState> state_;

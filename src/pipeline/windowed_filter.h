@@ -132,15 +132,6 @@ class WindowedFilterOp : public Operator
         std::vector<kpa::KpaPtr> held;
     };
 
-    /** Holds held-KPA window state it does not capture: tenants
-     *  running this operator recover by scratch-restart. */
-    SnapshotSupport
-    snapshotState(OperatorSnapshot &, const OperatorSnapshot *,
-                  sim::CostLog &) override
-    {
-        return SnapshotSupport::kUnsupported;
-    }
-
     columnar::ColumnId ts_col_;
     columnar::ColumnId value_col_;
     std::map<columnar::WindowId, WindowState> state_;

@@ -208,29 +208,6 @@ buildYsbFlinkLike(const QueryConfig &cfg, Pipeline &pipe)
     return b;
 }
 
-/** Keyed query on the record-at-a-time hash engine (count semantics). */
-BuiltQuery
-buildKeyedFlinkLike(const QueryConfig &cfg, Pipeline &pipe)
-{
-    baseline::RecordAtATimeAggOp::Config rc;
-    rc.key_col = KvGen::kKeyCol;
-    rc.ts_col = KvGen::kTsCol;
-    rc.pipeline_stages = 3; // source -> window-agg -> sink
-    rc.keys_hint = cfg.key_range;
-
-    auto &agg = pipe.add<baseline::RecordAtATimeAggOp>(pipe, "flink_agg",
-                                                       rc);
-    auto &egress = pipe.add<EgressOp>(pipe);
-    agg.connectTo(&egress);
-
-    BuiltQuery b;
-    b.entry_a = &agg;
-    b.gen_a = std::make_unique<KvGen>(cfg.seed, cfg.key_range,
-                                      cfg.value_range);
-    b.egress = &egress;
-    return b;
-}
-
 /** Temporal Join (benchmark 7): two streams joined by key per window. */
 BuiltQuery
 buildTemporalJoin(const QueryConfig &cfg, Pipeline &pipe)
@@ -338,12 +315,13 @@ BuiltQuery
 buildQueryPipeline(const QueryConfig &cfg, pipeline::Pipeline &pipe)
 {
     if (cfg.engine == EngineKind::kFlinkLike) {
-        // The record-at-a-time engine implements the grouping-and-
-        // count family; richer reductions would change only the CPU
-        // constant, not the memory behaviour the comparison is about.
-        if (cfg.id == QueryId::kYsb)
-            return buildYsbFlinkLike(cfg, pipe);
-        return buildKeyedFlinkLike(cfg, pipe);
+        // The record-at-a-time engine runs YSB, the query Fig 7
+        // compares it on.
+        if (cfg.id != QueryId::kYsb) {
+            sbhbm_fatal("the Flink-like engine runs YSB only, not %s",
+                        queryName(cfg.id));
+        }
+        return buildYsbFlinkLike(cfg, pipe);
     }
 
     switch (cfg.id) {

@@ -57,7 +57,7 @@ enum class EngineKind {
     kCaching,          //!< KPA but hardware cache-mode memory
     kDramOnly,         //!< KPA but HBM disabled
     kCachingNoKpa,     //!< sequential algos on full records, cache mode
-    kFlinkLike,        //!< record-at-a-time hash engine, cache mode
+    kFlinkLike,        //!< record-at-a-time hash engine, cache mode; YSB only
 };
 
 const char *engineKindName(EngineKind kind);

@@ -35,7 +35,6 @@
 #ifndef SBHBM_RUNTIME_EXECUTOR_H
 #define SBHBM_RUNTIME_EXECUTOR_H
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -81,7 +80,7 @@ class Executor
      *                evaluation sweeps this, Figs 2/7/8/9).
      */
     Executor(sim::Machine &machine, unsigned cores)
-        : machine_(machine), cores_(cores), base_cores_(cores)
+        : machine_(machine), cores_(cores)
     {
         sbhbm_assert(cores >= 1 && cores <= machine.cores(),
                      "core count %u outside 1..%u", cores,
@@ -192,20 +191,6 @@ class Executor
     unsigned cores() const { return cores_; }
     unsigned busyCores() const { return busy_; }
 
-    /**
-     * Degrade to @p n usable core slots (the slow-shard fault): new
-     * dispatches respect the lower limit while in-flight tasks finish
-     * naturally. Clamped to [1, configured cores]; 0 restores the
-     * full count. Restoring re-pumps so any backlog drains onto the
-     * recovered slots immediately.
-     */
-    void
-    setCoreLimit(unsigned n)
-    {
-        cores_ = n == 0 ? base_cores_ : std::clamp(n, 1u, base_cores_);
-        pump();
-    }
-
     /** Tasks shed: always 0, since every task runs to completion and
      *  allocation failure is fatal. perfbench still reports it. */
     uint64_t shedTasks() const { return 0; }
@@ -300,8 +285,7 @@ class Executor
     }
 
     sim::Machine &machine_;
-    unsigned cores_;
-    unsigned base_cores_;
+    const unsigned cores_;
     unsigned busy_ = 0;
     uint64_t spawned_ = 0;
     uint64_t completed_ = 0;

@@ -16,7 +16,7 @@
  * before t with nothing pending earlier — Machine::syncTo(t) is
  * always legal before acting on another shard (placement, failover).
  * Shard 0's machine is the control plane (control()): session
- * arrivals, admission ticks, injected faults and recovery run there.
+ * arrivals, admission ticks, injected crashes and recovery run there.
  *
  * A crashed shard's sessions go to the graveyard rather than being
  * destroyed: the dead engine's in-flight (zombie) tasks still
@@ -81,7 +81,7 @@ class EngineFleet
     EngineShard &operator[](uint32_t s) { return *shards_[s]; }
     runtime::Engine &engine(uint32_t s) { return shards_[s]->eng; }
 
-    /** Shard 0's machine: arrivals, admission, faults, recovery. */
+    /** Shard 0's machine: arrivals, admission, crashes, recovery. */
     sim::Machine &control() { return shards_[0]->eng.machine(); }
 
     /** Is shard @p s dead (crashed by an injected fault)? */
@@ -93,18 +93,6 @@ class EngineFleet
     bury(std::unique_ptr<Tenant> t)
     {
         graveyard_.push_back(std::move(t));
-    }
-
-    /** The session @p id currently runs as, wherever it is. */
-    Tenant *
-    findTenant(runtime::StreamId id)
-    {
-        for (auto &sh : shards_) {
-            auto it = sh->tenants.find(id);
-            if (it != sh->tenants.end())
-                return it->second.get();
-        }
-        return nullptr;
     }
 
     /**

@@ -33,23 +33,21 @@
  * single machine's run() loop and every output is byte-identical to
  * the single-engine server.
  *
- * Fault tolerance (ServeConfig::fault) layers four mechanisms on the
- * same invariants: a deterministic fault plan armed on the
- * control-plane machine; watermark-aligned per-session checkpoints
- * (quiesce → snapshot operator state → charge the copy traffic);
- * shard failover (a crashed shard's sessions restart on survivors
- * from their last checkpoint, replay their source past the cut under
- * logical event time, and deduplicate already-delivered windows at
- * the egress — recovered output is bit-identical to a fault-free
- * run); and graceful degradation (rejected arrivals retry with
- * backoff, slow shards degrade and recover). Memory pressure is met
- * by spill and back-pressure alone, never by dropping work: running
- * out of simulated DRAM is fatal in every mode, so size DRAM and the
- * in-flight budgets for the load. With telemetry installed, the
- * server records every firing as a "fault" instant, and every fault,
- * crash, recovery and loss as a "recovery" instant, on the trace
- * sink — the reproducibility fingerprint; without telemetry neither
- * is recorded.
+ * Fault tolerance (ServeConfig::fault) layers three mechanisms on
+ * the same invariants: a deterministic plan of shard crashes armed on
+ * the control-plane machine; watermark-aligned per-session
+ * checkpoints (quiesce → snapshot operator state → charge the copy
+ * traffic); and shard failover (a crashed shard's sessions restart on
+ * survivors from their last checkpoint, replay their source past the
+ * cut under logical event time, and deduplicate already-delivered
+ * windows at the egress — recovered output is bit-identical to a
+ * fault-free run). Memory pressure is met by spill and back-pressure
+ * alone, never by dropping work: running out of simulated DRAM is
+ * fatal in every mode, so size DRAM and the in-flight budgets for the
+ * load. With telemetry installed, the server records every firing as
+ * a "fault" instant, and every fault, crash, recovery and loss as a
+ * "recovery" instant, on the trace sink — the reproducibility
+ * fingerprint; without telemetry neither is recorded.
  */
 
 #ifndef SBHBM_SERVE_SERVER_H
@@ -79,16 +77,14 @@ namespace sbhbm::serve {
 
 /**
  * Fault-tolerance knobs. The fault plan itself is deterministic (a
- * seeded schedule of virtual-time events), so a chaos run is exactly
- * as reproducible as a fault-free one: same plan, same seed, same
- * bits.
+ * seeded schedule of virtual-time shard crashes), so a chaos run is
+ * exactly as reproducible as a fault-free one: same plan, same seed,
+ * same bits. Both default off.
  */
 struct FaultToleranceConfig
 {
-    /** Master switch: fault plan, checkpointing, failover, recovery. */
-    bool enabled = false;
-
-    /** The fault schedule (explicit or FaultPlan::scatter). */
+    /** The crash schedule (explicit or FaultPlan::scatter); empty
+     *  injects nothing. */
     sim::FaultPlan plan;
 
     /**
@@ -98,15 +94,11 @@ struct FaultToleranceConfig
      * (pause source, drain in-flight work) so the cut is exact.
      */
     SimTime checkpoint_period = 0;
-
-    /** Re-offer a rejected arrival up to this many times, with
-     *  kAdmissionRetryBackoff linear backoff between attempts. */
-    uint32_t admission_retries = 0;
 };
 
-// Fixed fault-tolerance timing. With fault tolerance enabled,
-// checkpoints are always incremental (unchanged runs are reused from
-// the previous cut without a copy charge).
+// Fixed fault-tolerance timing. Checkpoints are always incremental
+// (unchanged runs are reused from the previous cut without a copy
+// charge).
 
 /** Poll interval while waiting for checkpoint quiescence. */
 constexpr SimTime kQuiescePoll = kNsPerMs / 10;
@@ -117,9 +109,6 @@ constexpr SimTime kRecoveryDelay = kNsPerMs;
 /** Recovery placement retries before a session is declared lost
  *  (bounds termination when no live shard ever has headroom). */
 constexpr uint32_t kMaxRecoveryAttempts = 64;
-
-/** Linear backoff step between re-offers of a rejected arrival. */
-constexpr SimTime kAdmissionRetryBackoff = 20 * kNsPerMs;
 
 /** Serving-layer configuration. */
 struct ServeConfig
@@ -157,7 +146,7 @@ struct ServeConfig
     /** Engine shards; 1 reproduces the single-engine server. */
     uint32_t shards = 1;
 
-    /** Fault injection, checkpointing and failover. */
+    /** Shard-crash injection, checkpointing and failover. */
     FaultToleranceConfig fault;
 
     /**
@@ -239,11 +228,12 @@ struct TenantReport
     SimTime downtime_ns = 0;
 
     /** Records re-ingested past a checkpoint during recovery; the
-     *  server asserts records + records_shed == offered + replayed
-     *  for every drained session. */
+     *  server asserts records == offered + replayed for every
+     *  drained session. */
     uint64_t records_replayed = 0;
 
-    /** Records consumed but dropped by injected ingest drops. */
+    /** Records consumed but dropped: always 0, since no fault drops
+     *  records. perfbench still reports it. */
     uint64_t records_shed = 0;
 
     /** Replayed result records the egress deduplicated. */
@@ -253,9 +243,6 @@ struct TenantReport
     uint64_t checkpoints = 0;
     uint64_t checkpoint_copied_bytes = 0;
     uint64_t checkpoint_reused_bytes = 0;
-
-    /** Rejected-arrival retries consumed. */
-    uint32_t admission_retries = 0;
 
     // SLA breach attribution (ns, indexed by StallCause).
 
@@ -360,17 +347,14 @@ class Server
             fleet_.engine(s).monitor().start();
         if (cfg_.admission.mode == AdmissionMode::kLivePressure)
             admissionTick();
-        if (cfg_.fault.enabled) {
-            // Faults fire on the control-plane machine (the
-            // globally-earliest event when they do), so onFault may
-            // syncTo any shard before acting on it. Daemon events:
-            // faults never keep an otherwise-finished run alive.
-            sim::FaultPlan plan = cfg_.fault.plan;
-            plan.canonicalize();
-            for (const sim::FaultEvent &e : plan.events) {
-                fleet_.control().at(
-                    e.at, [this, e] { onFault(e); }, /*daemon=*/true);
-            }
+        // Crashes fire on the control-plane machine (the
+        // globally-earliest event when they do), so onFault may syncTo
+        // any shard before acting on it. Its event queue fires them by
+        // time, ties in plan order. Daemon events: faults never keep
+        // an otherwise-finished run alive.
+        for (const sim::FaultEvent &e : cfg_.fault.plan.events) {
+            fleet_.control().at(
+                e.at, [this, e] { onFault(e); }, /*daemon=*/true);
         }
         fleet_.run();
 
@@ -492,10 +476,8 @@ class Server
             const uint32_t shard = a == Admission::kAdmitted
                                        ? registry_.shardOf(spec.id)
                                        : 0;
-            tp->trace.instant(
-                now, shard, spec.id, "admission", verdict,
-                {{"hbm_reserve", spec.hbm_reserve_bytes},
-                 {"retry", rep.admission_retries}});
+            tp->trace.instant(now, shard, spec.id, "admission", verdict,
+                              {{"hbm_reserve", spec.hbm_reserve_bytes}});
         }
         switch (a) {
           case Admission::kAdmitted:
@@ -505,18 +487,6 @@ class Server
             rep.was_queued = true;
             break;
           case Admission::kRejected:
-            // Graceful degradation: a rejected arrival retries with
-            // linear backoff instead of failing outright — a fleet
-            // briefly saturated (or degraded by a fault) sheds the
-            // arrival in time, not in kind.
-            if (cfg_.fault.enabled
-                && rep.admission_retries < cfg_.fault.admission_retries) {
-                ++rep.admission_retries;
-                const SimTime backoff =
-                    kAdmissionRetryBackoff * rep.admission_retries;
-                fleet_.control().after(backoff,
-                                       [this, spec] { arrive(spec); });
-            }
             break;
         }
     }
@@ -577,8 +547,8 @@ class Server
         }
         eng.machine().after(kNsPerMs,
                             [this, s, id = spec.id] { poll(s, id); });
-        if (cfg_.fault.enabled && cfg_.fault.checkpoint_period > 0
-            && t.migratable() && spec.logical_time)
+        if (cfg_.fault.checkpoint_period > 0 && t.migratable()
+            && spec.logical_time)
             scheduleCheckpoint(s, spec.id);
     }
 
@@ -713,7 +683,6 @@ class Server
         rep.demoted_bytes += eng.director().demotedBytes(id);
 
         // Fault-tolerance accounting for this segment.
-        rep.records_shed += t.recordsShed();
         rep.suppressed_records += t.egress().suppressedRecords();
         rep.downtime_ns += sla.downtimeNs();
 
@@ -755,14 +724,12 @@ class Server
         ckpts_.erase(id);
 
         // Record conservation: every offered record (on each source
-        // of a two-stream session) was ingested or shed, and recovery
-        // replays re-ingest on top.
-        sbhbm_assert(rep.records + rep.records_shed
-                         == offered + rep.records_replayed,
-                     "tenant %u: ingested %llu + shed %llu != offered"
-                     " %llu + replayed %llu",
+        // of a two-stream session) was ingested, and recovery replays
+        // re-ingest on top.
+        sbhbm_assert(rep.records == offered + rep.records_replayed,
+                     "tenant %u: ingested %llu != offered %llu +"
+                     " replayed %llu",
                      id, (unsigned long long)rep.records,
-                     (unsigned long long)rep.records_shed,
                      (unsigned long long)offered,
                      (unsigned long long)rep.records_replayed);
 
@@ -806,7 +773,7 @@ class Server
     }
 
     // ---------------------------------------------------------------
-    // Fault tolerance: injection, crash, failover, checkpointing.
+    // Fault tolerance: crash injection, failover, checkpointing.
     // ---------------------------------------------------------------
 
     static constexpr uint32_t kNoShard = ~0u;
@@ -828,54 +795,19 @@ class Server
     }
 
     /**
-     * Dispatch one injected fault. Fires on the control-plane machine
-     * inside the globally-earliest event, so syncing any shard forward
-     * before acting on it is legal. With telemetry installed, records
-     * the firing as a "fault" instant on the target's shard and tenant
-     * track first.
+     * Fire one planned shard crash. Fires on the control-plane machine
+     * inside the globally-earliest event, so crashShard may sync any
+     * shard forward. With telemetry installed, records the firing as
+     * a "fault" instant on the shard's track first.
      */
     void
     onFault(const sim::FaultEvent &e)
     {
-        const SimTime now = fleet_.control().now();
-        if (obs::Telemetry *tp = cfg_.telemetry) {
-            tp->trace.instant(e.at, e.shard, e.tenant, "fault",
-                              sim::faultKindName(e.kind),
-                              {{"kind", static_cast<uint64_t>(e.kind)},
-                               {"arg", e.arg},
-                               {"arg2", e.arg2}});
-        }
-        trace("t=%llu fault %s shard=%u tenant=%u arg=%llu arg2=%llu",
-              (unsigned long long)now, sim::faultKindName(e.kind),
-              e.shard, e.tenant, (unsigned long long)e.arg,
-              (unsigned long long)e.arg2);
-        switch (e.kind) {
-          case sim::FaultKind::kShardCrash:
-            crashShard(e.shard);
-            break;
-          case sim::FaultKind::kIngestStall:
-            if (Tenant *t = fleet_.findTenant(e.tenant))
-                t->sourceA().stallUntil(now
-                                        + static_cast<SimTime>(e.arg));
-            break;
-          case sim::FaultKind::kIngestDrop:
-            if (Tenant *t = fleet_.findTenant(e.tenant))
-                t->sourceA().dropBundles(e.arg);
-            break;
-          case sim::FaultKind::kSlowShard:
-            if (e.shard < cfg_.shards && !fleet_.dead(e.shard)) {
-                runtime::Engine &eng = fleet_.engine(e.shard);
-                eng.machine().syncTo(now);
-                eng.exec().setCoreLimit(static_cast<unsigned>(e.arg));
-                // Degradation is transient: restore the full core
-                // count after the fault's duration.
-                eng.machine().after(
-                    static_cast<SimTime>(e.arg2),
-                    [&eng] { eng.exec().setCoreLimit(0); },
-                    /*daemon=*/true);
-            }
-            break;
-        }
+        if (obs::Telemetry *tp = cfg_.telemetry)
+            tp->trace.instant(e.at, e.shard, 0, "fault", "shard-crash");
+        trace("t=%llu fault shard-crash shard=%u",
+              (unsigned long long)fleet_.control().now(), e.shard);
+        crashShard(e.shard);
     }
 
     /**

@@ -40,7 +40,7 @@ namespace sbhbm::serve {
 enum class StallCause : uint32_t
 {
     kRecovery = 0, //!< crash downtime + replay of lost progress
-    kIngest,       //!< source stalled: injected, back-pressure, pause
+    kIngest,       //!< source stalled: back-pressure, checkpoint pause
     kMemory,       //!< pressure sweep copy time
     kSched,        //!< ready tasks waiting for an executor slot
     kCompute,      //!< the residual: actually doing the work

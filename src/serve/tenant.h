@@ -224,21 +224,13 @@ class Tenant
             src_b_->halt();
     }
 
-    /** Primary source (fault targeting, checkpoint quiesce). */
+    /** Primary source (crash position, checkpoint quiesce). */
     ingest::Source &sourceA() { return *src_a_; }
     const ingest::Source &sourceA() const { return *src_a_; }
 
     /** The pipeline sink (output counts, checksums, dedup horizon). */
     pipeline::EgressOp &egress() { return *built_.egress; }
     const pipeline::EgressOp &egress() const { return *built_.egress; }
-
-    /** Records consumed from the stream but dropped unprocessed. */
-    uint64_t
-    recordsShed() const
-    {
-        return src_a_->recordsShed()
-               + (src_b_ ? src_b_->recordsShed() : 0);
-    }
 
     /**
      * True when the ingestion stage and the executor stream are both

@@ -582,6 +582,18 @@ TEST_F(PrimitivesTest, PartitionRejectsRangesThatStepBack)
     ASSERT_FALSE(k->sorted());
     EXPECT_DEATH((void)partitionByRange(ctx(), *k, 300, hbm_),
                  "never decrease");
+
+    // A step back out of the key space's top, partial range: with
+    // width 10 that range's keys end at UINT64_MAX, six keys in, so
+    // key 3 lies below it even though key - lower bound wraps to
+    // less than the width.
+    constexpr uint64_t kMax = ~uint64_t{0};
+    BundleHandle top = BundleHandle::adopt(Bundle::create(hm_, 3, 2));
+    top->append({kMax - 5, 0, 0});
+    top->append({3, 0, 0});
+    KpaPtr kt = extract(ctx(), *top, 0, hbm_);
+    EXPECT_DEATH((void)partitionByRange(ctx(), *kt, 10, hbm_),
+                 "never decrease");
 }
 
 TEST_F(PrimitivesTest, PartitionHandlesFullKeyspaceExtremes)
@@ -600,6 +612,29 @@ TEST_F(PrimitivesTest, PartitionHandlesFullKeyspaceExtremes)
     EXPECT_EQ(parts[2].range, ~uint64_t{0});
     for (const auto &rp : parts)
         EXPECT_EQ(rp.part->size(), 1u);
+
+    // Width 10: the top range, UINT64_MAX / 10, holds only six keys,
+    // and its last key (range * 10 + 9) would overflow 64 bits. Its
+    // keys come out of order, after one key of the range below it.
+    constexpr uint64_t kMax = ~uint64_t{0};
+    const uint64_t keys[] = {3, kMax - 6, kMax - 5, kMax, kMax - 2};
+    BundleHandle top = BundleHandle::adopt(Bundle::create(hm_, 3, 5));
+    for (uint64_t key : keys)
+        top->append({key, 0, 0});
+    KpaPtr kt = extract(ctx(), *top, 0, hbm_);
+    ASSERT_FALSE(kt->sorted());
+    auto tparts = partitionByRange(ctx(), *kt, 10, hbm_);
+    ASSERT_EQ(tparts.size(), 3u);
+    EXPECT_EQ(tparts[0].range, 0u);
+    EXPECT_EQ(tparts[1].range, kMax / 10 - 1);
+    EXPECT_EQ(tparts[2].range, kMax / 10);
+    const std::vector<std::vector<uint64_t>> expect = {
+        {3}, {kMax - 6}, {kMax - 5, kMax, kMax - 2}};
+    for (size_t p = 0; p < tparts.size(); ++p) {
+        ASSERT_EQ(tparts[p].part->size(), expect[p].size());
+        for (uint32_t i = 0; i < tparts[p].part->size(); ++i)
+            EXPECT_EQ(tparts[p].part->at(i).key, expect[p][i]);
+    }
 }
 
 TEST_F(PrimitivesTest, SortKpaChargesUnchangedOnPresortedEntries)

@@ -178,8 +178,7 @@ TEST(ObsCostLogNeutral, TelemetryOnDoesNotPerturbTheSimulation)
 /** What a faulted fleet's reports externalize, for equality. */
 struct FaultedResult
 {
-    std::vector<uint64_t> records, output_records, windows, replayed,
-        shed;
+    std::vector<uint64_t> records, output_records, windows, replayed;
     std::vector<uint32_t> recoveries;
     std::vector<std::map<columnar::WindowId, uint64_t>> window_records,
         window_checksums;
@@ -189,8 +188,9 @@ struct FaultedResult
 
 /**
  * Two recoverable sessions on three shards (tenant 1 on shard 0,
- * tenant 2 on shard 1) under a plan that stalls and drops tenant 1's
- * ingest and crashes tenant 2's shard after several checkpoints.
+ * tenant 2 on shard 1) under a plan built out of time order: it
+ * crashes tenant 2's shard after several checkpoints, and the empty
+ * shard 2 before that.
  */
 FaultedResult
 runFaulted(obs::Telemetry *tele)
@@ -200,11 +200,8 @@ runFaulted(obs::Telemetry *tele)
     cfg.engine.max_inflight_bundles = 256;
     cfg.window_ns = 2 * kNsPerMs;
     cfg.shards = 3;
-    cfg.fault.enabled = true;
     cfg.fault.checkpoint_period = 3 * kNsPerMs;
-    cfg.fault.plan.crash(10 * kNsPerMs, 1)
-        .stallIngest(4 * kNsPerMs, 1, kNsPerMs)
-        .dropIngest(6 * kNsPerMs, 1, 2);
+    cfg.fault.plan.crash(10 * kNsPerMs, 1).crash(6 * kNsPerMs, 2);
     cfg.telemetry = tele;
     Server server(cfg);
     for (runtime::StreamId id : {1u, 2u}) {
@@ -229,7 +226,6 @@ runFaulted(obs::Telemetry *tele)
         r.output_records.push_back(rep.output_records);
         r.windows.push_back(rep.windows);
         r.replayed.push_back(rep.records_replayed);
-        r.shed.push_back(rep.records_shed);
         r.recoveries.push_back(rep.recoveries);
         r.window_records.push_back(rep.window_records);
         r.window_checksums.push_back(rep.window_checksums);
@@ -249,24 +245,20 @@ TEST(ObsCostLogNeutral, TelemetryOnDoesNotPerturbAFaultedRun)
         faults += std::strcmp(e.cat, "fault") == 0 ? 1 : 0;
         recoveries += std::strcmp(e.cat, "recovery") == 0 ? 1 : 0;
     }
-    EXPECT_EQ(faults, 3u);
+    EXPECT_EQ(faults, 2u);
     EXPECT_GT(recoveries, 0u);
 
-    // The plan was built out of time order; its faults fire in time
-    // order, each on its shard and tenant track with its kind and
-    // magnitudes, and each right before its own "recovery" fault line.
+    // The plan was built out of time order; its crashes fire in time
+    // order, one "fault" instant each on its shard's control track,
+    // each right before its own "recovery" fault line.
     struct Want
     {
         SimTime at;
-        sim::FaultKind kind;
         uint32_t shard;
-        uint32_t tenant;
-        uint64_t arg;
     };
     const Want want[] = {
-        {4 * kNsPerMs, sim::FaultKind::kIngestStall, 0, 1, kNsPerMs},
-        {6 * kNsPerMs, sim::FaultKind::kIngestDrop, 0, 1, 2},
-        {10 * kNsPerMs, sim::FaultKind::kShardCrash, 1, 0, 0},
+        {6 * kNsPerMs, 2},
+        {10 * kNsPerMs, 1},
     };
     const std::vector<obs::TraceEvent> &events = tele.trace.events();
     size_t next = 0;
@@ -279,31 +271,21 @@ TEST(ObsCostLogNeutral, TelemetryOnDoesNotPerturbAFaultedRun)
         EXPECT_EQ(e.ph, 'i');
         EXPECT_EQ(e.ts, w.at);
         EXPECT_EQ(e.pid, w.shard);
-        EXPECT_EQ(e.tid, w.tenant);
-        EXPECT_EQ(e.name, sim::faultKindName(w.kind));
-        ASSERT_EQ(e.nargs, 3u);
-        EXPECT_STREQ(e.args[0].key, "kind");
-        EXPECT_EQ(e.args[0].value, static_cast<uint64_t>(w.kind));
-        EXPECT_STREQ(e.args[1].key, "arg");
-        EXPECT_EQ(e.args[1].value, w.arg);
-        EXPECT_STREQ(e.args[2].key, "arg2");
-        EXPECT_EQ(e.args[2].value, 0u);
+        EXPECT_EQ(e.tid, 0u);
+        EXPECT_EQ(e.name, "shard-crash");
+        EXPECT_EQ(e.nargs, 0u);
 
         ASSERT_LT(i + 1, events.size());
         const obs::TraceEvent &line = events[i + 1];
         EXPECT_STREQ(line.cat, "recovery");
-        EXPECT_EQ(line.name,
-                  "t=" + std::to_string(w.at) + " fault "
-                      + sim::faultKindName(w.kind)
-                      + " shard=" + std::to_string(w.shard)
-                      + " tenant=" + std::to_string(w.tenant)
-                      + " arg=" + std::to_string(w.arg) + " arg2=0");
+        EXPECT_EQ(line.name, "t=" + std::to_string(w.at)
+                                 + " fault shard-crash shard="
+                                 + std::to_string(w.shard));
     }
     EXPECT_EQ(next, std::size(want));
 
     EXPECT_EQ(on.recoveries, (std::vector<uint32_t>{0, 1}));
     EXPECT_GT(on.replayed[1], 0u);
-    EXPECT_GT(on.shed[0], 0u) << "the drop shed tenant 1's records";
 
     EXPECT_TRUE(off == on)
         << "recording fault and recovery instants must be pure "
