@@ -28,16 +28,18 @@
  * downtime — with the exactly-once acceptance checked as shape
  * tests: no session lost, records conserved across the replay, and
  * every point's per-window output bit-identical to the fault-free
- * baseline. Written to BENCH_serve.json (schema sbhbm-serve-v5) for
+ * baseline. Written to BENCH_serve.json (schema sbhbm-serve-v6) for
  * the CI artifact.
  *
- * Schema v5 adds SLA breach attribution to the overload point: each
+ * Schema v5 added SLA breach attribution to the overload point: each
  * tenant's watermark latency decomposed into recovery-replay, ingest-
  * wait, memory-stall, sched-queue and compute components (summing
  * exactly to the measured latency), the dominant cause of its
  * violating windows, and a pooled latency histogram. With --trace the
  * overload point also records the unified telemetry plane and writes
- * a Chrome trace_event JSON timeline.
+ * a Chrome trace_event JSON timeline. Schema v6 drops the failover
+ * points' suppressed_records: a recovered session never redelivers a
+ * committed window, so there is nothing to deduplicate.
  *
  * Usage: serve_report [--smoke] [--out <path>] [--trace <path>]
  */
@@ -353,7 +355,6 @@ struct FailoverPoint
     uint64_t copied_bytes = 0;
     uint64_t reused_bytes = 0;
     uint64_t records_replayed = 0;
-    uint64_t suppressed_records = 0;
     double mean_downtime_ms = 0;
     bool output_identical = true; //!< per-window output == baseline
     bool conserved = true;        //!< ingest == offered + replay
@@ -425,7 +426,6 @@ runFailoverPoint(SimTime checkpoint_period, bool smoke,
         p.copied_bytes += r.checkpoint_copied_bytes;
         p.reused_bytes += r.checkpoint_reused_bytes;
         p.records_replayed += r.records_replayed;
-        p.suppressed_records += r.suppressed_records;
         downtime_ns += r.downtime_ns;
         if (!r.lost
             && r.records != r.spec.total_records + r.records_replayed)
@@ -548,7 +548,6 @@ writeFailoverPoint(obs::JsonWriter &w, const FailoverPoint &p)
     w.key("copied_bytes").value(p.copied_bytes);
     w.key("reused_bytes").value(p.reused_bytes);
     w.key("records_replayed").value(p.records_replayed);
-    w.key("suppressed_records").value(p.suppressed_records);
     w.key("mean_downtime_ms").value(p.mean_downtime_ms, 3);
     w.key("output_identical").value(p.output_identical);
     w.key("conserved").value(p.conserved);
@@ -563,7 +562,7 @@ writeJson(const std::string &path, const std::vector<Point> &points,
 {
     obs::JsonWriter w;
     w.beginObject();
-    w.key("schema").value("sbhbm-serve-v5");
+    w.key("schema").value("sbhbm-serve-v6");
     w.key("cores").value(kCores);
     w.key("points").beginArray();
     for (const Point &p : points)

@@ -13,9 +13,10 @@
  * target, charging the migration traffic to the machine.
  *
  * The director is ticked by the runtime's ResourceMonitor at every
- * sample, right after the knob refresh. With `enabled = false` (the
- * default) tick() is a no-op and every figure and example reproduces
- * the pre-control-plane output bit for bit. The monitor charges each
+ * sample, right after the knob refresh. Disabled (the default; the
+ * engine enables it with EngineConfig::control_plane) tick() is a
+ * no-op and every figure and example reproduces the
+ * pre-control-plane output bit for bit. The monitor charges each
  * sweep's copy traffic through chargeSweep().
  */
 
@@ -45,7 +46,7 @@ struct DemoteResult
 };
 
 /**
- * Something that owns demotable HBM state (a pipeline operator's
+ * Something that owns demotable HBM state (a grouping operator's
  * accumulated window runs). Providers register with the director and
  * are swept in registration order — which is operator construction
  * order, hence deterministic.
@@ -69,39 +70,29 @@ class ColdStateProvider
                                          sim::CostLog &log) = 0;
 };
 
-/** Demotion control knobs. */
-struct PressureConfig
-{
-    /** Master switch; off reproduces pre-control-plane behavior. */
-    bool enabled = false;
-
-    /** HBM used fraction above which demotion starts (the balance
-     *  knob's kHbmHigh, so the knob and the director engage at the
-     *  same pressure). */
-    double high_water = runtime::BalanceKnob::kHbmHigh;
-
-    /** Used fraction demotion drives back down to. */
-    double low_water = 0.65;
-
-    /** Migration budget per tick, charged gauge bytes. */
-    uint64_t max_bytes_per_tick = 64ull << 20;
-};
-
 /** Sweeps cold-state providers when HBM runs hot. */
 class PressureDirector
 {
   public:
-    PressureDirector(HybridMemory &hm, PressureConfig cfg)
-        : hm_(hm), cfg_(cfg)
+    /** HBM used fraction above which demotion starts: the balance
+     *  knob's own threshold, so the two engage at the same pressure. */
+    static constexpr double kHighWater = runtime::BalanceKnob::kHbmHigh;
+
+    /** Used fraction a sweep drives HBM back down to. */
+    static constexpr double kLowWater = 0.65;
+    static_assert(kLowWater <= kHighWater, "low water above high water");
+
+    /** Migration budget per tick, charged gauge bytes. */
+    static constexpr uint64_t kMaxBytesPerTick = 64ull << 20;
+
+    /** @param enabled off makes every tick() a no-op. */
+    PressureDirector(HybridMemory &hm, bool enabled)
+        : hm_(hm), enabled_(enabled)
     {
-        sbhbm_assert(cfg.low_water <= cfg.high_water,
-                     "low water above high water");
     }
 
     PressureDirector(const PressureDirector &) = delete;
     PressureDirector &operator=(const PressureDirector &) = delete;
-
-    const PressureConfig &config() const { return cfg_; }
 
     /** Install the telemetry plane sweep spans are recorded on (null
      *  disables recording); @p shard labels them. */
@@ -148,16 +139,16 @@ class PressureDirector
     tick()
     {
         Sweep sweep;
-        if (!cfg_.enabled || hm_.mode() != sim::MemoryMode::kFlat)
+        if (!enabled_ || hm_.mode() != sim::MemoryMode::kFlat)
             return sweep;
         const CapacityGauge &g = hm_.gauge(Tier::kHbm);
-        if (g.capacity() == 0 || g.usedFraction() <= cfg_.high_water)
+        if (g.capacity() == 0 || g.usedFraction() <= kHighWater)
             return sweep;
 
         const auto target = static_cast<uint64_t>(
-            cfg_.low_water * static_cast<double>(g.capacity()));
+            kLowWater * static_cast<double>(g.capacity()));
         uint64_t want = g.used() > target ? g.used() - target : 0;
-        want = std::min(want, cfg_.max_bytes_per_tick);
+        want = std::min(want, kMaxBytesPerTick);
         if (want == 0)
             return sweep;
         ++pressure_ticks_;
@@ -267,7 +258,7 @@ class PressureDirector
     }
 
     HybridMemory &hm_;
-    PressureConfig cfg_;
+    bool enabled_;
     std::vector<ColdStateProvider *> providers_;
     uint64_t pressure_ticks_ = 0;
     uint64_t demoted_bytes_ = 0;

@@ -17,10 +17,10 @@
  *
  * Memory control plane: the sorted runs a KeyedAggOp accumulates per
  * window are exactly the long-lived HBM state the pressure director
- * targets — the SortedRunsOp base exposes every run beyond the target
- * watermark's window through Operator::coldState(), so under HBM
- * capacity pressure cold aggregation state is demoted to DRAM while
- * the window about to close keeps its HBM residency.
+ * targets — the SortedRunsOp base demotes every run beyond the target
+ * watermark's window (SortedRunsOp::demoteColdState), so under HBM
+ * capacity pressure cold aggregation state moves to DRAM while the
+ * window about to close keeps its HBM residency.
  */
 
 #ifndef SBHBM_PIPELINE_AGGREGATIONS_H

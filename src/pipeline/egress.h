@@ -6,11 +6,13 @@
  *
  * For fault tolerance the egress also keeps an order-insensitive
  * checksum per window (summed per-record FNV hashes, so parallel
- * reduce shards may land in any order) and supports a dedup horizon:
- * a recovered tenant replaying past its checkpoint recomputes windows
- * the dead shard already externalized, and those results are
- * suppressed — counted and checksummed (recovery exactness can be
- * cross-checked against the pre-crash run) but not double-delivered.
+ * reduce shards may land in any order): a recovered tenant's output
+ * is checked window for window against a fault-free run. A recovered
+ * tenant never reaches this sink with a window below its resume
+ * point — a checkpoint restore replays only records past the cut,
+ * whose windows all lie at or past the checkpoint's next_close, and
+ * a scratch restart commits nothing before its replay — so the
+ * server settles output without deduplicating it.
  */
 
 #ifndef SBHBM_PIPELINE_EGRESS_H
@@ -32,7 +34,7 @@ class EgressOp : public Operator
     {
     }
 
-    /** Total result records received (excludes suppressed replays). */
+    /** Total result records received. */
     uint64_t outputRecords() const { return output_records_; }
 
     /** Result record counts per window. */
@@ -44,29 +46,14 @@ class EgressOp : public Operator
 
     /**
      * Order-insensitive content checksum per window: the sum of each
-     * result record's FNV-1a hash. Includes suppressed (replayed)
-     * windows, which is exactly what makes recovery verifiable.
+     * result record's FNV-1a hash, which is what makes recovery
+     * verifiable.
      */
     const std::map<columnar::WindowId, uint64_t> &
     windowChecksums() const
     {
         return window_checksums_;
     }
-
-    /**
-     * Suppress delivery of windows below @p w: they were externalized
-     * by the pre-crash incarnation of this tenant. Replayed results
-     * for them are checksummed and counted in suppressedRecords()
-     * only.
-     */
-    void
-    setDedupBefore(columnar::WindowId w)
-    {
-        dedup_before_ = std::max(dedup_before_, w);
-    }
-
-    /** Replayed result records suppressed by the dedup horizon. */
-    uint64_t suppressedRecords() const { return suppressed_records_; }
 
   protected:
     void
@@ -77,13 +64,6 @@ class EgressOp : public Operator
         if (msg.has_window) {
             const columnar::WindowId w = msg.window;
             window_checksums_[w] += bundleChecksum(*msg.bundle);
-            if (w < dedup_before_) {
-                // Replayed output for a window the pre-crash run
-                // already delivered: recompute (checksum above) but
-                // do not double-deliver.
-                suppressed_records_ += msg.bundle->size();
-                return;
-            }
             if (window_records_.find(w) == window_records_.end()) {
                 // First result for this window: its output delay.
                 const SimTime now = eng_.machine().now();
@@ -126,8 +106,6 @@ class EgressOp : public Operator
     }
 
     uint64_t output_records_ = 0;
-    uint64_t suppressed_records_ = 0;
-    columnar::WindowId dedup_before_ = 0;
     std::map<columnar::WindowId, uint64_t> window_records_;
     std::map<columnar::WindowId, uint64_t> window_checksums_;
 };

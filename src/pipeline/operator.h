@@ -31,7 +31,6 @@
 #include "common/logging.h"
 #include "common/unique_function.h"
 #include "kpa/primitives.h"
-#include "mem/pressure_director.h"
 #include "pipeline/message.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/state_snapshot.h"
@@ -41,16 +40,8 @@ namespace sbhbm::pipeline {
 
 using columnar::Watermark;
 
-/**
- * Base class of all pipeline operators.
- *
- * Every operator is also a ColdStateProvider registered with the
- * engine's PressureDirector: operators that accumulate window-state
- * KPAs override coldState() to expose the demotable ones (coldest
- * first), and the base class handles the actual migration plus
- * traffic charging when the director asks for HBM relief.
- */
-class Operator : public mem::ColdStateProvider
+/** Base class of all pipeline operators. */
+class Operator
 {
   public:
     /** Output collector passed to task bodies. */
@@ -73,51 +64,13 @@ class Operator : public mem::ColdStateProvider
     {
         sbhbm_assert(num_ports >= 1 && num_ports <= 2,
                      "1 or 2 input ports supported");
-        eng_.director().registerProvider(this);
     }
 
-    ~Operator() override { eng_.director().unregisterProvider(this); }
+    virtual ~Operator() = default;
     Operator(const Operator &) = delete;
     Operator &operator=(const Operator &) = delete;
 
     const std::string &name() const { return name_; }
-
-    /** Stream (tenant) this operator's state is accounted to. */
-    uint32_t providerStream() const override { return pipe_.streamId(); }
-
-    /**
-     * The pressure director's demotion sweep over coldState(): migrate
-     * cold HBM-resident KPAs to DRAM until ~@p want_charged_bytes of
-     * HBM gauge capacity is freed.
-     */
-    mem::DemoteResult
-    demoteColdState(uint64_t want_charged_bytes,
-                    sim::CostLog &log) override
-    {
-        mem::DemoteResult res;
-        for (kpa::Kpa *k : coldState()) {
-            if (res.charged_bytes >= want_charged_bytes)
-                break;
-            if (k->tier() != mem::Tier::kHbm)
-                continue;
-            const uint64_t charged = k->chargedBytes();
-            // Charge what the migration actually moves: the backing
-            // allocation — entry_scale times larger than bytes() when
-            // grouping state is full records (the NoKPA ablation).
-            const uint64_t bytes = k->allocatedBytes();
-            if (!k->migrate(mem::Tier::kDram))
-                continue; // DRAM full: keep the KPA where it is
-            eng_.memory().charge(log, mem::Tier::kHbm,
-                                 sim::AccessPattern::kSequential, bytes);
-            eng_.memory().charge(log, mem::Tier::kDram,
-                                 sim::AccessPattern::kSequential,
-                                 2 * bytes);
-            res.charged_bytes += charged;
-            ++res.kpas;
-        }
-        return res;
-    }
-
 
     /**
      * Capture this operator's accumulated state into @p out for a
@@ -128,13 +81,13 @@ class Operator : public mem::ColdStateProvider
      *
      * The default declares the operator stateless (pass-through /
      * externally-reconstructible state). Stateful operators of
-     * single-stream sessions either implement a real capture
+     * single-stream queries either implement a real capture
      * (SortedRunsOp) or override to return kUnsupported (AvgAllOp),
-     * which makes the owning tenant recover by scratch-restart (full
-     * replay + output dedup) instead of checkpoint restore. The
-     * two-stream operators (TemporalJoinOp, WindowedFilterOp) need no
-     * override: the server never checkpoints a two-stream session,
-     * and Tenant::capture marks such a cut non-restorable.
+     * which makes the owning tenant recover by scratch-restart (a
+     * full replay that commits nothing before it) instead of
+     * checkpoint restore. The two-stream operators (TemporalJoinOp,
+     * WindowedFilterOp) need no override: the server refuses
+     * two-stream queries.
      */
     virtual SnapshotSupport
     snapshotState(OperatorSnapshot &out, const OperatorSnapshot *prev,
@@ -190,16 +143,6 @@ class Operator : public mem::ColdStateProvider
   protected:
     /** React to a data message (spawn tasks via spawnTracked). */
     virtual void process(Msg msg, int port) = 0;
-
-    /**
-     * Window-state KPAs the pressure director may demote to DRAM,
-     * coldest (furthest from externalization) first. Only state off
-     * the close critical path may appear here: the director runs
-     * between tasks, so returned KPAs must be quiescent (held
-     * accumulation state, not inputs of in-flight tasks). Stateless
-     * operators keep the default: nothing to demote.
-     */
-    virtual std::vector<kpa::Kpa *> coldState() { return {}; }
 
     /**
      * The aligned watermark advanced AND every task spawned before it

@@ -106,10 +106,10 @@ class Pipeline
     /**
      * Recovery: resume the target watermark at window @p next without
      * recording externalizations for the skipped prefix — those
-     * windows were externalized by the pre-crash incarnation.
-     * Replayed data for windows below @p next still flows through the
-     * operators (and is deduplicated at egress), but classify() tags
-     * it Urgent and noteWindowExternalized() ignores it.
+     * windows were externalized by the pre-crash incarnation. A
+     * checkpoint restore replays only records past its cut, whose
+     * windows all lie at or past @p next, so no replayed data reaches
+     * a window below it.
      */
     void
     resumeFrom(columnar::WindowId next)

@@ -104,28 +104,6 @@ class TemporalJoinOp : public Operator
         }
     }
 
-    /**
-     * Demotion candidates: both sides' accumulated state of windows
-     * beyond the target watermark's, coldest first. A demoted side is
-     * still probed/merged by later arrivals (the join reads charge
-     * the tier the KPA actually lives on), so a victim stream keeps
-     * draining — at DRAM speed.
-     */
-    std::vector<kpa::Kpa *>
-    coldState() override
-    {
-        std::vector<kpa::Kpa *> cold;
-        const columnar::WindowId hot = pipe_.targetWindow();
-        for (auto it = state_.rbegin(); it != state_.rend(); ++it) {
-            if (it->first <= hot)
-                break;
-            for (const kpa::KpaPtr &side : it->second.side)
-                if (side != nullptr)
-                    cold.push_back(side.get());
-        }
-        return cold;
-    }
-
   private:
     struct WindowState
     {

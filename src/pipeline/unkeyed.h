@@ -90,7 +90,7 @@ class AvgAllOp : public Operator
     };
 
     /** Holds accumulators it does not capture: tenants running this
-     *  operator recover by scratch-restart (replay + dedup). */
+     *  operator recover by scratch-restart (a full replay). */
     SnapshotSupport
     snapshotState(OperatorSnapshot &, const OperatorSnapshot *,
                   sim::CostLog &) override

@@ -64,11 +64,12 @@ struct EngineConfig
     bool use_knob = true;
 
     /**
-     * Pressure-driven demotion of cold window-state KPAs (the memory
-     * control plane's feedback loop). Disabled by default: the knob
-     * alone reproduces the paper's placement behavior exactly.
+     * The memory control plane: the pressure director's demotion of
+     * cold window-state KPAs and, in the serving layer, live-pressure
+     * admission and SLA demotion. Off by default: the knob alone
+     * reproduces the paper's placement behavior exactly.
      */
-    mem::PressureConfig pressure{};
+    bool control_plane = false;
 
     /** Target output delay (paper: 1 second). */
     SimTime target_delay = kNsPerSec;
@@ -94,7 +95,7 @@ class Engine
         : cfg_(cfg), machine_(cfg.machine), hm_(machine_.config(), cfg.mode),
           exec_(machine_, cfg.cores), rng_(cfg.seed),
           knob_policy_(hm_, knob_, rng_, cfg.use_knob),
-          director_(hm_, cfg.pressure),
+          director_(hm_, cfg.control_plane),
           monitor_(machine_, hm_, knob_, [this] { return delayHeadroomOk(); },
                    cfg.monitor_period, &director_)
     {

@@ -11,10 +11,12 @@
  * result of the first `position` records and nothing else.
  *
  * Restore pairs the snapshot with replay: a recovered session rebuilds
- * its pipeline, reinstalls the operator state, and re-ingests the
- * source from `position` — logical event time makes the replayed
- * records bit-identical to the originals — while the egress
- * deduplicates windows the dead incarnation already externalized.
+ * its pipeline, reinstalls the operator state, resumes its target
+ * watermark at `next_close`, and re-ingests the source from
+ * `position` — logical event time makes the replayed records
+ * bit-identical to the originals. Windows below `next_close` were
+ * externalized before the cut and the replay never reaches them, so
+ * nothing is delivered twice.
  *
  * Checkpoints are incremental when the caller passes the previous
  * capture: runs whose KPA touch generation is unchanged share their
@@ -44,9 +46,10 @@ struct TenantCheckpoint
 
     /**
      * Every stateful operator captured its state and the session can
-     * restore from this cut (single-stream, logical time, no
-     * unsupported operators). Non-restorable sessions recover by
-     * scratch-restart instead: full replay, output deduplicated.
+     * restore from this cut (logical time, no unsupported operators).
+     * Non-restorable sessions recover by scratch-restart instead: a
+     * full replay, with everything the dead incarnation delivered
+     * rolled back.
      */
     bool restorable = false;
 

@@ -127,9 +127,10 @@ makeFleet(const FleetConfig &cfg)
 
 /**
  * Serving config whose HBM is scaled down so the overload fleet's
- * open-window KPA state overruns it. @p control_plane additionally
- * enables the pressure director, gauge-aware live admission and
- * SLA-driven placement demotion; false is the knob-only baseline.
+ * open-window KPA state overruns it. @p control_plane sets
+ * EngineConfig::control_plane: the pressure director, gauge-aware
+ * live admission and SLA-driven placement demotion; false is the
+ * knob-only baseline.
  *
  * Sizing rules the constants obey (violating either wedges sessions
  * on the ingestion deadlock guard): with delayed watermarks the
@@ -153,11 +154,7 @@ overloadServeConfig(unsigned cores, bool control_plane)
     cfg.engine.target_delay = 20 * kNsPerMs; // tight SLA in overload
     cfg.window_ns = 10 * kNsPerMs;
     cfg.admission.hbm_budget_bytes = 8ull << 20;
-    if (control_plane) {
-        cfg.engine.pressure.enabled = true;
-        cfg.admission.mode = AdmissionMode::kLivePressure;
-        cfg.sla_demotion = true;
-    }
+    cfg.engine.control_plane = control_plane;
     return cfg;
 }
 

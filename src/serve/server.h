@@ -38,16 +38,25 @@
  * the control-plane machine; watermark-aligned per-session
  * checkpoints (quiesce → snapshot operator state → charge the copy
  * traffic); and shard failover (a crashed shard's sessions restart on
- * survivors from their last checkpoint, replay their source past the
- * cut under logical event time, and deduplicate already-delivered
- * windows at the egress — recovered output is bit-identical to a
- * fault-free run). Memory pressure is met by spill and back-pressure
- * alone, never by dropping work: running out of simulated DRAM is
- * fatal in every mode, so size DRAM and the in-flight budgets for the
- * load. With telemetry installed, the server records every firing as
- * a "fault" instant, and every fault, crash, recovery and loss as a
- * "recovery" instant, on the trace sink — the reproducibility
- * fingerprint; without telemetry neither is recorded.
+ * survivors from their last checkpoint and replay their source past
+ * the cut under logical event time — recovered output is
+ * bit-identical to a fault-free run). A session resumes at one point,
+ * the checkpoint's record offset and first uncommitted window (or the
+ * stream's start for a scratch restart); output below that window is
+ * committed and the replay never reaches it, so nothing is delivered
+ * twice. Sessions run single-stream queries only (see tenant.h): the
+ * server refuses a two-stream query, which it could not recover.
+ *
+ * The memory control plane (EngineConfig::control_plane) is one
+ * switch: each shard's pressure director, live-pressure admission and
+ * SLA demotion engage together. Memory pressure is met by spill and
+ * back-pressure alone, never by dropping work: running out of
+ * simulated DRAM is fatal in every mode, so size DRAM and the
+ * in-flight budgets for the load. With telemetry installed, the
+ * server records every firing as a "fault" instant, and every fault,
+ * crash, recovery and loss as a "recovery" instant, on the trace sink
+ * — the reproducibility fingerprint; without telemetry neither is
+ * recorded.
  */
 
 #ifndef SBHBM_SERVE_SERVER_H
@@ -128,20 +137,13 @@ struct ServeConfig
     /**
      * Admission limits. An hbm_budget_bytes of 0 derives the default:
      * half of one shard machine's HBM (DRAM when the machine has
-     * none) times the shard count. admission.mode selects
-     * static-reservation vs live-pressure headroom; live mode samples
-     * each shard's engine HBM gauge windowed high-water per admission
-     * tick. The budget divides evenly over `shards` below.
+     * none) times the shard count. Headroom is the sum of static
+     * reservations, or — with engine.control_plane — the live
+     * pressure of each shard's engine HBM gauge (windowed high-water,
+     * sampled per admission tick). The budget divides evenly over
+     * `shards` below.
      */
     AdmissionConfig admission{0, 64, 64};
-
-    /**
-     * Demote an SLA-breaching tenant's placement class to DRAM-lean
-     * (its non-urgent KPAs stop competing for HBM) until its
-     * latencies recover — the serving half of the memory control
-     * plane's feedback loop.
-     */
-    bool sla_demotion = false;
 
     /** Engine shards; 1 reproduces the single-engine server. */
     uint32_t shards = 1;
@@ -220,8 +222,8 @@ struct TenantReport
     /** Successful failovers (crash → restart on a live shard). */
     uint32_t recoveries = 0;
 
-    /** Crashed and could not be recovered (two-stream session, no
-     *  logical time, or recovery placement never fit). */
+    /** Crashed and could not be recovered (no logical time, or
+     *  recovery placement never fit). */
     bool lost = false;
 
     /** Total virtual time spent dead (crash → restart). */
@@ -235,9 +237,6 @@ struct TenantReport
     /** Records consumed but dropped: always 0, since no fault drops
      *  records. perfbench still reports it. */
     uint64_t records_shed = 0;
-
-    /** Replayed result records the egress deduplicated. */
-    uint64_t suppressed_records = 0;
 
     /** Checkpoints captured, and their copy/reuse byte totals. */
     uint64_t checkpoints = 0;
@@ -278,9 +277,10 @@ class Server
     explicit Server(ServeConfig cfg)
         : cfg_(fillDefaults(std::move(cfg))),
           fleet_(cfg_.engine, cfg_.shards, cfg_.telemetry),
-          registry_(cfg_.admission, cfg_.shards)
+          registry_(cfg_.admission, cfg_.shards,
+                    /*live=*/cfg_.engine.control_plane)
     {
-        if (cfg_.admission.mode != AdmissionMode::kLivePressure)
+        if (!cfg_.engine.control_plane)
             return;
         for (uint32_t s = 0; s < cfg_.shards; ++s) {
             // Gauge-aware admission: headroom is the windowed
@@ -345,7 +345,7 @@ class Server
 
         for (uint32_t s = 0; s < fleet_.size(); ++s)
             fleet_.engine(s).monitor().start();
-        if (cfg_.admission.mode == AdmissionMode::kLivePressure)
+        if (cfg_.engine.control_plane)
             admissionTick();
         // Crashes fire on the control-plane machine (the
         // globally-earliest event when they do), so onFault may syncTo
@@ -427,9 +427,9 @@ class Server
     /** A crashed session waiting for a live shard to restart on. */
     struct PendingRecovery
     {
-        TenantSpec cont;       //!< continuation spec (resume offset)
+        runtime::StreamId id = 0;
         SimTime crashed_at = 0;
-        columnar::WindowId dedup_before = 0; //!< committed pre-crash
+        ResumePoint resume;    //!< the cut (zero: scratch restart)
         uint64_t replay = 0;   //!< records the replay will repeat
         bool use_checkpoint = false;
         uint32_t attempts = 0;
@@ -494,11 +494,11 @@ class Server
     /**
      * Launch session @p spec on shard @p s at global time @p now: its
      * first start, or — given @p pr — the restart of a crashed
-     * session from its checkpoint (or from scratch) with the
-     * pre-crash commit horizon, outage and replay count. Callers hold
-     * the co-sim invariant (they are inside the globally-earliest
-     * event), so syncing s's clock forward is legal. The target shard
-     * never ran the session (see the file comment), so its per-stream
+     * session at its resume point, from its checkpoint (or from
+     * scratch), with its outage and replay count. Callers hold the
+     * co-sim invariant (they are inside the globally-earliest event),
+     * so syncing s's clock forward is legal. The target shard never
+     * ran the session (see the file comment), so its per-stream
      * counters start at zero for this segment.
      */
     void
@@ -514,18 +514,12 @@ class Server
         TenantReport &rep = reports_[spec.id];
         rep.shard = s;
 
-        auto tenant = std::make_unique<Tenant>(eng, spec, cfg_.window_ns,
-                                               seedFor(spec));
+        auto tenant = std::make_unique<Tenant>(
+            eng, spec, cfg_.window_ns, seedFor(spec),
+            pr != nullptr ? pr->resume : ResumePoint{});
         Tenant &t = *tenant;
-        if (pr != nullptr) {
-            if (pr->use_checkpoint)
-                t.restoreFrom(ckpts_.at(spec.id));
-            // Windows committed before the crash are never
-            // redelivered: any replayed output for them is
-            // deduplicated at the sink.
-            t.pipe().resumeFrom(pr->dedup_before);
-            t.egress().setDedupBefore(pr->dedup_before);
-        }
+        if (pr != nullptr && pr->use_checkpoint)
+            t.restoreFrom(ckpts_.at(spec.id));
         sh.tenants[spec.id] = std::move(tenant);
         eng.exec().scheduler().setWeight(spec.id, spec.weight);
         t.start();
@@ -538,17 +532,16 @@ class Server
             ++rep.recoveries;
             rep.records_replayed += pr->replay;
             trace("t=%llu recover tenant=%u shard=%u mode=%s pos=%llu"
-                  " dedup<%llu replay=%llu",
+                  " window=%llu replay=%llu",
                   (unsigned long long)now, spec.id, s,
                   pr->use_checkpoint ? "checkpoint" : "scratch",
-                  (unsigned long long)spec.start_record,
-                  (unsigned long long)pr->dedup_before,
+                  (unsigned long long)pr->resume.record,
+                  (unsigned long long)pr->resume.window,
                   (unsigned long long)pr->replay);
         }
         eng.machine().after(kNsPerMs,
                             [this, s, id = spec.id] { poll(s, id); });
-        if (cfg_.fault.checkpoint_period > 0 && t.migratable()
-            && spec.logical_time)
+        if (cfg_.fault.checkpoint_period > 0 && spec.logical_time)
             scheduleCheckpoint(s, spec.id);
     }
 
@@ -562,7 +555,7 @@ class Server
     }
 
     /**
-     * Periodic admission pump (live-pressure mode only): admit
+     * Periodic admission pump (control plane only): admit
      * waiters that now fit under the measured pressure, then open a
      * fresh high-water window on every shard's gauge. Daemon-
      * scheduled on the control-plane shard: machines drain when
@@ -602,7 +595,7 @@ class Server
             return; // session crashed off this shard mid-poll
         Tenant &t = *it->second;
         t.sla().observe(t.pipe(), t.stallSnapshot());
-        if (cfg_.sla_demotion) {
+        if (cfg_.engine.control_plane) {
             // SLA feedback into placement: a breaching tenant's
             // non-urgent KPAs go DRAM-lean until it recovers.
             const bool want = t.sla().breached();
@@ -636,7 +629,8 @@ class Server
      * passes its last checkpoint cut (or 0 for scratch-restart), so
      * the uncommitted suffix is rolled back and redelivered whole by
      * the recovered incarnation — never split across a mid-emission
-     * crash boundary.
+     * crash boundary. A recovered segment never delivers a window
+     * below its resume point: those were committed before the crash.
      */
     void
     accumulate(uint32_t s, runtime::StreamId id, Tenant &t,
@@ -649,6 +643,12 @@ class Server
 
         const auto &wrec = t.egress().windowRecords();
         const auto &wsum = t.egress().windowChecksums();
+        sbhbm_assert(wrec.empty()
+                         || wrec.begin()->first >= t.resume().window,
+                     "tenant %u delivered window %llu below its resume"
+                     " window %llu",
+                     id, (unsigned long long)wrec.begin()->first,
+                     (unsigned long long)t.resume().window);
         uint64_t committed = 0;
         for (const auto &[w, n] : wrec) {
             if (w >= commit_before)
@@ -683,7 +683,6 @@ class Server
         rep.demoted_bytes += eng.director().demotedBytes(id);
 
         // Fault-tolerance accounting for this segment.
-        rep.suppressed_records += t.egress().suppressedRecords();
         rep.downtime_ns += sla.downtimeNs();
 
         // Breach attribution: fold the segment tracker's decomposed
@@ -707,7 +706,7 @@ class Server
         // A teardown is a step change in usage: restart the pressure
         // window so the departed session's peak does not keep blocking
         // admission until the next tick.
-        if (cfg_.admission.mode == AdmissionMode::kLivePressure) {
+        if (cfg_.engine.control_plane) {
             sh.eng.memory().markHighWater(pressureTier());
             registry_.noteGaugeMarked(s);
         }
@@ -718,14 +717,13 @@ class Server
     {
         const SimTime now = fleet_.engine(s).machine().now();
         TenantReport &rep = reports_[id];
-        const uint64_t offered = t.streams() * rep.spec.total_records;
+        const uint64_t offered = rep.spec.total_records;
         accumulate(s, id, t);
         teardown(s, id); // destroys t
         ckpts_.erase(id);
 
-        // Record conservation: every offered record (on each source
-        // of a two-stream session) was ingested, and recovery replays
-        // re-ingest on top.
+        // Record conservation: every offered record was ingested, and
+        // recovery replays re-ingest on top.
         sbhbm_assert(rep.records == offered + rep.records_replayed,
                      "tenant %u: ingested %llu != offered %llu +"
                      " replayed %llu",
@@ -811,7 +809,7 @@ class Server
     }
 
     /**
-     * Kill shard @p s: halt every resident session's sources, settle
+     * Kill shard @p s: halt every resident session's source, settle
      * their metrics at the crash instant, and queue them for recovery
      * on the survivors. The dead engine's event queue is NOT cleared —
      * in-flight (zombie) work drains naturally, since bandwidth-flow
@@ -838,51 +836,44 @@ class Server
               (unsigned long long)now, s, victims.size());
         for (auto &[id, dead] : victims) {
             Tenant &t = *dead;
-            t.halt();
+            t.source().halt();
 
             TenantReport &rep = reports_[id];
             ++rep.crashes;
-            const uint64_t position =
-                t.migratable() ? t.sourceA().streamPosition() : 0;
-            const bool recoverable =
-                t.migratable() && rep.spec.logical_time;
+            const uint64_t position = t.source().streamPosition();
+            // Only logical-time sessions checkpoint (launch), so a
+            // restorable cut implies a recoverable session.
+            const bool recoverable = rep.spec.logical_time;
             const auto ck = ckpts_.find(id);
-            const bool use_ck = recoverable && ck != ckpts_.end()
-                                && ck->second.restorable
-                                && ck->second.position <= position;
-            // The transactional-sink cut: output past the last
-            // checkpoint (or all of it, for scratch-restart) is
-            // uncommitted — rolled back from the report and
-            // redelivered by the recovery. Unrecoverable sessions
-            // keep everything they managed to deliver.
-            const columnar::WindowId commit =
-                !recoverable ? kAllWindows
-                             : (use_ck ? ck->second.next_close : 0);
-            accumulate(s, id, t, commit);
+            const bool use_ck =
+                ck != ckpts_.end() && ck->second.restorable;
+            sbhbm_assert(!use_ck || ck->second.position <= position,
+                         "tenant %u: checkpoint at %llu past its crash"
+                         " position %llu",
+                         id, (unsigned long long)ck->second.position,
+                         (unsigned long long)position);
+            // The resume point: the checkpoint's cut, or the stream's
+            // start for a scratch restart.
+            PendingRecovery pr;
+            pr.id = id;
+            pr.crashed_at = now;
+            pr.use_checkpoint = use_ck;
+            if (use_ck)
+                pr.resume = {ck->second.position, ck->second.next_close};
+            pr.replay = position - pr.resume.record;
+            // The transactional-sink cut: output at or past the
+            // resume window is uncommitted — rolled back from the
+            // report and redelivered by the recovery. Unrecoverable
+            // sessions keep everything they managed to deliver.
+            accumulate(s, id, t,
+                       recoverable ? pr.resume.window : kAllWindows);
             fleet_.bury(std::move(dead));
             if (!recoverable) {
-                // Two-stream or physical-time sessions cannot replay
-                // bit-identically.
+                // Physical-time sessions cannot replay bit-identically.
                 lose(id, now, "unrecoverable");
                 continue;
             }
-
-            PendingRecovery pr;
-            pr.crashed_at = now;
-            pr.dedup_before = commit;
-            pr.cont = rep.spec;
-            pr.use_checkpoint = use_ck;
-            if (pr.use_checkpoint) {
-                pr.cont.start_record = ck->second.position;
-                pr.cont.total_records =
-                    rep.spec.total_records - ck->second.position;
-            } else {
-                // Scratch-restart: full replay, output deduplicated.
-                pr.cont.start_record = 0;
-                pr.cont.total_records = rep.spec.total_records;
-            }
-            pr.replay = position - pr.cont.start_record;
-            pending_recovery_.push_back(std::move(pr));
+            pending_recovery_.push_back(pr);
         }
         scheduleRecovery();
     }
@@ -931,9 +922,9 @@ class Server
         std::vector<PendingRecovery> still;
         for (PendingRecovery &pr : pending_recovery_) {
             const uint32_t target = pickRecoveryShard();
-            const runtime::StreamId id = pr.cont.id;
+            const runtime::StreamId id = pr.id;
             if (target != kNoShard && registry_.migrate(id, target)) {
-                launch(target, pr.cont, now, &pr);
+                launch(target, reports_[id].spec, now, &pr);
             } else if (++pr.attempts >= kMaxRecoveryAttempts) {
                 lose(id, now,
                      "no placement after " + std::to_string(pr.attempts)
@@ -968,7 +959,7 @@ class Server
         auto it = sh.tenants.find(id);
         if (it == sh.tenants.end())
             return; // drained or crashed
-        it->second->sourceA().pause();
+        it->second->source().pause();
         quiesceWait(s, id, sh.eng.machine().now());
     }
 
@@ -1011,7 +1002,7 @@ class Server
         // the machine DMA-style, like the director's demotion sweeps.
         sh.eng.machine().execute(std::move(log), [] {});
         ckpts_.insert_or_assign(id, std::move(c));
-        t.sourceA().resume();
+        t.source().resume();
         scheduleCheckpoint(s, id);
     }
 

@@ -5,10 +5,16 @@
  * The spec is the admission request — which query, how much traffic,
  * what HBM reservation, what fair-share weight. A Tenant object is an
  * *admitted* session: its own Pipeline (on a dedicated executor
- * stream), its own ingest::Source instances with a private in-flight
- * budget (so its backlog throttles only its own ingestion), and its
- * own SLA tracker. All tenants share the engine's cores, hybrid
- * memory, placement knob and virtual clock.
+ * stream), its own ingest::Source with a private in-flight budget (so
+ * its backlog throttles only its own ingestion), and its own SLA
+ * tracker. All tenants share the engine's cores, hybrid memory,
+ * placement knob and virtual clock.
+ *
+ * Sessions run single-stream queries only: a two-stream query (the
+ * temporal join, the windowed filter) could not be recovered after a
+ * shard crash — its sources drain at different offsets, so no one
+ * resume point splits the replay between them — and the server
+ * refuses it rather than accept a session it cannot recover.
  *
  * Tenant ids are chosen by the submitter and are stable identities:
  * scheduling tie-breaks, RNG seed derivation and session start order
@@ -102,15 +108,22 @@ struct TenantSpec
      * without it a session whose shard crashes is lost.
      */
     bool logical_time = false;
+};
 
-    /**
-     * Resume offset: records a previous incarnation of this session
-     * already consumed (checkpoint restore / migration continuation).
-     * The generators fast-forward past them and, under logical_time,
-     * timestamps continue the original timeline. Single-stream
-     * sessions only.
-     */
-    uint64_t start_record = 0;
+/**
+ * Where a recovered session resumes: a checkpoint's cut, or the
+ * stream's start for a first launch or a scratch restart.
+ */
+struct ResumePoint
+{
+    /** Records a previous incarnation already consumed: the generator
+     *  fast-forwards past them and, under logical_time, timestamps
+     *  continue the original timeline. */
+    uint64_t record = 0;
+
+    /** First window the previous incarnation did not commit; the
+     *  pipeline's target watermark resumes there. */
+    columnar::WindowId window = 0;
 };
 
 /** One admitted, running session. */
@@ -118,12 +131,13 @@ class Tenant
 {
   public:
     /**
-     * Build the session's pipeline + sources on @p eng. Does not
-     * start ingesting yet (the server starts sessions in id order).
+     * Build the session's pipeline + source on @p eng, resuming at
+     * @p resume. Does not start ingesting yet (the server starts
+     * sessions in id order). A two-stream query is fatal.
      */
     Tenant(runtime::Engine &eng, TenantSpec spec, SimTime window_ns,
-           uint64_t seed)
-        : eng_(eng), spec_(std::move(spec)),
+           uint64_t seed, ResumePoint resume = {})
+        : eng_(eng), spec_(std::move(spec)), resume_(resume),
           pipe_(std::make_unique<pipeline::Pipeline>(
               eng, columnar::WindowSpec{window_ns}, spec_.id)),
           sla_(eng.config().target_delay)
@@ -134,31 +148,28 @@ class Tenant
         qc.key_range = spec_.key_range;
         qc.value_range = spec_.value_range;
         built_ = queries::buildQueryPipeline(qc, *pipe_);
+        if (built_.entry_b != nullptr) {
+            sbhbm_fatal("tenant %u: the server runs single-stream queries"
+                        " only, not %s",
+                        spec_.id, queries::queryName(spec_.query));
+        }
+        sbhbm_assert(resume_.record <= spec_.total_records,
+                     "resume offset past the end of the stream");
+        pipe_->resumeFrom(resume_.window);
 
         ingest::SourceConfig scfg;
         scfg.nic_bw = eng.config().machine.nic_rdma_bw;
-        if (built_.entry_b != nullptr)
-            scfg.nic_bw /= 2; // two-stream queries share the NIC slice
         scfg.bundle_records = spec_.bundle_records;
-        scfg.total_records = spec_.total_records;
+        scfg.total_records = spec_.total_records - resume_.record;
         scfg.offered_rate = spec_.offered_rate;
         scfg.poisson_arrivals = spec_.poisson_arrivals;
         scfg.bundles_per_watermark = spec_.bundles_per_watermark;
         scfg.arrival_seed = seed ^ 0x9e3779b97f4a7c15ULL;
         scfg.logical_time = spec_.logical_time;
-        scfg.start_record = spec_.start_record;
-
-        src_a_ = std::make_unique<ingest::Source>(
+        scfg.start_record = resume_.record;
+        src_ = std::make_unique<ingest::Source>(
             eng, *pipe_, *built_.gen_a, built_.entry_a, scfg,
             built_.port_a);
-        if (built_.entry_b != nullptr) {
-            sbhbm_assert(spec_.start_record == 0,
-                         "two-stream sessions cannot resume mid-stream");
-            scfg.arrival_seed ^= 0xbf58476d1ce4e5b9ULL;
-            src_b_ = std::make_unique<ingest::Source>(
-                eng, *pipe_, *built_.gen_b, built_.entry_b, scfg,
-                built_.port_b);
-        }
 
         eng.setStreamBudget(spec_.id, spec_.max_inflight_bundles);
     }
@@ -172,64 +183,34 @@ class Tenant
     {
         started_at_ = eng_.machine().now();
         sla_.setIgnoreBefore(started_at_);
-        src_a_->start();
-        if (src_b_)
-            src_b_->start();
+        src_->start();
     }
 
     /**
      * All records ingested and every task of this tenant's stream
      * completed: nothing can spawn further work (deliveries are done,
      * watermark cascades run synchronously with task completions), so
-     * every window that can close has closed and externalized. Not
-     * conditioned on in-flight bundles reaching zero: two-stream
-     * queries can pin bundles in window state that no aligned
-     * watermark ever closes; those are freed at session teardown.
+     * every window that can close has closed and externalized.
      */
     bool
     drained() const
     {
         const auto &ss = eng_.exec().streamStats(spec_.id);
-        return src_a_->finished() && (!src_b_ || src_b_->finished())
-               && ss.spawned == ss.completed;
+        return src_->finished() && ss.spawned == ss.completed;
     }
-
-    /**
-     * Only single-source sessions can restart on another shard (crash
-     * failover): a two-stream query's sources drain at different
-     * offsets, so a continuation could not split the remaining records
-     * between them without breaking per-stream conservation.
-     */
-    bool migratable() const { return src_b_ == nullptr; }
-
-    /** Sources feeding the pipeline (2 for a two-stream query); each
-     *  ingests spec().total_records. */
-    uint32_t streams() const { return src_b_ ? 2 : 1; }
 
     // ---------------------------------------------------------------
     // Fault tolerance.
     // ---------------------------------------------------------------
 
-    /**
-     * The session's shard crashed: stop its sources forever. The
-     * session's in-flight (zombie) work drains on the dead shard but
-     * its output is no longer observed; the recovery layer restarts
-     * the session elsewhere from its last checkpoint.
-     */
-    void
-    halt()
-    {
-        src_a_->halt();
-        if (src_b_)
-            src_b_->halt();
-    }
+    /** The session's source (crash halt and position, checkpoint
+     *  quiesce). */
+    ingest::Source &source() { return *src_; }
 
-    /** Primary source (crash position, checkpoint quiesce). */
-    ingest::Source &sourceA() { return *src_a_; }
-    const ingest::Source &sourceA() const { return *src_a_; }
+    /** Where this incarnation resumed (zero for a first launch). */
+    const ResumePoint &resume() const { return resume_; }
 
-    /** The pipeline sink (output counts, checksums, dedup horizon). */
-    pipeline::EgressOp &egress() { return *built_.egress; }
+    /** The pipeline sink (output counts, checksums). */
     const pipeline::EgressOp &egress() const { return *built_.egress; }
 
     /**
@@ -241,9 +222,7 @@ class Tenant
     quiesced() const
     {
         const auto &ss = eng_.exec().streamStats(spec_.id);
-        return src_a_->deliveryIdle()
-               && (!src_b_ || src_b_->deliveryIdle())
-               && ss.spawned == ss.completed;
+        return src_->deliveryIdle() && ss.spawned == ss.completed;
     }
 
     /**
@@ -258,9 +237,9 @@ class Tenant
     {
         sbhbm_assert(quiesced(), "checkpoint of a non-quiesced session");
         TenantCheckpoint c;
-        c.position = src_a_->streamPosition();
+        c.position = src_->streamPosition();
         c.next_close = pipe_->targetWindow();
-        c.restorable = migratable() && spec_.logical_time;
+        c.restorable = spec_.logical_time;
         const auto &ops = pipe_->operators();
         c.ops.resize(ops.size());
         for (size_t i = 0; i < ops.size(); ++i) {
@@ -279,16 +258,16 @@ class Tenant
 
     /**
      * Reinstall checkpointed operator state into this freshly built
-     * session (before start()). The spec's start_record must equal the
+     * session (before start()). The session must resume at the
      * checkpoint's position so replay continues exactly at the cut.
      */
     void
     restoreFrom(const TenantCheckpoint &c)
     {
         sbhbm_assert(c.restorable, "restoring a non-restorable cut");
-        sbhbm_assert(spec_.start_record == c.position,
-                     "restore offset %llu != checkpoint position %llu",
-                     (unsigned long long)spec_.start_record,
+        sbhbm_assert(resume_.record == c.position,
+                     "resume offset %llu != checkpoint position %llu",
+                     (unsigned long long)resume_.record,
                      (unsigned long long)c.position);
         const auto &ops = pipe_->operators();
         sbhbm_assert(c.ops.size() == ops.size(),
@@ -299,26 +278,15 @@ class Tenant
     }
 
     const TenantSpec &spec() const { return spec_; }
-    pipeline::Pipeline &pipe() { return *pipe_; }
     const pipeline::Pipeline &pipe() const { return *pipe_; }
     SlaTracker &sla() { return sla_; }
     const SlaTracker &sla() const { return sla_; }
     SimTime startedAt() const { return started_at_; }
 
-    uint64_t
-    recordsIngested() const
-    {
-        return src_a_->recordsIngested()
-               + (src_b_ ? src_b_->recordsIngested() : 0);
-    }
+    uint64_t recordsIngested() const { return src_->recordsIngested(); }
 
-    /** Cumulative ingest stall of every source, ns (attribution). */
-    uint64_t
-    ingestWaitNs() const
-    {
-        return src_a_->ingestWaitNs()
-               + (src_b_ ? src_b_->ingestWaitNs() : 0);
-    }
+    /** Cumulative ingest stall of the source, ns (attribution). */
+    uint64_t ingestWaitNs() const { return src_->ingestWaitNs(); }
 
     /** The tenant's current stall counters for SLA attribution. */
     StallSnapshot
@@ -337,10 +305,10 @@ class Tenant
   private:
     runtime::Engine &eng_;
     TenantSpec spec_;
+    ResumePoint resume_;
     std::unique_ptr<pipeline::Pipeline> pipe_;
     queries::BuiltQuery built_;
-    std::unique_ptr<ingest::Source> src_a_;
-    std::unique_ptr<ingest::Source> src_b_;
+    std::unique_ptr<ingest::Source> src_;
     SlaTracker sla_;
     SimTime started_at_ = 0;
 };

@@ -6,12 +6,18 @@
  * declares an HBM reservation (working-set estimate for its windows'
  * KPAs) and the controller admits sessions only while there is
  * headroom under the serving budget. Headroom comes from one of two
- * sources (AdmissionMode): the aggregate *static reservation* of
- * running sessions (a CapacityGauge over the slice of HBM the
- * operator dedicates to serving), or the *live pressure* the server
- * samples from the engine's HBM gauge — the control-plane mode where
- * admission reacts to what sessions actually allocate rather than
- * what they promised. Sessions that do not fit wait in an
+ * sources: the aggregate *static reservation* of running sessions (a
+ * CapacityGauge over the slice of HBM the operator dedicates to
+ * serving), or — in live mode, which the server runs whenever the
+ * memory control plane is on — the *live pressure* the server
+ * samples from the engine's HBM gauge, so admission reacts to what
+ * sessions actually allocate rather than what they promised. Static
+ * reservation charges each session's declared reservation for its
+ * whole lifetime, whether it uses the bytes or not; live mode packs
+ * a fleet whose reservations overstate its working set onto the same
+ * budget, and a pressure spike (gauge high-water) holds arrivals back
+ * even when paper reservations say there is room. Sessions that do
+ * not fit wait in an
  * arrival-ordered queue and are admitted as running sessions drain
  * (or, live mode, as measured pressure recedes); sessions that can
  * never fit (reservation larger than a whole shard's budget) or that
@@ -55,23 +61,6 @@
 
 namespace sbhbm::serve {
 
-/**
- * How admission headroom is computed.
- *
- * kStaticReservation is the original contract: each session charges
- * its declared reservation against the budget for its whole lifetime,
- * whether it uses the bytes or not. kLivePressure admits against the
- * *measured* HBM gauge instead — the windowed high-water the server
- * samples from the engine's memory — so a fleet whose declared
- * reservations overstate its live working set packs more sessions
- * onto the same budget, and a pressure spike (gauge high-water) holds
- * arrivals back even when paper reservations say there is room.
- */
-enum class AdmissionMode : uint8_t {
-    kStaticReservation = 0,
-    kLivePressure = 1,
-};
-
 /** Admission controller limits. */
 struct AdmissionConfig
 {
@@ -83,9 +72,6 @@ struct AdmissionConfig
 
     /** Waiting sessions beyond which new arrivals are rejected. */
     uint32_t max_queued = 64;
-
-    /** Headroom source (static reservations vs live gauge). */
-    AdmissionMode mode = AdmissionMode::kStaticReservation;
 };
 
 /** Outcome of offering a session to the admission controller. */
@@ -110,9 +96,13 @@ admissionName(Admission a)
 class TenantRegistry
 {
   public:
-    /** @param shards engine shards the budget divides into. */
-    TenantRegistry(AdmissionConfig cfg, uint32_t shards)
-        : cfg_(cfg), shards_(shards)
+    /**
+     * @param shards engine shards the budget divides into.
+     * @param live   admit against live pressure instead of static
+     *               reservations.
+     */
+    TenantRegistry(AdmissionConfig cfg, uint32_t shards, bool live = false)
+        : cfg_(cfg), shards_(shards), live_mode_(live)
     {
         sbhbm_assert(cfg.hbm_budget_bytes > 0,
                      "admission needs a positive HBM budget");
@@ -132,11 +122,10 @@ class TenantRegistry
     TenantRegistry &operator=(const TenantRegistry &) = delete;
 
     /**
-     * Live HBM pressure source for AdmissionMode::kLivePressure,
-     * in bytes (the server wires shard @p shard's engine-gauge
-     * windowed high-water). Unset, live mode degrades to zero
-     * pressure — admission then gates on max_active and the
-     * can-never-fit check only.
+     * Live HBM pressure source for live mode, in bytes (the server
+     * wires shard @p shard's engine-gauge windowed high-water).
+     * Unset, live mode degrades to zero pressure — admission then
+     * gates on max_active and the can-never-fit check only.
      */
     using LivePressureFn = std::function<uint64_t()>;
 
@@ -188,7 +177,7 @@ class TenantRegistry
         sbhbm_assert(it != resident_.end(),
                      "releasing unknown tenant %u", id);
         const Resident r = it->second;
-        if (cfg_.mode == AdmissionMode::kStaticReservation)
+        if (!live_mode_)
             gauges_[r.shard].release(r.reserve);
         forgetUnmeasured(id);
         load_[r.shard] -= r.load;
@@ -258,7 +247,7 @@ class TenantRegistry
             return true;
         if (down_[to_shard])
             return false; // never migrate onto a dead shard
-        if (cfg_.mode == AdmissionMode::kStaticReservation) {
+        if (!live_mode_) {
             if (!gauges_[to_shard].tryReserve(r.reserve, /*urgent=*/false))
                 return false;
             gauges_[r.shard].release(r.reserve);
@@ -389,7 +378,7 @@ class TenantRegistry
         for (uint32_t s : order_) {
             if (down_[s])
                 continue; // dead shards take no new sessions
-            if (cfg_.mode == AdmissionMode::kLivePressure) {
+            if (live_mode_) {
                 // Gauge-aware admission: measured pressure plus the
                 // reserves of not-yet-measured recent admits plus
                 // this session's declared working set must fit.
@@ -444,6 +433,7 @@ class TenantRegistry
 
     AdmissionConfig cfg_;
     uint32_t shards_;
+    bool live_mode_;
     std::vector<mem::CapacityGauge> gauges_;
     std::vector<LivePressureFn> live_;
     std::map<runtime::StreamId, Resident> resident_;

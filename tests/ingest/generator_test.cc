@@ -167,5 +167,51 @@ TEST_F(GeneratorTest, EveryTimestampEqualsTheEvenSpacingFormula)
     }
 }
 
+TEST_F(GeneratorTest, SkipRecordsLeavesTheStateAFillWould)
+{
+    // Recovery fast-forwards a restored source with skipRecords(n).
+    // The next fill(m) must then reproduce, column for column, the
+    // last m rows of one fill(n + m) — timestamps aside, since every
+    // fill spreads its own range. A wrong draw count would shift
+    // every later record of a recovered session.
+    constexpr uint32_t kSkip = 1'237, kTail = 503;
+    auto check = [this](Generator &whole, Generator &skipped,
+                        const char *what) {
+        ASSERT_EQ(whole.cols(), skipped.cols()) << what;
+        auto full = columnar::BundleHandle::adopt(
+            columnar::Bundle::create(hm_, whole.cols(), kSkip + kTail));
+        whole.fill(*full, kSkip + kTail, 0, kSkip + kTail);
+        skipped.skipRecords(kSkip);
+        auto tail = columnar::BundleHandle::adopt(
+            columnar::Bundle::create(hm_, skipped.cols(), kTail));
+        skipped.fill(*tail, kTail, 0, kTail);
+        for (uint32_t r = 0; r < kTail; ++r) {
+            for (uint32_t c = 0; c < whole.cols(); ++c) {
+                if (c == whole.tsCol())
+                    continue;
+                ASSERT_EQ(tail->row(r)[c], full->row(kSkip + r)[c])
+                    << what << " row " << r << " col " << c;
+            }
+        }
+    };
+    {
+        KvGen whole(3, 100, 1000), skipped(3, 100, 1000);
+        check(whole, skipped, "KvGen");
+    }
+    {
+        KvGen whole(4, 100, 1000, /*secondary_key=*/true, 7);
+        KvGen skipped(4, 100, 1000, /*secondary_key=*/true, 7);
+        check(whole, skipped, "KvGen with a secondary key");
+    }
+    {
+        YsbGen whole(5), skipped(5);
+        check(whole, skipped, "YsbGen");
+    }
+    {
+        PowerGridGen whole(6), skipped(6);
+        check(whole, skipped, "PowerGridGen");
+    }
+}
+
 } // namespace
 } // namespace sbhbm::ingest

@@ -9,7 +9,10 @@
  *    output (records and content checksums) is bit-identical to a
  *    fault-free run, with records conserved across the replay and
  *    the same plan reproducing the same recovery trace twice (the
- *    "recovery" instants on the installed trace sink);
+ *    "recovery" instants on the installed trace sink); a session
+ *    whose checkpoints are unrestorable restarts from scratch, and
+ *    one whose recovery never fits is lost and releases its
+ *    reservation;
  *  - ServeExhaustionDeath: running out of simulated DRAM stops a
  *    fault-tolerant fleet, as it stops a single pipeline;
  *  - ChaosSoak: a seeded crash storm over the 64-session load-driver
@@ -319,6 +322,95 @@ TEST(Failover, PhysicalTimeSessionIsLostNotWedged)
         traced = traced
                  || line.find("unrecoverable") != std::string::npos;
     EXPECT_TRUE(traced);
+}
+
+TEST(Failover, UnrestorableCutRecoversFromScratchBitIdentically)
+{
+    // AvgAll keeps per-window accumulators it does not capture, so
+    // every checkpoint of its session is cut but marked unrestorable.
+    // A crash must then restart the session from scratch: restoring
+    // such a cut would silently drop the open windows' sums.
+    auto run = [](sim::FaultPlan plan) {
+        TracedServer r;
+        ServeConfig cfg = ftConfig(3);
+        cfg.fault.plan = std::move(plan);
+        cfg.telemetry = r.tele.get();
+        r.server = std::make_unique<Server>(cfg);
+        r->submit(ftTenant(1));
+        TenantSpec avg = ftTenant(2);
+        avg.query = queries::QueryId::kAvgAll;
+        r->submit(avg);
+        r->run();
+        return r;
+    };
+    auto base = run(sim::FaultPlan{});
+    auto fault = run(sim::FaultPlan{}.crash(10 * kNsPerMs, 1));
+
+    const TenantReport &recovered = fault->reports()[1];
+    EXPECT_EQ(recovered.crashes, 1u);
+    EXPECT_EQ(recovered.recoveries, 1u);
+    EXPECT_FALSE(recovered.lost);
+    EXPECT_GT(recovered.checkpoints, 0u)
+        << "cuts are taken, just never restored";
+    expectRecordsConserved(recovered);
+    const TenantReport &b = base->reports()[1];
+    EXPECT_GT(b.windows, 0u);
+    EXPECT_EQ(recovered.output_records, b.output_records);
+    EXPECT_EQ(recovered.window_records, b.window_records);
+    EXPECT_EQ(recovered.window_checksums, b.window_checksums);
+
+    bool scratch = false, restored = false;
+    for (const std::string &line : recoveryLines(*fault.tele)) {
+        if (line.find("recover tenant=2 ") == std::string::npos)
+            continue;
+        scratch = scratch || line.find("mode=scratch") != std::string::npos;
+        restored = restored
+                   || line.find("mode=checkpoint") != std::string::npos;
+    }
+    EXPECT_TRUE(scratch);
+    EXPECT_FALSE(restored);
+}
+
+TEST(Failover, RecoveryThatNeverFitsIsLostAndReleased)
+{
+    // Static admission, one session slot per shard: tenant 1 fills
+    // shard 0 (its stream spans 100 ms), tenant 2 runs on shard 1
+    // until it crashes. Shard 0 stays full for longer than
+    // kMaxRecoveryAttempts recovery ticks, so the recovery gives up:
+    // the session is lost, its reservation is released, and the fleet
+    // still drains.
+    obs::Telemetry tele;
+    ServeConfig cfg = ftConfig(2);
+    cfg.admission.hbm_budget_bytes = 24_MiB; // 12 MiB per shard
+    cfg.fault.plan.crash(5 * kNsPerMs, 1);
+    cfg.telemetry = &tele;
+    Server server(cfg);
+    server.submit(ftTenant(1, /*records=*/500'000)); // 100 ms at 5 M/s
+    server.submit(ftTenant(2));
+    server.run();
+
+    const TenantReport &holder = server.reports()[0];
+    const TenantReport &lost = server.reports()[1];
+    EXPECT_EQ(holder.shard, 0u);
+    EXPECT_EQ(holder.crashes, 0u);
+    EXPECT_EQ(holder.records, holder.spec.total_records);
+    EXPECT_EQ(lost.crashes, 1u);
+    EXPECT_EQ(lost.recoveries, 0u);
+    EXPECT_TRUE(lost.lost);
+    EXPECT_LT(lost.finished_at, holder.finished_at)
+        << "the recovery gave up while shard 0 was still full";
+
+    // The lost session's reservation went back to its shard's gauge.
+    EXPECT_EQ(server.registry().gauge(1).used(), 0u);
+    EXPECT_EQ(server.registry().active(), 0u);
+
+    const std::string why = "lost tenant=2 (no placement after "
+                            + std::to_string(kMaxRecoveryAttempts)
+                            + " attempts)";
+    bool traced = false;
+    for (const std::string &line : recoveryLines(tele))
+        traced = traced || line.find(why) != std::string::npos;
+    EXPECT_TRUE(traced) << "expected a recovery instant naming: " << why;
 }
 
 // -------------------------------------------------------------------

@@ -118,12 +118,11 @@ TEST(TenantRegistry, MaxActiveCapsConcurrency)
 // Live-pressure admission (the gauge-aware control-plane mode).
 // -------------------------------------------------------------------
 
-AdmissionConfig
-liveBudget(uint64_t bytes, uint32_t max_active = 64,
-           uint32_t max_queued = 64)
+/** A one-shard registry in live mode. */
+TenantRegistry
+liveRegistry(uint64_t bytes)
 {
-    return AdmissionConfig{bytes, max_active, max_queued,
-                           AdmissionMode::kLivePressure};
+    return TenantRegistry(AdmissionConfig{bytes, 64, 64}, 1, /*live=*/true);
 }
 
 TEST(TenantRegistryLive, AdmitsOnMeasuredPressureNotReservations)
@@ -132,7 +131,7 @@ TEST(TenantRegistryLive, AdmitsOnMeasuredPressureNotReservations)
     // is low: live mode packs all three sessions in where the static
     // mode would queue two.
     uint64_t pressure = 10_MiB;
-    TenantRegistry reg(liveBudget(100_MiB), 1);
+    TenantRegistry reg = liveRegistry(100_MiB);
     reg.setLivePressure(0, [&pressure] { return pressure; });
     EXPECT_EQ(reg.offer(spec(1, 80_MiB)), Admission::kAdmitted);
     // Each noteGaugeMarked() models the server re-marking the gauge
@@ -153,7 +152,7 @@ TEST(TenantRegistryLive, BackToBackOffersCountUnmeasuredAdmits)
     // the budget of working sets on a tier whose measured pressure
     // has not caught up yet.
     uint64_t pressure = 10_MiB;
-    TenantRegistry reg(liveBudget(100_MiB), 1);
+    TenantRegistry reg = liveRegistry(100_MiB);
     reg.setLivePressure(0, [&pressure] { return pressure; });
     EXPECT_EQ(reg.offer(spec(1, 50_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.unmeasuredReserve(0), 50_MiB);
@@ -181,7 +180,7 @@ TEST(TenantRegistryLive, ReleaseForgetsUnmeasuredReserve)
     // A session that admits and drains within one gauge window must
     // not leave a ghost reserve behind blocking later arrivals.
     uint64_t pressure = 10_MiB;
-    TenantRegistry reg(liveBudget(100_MiB), 1);
+    TenantRegistry reg = liveRegistry(100_MiB);
     reg.setLivePressure(0, [&pressure] { return pressure; });
     EXPECT_EQ(reg.offer(spec(1, 50_MiB)), Admission::kAdmitted);
     reg.release(1);
@@ -192,7 +191,7 @@ TEST(TenantRegistryLive, ReleaseForgetsUnmeasuredReserve)
 TEST(TenantRegistryLive, HighPressureQueuesAndPumpAdmits)
 {
     uint64_t pressure = 70_MiB;
-    TenantRegistry reg(liveBudget(100_MiB), 1);
+    TenantRegistry reg = liveRegistry(100_MiB);
     reg.setLivePressure(0, [&pressure] { return pressure; });
     EXPECT_EQ(reg.offer(spec(1, 20_MiB)), Admission::kAdmitted);
     // 70 + 40 > 100: waits for the gauge to recede.
@@ -221,7 +220,7 @@ TEST(TenantRegistryLive, HighPressureQueuesAndPumpAdmits)
 TEST(TenantRegistryLive, HeadOfLinePreservedUnderPressure)
 {
     uint64_t pressure = 90_MiB;
-    TenantRegistry reg(liveBudget(100_MiB), 1);
+    TenantRegistry reg = liveRegistry(100_MiB);
     reg.setLivePressure(0, [&pressure] { return pressure; });
     EXPECT_EQ(reg.offer(spec(1, 5_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.offer(spec(2, 40_MiB)), Admission::kQueued);
@@ -237,7 +236,7 @@ TEST(TenantRegistryLive, HeadOfLinePreservedUnderPressure)
 TEST(TenantRegistryLive, ReleaseStillPumpsAndNeverTouchesGauge)
 {
     uint64_t pressure = 95_MiB;
-    TenantRegistry reg(liveBudget(100_MiB), 1);
+    TenantRegistry reg = liveRegistry(100_MiB);
     reg.setLivePressure(0, [&pressure] { return pressure; });
     EXPECT_EQ(reg.offer(spec(1, 4_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.offer(spec(2, 30_MiB)), Admission::kQueued);
@@ -262,7 +261,7 @@ TEST(TenantRegistryLive, OnePumpCannotOverAdmitAgainstStaleSample)
     // when declared working sets fill the budget, instead of
     // admitting everyone against the stale low reading.
     uint64_t pressure = 90_MiB;
-    TenantRegistry reg(liveBudget(100_MiB), 1);
+    TenantRegistry reg = liveRegistry(100_MiB);
     reg.setLivePressure(0, [&pressure] { return pressure; });
     EXPECT_EQ(reg.offer(spec(1, 5_MiB)), Admission::kAdmitted);
     for (runtime::StreamId id = 2; id <= 11; ++id)
@@ -284,7 +283,7 @@ TEST(TenantRegistryLive, OnePumpCannotOverAdmitAgainstStaleSample)
 TEST(TenantRegistryLive, CanNeverFitStillRejected)
 {
     uint64_t pressure = 0;
-    TenantRegistry reg(liveBudget(100_MiB), 1);
+    TenantRegistry reg = liveRegistry(100_MiB);
     reg.setLivePressure(0, [&pressure] { return pressure; });
     EXPECT_EQ(reg.offer(spec(1, 101_MiB)), Admission::kRejected);
     EXPECT_EQ(reg.rejected(), 1u);

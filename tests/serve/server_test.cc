@@ -71,31 +71,31 @@ TEST(Server, ConcurrentTenantsAllDrain)
     EXPECT_GT(server.fairnessIndex(), 0.5);
 }
 
-TEST(Server, TwoStreamSessionDrainsBesideASingleStreamOne)
+TEST(ServerDeath, TwoStreamQueryIsRefusedByName)
 {
-    Server server(smallConfig());
-    TenantSpec join = smallTenant(1, 1.0, 20'000);
-    join.query = queries::QueryId::kTemporalJoin;
-    // One window holds the whole session: its bundles on both streams
-    // must fit the budget until the window closes.
-    join.max_inflight_bundles = 32;
-    server.submit(join);
-    server.submit(smallTenant(2));
-    server.run();
-
-    ASSERT_EQ(server.reports().size(), 2u);
-    const TenantReport &j = server.reports()[0];
-    EXPECT_EQ(j.admission, Admission::kAdmitted);
-    EXPECT_FALSE(j.lost);
-    // Each of the join's two sources ingests total_records.
-    EXPECT_EQ(j.records, 2 * join.total_records);
-    EXPECT_GT(j.output_records, 0u);
-    EXPECT_GT(j.windows, 0u);
-
-    const TenantReport &s = server.reports()[1];
-    EXPECT_EQ(s.admission, Admission::kAdmitted);
-    EXPECT_EQ(s.records, 40'000u);
-    EXPECT_GT(s.output_records, 0u);
+    // A two-stream session could not be recovered after a crash (its
+    // sources drain at different offsets), so the server refuses the
+    // query outright and names it, beside a single-stream session.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            Server server(smallConfig());
+            TenantSpec join = smallTenant(1, 1.0, 20'000);
+            join.query = queries::QueryId::kTemporalJoin;
+            server.submit(join);
+            server.submit(smallTenant(2));
+            server.run();
+        },
+        "single-stream queries only, not Temporal Join");
+    EXPECT_DEATH(
+        {
+            Server server(smallConfig());
+            TenantSpec filter = smallTenant(1);
+            filter.query = queries::QueryId::kWindowedFilter;
+            server.submit(filter);
+            server.run();
+        },
+        "single-stream queries only, not Windowed Filter");
 }
 
 /** The determinism anchors of one run, comparable bit for bit. */
@@ -289,10 +289,11 @@ TEST(ServerPressure, LiveAdmissionPacksOverstatedReservations)
     // admission ticks apart so each offer is judged against a freshly
     // measured gauge window: static mode serializes the fleet
     // (queues on paper reservations), live mode admits everyone.
-    auto makeCfg = [](AdmissionMode mode) {
+    auto makeCfg = [](bool control_plane) {
         ServeConfig cfg = smallConfig();
-        cfg.admission = AdmissionConfig{64_MiB, 64, 64, mode};
+        cfg.admission = AdmissionConfig{64_MiB, 64, 64};
         cfg.engine.monitor_period = kNsPerMs;
+        cfg.engine.control_plane = control_plane;
         return cfg;
     };
     auto fleet = [] {
@@ -308,7 +309,7 @@ TEST(ServerPressure, LiveAdmissionPacksOverstatedReservations)
         return v;
     };
 
-    Server stat(makeCfg(AdmissionMode::kStaticReservation));
+    Server stat(makeCfg(false));
     stat.submitFleet(fleet());
     stat.run();
     uint64_t queued_static = 0;
@@ -316,7 +317,7 @@ TEST(ServerPressure, LiveAdmissionPacksOverstatedReservations)
         queued_static += r.was_queued ? 1 : 0;
     EXPECT_EQ(queued_static, 2u) << "static mode must serialize";
 
-    Server live(makeCfg(AdmissionMode::kLivePressure));
+    Server live(makeCfg(true));
     live.submitFleet(fleet());
     live.run();
     for (const TenantReport &r : live.reports()) {
@@ -337,8 +338,8 @@ TEST(ServerPressure, AdmissionBurstJudgedAgainstUnmeasuredReserves)
     // 64 MiB budget up front, the rest wait for a measured window —
     // instead of the whole burst being waved through at 2x budget.
     ServeConfig cfg = smallConfig();
-    cfg.admission =
-        AdmissionConfig{64_MiB, 64, 64, AdmissionMode::kLivePressure};
+    cfg.admission = AdmissionConfig{64_MiB, 64, 64};
+    cfg.engine.control_plane = true;
     Server server(cfg);
     for (runtime::StreamId id = 1; id <= 4; ++id) {
         TenantSpec t = smallTenant(id);
@@ -360,7 +361,7 @@ TEST(ServerPressure, AdmissionBurstJudgedAgainstUnmeasuredReserves)
 TEST(ServerPressure, LiveAdmissionReportsOccupancy)
 {
     ServeConfig cfg = smallConfig();
-    cfg.admission.mode = AdmissionMode::kLivePressure;
+    cfg.engine.control_plane = true;
     Server server(cfg);
     server.submit(smallTenant(1));
     server.run();
@@ -373,13 +374,13 @@ TEST(ServerPressure, LiveAdmissionReportsOccupancy)
 
 TEST(ServerPressure, SlaDemotionEngagesAndSessionsDrain)
 {
-    // Unmeetable SLA + demotion on: breaching tenants get their
+    // Unmeetable SLA + control plane on: breaching tenants get their
     // placement class demoted (sla_demotions counts episodes), and
     // every session still drains fully.
     ServeConfig cfg = smallConfig();
     cfg.engine.cores = 1;
     cfg.engine.target_delay = 100 * kNsPerUs; // unmeetable
-    cfg.sla_demotion = true;
+    cfg.engine.control_plane = true;
     Server server(cfg);
     server.submit(smallTenant(1));
     server.submit(smallTenant(2));

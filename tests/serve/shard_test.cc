@@ -34,12 +34,10 @@ spec(runtime::StreamId id, uint64_t reserve, double rate = 0)
 }
 
 AdmissionConfig
-shardedBudget(uint64_t bytes,
-              AdmissionMode mode = AdmissionMode::kStaticReservation)
+shardedBudget(uint64_t bytes)
 {
     AdmissionConfig cfg;
     cfg.hbm_budget_bytes = bytes;
-    cfg.mode = mode;
     return cfg;
 }
 
@@ -127,8 +125,7 @@ TEST(ShardRegistry, MigrateConservesGaugeAccounting)
 
 TEST(ShardRegistry, LiveMigrationMovesUnmeasuredReserve)
 {
-    TenantRegistry reg(shardedBudget(100_MiB, AdmissionMode::kLivePressure),
-                       2);
+    TenantRegistry reg(shardedBudget(100_MiB), 2, /*live=*/true);
     EXPECT_EQ(reg.offer(spec(1, 20_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.shardOf(1), 0u);
     EXPECT_EQ(reg.unmeasuredReserve(0), 20_MiB);
@@ -314,9 +311,7 @@ runPressuredFleet(uint32_t shards)
     cfg.engine.cores = 4;
     cfg.engine.max_inflight_bundles = 2048;
     cfg.engine.monitor_period = kNsPerMs;
-    cfg.engine.pressure.enabled = true;
-    cfg.engine.pressure.high_water = 0.50;
-    cfg.engine.pressure.low_water = 0.40;
+    cfg.engine.control_plane = true;
     cfg.admission.hbm_budget_bytes = 64_MiB;
     cfg.shards = shards;
 
