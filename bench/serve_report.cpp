@@ -355,6 +355,7 @@ struct FailoverPoint
     uint64_t copied_bytes = 0;
     uint64_t reused_bytes = 0;
     uint64_t records_replayed = 0;
+    SimTime downtime_ns = 0; //!< summed over sessions (not in the JSON)
     double mean_downtime_ms = 0;
     bool output_identical = true; //!< per-window output == baseline
     bool conserved = true;        //!< ingest == offered + replay
@@ -415,7 +416,6 @@ runFailoverPoint(SimTime checkpoint_period, bool smoke,
     FailoverPoint p;
     p.checkpoint_period = checkpoint_period;
     p.aggregate_mrps = server.aggregateMrps();
-    uint64_t downtime_ns = 0;
     const auto &reports = server.reports();
     for (size_t i = 0; i < reports.size(); ++i) {
         const TenantReport &r = reports[i];
@@ -426,7 +426,7 @@ runFailoverPoint(SimTime checkpoint_period, bool smoke,
         p.copied_bytes += r.checkpoint_copied_bytes;
         p.reused_bytes += r.checkpoint_reused_bytes;
         p.records_replayed += r.records_replayed;
-        downtime_ns += r.downtime_ns;
+        p.downtime_ns += r.downtime_ns;
         if (!r.lost
             && r.records != r.spec.total_records + r.records_replayed)
             p.conserved = false;
@@ -437,7 +437,7 @@ runFailoverPoint(SimTime checkpoint_period, bool smoke,
     }
     p.mean_downtime_ms =
         p.recoveries > 0
-            ? static_cast<double>(downtime_ns) / p.recoveries / 1e6
+            ? static_cast<double>(p.downtime_ns) / p.recoveries / 1e6
             : 0.0;
     return p;
 }
@@ -792,6 +792,16 @@ main(int argc, char **argv)
                 return false;
         return true;
     }());
+    // The survivors have room for every recovery, so each session
+    // restarts exactly kRecoveryDelay after its crash.
+    bench::shapeCheck("each recovery starts kRecoveryDelay after its crash",
+                      [&] {
+                          for (const FailoverPoint &p : failover_points)
+                              if (p.downtime_ns
+                                  != p.recoveries * serve::kRecoveryDelay)
+                                  return false;
+                          return true;
+                      }());
     bench::shapeCheck("overload attribution covers every tenant",
                       ovl.attribution.size() == ovl.tenants);
     bench::shapeCheck("attribution components sum to measured latency",

@@ -45,19 +45,6 @@ queryName(QueryId id)
     return "?";
 }
 
-const std::vector<QueryId> &
-allQueries()
-{
-    static const std::vector<QueryId> all = {
-        QueryId::kYsb,          QueryId::kTopKPerKey,
-        QueryId::kSumPerKey,    QueryId::kMedianPerKey,
-        QueryId::kAvgPerKey,    QueryId::kAvgAll,
-        QueryId::kUniqueCountPerKey, QueryId::kTemporalJoin,
-        QueryId::kWindowedFilter, QueryId::kPowerGrid,
-    };
-    return all;
-}
-
 const char *
 engineKindName(EngineKind kind)
 {

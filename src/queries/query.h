@@ -48,9 +48,6 @@ constexpr int kNumQueries = 10;
 /** Display name matching the paper's figure captions. */
 const char *queryName(QueryId id);
 
-/** All ten queries in paper order. */
-const std::vector<QueryId> &allQueries();
-
 /** Engine family to run the query on (Figs 7 and 9). */
 enum class EngineKind {
     kStreamBoxHbm = 0, //!< full system: flat memory, KPA, knob

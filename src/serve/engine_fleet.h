@@ -61,7 +61,6 @@ class EngineFleet
      */
     EngineFleet(const runtime::EngineConfig &ec, uint32_t shards,
                 obs::Telemetry *telemetry)
-        : dead_(shards, false)
     {
         shards_.reserve(shards);
         for (uint32_t s = 0; s < shards; ++s) {
@@ -83,10 +82,6 @@ class EngineFleet
 
     /** Shard 0's machine: arrivals, admission, crashes, recovery. */
     sim::Machine &control() { return shards_[0]->eng.machine(); }
-
-    /** Is shard @p s dead (crashed by an injected fault)? */
-    bool dead(uint32_t s) const { return dead_[s]; }
-    void markDead(uint32_t s) { dead_[s] = true; }
 
     /** Keep a crashed session alive until the fleet is destroyed. */
     void
@@ -128,7 +123,6 @@ class EngineFleet
 
   private:
     std::vector<std::unique_ptr<EngineShard>> shards_;
-    std::vector<bool> dead_;
     std::vector<std::unique_ptr<Tenant>> graveyard_;
 };
 

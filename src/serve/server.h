@@ -17,12 +17,14 @@
  * against the SLA, per-tenant cost totals (the determinism audit),
  * fair-share service counts, and the shard the session ran on.
  *
- * Every session goes through one lifecycle: launch() starts it on a
- * shard (first start or crash recovery), accumulate() settles each of
- * its segments into the report, and it ends in finish() (drained) or
- * lose() (crashed beyond recovery). A session leaves a shard only
- * when that shard crashes, and a dead shard never takes a session
- * again, so a segment's shard-local counters are its own.
+ * Every session goes through one lifecycle: the registry admits it
+ * (on arrival, or again after a crash), launch() starts it on its
+ * placement shard (first start, or a restart when the session is
+ * recovering), accumulate() settles each of its segments into the
+ * report, and it ends in finish() (drained) or lose() (crashed with
+ * no logical time to replay). A session leaves a shard only when that
+ * shard crashes, and a dead shard never takes a session again, so a
+ * segment's shard-local counters are its own.
  *
  * Everything is keyed on tenant ids, never on submission order:
  * arrival events are scheduled in id order (ties at equal arrival
@@ -37,10 +39,13 @@
  * the same invariants: a deterministic plan of shard crashes armed on
  * the control-plane machine; watermark-aligned per-session
  * checkpoints (quiesce → snapshot operator state → charge the copy
- * traffic); and shard failover (a crashed shard's sessions restart on
- * survivors from their last checkpoint and replay their source past
- * the cut under logical event time — recovered output is
- * bit-identical to a fault-free run). A session resumes at one point,
+ * traffic); and shard failover (kRecoveryDelay after a crash, the
+ * registry re-admits the shard's sessions ahead of every waiting
+ * arrival, and each restarts on a survivor from its last checkpoint
+ * and replays its source past the cut under logical event time —
+ * recovered output is bit-identical to a fault-free run). A recovery
+ * that finds no room waits, as an arrival does, until a release makes
+ * room. A session resumes at one point,
  * the checkpoint's record offset and first uncommitted window (or the
  * stream's start for a scratch restart); output below that window is
  * committed and the replay never reaches it, so nothing is delivered
@@ -53,8 +58,8 @@
  * back-pressure alone, never by dropping work: running out of
  * simulated DRAM is fatal in every mode, so size DRAM and the
  * in-flight budgets for the load. With telemetry installed, the
- * server records every firing as a "fault" instant, and every fault,
- * crash, recovery and loss as a "recovery" instant, on the trace sink
+ * server records every firing as a "fault" instant, and every crash,
+ * recovery and loss as a "recovery" instant, on the trace sink
  * — the reproducibility fingerprint; without telemetry neither is
  * recorded.
  */
@@ -67,7 +72,6 @@
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -112,12 +116,9 @@ struct FaultToleranceConfig
 /** Poll interval while waiting for checkpoint quiescence. */
 constexpr SimTime kQuiescePoll = kNsPerMs / 10;
 
-/** Crash detection + failover latency before recovery starts. */
+/** Crash detection + failover latency before a crashed shard's
+ *  sessions are re-admitted. */
 constexpr SimTime kRecoveryDelay = kNsPerMs;
-
-/** Recovery placement retries before a session is declared lost
- *  (bounds termination when no live shard ever has headroom). */
-constexpr uint32_t kMaxRecoveryAttempts = 64;
 
 /** Serving-layer configuration. */
 struct ServeConfig
@@ -222,11 +223,11 @@ struct TenantReport
     /** Successful failovers (crash → restart on a live shard). */
     uint32_t recoveries = 0;
 
-    /** Crashed and could not be recovered (no logical time, or
-     *  recovery placement never fit). */
+    /** Crashed and could not be recovered (no logical time). */
     bool lost = false;
 
-    /** Total virtual time spent dead (crash → restart). */
+    /** Total virtual time spent dead (crash → restart), including
+     *  any wait for a shard with room. */
     SimTime downtime_ns = 0;
 
     /** Records re-ingested past a checkpoint during recovery; the
@@ -363,7 +364,7 @@ class Server
                          "sessions still running at drain");
         sbhbm_assert(registry_.queued() == 0,
                      "sessions still waiting at drain");
-        sbhbm_assert(pending_recovery_.empty(),
+        sbhbm_assert(recovering_.empty(),
                      "failovers still pending at drain");
 
         report_list_.clear();
@@ -421,24 +422,31 @@ class Server
     }
 
     /** Is shard @p s dead (crashed by an injected fault)? */
-    bool shardDead(uint32_t s) const { return fleet_.dead(s); }
+    bool shardDead(uint32_t s) const { return registry_.shardDown(s); }
 
   private:
-    /** A crashed session waiting for a live shard to restart on. */
+    /** How a crashed session restarts once the registry places it. */
     struct PendingRecovery
     {
-        runtime::StreamId id = 0;
         SimTime crashed_at = 0;
         ResumePoint resume;    //!< the cut (zero: scratch restart)
         uint64_t replay = 0;   //!< records the replay will repeat
         bool use_checkpoint = false;
-        uint32_t attempts = 0;
     };
 
     static ServeConfig
     fillDefaults(ServeConfig cfg)
     {
         sbhbm_assert(cfg.shards >= 1, "server needs >= 1 shard");
+        // Shard 0 hosts the control plane (modelled as replicated)
+        // and never crashes; a plan must name shards the fleet has.
+        for (const sim::FaultEvent &e : cfg.fault.plan.events) {
+            if (e.shard == 0 || e.shard >= cfg.shards)
+                sbhbm_fatal("fault plan: the crash at %llu ns names shard"
+                            " %u, outside the crashable shards [1, %u)",
+                            (unsigned long long)e.at, e.shard,
+                            cfg.shards);
+        }
         if (cfg.admission.hbm_budget_bytes == 0) {
             // Budget over the tier sessions actually allocate on.
             // Every shard brings its own machine, so the fleet budget
@@ -493,17 +501,16 @@ class Server
 
     /**
      * Launch session @p spec on shard @p s at global time @p now: its
-     * first start, or — given @p pr — the restart of a crashed
-     * session at its resume point, from its checkpoint (or from
-     * scratch), with its outage and replay count. Callers hold the
-     * co-sim invariant (they are inside the globally-earliest event),
-     * so syncing s's clock forward is legal. The target shard never
-     * ran the session (see the file comment), so its per-stream
-     * counters start at zero for this segment.
+     * first start, or — for a recovering session — its restart at its
+     * resume point, from its checkpoint (or from scratch), with its
+     * outage and replay count. Callers hold the co-sim invariant (they
+     * are inside the globally-earliest event), so syncing s's clock
+     * forward is legal. The target shard never ran the session (see
+     * the file comment), so its per-stream counters start at zero for
+     * this segment.
      */
     void
-    launch(uint32_t s, const TenantSpec &spec, SimTime now,
-           const PendingRecovery *pr = nullptr)
+    launch(uint32_t s, const TenantSpec &spec, SimTime now)
     {
         EngineShard &sh = fleet_[s];
         runtime::Engine &eng = sh.eng;
@@ -513,6 +520,9 @@ class Server
                      spec.id, s);
         TenantReport &rep = reports_[spec.id];
         rep.shard = s;
+        const auto it = recovering_.find(spec.id);
+        const PendingRecovery *pr =
+            it != recovering_.end() ? &it->second : nullptr;
 
         auto tenant = std::make_unique<Tenant>(
             eng, spec, cfg_.window_ns, seedFor(spec),
@@ -538,6 +548,7 @@ class Server
                   (unsigned long long)pr->resume.record,
                   (unsigned long long)pr->resume.window,
                   (unsigned long long)pr->replay);
+            recovering_.erase(it);
         }
         eng.machine().after(kNsPerMs,
                             [this, s, id = spec.id] { poll(s, id); });
@@ -755,26 +766,25 @@ class Server
     }
 
     /**
-     * Declare session @p id lost at @p now (@p why names the cause on
-     * the trace): it keeps what it delivered, and its released
+     * Declare crashed session @p id lost at @p now: without logical
+     * event time its replay could not reproduce the original
+     * timestamps. It keeps what it delivered, and its released
      * reservation admits waiters.
      */
     void
-    lose(runtime::StreamId id, SimTime now, const std::string &why)
+    lose(runtime::StreamId id, SimTime now)
     {
         TenantReport &rep = reports_[id];
         rep.lost = true;
         rep.finished_at = now;
-        trace("t=%llu lost tenant=%u (%s)", (unsigned long long)now, id,
-              why.c_str());
+        trace("t=%llu lost tenant=%u (unrecoverable)",
+              (unsigned long long)now, id);
         launchAdmitted(registry_.release(id), now);
     }
 
     // ---------------------------------------------------------------
     // Fault tolerance: crash injection, failover, checkpointing.
     // ---------------------------------------------------------------
-
-    static constexpr uint32_t kNoShard = ~0u;
 
     /** Record one deterministic "recovery" instant on the trace sink
      *  (nothing without telemetry installed). */
@@ -803,37 +813,34 @@ class Server
     {
         if (obs::Telemetry *tp = cfg_.telemetry)
             tp->trace.instant(e.at, e.shard, 0, "fault", "shard-crash");
-        trace("t=%llu fault shard-crash shard=%u",
-              (unsigned long long)fleet_.control().now(), e.shard);
         crashShard(e.shard);
     }
 
     /**
-     * Kill shard @p s: halt every resident session's source, settle
-     * their metrics at the crash instant, and queue them for recovery
-     * on the survivors. The dead engine's event queue is NOT cleared —
+     * Kill shard @p s (never shard 0: the constructor checks the
+     * plan): halt every resident session's source, settle their
+     * metrics at the crash instant, and hand the recoverable ones back
+     * to the registry kRecoveryDelay later, ahead of every waiting
+     * arrival. The dead engine's event queue is NOT cleared —
      * in-flight (zombie) work drains naturally, since bandwidth-flow
      * callbacks keep task state alive — but its output is no longer
-     * observed, and the shard takes no new sessions and is skipped by
-     * placement forever after. Shard 0 hosts the
-     * control plane (modelled as replicated) and never crashes.
+     * observed, and the shard takes no new sessions forever after.
      */
     void
     crashShard(uint32_t s)
     {
-        sbhbm_assert(s != 0, "the control-plane shard cannot crash");
-        if (s >= cfg_.shards || fleet_.dead(s))
+        if (registry_.shardDown(s))
             return;
         EngineShard &sh = fleet_[s];
         const SimTime now = fleet_.control().now();
         sh.eng.machine().syncTo(now);
-        fleet_.markDead(s);
         registry_.setShardDown(s);
 
         auto victims = std::move(sh.tenants);
         sh.tenants.clear();
         trace("t=%llu crash shard=%u sessions=%zu",
               (unsigned long long)now, s, victims.size());
+        std::vector<TenantSpec> restart; // in id order, as victims is
         for (auto &[id, dead] : victims) {
             Tenant &t = *dead;
             t.source().halt();
@@ -855,7 +862,6 @@ class Server
             // The resume point: the checkpoint's cut, or the stream's
             // start for a scratch restart.
             PendingRecovery pr;
-            pr.id = id;
             pr.crashed_at = now;
             pr.use_checkpoint = use_ck;
             if (use_ck)
@@ -870,71 +876,20 @@ class Server
             fleet_.bury(std::move(dead));
             if (!recoverable) {
                 // Physical-time sessions cannot replay bit-identically.
-                lose(id, now, "unrecoverable");
+                lose(id, now);
                 continue;
             }
-            pending_recovery_.push_back(pr);
+            recovering_[id] = pr;
+            restart.push_back(rep.spec);
         }
-        scheduleRecovery();
-    }
-
-    /** Least-loaded live shard (registry load), or kNoShard. */
-    uint32_t
-    pickRecoveryShard() const
-    {
-        uint32_t best = kNoShard;
-        double best_load = 0;
-        for (uint32_t s = 0; s < cfg_.shards; ++s) {
-            if (fleet_.dead(s))
-                continue;
-            const double l = registry_.shardLoad(s);
-            if (best == kNoShard || l < best_load) {
-                best = s;
-                best_load = l;
-            }
-        }
-        return best;
-    }
-
-    void
-    scheduleRecovery()
-    {
-        if (pending_recovery_.empty() || recovery_scheduled_)
+        if (restart.empty())
             return;
-        recovery_scheduled_ = true;
         // Non-daemon: a pending failover is live work — the fleet
         // must not drain out from under it.
-        fleet_.control().after(kRecoveryDelay, [this] { recoveryTick(); });
-    }
-
-    /**
-     * Try to place every pending recovery on a live shard (moving the
-     * session's reservation with it). Placements that do not fit yet
-     * retry with the recovery delay as backoff; after
-     * kMaxRecoveryAttempts the session is declared lost so the run
-     * always terminates.
-     */
-    void
-    recoveryTick()
-    {
-        recovery_scheduled_ = false;
-        const SimTime now = fleet_.control().now();
-        std::vector<PendingRecovery> still;
-        for (PendingRecovery &pr : pending_recovery_) {
-            const uint32_t target = pickRecoveryShard();
-            const runtime::StreamId id = pr.id;
-            if (target != kNoShard && registry_.migrate(id, target)) {
-                launch(target, reports_[id].spec, now, &pr);
-            } else if (++pr.attempts >= kMaxRecoveryAttempts) {
-                lose(id, now,
-                     "no placement after " + std::to_string(pr.attempts)
-                         + " attempts");
-            } else {
-                still.push_back(std::move(pr));
-            }
-        }
-        pending_recovery_ = std::move(still);
-        scheduleRecovery();
+        fleet_.control().after(kRecoveryDelay, [this, restart] {
+            launchAdmitted(registry_.readmit(restart),
+                           fleet_.control().now());
+        });
     }
 
     void
@@ -953,8 +908,6 @@ class Server
     void
     checkpointTick(uint32_t s, runtime::StreamId id)
     {
-        if (fleet_.dead(s))
-            return;
         EngineShard &sh = fleet_[s];
         auto it = sh.tenants.find(id);
         if (it == sh.tenants.end())
@@ -966,8 +919,6 @@ class Server
     void
     quiesceWait(uint32_t s, runtime::StreamId id, SimTime began)
     {
-        if (fleet_.dead(s))
-            return;
         EngineShard &sh = fleet_[s];
         auto it = sh.tenants.find(id);
         if (it == sh.tenants.end())
@@ -1014,9 +965,8 @@ class Server
     std::vector<TenantReport> report_list_;
     bool ran_ = false;
 
-    // Fault tolerance.
-    std::vector<PendingRecovery> pending_recovery_;
-    bool recovery_scheduled_ = false;
+    /** Each crashed session from its crash until its restart. */
+    std::map<runtime::StreamId, PendingRecovery> recovering_;
 
     /** Each live session's latest checkpoint (erased at drain). */
     std::map<runtime::StreamId, TenantCheckpoint> ckpts_;

@@ -31,6 +31,14 @@
  * head-of-line preserved across the fleet). One shard reduces
  * exactly to the single-engine controller.
  *
+ * Crash recoveries take the arrivals' path: readmit() takes a crashed
+ * shard's sessions off its books and queues them, in id order, behind
+ * the recoveries already waiting and ahead of every arrival, so one
+ * placement rule (tryAdmit) places both and every release retries a
+ * waiting recovery first. A dead shard (setShardDown) never takes a
+ * session again; its down flag is the fleet's one record of which
+ * shards died.
+ *
  * In live mode the registry additionally tracks the reserves of
  * *recently admitted* sessions the gauge has not measured yet:
  * back-to-back offers within one monitor tick would otherwise each
@@ -41,7 +49,7 @@
  *
  * The registry tracks identity and accounting only; instantiating a
  * session's pipeline is the Server's job (via the admission results
- * offer() and release() return).
+ * offer(), release() and readmit() return).
  */
 
 #ifndef SBHBM_SERVE_TENANT_REGISTRY_H
@@ -154,8 +162,10 @@ class TenantRegistry
         // Arrivals behind a waiting session must wait too, even when
         // they would fit right now — the alternative starves big
         // waiters behind a stream of small arrivals.
-        if (waiting_.empty() && tryAdmit(spec))
+        if (queued() == 0 && tryAdmit(spec)) {
+            ++ever_admitted_;
             return Admission::kAdmitted;
+        }
         if (waiting_.size() >= cfg_.max_queued) {
             ++rejected_;
             return Admission::kRejected;
@@ -165,48 +175,64 @@ class TenantRegistry
     }
 
     /**
-     * Session @p id drained: release its reservation and admit as
-     * many waiting sessions (in arrival order, head-of-line blocking
-     * preserved — admitting around a big waiter would starve it) as
-     * now fit. @return the specs admitted by this release.
+     * Session @p id drained (or was lost): release its reservation
+     * and admit as many waiting sessions (in queue order, head-of-line
+     * blocking preserved — admitting around a big waiter would starve
+     * it) as now fit. @return the specs admitted by this release.
      */
     std::vector<TenantSpec>
     release(runtime::StreamId id)
     {
-        auto it = resident_.find(id);
-        sbhbm_assert(it != resident_.end(),
-                     "releasing unknown tenant %u", id);
-        const Resident r = it->second;
-        if (!live_mode_)
-            gauges_[r.shard].release(r.reserve);
-        forgetUnmeasured(id);
-        load_[r.shard] -= r.load;
-        resident_.erase(it);
-        sbhbm_assert(active_ > 0, "active session underflow");
-        --active_;
+        unplace(id);
         return pumpAdmission();
     }
 
     /**
-     * Admit as many waiting sessions as now fit (arrival order,
-     * head-of-line blocking preserved). Called on every release; in
-     * live-pressure mode the server also calls it periodically, since
-     * headroom there reappears when the gauge drains — not only when
-     * a session releases its reservation. Every admit's reserve joins
-     * the unmeasured term immediately, so one pump cannot land an
-     * unbounded burst of declared working sets on a tier whose
-     * measured pressure has not caught up yet. @return the admitted
-     * specs.
+     * A crashed shard's sessions @p victims (in id order) are ready to
+     * restart (the server's failover): release each one's reservation,
+     * load and active slot on its dead shard, queue them behind the
+     * recoveries already waiting and ahead of every arrival (a full
+     * queue never rejects a recovery), and admit what now fits.
+     * @return the specs admitted now, in queue order.
+     */
+    std::vector<TenantSpec>
+    readmit(const std::vector<TenantSpec> &victims)
+    {
+        for (const TenantSpec &v : victims) {
+            sbhbm_assert(down_[shardOf(v.id)],
+                         "tenant %u readmitted off a live shard", v.id);
+            unplace(v.id);
+            recoveries_.push_back(v);
+        }
+        return pumpAdmission();
+    }
+
+    /**
+     * Admit as many waiting sessions as now fit (queue order,
+     * head-of-line blocking preserved). Called on every release and
+     * readmit; in live-pressure mode the server also calls it
+     * periodically, since headroom there reappears when the gauge
+     * drains — not only when a session releases its reservation.
+     * Every admit's reserve joins the unmeasured term immediately, so
+     * one pump cannot land an unbounded burst of declared working
+     * sets on a tier whose measured pressure has not caught up yet.
+     * @return the admitted specs.
      */
     std::vector<TenantSpec>
     pumpAdmission()
     {
         std::vector<TenantSpec> admitted;
-        while (!waiting_.empty() && tryAdmit(waiting_.front())) {
-            admitted.push_back(waiting_.front());
-            waiting_.pop_front();
+        for (;;) {
+            // Recoveries lead the queue; a restart is not a new
+            // session.
+            const bool recovery = !recoveries_.empty();
+            std::deque<TenantSpec> &q = recovery ? recoveries_ : waiting_;
+            if (q.empty() || !tryAdmit(q.front()))
+                return admitted;
+            admitted.push_back(q.front());
+            q.pop_front();
+            ever_admitted_ += recovery ? 0 : 1;
         }
-        return admitted;
     }
 
     /**
@@ -227,47 +253,9 @@ class TenantRegistry
     }
 
     /**
-     * Re-account a resident session from its shard to @p to_shard
-     * (the serving layer's crash failover). Mirrors
-     * HybridMemory::migrate's discipline: the charged bytes are
-     * conserved — released from the source gauge and reserved on the
-     * destination in one step, load vector following. In live mode
-     * the moved reserve becomes unmeasured on the destination until
-     * its gauge window covers it. @return false (nothing moved) when
-     * the destination lacks headroom in static mode.
-     */
-    bool
-    migrate(runtime::StreamId id, uint32_t to_shard)
-    {
-        auto it = resident_.find(id);
-        sbhbm_assert(it != resident_.end(),
-                     "migrating unknown tenant %u", id);
-        Resident &r = it->second;
-        if (r.shard == to_shard)
-            return true;
-        if (down_[to_shard])
-            return false; // never migrate onto a dead shard
-        if (!live_mode_) {
-            if (!gauges_[to_shard].tryReserve(r.reserve, /*urgent=*/false))
-                return false;
-            gauges_[r.shard].release(r.reserve);
-        } else {
-            forgetUnmeasured(id);
-            unmeasured_[id] = Unmeasured{to_shard, r.reserve};
-            unmeasured_total_[to_shard] += r.reserve;
-        }
-        load_[r.shard] -= r.load;
-        load_[to_shard] += r.load;
-        r.shard = to_shard;
-        ++migrations_;
-        return true;
-    }
-
-    /**
      * Shard @p s crashed: stop placing sessions on it. Sessions
-     * resident there stay accounted to it (their reservations travel
-     * with the recovery migrate() or are released when the session is
-     * declared lost); new admissions and migrations skip it.
+     * resident there stay accounted to it until readmit() queues them
+     * or release() declares them gone.
      */
     void
     setShardDown(uint32_t s)
@@ -275,11 +263,13 @@ class TenantRegistry
         down_[s] = true;
     }
 
+    /** Has shard @p s crashed? */
+    bool shardDown(uint32_t s) const { return down_[s]; }
+
     uint32_t active() const { return active_; }
-    size_t queued() const { return waiting_.size(); }
+    size_t queued() const { return recoveries_.size() + waiting_.size(); }
     uint64_t rejected() const { return rejected_; }
     uint64_t everAdmitted() const { return ever_admitted_; }
-    uint64_t migrations() const { return migrations_; }
 
     /** Per-shard slice of the global budget. */
     uint64_t perShardBudget() const
@@ -403,10 +393,27 @@ class TenantRegistry
             resident_[spec.id] = r;
             load_[s] += r.load;
             ++active_;
-            ++ever_admitted_;
             return true;
         }
         return false;
+    }
+
+    /** Hand session @p id's reservation, load and active slot back to
+     *  its shard. */
+    void
+    unplace(runtime::StreamId id)
+    {
+        auto it = resident_.find(id);
+        sbhbm_assert(it != resident_.end(),
+                     "releasing unknown tenant %u", id);
+        const Resident r = it->second;
+        if (!live_mode_)
+            gauges_[r.shard].release(r.reserve);
+        forgetUnmeasured(id);
+        load_[r.shard] -= r.load;
+        resident_.erase(it);
+        sbhbm_assert(active_ > 0, "active session underflow");
+        --active_;
     }
 
     void
@@ -441,12 +448,12 @@ class TenantRegistry
     std::vector<uint64_t> unmeasured_total_;
     std::vector<double> load_;
     std::vector<bool> down_;
-    std::deque<TenantSpec> waiting_;
+    std::deque<TenantSpec> recoveries_; //!< queued ahead of waiting_
+    std::deque<TenantSpec> waiting_;    //!< arrivals
     std::vector<uint32_t> order_;
     uint32_t active_ = 0;
     uint64_t rejected_ = 0;
     uint64_t ever_admitted_ = 0;
-    uint64_t migrations_ = 0;
 };
 
 } // namespace sbhbm::serve

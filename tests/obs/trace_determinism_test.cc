@@ -250,15 +250,16 @@ TEST(ObsCostLogNeutral, TelemetryOnDoesNotPerturbAFaultedRun)
 
     // The plan was built out of time order; its crashes fire in time
     // order, one "fault" instant each on its shard's control track,
-    // each right before its own "recovery" fault line.
+    // each right before the "recovery" line of the crash it causes.
     struct Want
     {
         SimTime at;
         uint32_t shard;
+        uint32_t sessions;
     };
     const Want want[] = {
-        {6 * kNsPerMs, 2},
-        {10 * kNsPerMs, 1},
+        {6 * kNsPerMs, 2, 0},
+        {10 * kNsPerMs, 1, 1},
     };
     const std::vector<obs::TraceEvent> &events = tele.trace.events();
     size_t next = 0;
@@ -278,9 +279,9 @@ TEST(ObsCostLogNeutral, TelemetryOnDoesNotPerturbAFaultedRun)
         ASSERT_LT(i + 1, events.size());
         const obs::TraceEvent &line = events[i + 1];
         EXPECT_STREQ(line.cat, "recovery");
-        EXPECT_EQ(line.name, "t=" + std::to_string(w.at)
-                                 + " fault shard-crash shard="
-                                 + std::to_string(w.shard));
+        EXPECT_EQ(line.name, "t=" + std::to_string(w.at) + " crash shard="
+                                 + std::to_string(w.shard) + " sessions="
+                                 + std::to_string(w.sessions));
     }
     EXPECT_EQ(next, std::size(want));
 

@@ -3,6 +3,8 @@
  * Fault tolerance end to end:
  *  - FaultPlanTest: the seeded crash schedule is a pure function of
  *    its seed and never targets the control-plane shard;
+ *  - ServerDeath: a plan that crashes shard 0, or a shard the fleet
+ *    does not have, is refused when the server is built;
  *  - Failover: an injected shard crash fails the resident sessions
  *    over to survivors — checkpoint restore or scratch-restart plus
  *    watermark-aligned replay — and the recovered fleet's per-window
@@ -11,12 +13,13 @@
  *    the same plan reproducing the same recovery trace twice (the
  *    "recovery" instants on the installed trace sink); a session
  *    whose checkpoints are unrestorable restarts from scratch, and
- *    one whose recovery never fits is lost and releases its
- *    reservation;
+ *    one whose recovery does not fit waits for a release and then
+ *    recovers;
  *  - ServeExhaustionDeath: running out of simulated DRAM stops a
  *    fault-tolerant fleet, as it stops a single pipeline;
  *  - ChaosSoak: a seeded crash storm over the 64-session load-driver
- *    fleet drains cleanly and reproduces bit for bit.
+ *    fleet drains cleanly, restarts every session kRecoveryDelay
+ *    after each crash, and reproduces bit for bit.
  */
 
 #include "serve/server.h"
@@ -152,6 +155,34 @@ TEST(FaultPlanTest, ScatterNeverCrashesTheControlPlaneShard)
         EXPECT_LE(e.at, kNsPerSec);
     }
     EXPECT_EQ(shards, (std::set<uint32_t>{1, 2, 3}));
+}
+
+// -------------------------------------------------------------------
+// ServerDeath: a malformed plan stops the server at construction
+// -------------------------------------------------------------------
+
+TEST(ServerDeath, FaultPlanCrashingTheControlPlaneShardIsRefused)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            ServeConfig cfg = ftConfig(3);
+            cfg.fault.plan.crash(10 * kNsPerMs, 1).crash(12 * kNsPerMs, 0);
+            Server server(cfg);
+        },
+        "the crash at 12000000 ns names shard 0");
+}
+
+TEST(ServerDeath, FaultPlanCrashingAShardPastTheFleetIsRefused)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            ServeConfig cfg = ftConfig(3);
+            cfg.fault.plan.crash(10 * kNsPerMs, 3);
+            Server server(cfg);
+        },
+        "the crash at 10000000 ns names shard 3");
 }
 
 // -------------------------------------------------------------------
@@ -371,46 +402,53 @@ TEST(Failover, UnrestorableCutRecoversFromScratchBitIdentically)
     EXPECT_FALSE(restored);
 }
 
-TEST(Failover, RecoveryThatNeverFitsIsLostAndReleased)
+TEST(Failover, RecoveryThatDoesNotFitWaitsForARelease)
 {
     // Static admission, one session slot per shard: tenant 1 fills
     // shard 0 (its stream spans 100 ms), tenant 2 runs on shard 1
-    // until it crashes. Shard 0 stays full for longer than
-    // kMaxRecoveryAttempts recovery ticks, so the recovery gives up:
-    // the session is lost, its reservation is released, and the fleet
-    // still drains.
-    obs::Telemetry tele;
-    ServeConfig cfg = ftConfig(2);
-    cfg.admission.hbm_budget_bytes = 24_MiB; // 12 MiB per shard
-    cfg.fault.plan.crash(5 * kNsPerMs, 1);
-    cfg.telemetry = &tele;
-    Server server(cfg);
-    server.submit(ftTenant(1, /*records=*/500'000)); // 100 ms at 5 M/s
-    server.submit(ftTenant(2));
-    server.run();
+    // until it crashes at 5 ms. The recovery finds no room and waits
+    // at the head of the queue; tenant 1's release places it on
+    // shard 0, and it delivers what the fault-free run delivers.
+    auto run = [](sim::FaultPlan plan) {
+        ServeConfig cfg = ftConfig(2);
+        cfg.admission.hbm_budget_bytes = 24_MiB; // 12 MiB per shard
+        cfg.fault.plan = std::move(plan);
+        auto server = std::make_unique<Server>(cfg);
+        server->submit(ftTenant(1, /*records=*/500'000)); // 100 ms at 5 M/s
+        server->submit(ftTenant(2));
+        server->run();
+        return server;
+    };
+    auto base = run(sim::FaultPlan{});
+    auto fault = run(sim::FaultPlan{}.crash(5 * kNsPerMs, 1));
 
-    const TenantReport &holder = server.reports()[0];
-    const TenantReport &lost = server.reports()[1];
+    const TenantReport &holder = fault->reports()[0];
+    const TenantReport &recovered = fault->reports()[1];
     EXPECT_EQ(holder.shard, 0u);
     EXPECT_EQ(holder.crashes, 0u);
-    EXPECT_EQ(holder.records, holder.spec.total_records);
-    EXPECT_EQ(lost.crashes, 1u);
-    EXPECT_EQ(lost.recoveries, 0u);
-    EXPECT_TRUE(lost.lost);
-    EXPECT_LT(lost.finished_at, holder.finished_at)
-        << "the recovery gave up while shard 0 was still full";
+    expectRecordsConserved(holder);
+    EXPECT_EQ(recovered.crashes, 1u);
+    EXPECT_EQ(recovered.recoveries, 1u);
+    EXPECT_FALSE(recovered.lost);
+    EXPECT_EQ(recovered.shard, 0u);
+    expectRecordsConserved(recovered);
+    // It waited out tenant 1's whole stream and restarted the moment
+    // tenant 1 drained.
+    EXPECT_GT(holder.finished_at, 100 * kNsPerMs);
+    EXPECT_EQ(recovered.downtime_ns, holder.finished_at - 5 * kNsPerMs);
 
-    // The lost session's reservation went back to its shard's gauge.
-    EXPECT_EQ(server.registry().gauge(1).used(), 0u);
-    EXPECT_EQ(server.registry().active(), 0u);
+    for (size_t i = 0; i < 2; ++i) {
+        const TenantReport &b = base->reports()[i];
+        const TenantReport &f = fault->reports()[i];
+        EXPECT_EQ(f.window_records, b.window_records)
+            << "tenant " << b.spec.id;
+        EXPECT_EQ(f.window_checksums, b.window_checksums)
+            << "tenant " << b.spec.id;
+    }
 
-    const std::string why = "lost tenant=2 (no placement after "
-                            + std::to_string(kMaxRecoveryAttempts)
-                            + " attempts)";
-    bool traced = false;
-    for (const std::string &line : recoveryLines(tele))
-        traced = traced || line.find(why) != std::string::npos;
-    EXPECT_TRUE(traced) << "expected a recovery instant naming: " << why;
+    // Nothing stays booked on the dead shard, or anywhere.
+    EXPECT_EQ(fault->registry().gauge(1).used(), 0u);
+    EXPECT_EQ(fault->registry().active(), 0u);
 }
 
 // -------------------------------------------------------------------
@@ -500,8 +538,12 @@ TEST(ChaosSoak, SeededFaultStormDrainsConservedAndReproducible)
             << "tenant " << r.spec.id;
         crashes += r.crashes;
         recoveries += r.recoveries;
-        if (!r.lost)
-            expectRecordsConserved(r);
+        EXPECT_FALSE(r.lost) << "tenant " << r.spec.id;
+        expectRecordsConserved(r);
+        // Shard 0 always has room for the fleet: every restart begins
+        // exactly kRecoveryDelay after its own crash.
+        EXPECT_EQ(r.downtime_ns, r.recoveries * kRecoveryDelay)
+            << "tenant " << r.spec.id;
     }
     // The storm actually hit something and the fleet came back.
     EXPECT_GT(crashes, 0u);

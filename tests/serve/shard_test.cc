@@ -1,11 +1,12 @@
 /**
  * @file
  * The sharded serving layer (ShardRegistry): load-vector placement
- * onto the least-loaded shard under per-shard budget slices,
- * cross-shard reservation moves, the server-level determinism
- * contract (same fleet, any submission order => identical placement
- * and per-tenant results), and a pressured session on a two-shard
- * fleet delivering exactly the windows of the one-shard fleet.
+ * onto the least-loaded shard under per-shard budget slices, crash
+ * recoveries re-admitted through the same queue, the server-level
+ * determinism contract (same fleet, any submission order =>
+ * identical placement and per-tenant results), and a pressured
+ * session on a two-shard fleet delivering exactly the windows of the
+ * one-shard fleet.
  */
 
 #include "serve/server.h"
@@ -96,45 +97,107 @@ TEST(ShardRegistry, PerShardBudgetGovernsAdmission)
     EXPECT_EQ(reg.queued(), 0u);
 }
 
-TEST(ShardRegistry, MigrateConservesGaugeAccounting)
+TEST(ShardRegistry, ReadmitPassesOverAFullShardForOneWithRoom)
 {
-    TenantRegistry reg(shardedBudget(80_MiB), 2); // 40 MiB per shard
+    TenantRegistry reg(shardedBudget(120_MiB), 3); // 40 MiB per shard
     EXPECT_EQ(reg.offer(spec(1, 30_MiB)), Admission::kAdmitted);
     EXPECT_EQ(reg.offer(spec(2, 30_MiB)), Admission::kAdmitted);
+    EXPECT_EQ(reg.offer(spec(3, 5_MiB, 1e3)), Admission::kAdmitted);
     EXPECT_EQ(reg.shardOf(1), 0u);
     EXPECT_EQ(reg.shardOf(2), 1u);
+    EXPECT_EQ(reg.shardOf(3), 2u);
+    EXPECT_LT(reg.shardLoad(0), reg.shardLoad(2));
 
-    // Destination full: nothing moves, nothing leaks.
-    EXPECT_FALSE(reg.migrate(1, 1));
-    EXPECT_EQ(reg.shardOf(1), 0u);
+    // Shard 1 dies. Its session's reservation leaves it; the
+    // least-loaded live shard (0) has no room for 30 MiB, so the
+    // recovery lands on shard 2, which has.
+    reg.setShardDown(1);
+    const auto admitted = reg.readmit({spec(2, 30_MiB)});
+    ASSERT_EQ(admitted.size(), 1u);
+    EXPECT_EQ(admitted[0].id, 2u);
+    EXPECT_EQ(reg.shardOf(2), 2u);
     EXPECT_EQ(reg.gauge(0).used(), 30_MiB);
-    EXPECT_EQ(reg.gauge(1).used(), 30_MiB);
-    EXPECT_EQ(reg.migrations(), 0u);
-
-    reg.release(2);
-    EXPECT_TRUE(reg.migrate(1, 1));
-    EXPECT_EQ(reg.shardOf(1), 1u);
-    EXPECT_EQ(reg.gauge(0).used(), 0u);
-    EXPECT_EQ(reg.gauge(1).used(), 30_MiB);
-    EXPECT_EQ(reg.migrations(), 1u);
-
-    // Same-shard migration is a successful no-op.
-    EXPECT_TRUE(reg.migrate(1, 1));
-    EXPECT_EQ(reg.migrations(), 1u);
+    EXPECT_EQ(reg.gauge(1).used(), 0u);
+    EXPECT_EQ(reg.gauge(2).used(), 35_MiB);
+    EXPECT_EQ(reg.shardActive(1), 0u);
+    EXPECT_EQ(reg.shardLoad(1), 0.0);
+    EXPECT_EQ(reg.active(), 3u);
+    EXPECT_EQ(reg.queued(), 0u);
+    EXPECT_EQ(reg.everAdmitted(), 3u) << "a restart is not a new session";
 }
 
-TEST(ShardRegistry, LiveMigrationMovesUnmeasuredReserve)
+TEST(ShardRegistry, WaitingRecoveryLeadsTheQueueUntilARelease)
 {
-    TenantRegistry reg(shardedBudget(100_MiB), 2, /*live=*/true);
-    EXPECT_EQ(reg.offer(spec(1, 20_MiB)), Admission::kAdmitted);
-    EXPECT_EQ(reg.shardOf(1), 0u);
-    EXPECT_EQ(reg.unmeasuredReserve(0), 20_MiB);
+    AdmissionConfig cfg = shardedBudget(60_MiB); // 20 MiB per shard
+    cfg.max_queued = 1;
+    TenantRegistry reg(cfg, 3);
+    for (runtime::StreamId id = 1; id <= 3; ++id) {
+        EXPECT_EQ(reg.offer(spec(id, 15_MiB)), Admission::kAdmitted);
+        EXPECT_EQ(reg.shardOf(id), id - 1);
+    }
 
-    // The moved reserve is unmeasured on the destination until its
-    // gauge window covers it; the source's term drops immediately.
-    EXPECT_TRUE(reg.migrate(1, 1));
+    // Shard 1 dies and no live shard has 15 MiB free: the recovery
+    // waits.
+    reg.setShardDown(1);
+    EXPECT_TRUE(reg.readmit({spec(2, 15_MiB)}).empty());
+    EXPECT_EQ(reg.gauge(1).used(), 0u);
+    EXPECT_EQ(reg.queued(), 1u);
+    // An arrival that would fit on shard 0 waits behind it, and the
+    // recovery does not count against max_queued.
+    EXPECT_EQ(reg.offer(spec(4, 4_MiB)), Admission::kQueued);
+    // Shard 2 dies: its recovery queues behind the earlier one and
+    // ahead of the waiting arrival, past a full queue.
+    reg.setShardDown(2);
+    EXPECT_TRUE(reg.readmit({spec(3, 15_MiB)}).empty());
+    EXPECT_EQ(reg.queued(), 3u);
+    EXPECT_EQ(reg.offer(spec(5, 1_MiB)), Admission::kRejected)
+        << "one waiting arrival fills max_queued";
+
+    // The next release places the first recovery, and the second
+    // (which does not fit beside it) holds back the arrival that
+    // would.
+    auto admitted = reg.release(1);
+    ASSERT_EQ(admitted.size(), 1u);
+    EXPECT_EQ(admitted[0].id, 2u);
+    EXPECT_EQ(reg.shardOf(2), 0u);
+    EXPECT_EQ(reg.queued(), 2u);
+
+    admitted = reg.release(2);
+    ASSERT_EQ(admitted.size(), 2u);
+    EXPECT_EQ(admitted[0].id, 3u);
+    EXPECT_EQ(admitted[1].id, 4u);
+    EXPECT_EQ(reg.gauge(0).used(), 19_MiB);
+    EXPECT_EQ(reg.queued(), 0u);
+    EXPECT_EQ(reg.everAdmitted(), 4u);
+}
+
+TEST(ShardRegistry, LiveReadmitJoinsUnmeasuredReserveUnderLiveHeadroom)
+{
+    TenantRegistry reg(shardedBudget(120_MiB), 3, /*live=*/true);
+    uint64_t pressure[3] = {0, 0, 0};
+    for (uint32_t s = 0; s < 3; ++s)
+        reg.setLivePressure(s, [&pressure, s] { return pressure[s]; });
+    EXPECT_EQ(reg.offer(spec(1, 10_MiB)), Admission::kAdmitted);
+    EXPECT_EQ(reg.offer(spec(2, 20_MiB)), Admission::kAdmitted);
+    EXPECT_EQ(reg.offer(spec(3, 30_MiB)), Admission::kAdmitted);
+    EXPECT_EQ(reg.shardOf(3), 2u);
+    reg.noteGaugeMarked(0);
+    reg.noteGaugeMarked(1);
+    EXPECT_EQ(reg.unmeasuredReserve(2), 30_MiB);
+
+    // Shard 0 carries the least load but measures 25 MiB of its 40:
+    // live headroom turns the 30 MiB recovery away from it and onto
+    // shard 1. The reserve leaves the dead shard's unmeasured term
+    // and joins shard 1's until its gauge window covers it.
+    pressure[0] = 25_MiB;
+    pressure[1] = 5_MiB;
+    reg.setShardDown(2);
+    const auto admitted = reg.readmit({spec(3, 30_MiB)});
+    ASSERT_EQ(admitted.size(), 1u);
+    EXPECT_EQ(reg.shardOf(3), 1u);
     EXPECT_EQ(reg.unmeasuredReserve(0), 0u);
-    EXPECT_EQ(reg.unmeasuredReserve(1), 20_MiB);
+    EXPECT_EQ(reg.unmeasuredReserve(1), 30_MiB);
+    EXPECT_EQ(reg.unmeasuredReserve(2), 0u);
     reg.noteGaugeMarked(1);
     EXPECT_EQ(reg.unmeasuredReserve(1), 0u);
 }
