@@ -9,10 +9,10 @@
  * runs it to drain. Reported per point: aggregate throughput, the
  * pooled p50/p99 watermark latency across every tenant's windows,
  * Jain's fairness index over weight-normalized service, the
- * admission counters, and per-tenant memory-control-plane accounting
- * (peak HBM occupancy, demotion counts). A final overload point runs
- * a scarce-HBM fleet with the pressure director + live admission
- * enabled so the demotion path shows real numbers.
+ * admission counters, and each tenant's peak HBM occupancy. A final
+ * overload point runs a scarce-HBM fleet whose open-window state
+ * overruns HBM, so the balance knob and the spill to DRAM decide
+ * where it lands.
  *
  * The shard sweep scales one large fleet (256 sessions in full mode)
  * across 1..8 engine shards: per point it reports fleet throughput,
@@ -28,7 +28,7 @@
  * downtime — with the exactly-once acceptance checked as shape
  * tests: no session lost, records conserved across the replay, and
  * every point's per-window output bit-identical to the fault-free
- * baseline. Written to BENCH_serve.json (schema sbhbm-serve-v6) for
+ * baseline. Written to BENCH_serve.json (schema sbhbm-serve-v7) for
  * the CI artifact.
  *
  * Schema v5 added SLA breach attribution to the overload point: each
@@ -39,7 +39,10 @@
  * overload point also records the unified telemetry plane and writes
  * a Chrome trace_event JSON timeline. Schema v6 drops the failover
  * points' suppressed_records: a recovered session never redelivers a
- * committed window, so there is nothing to deduplicate.
+ * committed window, so there is nothing to deduplicate. Schema v7
+ * drops the demotion counts (the point-level demoted_kpas and the
+ * per-tenant demoted_kpas, demoted_bytes and sla_demotions): the
+ * engine places each KPA once and never demotes it.
  *
  * Usage: serve_report [--smoke] [--out <path>] [--trace <path>]
  */
@@ -71,22 +74,13 @@ struct TenantMem
 {
     uint32_t id = 0;
     uint64_t hbm_peak_bytes = 0;
-    uint64_t demoted_kpas = 0;
-    uint64_t demoted_bytes = 0;
-    uint64_t sla_demotions = 0;
 };
 
-/** The per-tenant memory-control-plane slice of a TenantReport. */
+/** The per-tenant memory slice of a TenantReport. */
 TenantMem
 toTenantMem(const TenantReport &r)
 {
-    TenantMem tm;
-    tm.id = r.spec.id;
-    tm.hbm_peak_bytes = r.hbm_peak_bytes;
-    tm.demoted_kpas = r.demoted_kpas;
-    tm.demoted_bytes = r.demoted_bytes;
-    tm.sla_demotions = r.sla_demotions;
-    return tm;
+    return TenantMem{r.spec.id, r.hbm_peak_bytes};
 }
 
 /** One tenant's SLA breach attribution (the v5 addition). */
@@ -120,7 +114,6 @@ struct Point
     uint64_t admitted = 0;
     uint64_t queued = 0;
     uint64_t rejected = 0;
-    uint64_t demoted_kpas = 0;
     std::vector<TenantMem> tenant_mem;
 
     /** Filled for the overload point only (empty elsewhere). */
@@ -174,23 +167,20 @@ runPoint(uint32_t tenants, bool smoke)
     p.p50_s = pooled.percentile(50);
     p.p99_s = pooled.percentile(99);
     p.rejected = server.registry().rejected();
-    p.demoted_kpas = server.engine(0).director().demotedKpas();
     for (const TenantReport &r : server.reports())
         p.tenant_mem.push_back(toTenantMem(r));
     return p;
 }
 
 /**
- * The control-plane overload point: the canonical scarce-HBM scenario
+ * The overload point: the canonical scarce-HBM scenario
  * (serve::overloadServeConfig / serve::makeOverloadFleet — the same
- * one examples/multi_tenant demonstrates) with the pressure director,
- * live-pressure admission and SLA demotion all enabled.
+ * one examples/multi_tenant --trace demonstrates).
  */
 Point
 runOverloadPoint(bool smoke, obs::Telemetry *tele = nullptr)
 {
-    serve::ServeConfig cfg =
-        serve::overloadServeConfig(kCores, /*control_plane=*/true);
+    serve::ServeConfig cfg = serve::overloadServeConfig(kCores);
     cfg.telemetry = tele;
     serve::Server server(cfg);
     const uint64_t records = smoke ? 150'000 : 600'000;
@@ -201,7 +191,6 @@ runOverloadPoint(bool smoke, obs::Telemetry *tele = nullptr)
     p.tenants = 4;
     p.aggregate_mrps = server.aggregateMrps();
     p.fairness = server.fairnessIndex();
-    p.demoted_kpas = server.engine(0).director().demotedKpas();
     SampleSet pooled;
     for (const TenantReport &r : server.reports()) {
         ++p.admitted;
@@ -456,15 +445,11 @@ writePoint(obs::JsonWriter &w, const Point &p)
     w.key("admitted").value(p.admitted);
     w.key("queued").value(p.queued);
     w.key("rejected").value(p.rejected);
-    w.key("demoted_kpas").value(p.demoted_kpas);
     w.key("tenant_mem").beginArray();
     for (const TenantMem &tm : p.tenant_mem) {
         w.beginObject();
         w.key("id").value(tm.id);
         w.key("hbm_peak_bytes").value(tm.hbm_peak_bytes);
-        w.key("demoted_kpas").value(tm.demoted_kpas);
-        w.key("demoted_bytes").value(tm.demoted_bytes);
-        w.key("sla_demotions").value(tm.sla_demotions);
         w.endObject();
     }
     w.endArray();
@@ -562,7 +547,7 @@ writeJson(const std::string &path, const std::vector<Point> &points,
 {
     obs::JsonWriter w;
     w.beginObject();
-    w.key("schema").value("sbhbm-serve-v6");
+    w.key("schema").value("sbhbm-serve-v7");
     w.key("cores").value(kCores);
     w.key("points").beginArray();
     for (const Point &p : points)
@@ -628,8 +613,8 @@ main(int argc, char **argv)
     }
     table.print();
 
-    // The memory-control-plane overload point — the one run that gets
-    // full telemetry: tracing is optional observability, so it is only
+    // The scarce-HBM overload point — the one run that gets full
+    // telemetry: tracing is optional observability, so it is only
     // installed when the caller asked for a trace file.
     obs::Telemetry tele;
     const Point ovl =
@@ -637,9 +622,7 @@ main(int argc, char **argv)
     uint64_t ovl_peak = 0;
     for (const TenantMem &tm : ovl.tenant_mem)
         ovl_peak = std::max(ovl_peak, tm.hbm_peak_bytes);
-    std::printf("\noverload (8 MiB HBM, live admission + demotion): "
-                "%llu KPAs demoted, max tenant HBM peak %.1f MB\n",
-                static_cast<unsigned long long>(ovl.demoted_kpas),
+    std::printf("\noverload (8 MiB HBM): max tenant HBM peak %.1f MB\n",
                 static_cast<double>(ovl_peak) / 1e6);
 
     // The shard sweep: one big fleet over a growing shard count.
@@ -717,14 +700,6 @@ main(int argc, char **argv)
                 return false;
         return true;
     }());
-    bench::shapeCheck("no demotion in the uncontended sweep", [&] {
-        for (const Point &p : points)
-            if (p.demoted_kpas != 0)
-                return false;
-        return true;
-    }());
-    bench::shapeCheck("overload point demotes cold KPAs",
-                      ovl.demoted_kpas > 0);
     bench::shapeCheck("overload point drains every tenant",
                       ovl.admitted == ovl.tenants);
     bench::shapeCheck("per-tenant HBM occupancy accounted", [&] {

@@ -17,27 +17,21 @@
  * while everyone is running (queued, admitted once sessions drain),
  * and tenant 10 asks for more than the whole budget (rejected).
  *
- * Part 2 demonstrates the memory control plane under overload: the
- * same contending fleet on a machine whose HBM is scaled down so the
- * tenants' window state overruns it. Run A is the baseline (knob
- * only); run B enables the pressure director (live KPA demotion),
- * gauge-aware live admission, and SLA-driven placement demotion. The
- * DEMOTION lines check that run B demoted cold KPAs, that its
- * sampled HBM high-water is strictly lower than run A's, and that
- * every victim tenant still drained in full.
- *
- * Part 3 demonstrates sharded scale-out: the same 64-session
+ * Part 2 demonstrates sharded scale-out: the same 64-session
  * contending fleet served by one engine shard and then by four. The
  * SHARD lines check that placement spread the fleet over every shard,
  * that every session still drained in full, and that aggregate
  * throughput grew with the shard count.
  *
  * With `--trace <out.json>` the example instead runs only the
- * overload fleet with the unified telemetry plane installed, prints
- * each tenant's SLA breach attribution (latency decomposed into
- * recovery / ingest-wait / memory-stall / sched-queue / compute), and
- * writes the deterministic Chrome trace_event timeline to the given
- * path (load it in Perfetto or chrome://tracing).
+ * overload fleet (four contending sessions on a machine whose HBM is
+ * scaled down so their window state overruns it; the balance knob
+ * and the spill to DRAM place that state) with the unified telemetry
+ * plane installed, prints each tenant's SLA breach attribution
+ * (latency decomposed into recovery / ingest-wait / memory-stall /
+ * sched-queue / compute), and writes the deterministic Chrome
+ * trace_event timeline to the given path (load it in Perfetto or
+ * chrome://tracing).
  *
  * Build & run:
  *   cmake -B build -S . && cmake --build build -j
@@ -64,47 +58,7 @@ using serve::TenantSpec;
 
 namespace {
 
-/** What one overload run leaves behind (part 2). */
-struct OverloadRun
-{
-    uint64_t demoted_kpas = 0;
-    double demoted_mb = 0;
-    double hbm_peak_mb = 0; //!< monitor-sampled peak HBM usage
-    uint64_t sla_demotions = 0;
-    bool all_drained = true;
-};
-
-/**
- * The canonical overload scenario (serve::overloadServeConfig /
- * serve::makeOverloadFleet — also serve_report's overload point):
- * four contending sessions on a machine whose HBM holds less than
- * their aggregate window state. @p control_plane switches on the
- * pressure director, live-pressure admission and SLA demotion.
- */
-OverloadRun
-runOverloadFleet(double scale, bool control_plane)
-{
-    serve::Server server(
-        serve::overloadServeConfig(/*cores=*/16, control_plane));
-    const auto records = static_cast<uint64_t>(150'000 * scale);
-    server.submitFleet(serve::makeOverloadFleet(records));
-    server.run();
-
-    OverloadRun r;
-    r.demoted_kpas = server.engine(0).director().demotedKpas();
-    r.demoted_mb =
-        static_cast<double>(server.engine(0).director().demotedBytes())
-        / 1e6;
-    r.hbm_peak_mb = server.engine(0).monitor().hbmUsedStat().max() / 1e6;
-    for (const TenantReport &rep : server.reports()) {
-        r.sla_demotions += rep.sla_demotions;
-        r.all_drained =
-            r.all_drained && rep.records == records;
-    }
-    return r;
-}
-
-/** What one shard-count run leaves behind (part 3). */
+/** What one shard-count run leaves behind (part 2). */
 struct ShardRun
 {
     double aggregate_mrps = 0;
@@ -162,9 +116,11 @@ runShardFleet(double scale, uint32_t shards)
 }
 
 /**
- * The traced overload demo (--trace): the canonical overload fleet
- * once more, but with a Telemetry installed so every layer records
- * into one trace, plus the per-tenant SLA breach attribution table.
+ * The traced overload demo (--trace): the canonical overload scenario
+ * (serve::overloadServeConfig / serve::makeOverloadFleet — also
+ * serve_report's overload point) with a Telemetry installed so every
+ * layer records into one trace, plus the per-tenant SLA breach
+ * attribution table.
  */
 int
 runTracedOverload(const char *trace_path)
@@ -172,8 +128,7 @@ runTracedOverload(const char *trace_path)
     std::printf("== traced overload: telemetry plane on "
                 "(HBM scaled to 8 MiB) ==\n");
     obs::Telemetry tele;
-    serve::ServeConfig cfg =
-        serve::overloadServeConfig(/*cores=*/16, /*control_plane=*/true);
+    serve::ServeConfig cfg = serve::overloadServeConfig(/*cores=*/16);
     cfg.telemetry = &tele;
     serve::Server server(cfg);
     server.submitFleet(serve::makeOverloadFleet(150'000));
@@ -329,35 +284,7 @@ main(int argc, char **argv)
     std::printf("verdict     : %s\n",
                 all_fair ? "fair-share ok" : "fair-share VIOLATED");
 
-    // ---- Part 2: the memory control plane under overload ----------
-    std::printf("\n== overload: pressure-driven demotion "
-                "(HBM scaled to 8 MiB) ==\n");
-    const OverloadRun knob_only = runOverloadFleet(scale, false);
-    const OverloadRun plane = runOverloadFleet(scale, true);
-    std::printf("baseline (knob only)  : HBM peak %.1f MB, "
-                "0 demotions\n",
-                knob_only.hbm_peak_mb);
-    std::printf("control plane         : HBM peak %.1f MB, %" PRIu64
-                " KPAs demoted (%.1f MB), %" PRIu64
-                " SLA placement demotions\n",
-                plane.hbm_peak_mb, plane.demoted_kpas,
-                plane.demoted_mb, plane.sla_demotions);
-
-    const bool demoted = plane.demoted_kpas > 0;
-    const bool relieved = plane.hbm_peak_mb < knob_only.hbm_peak_mb;
-    const bool drained = knob_only.all_drained && plane.all_drained;
-    std::printf("DEMOTION  cold KPAs demoted under pressure: %s\n",
-                demoted ? "ok" : "VIOLATED");
-    std::printf("DEMOTION  HBM high-water strictly lower with the "
-                "control plane (%.1f < %.1f MB): %s\n",
-                plane.hbm_peak_mb, knob_only.hbm_peak_mb,
-                relieved ? "ok" : "VIOLATED");
-    std::printf("DEMOTION  victim tenants kept draining: %s\n",
-                drained ? "ok" : "VIOLATED");
-
-    const bool part2_ok = demoted && relieved && drained;
-
-    // ---- Part 3: sharded scale-out --------------------------------
+    // ---- Part 2: sharded scale-out --------------------------------
     std::printf("\n== scale-out: 64 sessions, 1 vs 4 engine shards "
                 "(8 cores each) ==\n");
     const ShardRun one = runShardFleet(scale, 1);
@@ -382,6 +309,6 @@ main(int argc, char **argv)
                 "fleets: %s\n",
                 shard_drained ? "ok" : "VIOLATED");
 
-    const bool part3_ok = spread && scaled && shard_drained;
-    return all_fair && part2_ok && part3_ok ? 0 : 1;
+    const bool part2_ok = spread && scaled && shard_drained;
+    return all_fair && part2_ok ? 0 : 1;
 }

@@ -102,44 +102,13 @@ class Kpa
     /** Tier the entries actually live on. */
     mem::Tier tier() const { return block_.tier; }
 
-    /** Size-class bytes this KPA charges its tier's gauge. */
-    uint64_t chargedBytes() const { return block_.charged_bytes; }
-
-    /**
-     * Bytes of the backing allocation — what a migration actually
-     * moves. Differs from bytes() by unused capacity and, in the
-     * NoKPA ablation, by the entry_scale factor (grouping state is
-     * whole records, not 16-byte pairs).
-     */
-    uint64_t allocatedBytes() const { return block_.bytes; }
-
-    /**
-     * Move the entries to tier @p t (the pressure director's demotion
-     * path). Capacity re-accounting is exact: the charged size-class
-     * bytes leave the old tier's gauge and land on the new one.
-     * Idempotent when already on @p t; false (KPA untouched) when the
-     * destination cannot take the block. The caller charges the
-     * migration traffic to its CostLog.
-     */
-    bool
-    migrate(mem::Tier t)
-    {
-        if (block_.tier == t)
-            return true;
-        if (!hm_.migrate(block_, t))
-            return false;
-        ++touch_gen_;
-        return true;
-    }
-
     /**
      * Touch generation: a counter bumped by every mutation (append,
-     * bulk commit, sort-flag change, migration). Incremental
-     * checkpointing keys on it — a run whose generation is unchanged
-     * since the last snapshot need not be copied again. It is the
-     * same access-tracking direction the roadmap's PML-style
-     * working-set estimation needs, kept deliberately cheap: one
-     * counter increment on mutation paths, nothing on reads.
+     * bulk commit, sort-flag change). Incremental checkpointing keys
+     * on it — a run whose generation is unchanged since the last
+     * snapshot need not be copied again. It is kept deliberately
+     * cheap: one counter increment on mutation paths, nothing on
+     * reads.
      */
     uint64_t touchGen() const { return touch_gen_; }
 

@@ -52,8 +52,6 @@ class CapacityGauge
         used_ += bytes;
         if (used_ > high_water_)
             high_water_ = used_;
-        if (used_ > hw_window_)
-            hw_window_ = used_;
         return true;
     }
 
@@ -68,18 +66,6 @@ class CapacityGauge
     uint64_t used() const { return used_; }
     uint64_t capacity() const { return capacity_; }
     uint64_t highWater() const { return high_water_; }
-
-    /**
-     * Peak usage since the last markHighWater() — a *windowed*
-     * high-water. Live-pressure admission samples this instead of
-     * used(): a burst that came and went within the window still
-     * counts against headroom, while highWater() (monotonic since
-     * boot) would never decay and eventually block all admission.
-     */
-    uint64_t highWaterSinceMark() const { return hw_window_; }
-
-    /** Start a new high-water window at the current usage. */
-    void markHighWater() { hw_window_ = used_; }
 
     /** Fraction of total capacity in use, in [0, 1]. */
     double
@@ -105,7 +91,6 @@ class CapacityGauge
     uint64_t reserve_ = 0;
     uint64_t used_ = 0;
     uint64_t high_water_ = 0;
-    uint64_t hw_window_ = 0;
 };
 
 } // namespace sbhbm::mem

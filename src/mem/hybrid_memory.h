@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <map>
 
 #include "common/logging.h"
@@ -141,43 +140,6 @@ class HybridMemory
     }
 
     /**
-     * Move a live block to tier @p to: reserve capacity there, copy
-     * the payload, release the old tier. The charged size-class bytes
-     * are conserved exactly — what the source gauge releases is what
-     * the destination gauge charged — and per-stream occupancy moves
-     * with the block. The memory-control-plane demotion path (KPA
-     * HBM -> DRAM under capacity pressure) runs through here.
-     *
-     * @return true when the block now lives on @p to. Migrating a
-     * block already on @p to is an idempotent no-op (true); failure
-     * to reserve on the destination leaves the block untouched
-     * (false). Only flat mode has two addressable tiers to migrate
-     * between.
-     */
-    bool
-    migrate(Block &b, Tier to, bool urgent = false)
-    {
-        if (!b)
-            return false;
-        if (b.tier == to)
-            return true;
-        if (mode_ != sim::MemoryMode::kFlat)
-            return false;
-        if (!mutableGauge(to).tryReserve(b.charged_bytes, urgent))
-            return false;
-
-        void *np = slabs_[sim::tierIndex(to)].alloc(b.bytes);
-        std::memcpy(np, b.ptr, b.bytes);
-        slabs_[sim::tierIndex(b.tier)].free(b.ptr, b.bytes);
-        mutableGauge(b.tier).release(b.charged_bytes);
-        releaseStream(b.stream, b.tier, b.charged_bytes);
-        chargeStream(b.stream, to, b.charged_bytes);
-        b.ptr = np;
-        b.tier = to;
-        return true;
-    }
-
-    /**
      * Charge @p bytes of access to an object living on @p object_tier
      * into @p log, honoring the memory mode.
      */
@@ -233,9 +195,6 @@ class HybridMemory
     {
         return gauges_[sim::tierIndex(t)];
     }
-
-    /** Start a new windowed high-water period on @p t's gauge. */
-    void markHighWater(Tier t) { mutableGauge(t).markHighWater(); }
 
     /** Charged bytes @p stream currently holds on @p t. */
     uint64_t

@@ -1,29 +1,18 @@
 /**
  * @file
- * KPA placement — the decision point of the memory control plane.
+ * KPA placement: the one decision of which tier a new KPA asks for.
  *
- * Before this decision point existed, placement logic was scattered
- * across three layers that could not talk to each other: the balance
- * knob rolled a probability at alloc time, HybridMemory silently
- * spilled to DRAM, and the serving layer admitted on static
- * reservations. KnobPlacementPolicy centralizes the *decision*
- * (which tier, may it dip into the urgent reserve) while HybridMemory
- * keeps the *mechanism* (gauges, spill, migration). It wraps the
- * paper's demand balance knob and urgent reserve, reproducing the
- * pre-control-plane behavior bit-identically — same RNG draws in the
- * same order, same spill conditions.
- *
- * Per-stream placement classes let the serving layer bias a tenant:
- * an SLA-breaching tenant is demoted to kDramLean (its non-urgent
- * KPAs go to DRAM, relieving HBM for everyone else) until its
- * latencies recover.
+ * KnobPlacementPolicy makes the *decision* (which tier, may it dip
+ * into the urgent reserve) while HybridMemory keeps the *mechanism*
+ * (gauges, spill). It wraps the paper's demand balance knob and
+ * urgent reserve. Each KPA is placed once, at allocation, and stays
+ * on its tier until freed.
  */
 
 #ifndef SBHBM_MEM_PLACEMENT_POLICY_H
 #define SBHBM_MEM_PLACEMENT_POLICY_H
 
 #include <cstdint>
-#include <map>
 
 #include "common/rng.h"
 #include "mem/hybrid_memory.h"
@@ -32,19 +21,11 @@
 
 namespace sbhbm::mem {
 
-/** Per-stream (tenant) placement bias. */
-enum class PlacementClass : uint8_t {
-    kNormal = 0,   //!< knob-driven placement
-    kDramLean = 1, //!< non-urgent allocations forced to DRAM
-};
-
 /**
  * The paper's "single control knob" (§1). Urgent tasks always get
  * HBM from the reserved pool; High/Low tasks flip the balance knob's
  * weighted coin and fall back to DRAM when HBM has no non-reserved
- * room. A DRAM-leaning stream skips the coin and goes straight to
- * DRAM (urgent tasks are exempt: the critical path keeps its reserve
- * even while a tenant is demoted).
+ * room.
  */
 class KnobPlacementPolicy
 {
@@ -70,18 +51,16 @@ class KnobPlacementPolicy
 
     /**
      * Decide the placement of a new KPA of ~@p bytes_hint bytes for a
-     * task tagged @p tag on @p stream. Called once per allocation; a
-     * knob coin flip consumes RNG state.
+     * task tagged @p tag. Called once per allocation; a knob coin flip
+     * consumes RNG state.
      */
     Decision
-    place(runtime::ImpactTag tag, uint64_t bytes_hint, uint32_t stream)
+    place(runtime::ImpactTag tag, uint64_t bytes_hint)
     {
         if (hm_.mode() != sim::MemoryMode::kFlat)
             return Decision{Tier::kDram, false};
         if (tag == runtime::ImpactTag::kUrgent)
             return Decision{Tier::kHbm, true};
-        if (streamClass(stream) == PlacementClass::kDramLean)
-            return Decision{Tier::kDram, false};
 
         const bool want_hbm =
             use_knob_ ? knob_.preferHbm(tag, rng_) : true;
@@ -90,31 +69,11 @@ class KnobPlacementPolicy
         return Decision{Tier::kDram, false};
     }
 
-    /** Bias @p stream's future placements (serving-layer demotion). */
-    void
-    setStreamClass(uint32_t stream, PlacementClass c)
-    {
-        if (c == PlacementClass::kNormal)
-            classes_.erase(stream);
-        else
-            classes_[stream] = c;
-    }
-
-    /** Current bias of @p stream. */
-    PlacementClass
-    streamClass(uint32_t stream) const
-    {
-        auto it = classes_.find(stream);
-        return it == classes_.end() ? PlacementClass::kNormal
-                                    : it->second;
-    }
-
   private:
     const HybridMemory &hm_;
     const runtime::BalanceKnob &knob_;
     Rng &rng_;
     bool use_knob_;
-    std::map<uint32_t, PlacementClass> classes_;
 };
 
 } // namespace sbhbm::mem

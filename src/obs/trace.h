@@ -3,9 +3,9 @@
  * The telemetry plane: one deterministic recorder of spans and
  * instants stamped on *virtual* time, exported as Chrome `trace_event`
  * JSON (load the file in Perfetto or chrome://tracing). It is the only
- * sink: task spans, ingest back-pressure, pressure sweeps, admission
- * decisions, checkpoints, fault firings and recovery lines all land
- * here, and tests query it by category.
+ * sink: task spans, ingest back-pressure, admission decisions,
+ * checkpoints, fault firings and recovery lines all land here, and
+ * tests query it by category.
  *
  * Determinism is the design center: events are only ever recorded
  * from the single-threaded simulation control path (executor

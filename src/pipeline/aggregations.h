@@ -14,13 +14,6 @@
  * select values reuse the RowSink's scratch vector, so no key run
  * allocates. The operator charges the Table 2 "Keyed" reduction costs
  * (sequential KPA scan, random value-column loads, output emission).
- *
- * Memory control plane: the sorted runs a KeyedAggOp accumulates per
- * window are exactly the long-lived HBM state the pressure director
- * targets — the SortedRunsOp base demotes every run beyond the target
- * watermark's window (SortedRunsOp::demoteColdState), so under HBM
- * capacity pressure cold aggregation state moves to DRAM while the
- * window about to close keeps its HBM residency.
  */
 
 #ifndef SBHBM_PIPELINE_AGGREGATIONS_H

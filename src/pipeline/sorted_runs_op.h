@@ -13,11 +13,6 @@
  * Each merge round is chained off the previous round's *simulated*
  * completion, so the tree's span shows up in output delay exactly as
  * it would on the real machine.
- *
- * The accumulated runs are the engine's only demotable window state:
- * every SortedRunsOp registers with the PressureDirector as a
- * cold-state provider (in construction order) and migrates its cold
- * runs to DRAM when the director asks for HBM relief.
  */
 
 #ifndef SBHBM_PIPELINE_SORTED_RUNS_OP_H
@@ -30,71 +25,18 @@
 #include <utility>
 #include <vector>
 
-#include "mem/pressure_director.h"
 #include "pipeline/operator.h"
 
 namespace sbhbm::pipeline {
 
 /** Sorted-run accumulation + merge-tree close. */
-class SortedRunsOp : public Operator, public mem::ColdStateProvider
+class SortedRunsOp : public Operator
 {
   public:
     SortedRunsOp(Pipeline &pipe, std::string name,
                  columnar::ColumnId key_col, int num_ports = 1)
         : Operator(pipe, std::move(name), num_ports), key_col_(key_col)
     {
-        eng_.director().registerProvider(this);
-    }
-
-    ~SortedRunsOp() override { eng_.director().unregisterProvider(this); }
-
-    /** Stream (tenant) this operator's state is accounted to. */
-    uint32_t providerStream() const override { return pipe_.streamId(); }
-
-    /**
-     * The pressure director's demotion sweep: migrate the sorted runs
-     * of every window *beyond* the target watermark's to DRAM,
-     * coldest (highest window id, i.e. furthest from closing) first,
-     * until ~@p want_charged_bytes of HBM gauge capacity is freed.
-     * The target window's runs stay put — they are about to be merged
-     * by Urgent tasks and demoting them would tax the critical path.
-     * Runs in state_ are quiescent between tasks (accumulated, not
-     * captured by in-flight closures), which is what makes them safe
-     * to migrate from the monitor tick.
-     */
-    mem::DemoteResult
-    demoteColdState(uint64_t want_charged_bytes,
-                    sim::CostLog &log) override
-    {
-        mem::DemoteResult res;
-        const columnar::WindowId hot = pipe_.targetWindow();
-        for (auto it = state_.rbegin(); it != state_.rend(); ++it) {
-            if (it->first <= hot)
-                break;
-            for (const kpa::KpaPtr &k : it->second) {
-                if (res.charged_bytes >= want_charged_bytes)
-                    return res;
-                if (k->tier() != mem::Tier::kHbm)
-                    continue;
-                const uint64_t charged = k->chargedBytes();
-                // Charge what the migration actually moves: the
-                // backing allocation — entry_scale times larger than
-                // bytes() when grouping state is full records (the
-                // NoKPA ablation).
-                const uint64_t bytes = k->allocatedBytes();
-                if (!k->migrate(mem::Tier::kDram))
-                    continue; // DRAM full: keep the KPA where it is
-                eng_.memory().charge(log, mem::Tier::kHbm,
-                                     sim::AccessPattern::kSequential,
-                                     bytes);
-                eng_.memory().charge(log, mem::Tier::kDram,
-                                     sim::AccessPattern::kSequential,
-                                     2 * bytes);
-                res.charged_bytes += charged;
-                ++res.kpas;
-            }
-        }
-        return res;
     }
 
     /** Entries above which a pair merge is sliced across tasks. */

@@ -26,7 +26,6 @@
 #include "kpa/kpa.h"
 #include "mem/hybrid_memory.h"
 #include "mem/placement_policy.h"
-#include "mem/pressure_director.h"
 #include "obs/trace.h"
 #include "runtime/balance_knob.h"
 #include "runtime/executor.h"
@@ -63,14 +62,6 @@ struct EngineConfig
     /** Enable the dynamic {k_low, k_high} placement knob. */
     bool use_knob = true;
 
-    /**
-     * The memory control plane: the pressure director's demotion of
-     * cold window-state KPAs and, in the serving layer, live-pressure
-     * admission and SLA demotion. Off by default: the knob alone
-     * reproduces the paper's placement behavior exactly.
-     */
-    bool control_plane = false;
-
     /** Target output delay (paper: 1 second). */
     SimTime target_delay = kNsPerSec;
 
@@ -87,6 +78,18 @@ struct EngineConfig
     uint32_t max_inflight_bundles = 512;
 };
 
+/**
+ * Demotion counters that always read 0: the engine places each KPA
+ * once and never moves it. perfbench alone keeps this shim (its
+ * mem.demoted_* rows read it through Engine::director()); it goes
+ * with ROADMAP direction 1 step 2's benchmark change.
+ */
+struct DemotionCounters
+{
+    uint64_t demotedKpas() const { return 0; }
+    uint64_t demotedBytes() const { return 0; }
+};
+
 /** The engine runtime. */
 class Engine
 {
@@ -95,9 +98,8 @@ class Engine
         : cfg_(cfg), machine_(cfg.machine), hm_(machine_.config(), cfg.mode),
           exec_(machine_, cfg.cores), rng_(cfg.seed),
           knob_policy_(hm_, knob_, rng_, cfg.use_knob),
-          director_(hm_, cfg.control_plane),
           monitor_(machine_, hm_, knob_, [this] { return delayHeadroomOk(); },
-                   cfg.monitor_period, &director_)
+                   cfg.monitor_period)
     {
         if (cfg.host_threads != 0)
             exec_.setHostThreads(cfg.host_threads);
@@ -116,12 +118,11 @@ class Engine
     bool useKpa() const { return cfg_.use_kpa; }
 
     /**
-     * Install the telemetry plane on this engine, its executor and its
-     * pressure director. @p shard labels every event this engine
-     * records (the trace's pid track). Null uninstalls; the default —
-     * no telemetry — keeps every hot path at a single pointer null
-     * check and the simulation bit-identical to the uninstrumented
-     * build.
+     * Install the telemetry plane on this engine and its executor.
+     * @p shard labels every event this engine records (the trace's
+     * pid track). Null uninstalls; the default — no telemetry — keeps
+     * every hot path at a single pointer null check and the
+     * simulation bit-identical to the uninstrumented build.
      */
     void
     setTelemetry(obs::Telemetry *t, uint32_t shard = 0)
@@ -129,7 +130,6 @@ class Engine
         tele_ = t;
         tele_shard_ = shard;
         exec_.setTelemetry(t, shard);
-        director_.setTelemetry(t, shard);
     }
 
     /** The installed telemetry plane (null = disabled). */
@@ -149,7 +149,7 @@ class Engine
     placeKpa(ImpactTag tag, uint64_t bytes_hint, StreamId stream = 0)
     {
         const mem::KnobPlacementPolicy::Decision d =
-            knob_policy_.place(tag, bytes_hint, stream);
+            knob_policy_.place(tag, bytes_hint);
         kpa::Placement p;
         p.tier = d.tier;
         p.urgent = d.urgent;
@@ -157,23 +157,8 @@ class Engine
         return p;
     }
 
-    /** Bias @p stream's placement (serving-layer SLA demotion). */
-    void
-    setStreamPlacementClass(StreamId stream, mem::PlacementClass c)
-    {
-        knob_policy_.setStreamClass(stream, c);
-    }
-
-    /** @p stream's current placement bias. */
-    mem::PlacementClass
-    streamPlacementClass(StreamId stream) const
-    {
-        return knob_policy_.streamClass(stream);
-    }
-
-    /** The pressure director (cold-state demotion control loop). */
-    mem::PressureDirector &director() { return director_; }
-    const mem::PressureDirector &director() const { return director_; }
+    /** Demotion counters, always 0 (see DemotionCounters). */
+    DemotionCounters director() const { return {}; }
 
     /** Record one per-window output delay (drives knob headroom). */
     void
@@ -315,7 +300,6 @@ class Engine
     BalanceKnob knob_;
     Rng rng_;
     mem::KnobPlacementPolicy knob_policy_;
-    mem::PressureDirector director_;
     ResourceMonitor monitor_;
     obs::Telemetry *tele_ = nullptr;
     uint32_t tele_shard_ = 0;

@@ -18,7 +18,6 @@
 #include "common/stats.h"
 #include "common/units.h"
 #include "mem/hybrid_memory.h"
-#include "mem/pressure_director.h"
 #include "runtime/balance_knob.h"
 #include "sim/machine.h"
 
@@ -33,9 +32,6 @@ struct ResourceSample
     double dram_bw = 0;    //!< bytes/sec over the last interval
     double k_low = 1.0;
     double k_high = 1.0;
-
-    /** Cumulative gauge bytes the pressure director demoted. */
-    uint64_t demoted_bytes = 0;
 };
 
 /** Periodic sampler driving the balance knob. */
@@ -45,18 +41,11 @@ class ResourceMonitor
     /** Returns true when output delay has >= 10% headroom. */
     using HeadroomFn = std::function<bool()>;
 
-    /**
-     * @param director optional pressure director ticked right after
-     *        the knob refresh; it charges its migration traffic to
-     *        the machine (PressureDirector::chargeSweep).
-     */
     ResourceMonitor(sim::Machine &machine, mem::HybridMemory &hm,
                     BalanceKnob &knob, HeadroomFn headroom,
-                    SimTime period = 10 * kNsPerMs,
-                    mem::PressureDirector *director = nullptr)
+                    SimTime period = 10 * kNsPerMs)
         : machine_(machine), hm_(hm), knob_(knob),
-          headroom_(std::move(headroom)), period_(period),
-          director_(director)
+          headroom_(std::move(headroom)), period_(period)
     {
     }
 
@@ -119,16 +108,6 @@ class ResourceMonitor
         s.k_low = knob_.kLow();
         s.k_high = knob_.kHigh();
 
-        // Pressure feedback: the knob only steers future allocations;
-        // the director reclaims HBM *now* by demoting cold state.
-        if (director_ != nullptr) {
-            mem::PressureDirector::Sweep sweep = director_->tick();
-            if (!sweep.log.empty()) {
-                director_->chargeSweep(machine_, std::move(sweep));
-            }
-            s.demoted_bytes = director_->demotedBytes();
-        }
-
         samples_.push_back(s);
         dram_bw_stat_.add(s.dram_bw);
         hbm_bw_stat_.add(s.hbm_bw);
@@ -145,7 +124,6 @@ class ResourceMonitor
     BalanceKnob &knob_;
     HeadroomFn headroom_;
     SimTime period_;
-    mem::PressureDirector *director_;
     bool running_ = false;
 
     SimTime last_t_ = 0;

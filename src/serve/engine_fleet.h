@@ -3,8 +3,8 @@
  * The serving layer's engine shards and their one global event loop.
  *
  * An EngineFleet owns N EngineShards — each a full runtime::Engine
- * (its own simulated machine, hybrid memory, executor and pressure
- * director) plus the sessions live on it — and co-simulates them in
+ * (its own simulated machine, hybrid memory and executor) plus the
+ * sessions live on it — and co-simulates them in
  * one time-ordered loop: run() always steps the shard machine with
  * the globally-earliest pending event, ties going to the lowest
  * shard, until no machine has non-daemon work left. At one shard the
@@ -16,7 +16,7 @@
  * before t with nothing pending earlier — Machine::syncTo(t) is
  * always legal before acting on another shard (placement, failover).
  * Shard 0's machine is the control plane (control()): session
- * arrivals, admission ticks, injected crashes and recovery run there.
+ * arrivals, injected crashes and recovery run there.
  *
  * A crashed shard's sessions go to the graveyard rather than being
  * destroyed: the dead engine's in-flight (zombie) tasks still
@@ -96,8 +96,8 @@ class EngineFleet
      * until no machine has non-daemon work left — the exact
      * multi-machine generalization of EventQueue::run(), and
      * identical to it at one shard. Daemon events (monitors,
-     * admission ticks) keep firing while any shard has live work, so
-     * a drained shard's clock keeps pace with the fleet.
+     * checkpoint cadences) keep firing while any shard has live work,
+     * so a drained shard's clock keeps pace with the fleet.
      */
     void
     run()

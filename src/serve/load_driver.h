@@ -120,17 +120,17 @@ makeFleet(const FleetConfig &cfg)
 }
 
 // -------------------------------------------------------------------
-// The canonical memory-control-plane overload scenario, shared by
-// examples/multi_tenant (part 2) and bench/serve_report's overload
+// The canonical scarce-HBM overload scenario, shared by
+// examples/multi_tenant --trace and bench/serve_report's overload
 // point so the demo and the recorded numbers can never drift apart.
 // -------------------------------------------------------------------
 
 /**
  * Serving config whose HBM is scaled down so the overload fleet's
- * open-window KPA state overruns it. @p control_plane sets
- * EngineConfig::control_plane: the pressure director, gauge-aware
- * live admission and SLA-driven placement demotion; false is the
- * knob-only baseline.
+ * open-window KPA state overruns it: the balance knob and the spill
+ * to DRAM decide where that state lands. The unnamed bool is ignored;
+ * perfbench alone still passes it, and it goes with ROADMAP direction
+ * 1 step 2's benchmark change.
  *
  * Sizing rules the constants obey (violating either wedges sessions
  * on the ingestion deadlock guard): with delayed watermarks the
@@ -142,7 +142,7 @@ makeFleet(const FleetConfig &cfg)
  * intended binding constraint.
  */
 inline ServeConfig
-overloadServeConfig(unsigned cores, bool control_plane)
+overloadServeConfig(unsigned cores, bool = false)
 {
     ServeConfig cfg;
     cfg.engine.machine = sim::MachineConfig::knl();
@@ -154,7 +154,6 @@ overloadServeConfig(unsigned cores, bool control_plane)
     cfg.engine.target_delay = 20 * kNsPerMs; // tight SLA in overload
     cfg.window_ns = 10 * kNsPerMs;
     cfg.admission.hbm_budget_bytes = 8ull << 20;
-    cfg.engine.control_plane = control_plane;
     return cfg;
 }
 
@@ -162,8 +161,7 @@ overloadServeConfig(unsigned cores, bool control_plane)
  * Four identical SumPerKey sessions for overloadServeConfig():
  * 2 M rec/s each in 5000-record bundles (4 bundles per 10 ms window,
  * so event time really spans windows), watermarks delayed to every 50
- * bundles so many windows of sorted runs stay open at once — the cold
- * state the pressure director demotes.
+ * bundles so many windows of sorted runs stay open at once.
  */
 inline std::vector<TenantSpec>
 makeOverloadFleet(uint64_t records_per_tenant)

@@ -4,13 +4,13 @@
  * engine shards, many sessions.
  *
  * A Server owns an EngineFleet — engine shards, each a full
- * runtime::Engine (its own simulated machine, hybrid memory, executor
- * and pressure director; each session's fair-share weight is set on
- * its shard's executor), co-simulated in one global time-ordered
- * event loop (engine_fleet.h) — and the fleet-wide admission
- * controller (TenantRegistry), which places every admitted session by
- * its load vector onto the least-loaded shard under per-shard slices
- * of the global HBM budget. Sessions are submitted up front (a
+ * runtime::Engine (its own simulated machine, hybrid memory and
+ * executor; each session's fair-share weight is set on its shard's
+ * executor), co-simulated in one global time-ordered event loop
+ * (engine_fleet.h) — and the fleet-wide admission controller
+ * (TenantRegistry), which places every admitted session by its load
+ * vector onto the least-loaded shard under per-shard slices of the
+ * global HBM budget. Sessions are submitted up front (a
  * deterministic replay of an arrival schedule); run() offers each to
  * the admission controller at its arrival time, and leaves one
  * TenantReport per session: throughput, watermark-latency percentiles
@@ -52,12 +52,12 @@
  * twice. Sessions run single-stream queries only (see tenant.h): the
  * server refuses a two-stream query, which it could not recover.
  *
- * The memory control plane (EngineConfig::control_plane) is one
- * switch: each shard's pressure director, live-pressure admission and
- * SLA demotion engage together. Memory pressure is met by spill and
+ * Memory pressure is met by the balance knob's placement, spill and
  * back-pressure alone, never by dropping work: running out of
  * simulated DRAM is fatal in every mode, so size DRAM and the
- * in-flight budgets for the load. With telemetry installed, the
+ * in-flight budgets for the load. At drain every live shard's HBM and
+ * DRAM gauges, and every shard's admission gauge, are back at zero
+ * (run() asserts it). With telemetry installed, the
  * server records every firing as a "fault" instant, and every crash,
  * recovery and loss as a "recovery" instant, on the trace sink
  * — the reproducibility fingerprint; without telemetry neither is
@@ -139,10 +139,7 @@ struct ServeConfig
      * Admission limits. An hbm_budget_bytes of 0 derives the default:
      * half of one shard machine's HBM (DRAM when the machine has
      * none) times the shard count. Headroom is the sum of static
-     * reservations, or — with engine.control_plane — the live
-     * pressure of each shard's engine HBM gauge (windowed high-water,
-     * sampled per admission tick). The budget divides evenly over
-     * `shards` below.
+     * reservations. The budget divides evenly over `shards` below.
      */
     AdmissionConfig admission{0, 64, 64};
 
@@ -195,17 +192,8 @@ struct TenantReport
     /** Task slots granted by the fair scheduler. */
     uint64_t served_slots = 0;
 
-    // Memory-control-plane accounting.
-
     /** Peak charged HBM occupancy of this tenant's KPAs, bytes. */
     uint64_t hbm_peak_bytes = 0;
-
-    /** KPAs / gauge bytes the pressure director demoted to DRAM. */
-    uint64_t demoted_kpas = 0;
-    uint64_t demoted_bytes = 0;
-
-    /** Times the SLA loop demoted this tenant's placement class. */
-    uint64_t sla_demotions = 0;
 
     /** Shard the session (last) ran on. */
     uint32_t shard = 0;
@@ -278,22 +266,8 @@ class Server
     explicit Server(ServeConfig cfg)
         : cfg_(fillDefaults(std::move(cfg))),
           fleet_(cfg_.engine, cfg_.shards, cfg_.telemetry),
-          registry_(cfg_.admission, cfg_.shards,
-                    /*live=*/cfg_.engine.control_plane)
+          registry_(cfg_.admission, cfg_.shards)
     {
-        if (!cfg_.engine.control_plane)
-            return;
-        for (uint32_t s = 0; s < cfg_.shards; ++s) {
-            // Gauge-aware admission: headroom is the windowed
-            // high-water of the tier sessions actually allocate on,
-            // not the sum of paper reservations.
-            registry_.setLivePressure(s, [this, s] {
-                return fleet_.engine(s)
-                    .memory()
-                    .gauge(pressureTier())
-                    .highWaterSinceMark();
-            });
-        }
     }
 
     Server(const Server &) = delete;
@@ -346,8 +320,6 @@ class Server
 
         for (uint32_t s = 0; s < fleet_.size(); ++s)
             fleet_.engine(s).monitor().start();
-        if (cfg_.engine.control_plane)
-            admissionTick();
         // Crashes fire on the control-plane machine (the
         // globally-earliest event when they do), so onFault may syncTo
         // any shard before acting on it. Its event queue fires them by
@@ -366,6 +338,23 @@ class Server
                      "sessions still waiting at drain");
         sbhbm_assert(recovering_.empty(),
                      "failovers still pending at drain");
+        // Every session freed what it allocated and handed its
+        // reservation back. A crashed shard is exempt from the tier
+        // check: it keeps what was in flight when it died.
+        for (uint32_t s = 0; s < fleet_.size(); ++s) {
+            const mem::HybridMemory &hm = fleet_.engine(s).memory();
+            const uint64_t hbm = hm.gauge(mem::Tier::kHbm).used();
+            const uint64_t dram = hm.gauge(mem::Tier::kDram).used();
+            sbhbm_assert(registry_.shardDown(s) || (hbm == 0 && dram == 0),
+                         "shard %u holds %llu HBM + %llu DRAM bytes at"
+                         " drain",
+                         s, (unsigned long long)hbm,
+                         (unsigned long long)dram);
+            sbhbm_assert(registry_.gauge(s).used() == 0,
+                         "shard %u admission gauge holds %llu bytes at"
+                         " drain",
+                         s, (unsigned long long)registry_.gauge(s).used());
+        }
 
         report_list_.clear();
         for (auto &[id, rep] : reports_)
@@ -565,38 +554,6 @@ class Server
             launch(registry_.shardOf(next.id), next, now);
     }
 
-    /**
-     * Periodic admission pump (control plane only): admit
-     * waiters that now fit under the measured pressure, then open a
-     * fresh high-water window on every shard's gauge. Daemon-
-     * scheduled on the control-plane shard: machines drain when
-     * sessions do.
-     */
-    void
-    admissionTick()
-    {
-        launchAdmitted(registry_.pumpAdmission(), fleet_.control().now());
-        for (uint32_t s = 0; s < cfg_.shards; ++s) {
-            fleet_.engine(s).memory().markHighWater(pressureTier());
-            // The fresh window's sample covers everything admitted up
-            // to here: reset the registry's unmeasured-reserve term.
-            registry_.noteGaugeMarked(s);
-        }
-        fleet_.control().after(
-            cfg_.engine.monitor_period, [this] { admissionTick(); },
-            /*daemon=*/true);
-    }
-
-    /** Tier live admission watches: where sessions' KPAs land.
-     *  Outside flat mode every allocation is DRAM-resident, so the
-     *  HBM gauge would sit at zero forever and live admission would
-     *  silently wave everyone through. */
-    mem::Tier
-    pressureTier() const
-    {
-        return mem::stateTier(cfg_.engine.machine, cfg_.engine.mode);
-    }
-
     void
     poll(uint32_t s, runtime::StreamId id)
     {
@@ -606,20 +563,6 @@ class Server
             return; // session crashed off this shard mid-poll
         Tenant &t = *it->second;
         t.sla().observe(t.pipe(), t.stallSnapshot());
-        if (cfg_.engine.control_plane) {
-            // SLA feedback into placement: a breaching tenant's
-            // non-urgent KPAs go DRAM-lean until it recovers.
-            const bool want = t.sla().breached();
-            const bool demoted = sh.eng.streamPlacementClass(id)
-                                 == mem::PlacementClass::kDramLean;
-            if (want != demoted) {
-                sh.eng.setStreamPlacementClass(
-                    id, want ? mem::PlacementClass::kDramLean
-                             : mem::PlacementClass::kNormal);
-                if (want)
-                    ++reports_[id].sla_demotions;
-            }
-        }
         if (!t.drained()) {
             sh.eng.machine().after(kNsPerMs,
                                    [this, s, id] { poll(s, id); });
@@ -690,8 +633,6 @@ class Server
 
         rep.hbm_peak_bytes = std::max(rep.hbm_peak_bytes,
                                       eng.memory().streamHbmHighWater(id));
-        rep.demoted_kpas += eng.director().demotedKpas(id);
-        rep.demoted_bytes += eng.director().demotedBytes(id);
 
         // Fault-tolerance accounting for this segment.
         rep.downtime_ns += sla.downtimeNs();
@@ -713,14 +654,6 @@ class Server
         EngineShard &sh = fleet_[s];
         sh.tenants.erase(id);
         sh.eng.setStreamBudget(id, 0);
-        sh.eng.setStreamPlacementClass(id, mem::PlacementClass::kNormal);
-        // A teardown is a step change in usage: restart the pressure
-        // window so the departed session's peak does not keep blocking
-        // admission until the next tick.
-        if (cfg_.engine.control_plane) {
-            sh.eng.memory().markHighWater(pressureTier());
-            registry_.noteGaugeMarked(s);
-        }
     }
 
     void
@@ -950,7 +883,7 @@ class Server
                             {"position", c.position}});
         }
         // Copy traffic is real work on the shard: charge it through
-        // the machine DMA-style, like the director's demotion sweeps.
+        // the machine DMA-style, without occupying a core slot.
         sh.eng.machine().execute(std::move(log), [] {});
         ckpts_.insert_or_assign(id, std::move(c));
         t.source().resume();

@@ -12,9 +12,8 @@
  * the session runs and once more at drain with identical results.
  *
  * Breach attribution. With the tenant's cumulative stall counters
- * (ingest wait, executor queue wait, sweep memory stall) passed to
- * observe(), each batch decomposes its latency into
- * five causes — recovery replay, ingest wait, memory stall, scheduler
+ * (ingest wait, executor queue wait) passed to observe(), each batch
+ * decomposes its latency into recovery replay, ingest wait, scheduler
  * queue, and compute (the residual) — so a breach names what actually
  * made the windows late instead of just that they were. Components
  * always sum exactly to the measured latency: the stall deltas are
@@ -41,7 +40,10 @@ enum class StallCause : uint32_t
 {
     kRecovery = 0, //!< crash downtime + replay of lost progress
     kIngest,       //!< source stalled: back-pressure, checkpoint pause
-    kMemory,       //!< pressure sweep copy time
+    /** Always 0: no KPA moves after placement. perfbench alone keeps
+     *  the slot (its serve.attr.memory_ms row, and kStallCauses == 5);
+     *  it goes with ROADMAP direction 1 step 2's benchmark change. */
+    kMemory,
     kSched,        //!< ready tasks waiting for an executor slot
     kCompute,      //!< the residual: actually doing the work
 };
@@ -92,7 +94,6 @@ struct StallSnapshot
 {
     uint64_t ingest_wait_ns = 0;
     uint64_t queue_wait_ns = 0;
-    uint64_t memory_stall_ns = 0;
 };
 
 /** Watermark-latency percentiles + SLA violations for one tenant. */
@@ -118,7 +119,7 @@ class SlaTracker
      * carries the tenant's cumulative stall counters at observation
      * time; the deltas since the previous call are charged against
      * the batch's total latency in fixed order (recovery, ingest,
-     * memory, sched — each clamped to what is still unexplained),
+     * sched — each clamped to what is still unexplained),
      * with compute taking the residual. Per-window attribution
      * follows each window's share of the batch latency, so the
      * breach-only totals name the dominant cause of late windows.
@@ -139,19 +140,7 @@ class SlaTracker
             latencies_.add(simToSeconds(lat));
             lats.push_back(lat);
             late.push_back(lat > target_delay_);
-            if (lat > target_delay_) {
-                ++violations_;
-                if (!breached_) {
-                    breached_ = true;
-                    ++breaches_;
-                }
-                ok_streak_ = 0;
-            } else if (breached_) {
-                if (++ok_streak_ >= kRecoveryWindows) {
-                    breached_ = false;
-                    ok_streak_ = 0;
-                }
-            }
+            violations_ += lat > target_delay_ ? 1 : 0;
         }
         attribute(lats, late, s);
     }
@@ -161,23 +150,6 @@ class SlaTracker
 
     /** Windows whose latency exceeded the target. */
     uint64_t violations() const { return violations_; }
-
-    // ---------------------------------------------------------------
-    // Breach hysteresis (drives serving-layer placement demotion).
-    // A violation puts the tenant in breach; it recovers only after
-    // kRecoveryWindows consecutive in-target windows — so one bad
-    // window demotes decisively while one good window does not
-    // flap the placement class right back.
-    // ---------------------------------------------------------------
-
-    /** Consecutive in-target windows needed to clear a breach. */
-    static constexpr uint32_t kRecoveryWindows = 4;
-
-    /** Currently violating the SLA (with recovery hysteresis). */
-    bool breached() const { return breached_; }
-
-    /** Times the tenant *entered* breach (demotion episodes). */
-    uint64_t breaches() const { return breaches_; }
 
     // ---------------------------------------------------------------
     // Fault-tolerance accounting (filled by the recovery layer).
@@ -245,8 +217,6 @@ class SlaTracker
             delta(downtime_ns_, recovery_seen_ns_);
         pending_[static_cast<uint32_t>(StallCause::kIngest)] +=
             delta(s.ingest_wait_ns, prev_.ingest_wait_ns);
-        pending_[static_cast<uint32_t>(StallCause::kMemory)] +=
-            delta(s.memory_stall_ns, prev_.memory_stall_ns);
         pending_[static_cast<uint32_t>(StallCause::kSched)] +=
             delta(s.queue_wait_ns, prev_.queue_wait_ns);
         prev_ = s;
@@ -263,7 +233,6 @@ class SlaTracker
         const StallCause order[] = {
             StallCause::kRecovery,
             StallCause::kIngest,
-            StallCause::kMemory,
             StallCause::kSched,
         };
         for (StallCause cause : order) {
@@ -295,10 +264,7 @@ class SlaTracker
     SampleSet latencies_;
     uint64_t violations_ = 0;
     size_t cursor_ = 0;
-    bool breached_ = false;
-    uint64_t breaches_ = 0;
     SimTime downtime_ns_ = 0;
-    uint32_t ok_streak_ = 0;
     StallSnapshot prev_;
     uint64_t recovery_seen_ns_ = 0;
     uint64_t pending_[kStallCauses] = {};

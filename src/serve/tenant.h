@@ -87,10 +87,9 @@ struct TenantSpec
     /**
      * Watermark cadence: 0 = one per window boundary (default); k > 0
      * emits one every k bundles, delaying window closure so the
-     * session holds several windows of KPA state open at once — the
-     * long-lived cold state the pressure director demotes. Must stay
-     * below max_inflight_bundles or the session deadlocks (windows
-     * can only close on a watermark).
+     * session holds several windows of KPA state open at once. Must
+     * stay below max_inflight_bundles or the session deadlocks
+     * (windows can only close on a watermark).
      */
     uint32_t bundles_per_watermark = 0;
 
@@ -296,7 +295,6 @@ class Tenant
         s.ingest_wait_ns = ingestWaitNs();
         s.queue_wait_ns =
             eng_.exec().streamStats(spec_.id).queue_wait_ns;
-        s.memory_stall_ns = eng_.director().sweepStallNs(spec_.id);
         return s;
     }
 

@@ -4,24 +4,15 @@
  *
  * The scarce resource admission guards is HBM capacity: every session
  * declares an HBM reservation (working-set estimate for its windows'
- * KPAs) and the controller admits sessions only while there is
- * headroom under the serving budget. Headroom comes from one of two
- * sources: the aggregate *static reservation* of running sessions (a
+ * KPAs) and the controller admits sessions only while the aggregate
+ * *static reservation* of running sessions fits the serving budget (a
  * CapacityGauge over the slice of HBM the operator dedicates to
- * serving), or — in live mode, which the server runs whenever the
- * memory control plane is on — the *live pressure* the server
- * samples from the engine's HBM gauge, so admission reacts to what
- * sessions actually allocate rather than what they promised. Static
- * reservation charges each session's declared reservation for its
- * whole lifetime, whether it uses the bytes or not; live mode packs
- * a fleet whose reservations overstate its working set onto the same
- * budget, and a pressure spike (gauge high-water) holds arrivals back
- * even when paper reservations say there is room. Sessions that do
- * not fit wait in an
- * arrival-ordered queue and are admitted as running sessions drain
- * (or, live mode, as measured pressure recedes); sessions that can
- * never fit (reservation larger than a whole shard's budget) or that
- * arrive to a full queue are rejected outright.
+ * serving). Each session's declared reservation is charged for its
+ * whole lifetime, whether it uses the bytes or not. Sessions that do
+ * not fit wait in an arrival-ordered queue and are admitted as
+ * running sessions drain; sessions that can never fit (reservation
+ * larger than a whole shard's budget) or that arrive to a full queue
+ * are rejected outright.
  *
  * With shards > 1 the registry is the fleet's placement authority:
  * the global budget divides evenly into per-shard budgets, each
@@ -39,14 +30,6 @@
  * session again; its down flag is the fleet's one record of which
  * shards died.
  *
- * In live mode the registry additionally tracks the reserves of
- * *recently admitted* sessions the gauge has not measured yet:
- * back-to-back offers within one monitor tick would otherwise each
- * be judged against the same stale gauge sample and over-admit. The
- * server calls noteGaugeMarked() whenever it re-marks the gauge's
- * high-water window — from then on the sample covers those sessions
- * and the unmeasured term resets.
- *
  * The registry tracks identity and accounting only; instantiating a
  * session's pipeline is the Server's job (via the admission results
  * offer(), release() and readmit() return).
@@ -58,9 +41,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -104,13 +85,9 @@ admissionName(Admission a)
 class TenantRegistry
 {
   public:
-    /**
-     * @param shards engine shards the budget divides into.
-     * @param live   admit against live pressure instead of static
-     *               reservations.
-     */
-    TenantRegistry(AdmissionConfig cfg, uint32_t shards, bool live = false)
-        : cfg_(cfg), shards_(shards), live_mode_(live)
+    /** @param shards engine shards the budget divides into. */
+    TenantRegistry(AdmissionConfig cfg, uint32_t shards)
+        : cfg_(cfg), shards_(shards)
     {
         sbhbm_assert(cfg.hbm_budget_bytes > 0,
                      "admission needs a positive HBM budget");
@@ -120,28 +97,12 @@ class TenantRegistry
         gauges_.reserve(shards);
         for (uint32_t s = 0; s < shards; ++s)
             gauges_.emplace_back(per_shard, 0);
-        live_.resize(shards);
-        unmeasured_total_.assign(shards, 0);
         load_.assign(shards, 0.0);
         down_.assign(shards, false);
     }
 
     TenantRegistry(const TenantRegistry &) = delete;
     TenantRegistry &operator=(const TenantRegistry &) = delete;
-
-    /**
-     * Live HBM pressure source for live mode, in bytes (the server
-     * wires shard @p shard's engine-gauge windowed high-water).
-     * Unset, live mode degrades to zero pressure — admission then
-     * gates on max_active and the can-never-fit check only.
-     */
-    using LivePressureFn = std::function<uint64_t()>;
-
-    void
-    setLivePressure(uint32_t shard, LivePressureFn fn)
-    {
-        live_[shard] = std::move(fn);
-    }
 
     /**
      * Offer a session for admission. Admitted sessions charge their
@@ -208,51 +169,6 @@ class TenantRegistry
     }
 
     /**
-     * Admit as many waiting sessions as now fit (queue order,
-     * head-of-line blocking preserved). Called on every release and
-     * readmit; in live-pressure mode the server also calls it
-     * periodically, since headroom there reappears when the gauge
-     * drains — not only when a session releases its reservation.
-     * Every admit's reserve joins the unmeasured term immediately, so
-     * one pump cannot land an unbounded burst of declared working
-     * sets on a tier whose measured pressure has not caught up yet.
-     * @return the admitted specs.
-     */
-    std::vector<TenantSpec>
-    pumpAdmission()
-    {
-        std::vector<TenantSpec> admitted;
-        for (;;) {
-            // Recoveries lead the queue; a restart is not a new
-            // session.
-            const bool recovery = !recoveries_.empty();
-            std::deque<TenantSpec> &q = recovery ? recoveries_ : waiting_;
-            if (q.empty() || !tryAdmit(q.front()))
-                return admitted;
-            admitted.push_back(q.front());
-            q.pop_front();
-            ever_admitted_ += recovery ? 0 : 1;
-        }
-    }
-
-    /**
-     * The server re-marked shard @p shard's gauge high-water window:
-     * from now on the live sample covers every session admitted
-     * before this call, so their reserves leave the unmeasured term.
-     */
-    void
-    noteGaugeMarked(uint32_t shard)
-    {
-        for (auto it = unmeasured_.begin(); it != unmeasured_.end();) {
-            if (it->second.shard == shard)
-                it = unmeasured_.erase(it);
-            else
-                ++it;
-        }
-        unmeasured_total_[shard] = 0;
-    }
-
-    /**
      * Shard @p s crashed: stop placing sessions on it. Sessions
      * resident there stay accounted to it until readmit() queues them
      * or release() declares them gone.
@@ -299,24 +215,10 @@ class TenantRegistry
         return n;
     }
 
-    /** The admission gauge of @p shard (static mode accounting). */
+    /** The admission gauge of @p shard (reservation accounting). */
     const mem::CapacityGauge &gauge(uint32_t shard) const
     {
         return gauges_[shard];
-    }
-
-    /** Current live pressure of @p shard, bytes (0 without a source). */
-    uint64_t
-    livePressure(uint32_t shard) const
-    {
-        return live_[shard] ? live_[shard]() : 0;
-    }
-
-    /** Reserves admitted on @p shard that no gauge sample covers yet. */
-    uint64_t
-    unmeasuredReserve(uint32_t shard) const
-    {
-        return unmeasured_total_[shard];
     }
 
     /**
@@ -342,12 +244,27 @@ class TenantRegistry
         double load = 0;
     };
 
-    /** A live-mode admit the gauge has not measured yet. */
-    struct Unmeasured
+    /**
+     * Admit as many waiting sessions as now fit (queue order,
+     * head-of-line blocking preserved). Called on every release and
+     * readmit. @return the admitted specs.
+     */
+    std::vector<TenantSpec>
+    pumpAdmission()
     {
-        uint32_t shard = 0;
-        uint64_t reserve = 0;
-    };
+        std::vector<TenantSpec> admitted;
+        for (;;) {
+            // Recoveries lead the queue; a restart is not a new
+            // session.
+            const bool recovery = !recoveries_.empty();
+            std::deque<TenantSpec> &q = recovery ? recoveries_ : waiting_;
+            if (q.empty() || !tryAdmit(q.front()))
+                return admitted;
+            admitted.push_back(q.front());
+            q.pop_front();
+            ever_admitted_ += recovery ? 0 : 1;
+        }
+    }
 
     bool
     tryAdmit(const TenantSpec &spec)
@@ -368,24 +285,9 @@ class TenantRegistry
         for (uint32_t s : order_) {
             if (down_[s])
                 continue; // dead shards take no new sessions
-            if (live_mode_) {
-                // Gauge-aware admission: measured pressure plus the
-                // reserves of not-yet-measured recent admits plus
-                // this session's declared working set must fit.
-                const uint64_t budget = perShardBudget();
-                const uint64_t pressure =
-                    livePressure(s) + unmeasured_total_[s];
-                if (pressure > budget
-                    || spec.hbm_reserve_bytes > budget - pressure)
-                    continue;
-                unmeasured_[spec.id] =
-                    Unmeasured{s, spec.hbm_reserve_bytes};
-                unmeasured_total_[s] += spec.hbm_reserve_bytes;
-            } else {
-                if (!gauges_[s].tryReserve(spec.hbm_reserve_bytes,
-                                           /*urgent=*/false))
-                    continue;
-            }
+            if (!gauges_[s].tryReserve(spec.hbm_reserve_bytes,
+                                       /*urgent=*/false))
+                continue;
             Resident r;
             r.reserve = spec.hbm_reserve_bytes;
             r.shard = s;
@@ -407,26 +309,11 @@ class TenantRegistry
         sbhbm_assert(it != resident_.end(),
                      "releasing unknown tenant %u", id);
         const Resident r = it->second;
-        if (!live_mode_)
-            gauges_[r.shard].release(r.reserve);
-        forgetUnmeasured(id);
+        gauges_[r.shard].release(r.reserve);
         load_[r.shard] -= r.load;
         resident_.erase(it);
         sbhbm_assert(active_ > 0, "active session underflow");
         --active_;
-    }
-
-    void
-    forgetUnmeasured(runtime::StreamId id)
-    {
-        auto it = unmeasured_.find(id);
-        if (it == unmeasured_.end())
-            return;
-        uint64_t &total = unmeasured_total_[it->second.shard];
-        sbhbm_assert(total >= it->second.reserve,
-                     "unmeasured reserve underflow");
-        total -= it->second.reserve;
-        unmeasured_.erase(it);
     }
 
     bool
@@ -440,12 +327,8 @@ class TenantRegistry
 
     AdmissionConfig cfg_;
     uint32_t shards_;
-    bool live_mode_;
     std::vector<mem::CapacityGauge> gauges_;
-    std::vector<LivePressureFn> live_;
     std::map<runtime::StreamId, Resident> resident_;
-    std::map<runtime::StreamId, Unmeasured> unmeasured_;
-    std::vector<uint64_t> unmeasured_total_;
     std::vector<double> load_;
     std::vector<bool> down_;
     std::deque<TenantSpec> recoveries_; //!< queued ahead of waiting_

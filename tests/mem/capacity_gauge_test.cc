@@ -78,28 +78,6 @@ TEST(CapacityGauge, ReserveEqualToCapacityLeavesUrgentOnly)
     EXPECT_TRUE(g.tryReserve(1000, true));
 }
 
-TEST(CapacityGauge, WindowedHighWaterDecaysOnMark)
-{
-    // The live-pressure admission signal: peak usage *since the last
-    // mark*, unlike highWater() which never decays.
-    CapacityGauge g(1000, 0);
-    g.tryReserve(700, false);
-    g.release(650);
-    EXPECT_EQ(g.highWaterSinceMark(), 700u);
-    EXPECT_EQ(g.highWater(), 700u);
-
-    g.markHighWater(); // new window starts at current usage (50)
-    EXPECT_EQ(g.highWaterSinceMark(), 50u);
-    EXPECT_EQ(g.highWater(), 700u) << "monotonic high-water unaffected";
-
-    g.tryReserve(300, false);
-    g.release(300);
-    EXPECT_EQ(g.highWaterSinceMark(), 350u)
-        << "burst within the window must be remembered";
-    g.markHighWater();
-    EXPECT_EQ(g.highWaterSinceMark(), 50u);
-}
-
 TEST(CapacityGauge, HugeRequestCannotWrapPastTheLimit)
 {
     // used_ + bytes overflows uint64_t for a near-UINT64_MAX request;

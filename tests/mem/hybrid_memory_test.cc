@@ -1,5 +1,7 @@
 #include "mem/hybrid_memory.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/units.h"
@@ -132,6 +134,39 @@ TEST(HybridMemory, CacheModeAllocationsLiveInDram)
     EXPECT_EQ(b.tier, Tier::kDram);
     EXPECT_EQ(hm.gauge(Tier::kHbm).used(), 0u);
     hm.free(b);
+}
+
+/** Fill HBM until a 64 KiB non-urgent allocation no longer fits. */
+std::vector<Block>
+fillHbm(HybridMemory &hm)
+{
+    std::vector<Block> filler;
+    for (;;) {
+        Block f = hm.alloc(64_KiB, Tier::kHbm);
+        if (f.tier == Tier::kDram) {
+            hm.free(f);
+            return filler;
+        }
+        filler.push_back(f);
+    }
+}
+
+TEST(HybridMemory, SpillFallbackStillTagsStream)
+{
+    // An HBM request that spills to DRAM accounts to the stream on
+    // the tier it actually landed on.
+    auto cfg = tinyConfig();
+    HybridMemory hm(cfg, MemoryMode::kFlat);
+    std::vector<Block> filler = fillHbm(hm);
+    Block spilled =
+        hm.alloc(256_KiB, Tier::kHbm, /*urgent=*/false, /*stream=*/3);
+    EXPECT_EQ(spilled.tier, Tier::kDram);
+    EXPECT_EQ(hm.streamUsed(3, Tier::kDram), 256_KiB);
+    EXPECT_EQ(hm.streamUsed(3, Tier::kHbm), 0u);
+    EXPECT_EQ(hm.streamHbmHighWater(3), 0u);
+    for (Block &f : filler)
+        hm.free(f);
+    hm.free(spilled);
 }
 
 TEST(HybridMemoryDeath, DramExhaustionIsFatal)

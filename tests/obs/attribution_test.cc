@@ -1,7 +1,7 @@
 /**
  * @file
  * SLA breach attribution: each observe() batch decomposes its window
- * latency into recovery / ingest / memory / sched / compute with the
+ * latency into recovery / ingest / sched / compute with the
  * components summing exactly to the measured latency, stall deltas
  * clamp to the latency they can explain, stalls seen between window
  * externalizations carry forward to the next batch, and
@@ -62,23 +62,23 @@ class ObsAttribution : public ::testing::Test
 
 TEST_F(ObsAttribution, ComponentsSumToMeasuredLatency)
 {
+    sla_.noteOutage(2 * kNsPerMs);
     externalize(0, 3 * kTarget);
     externalize(1, kTarget / 2);
     eng_.machine().run();
 
     StallSnapshot s;
     s.ingest_wait_ns = 5 * kNsPerMs;
-    s.memory_stall_ns = 2 * kNsPerMs;
     s.queue_wait_ns = 1 * kNsPerMs;
     sla_.observe(pipe_, s);
 
     const double total =
         static_cast<double>(3 * kTarget + kTarget / 2);
     EXPECT_DOUBLE_EQ(totalAttributedNs(), total);
+    EXPECT_DOUBLE_EQ(sla_.componentNs(StallCause::kRecovery),
+                     2.0 * kNsPerMs);
     EXPECT_DOUBLE_EQ(sla_.componentNs(StallCause::kIngest),
                      5.0 * kNsPerMs);
-    EXPECT_DOUBLE_EQ(sla_.componentNs(StallCause::kMemory),
-                     2.0 * kNsPerMs);
     EXPECT_DOUBLE_EQ(sla_.componentNs(StallCause::kSched),
                      1.0 * kNsPerMs);
     EXPECT_DOUBLE_EQ(sla_.componentNs(StallCause::kCompute),
@@ -94,12 +94,12 @@ TEST_F(ObsAttribution, StallDeltasClampToUnexplainedLatency)
     // order (ingest first) and clamping decide who gets charged.
     StallSnapshot s;
     s.ingest_wait_ns = 3 * kNsPerMs;
-    s.memory_stall_ns = 50 * kNsPerMs;
+    s.queue_wait_ns = 50 * kNsPerMs;
     sla_.observe(pipe_, s);
 
     EXPECT_DOUBLE_EQ(sla_.componentNs(StallCause::kIngest),
                      3.0 * kNsPerMs);
-    EXPECT_DOUBLE_EQ(sla_.componentNs(StallCause::kMemory),
+    EXPECT_DOUBLE_EQ(sla_.componentNs(StallCause::kSched),
                      1.0 * kNsPerMs);
     EXPECT_DOUBLE_EQ(sla_.componentNs(StallCause::kCompute), 0.0);
     EXPECT_DOUBLE_EQ(totalAttributedNs(), 4.0 * kNsPerMs);
@@ -110,14 +110,14 @@ TEST_F(ObsAttribution, EmptyBatchStallsCarryToTheNextWindows)
     // A stall completes while no window externalizes: the empty
     // observe() must bank the delta, not drop it.
     StallSnapshot mid;
-    mid.memory_stall_ns = 2 * kNsPerMs;
+    mid.queue_wait_ns = 2 * kNsPerMs;
     sla_.observe(pipe_, mid);
     EXPECT_EQ(sla_.windows(), 0u);
 
     externalize(0, 3 * kTarget);
     eng_.machine().run();
     sla_.observe(pipe_, mid); // counters unchanged since the bank
-    EXPECT_DOUBLE_EQ(sla_.componentNs(StallCause::kMemory),
+    EXPECT_DOUBLE_EQ(sla_.componentNs(StallCause::kSched),
                      2.0 * kNsPerMs);
     EXPECT_DOUBLE_EQ(totalAttributedNs(),
                      static_cast<double>(3 * kTarget));
@@ -144,11 +144,11 @@ TEST_F(ObsAttribution, DominantCauseNamesTheBiggestBreachComponent)
     externalize(0, 3 * kTarget);
     eng_.machine().run();
     StallSnapshot s;
-    s.memory_stall_ns = static_cast<uint64_t>(3 * kTarget);
+    s.queue_wait_ns = static_cast<uint64_t>(3 * kTarget);
     sla_.observe(pipe_, s);
 
-    EXPECT_EQ(sla_.dominantCause(), StallCause::kMemory);
-    EXPECT_DOUBLE_EQ(sla_.breachNs(StallCause::kMemory),
+    EXPECT_EQ(sla_.dominantCause(), StallCause::kSched);
+    EXPECT_DOUBLE_EQ(sla_.breachNs(StallCause::kSched),
                      static_cast<double>(3 * kTarget));
     EXPECT_DOUBLE_EQ(sla_.breachNs(StallCause::kCompute), 0.0);
 }

@@ -9,7 +9,7 @@
  *
  *  - Neutrality: telemetry is pure observation — running the same
  *    fleet with and without a Telemetry installed produces identical
- *    simulation results (records, windows, latencies, demotions), and
+ *    simulation results (records, windows, latencies), and
  *    so does a faulted fleet, whose fault and recovery instants are
  *    recorded only when telemetry is installed.
  */
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "mem/pressure_director.h"
 #include "serve/load_driver.h"
 #include "serve/server.h"
 
@@ -39,8 +38,7 @@ std::string
 tracedOverloadJson(unsigned host_threads)
 {
     obs::Telemetry tele;
-    ServeConfig cfg = overloadServeConfig(/*cores=*/8,
-                                          /*control_plane=*/true);
+    ServeConfig cfg = overloadServeConfig(/*cores=*/8);
     cfg.engine.host_threads = host_threads;
     cfg.telemetry = &tele;
     Server server(cfg);
@@ -98,29 +96,23 @@ TEST(ObsTraceDeterminism, ShardedTraceIsRepeatable)
     EXPECT_EQ(tracedShardJson(4), tracedShardJson(4));
 }
 
-TEST(ObsTraceDeterminism, TraceCoversTasksAdmissionAndPressure)
+TEST(ObsTraceDeterminism, TraceCoversTasksAndAdmission)
 {
     obs::Telemetry tele;
-    ServeConfig cfg = overloadServeConfig(/*cores=*/8,
-                                          /*control_plane=*/true);
+    ServeConfig cfg = overloadServeConfig(/*cores=*/8);
     cfg.telemetry = &tele;
     Server server(cfg);
-    // The full smoke-sized drain: the short fleet the determinism
-    // tests use finishes before window state overruns 8 MiB, and
-    // this test needs real pressure sweeps on the record.
-    server.submitFleet(makeOverloadFleet(150'000));
+    server.submitFleet(makeOverloadFleet(kOverloadRecords));
     server.run();
 
-    uint64_t tasks = 0, admissions = 0, pressure = 0;
+    uint64_t tasks = 0, admissions = 0;
     for (const obs::TraceEvent &e : tele.trace.events()) {
         const std::string cat = e.cat;
         tasks += cat == "task" ? 1 : 0;
         admissions += cat == "admission" ? 1 : 0;
-        pressure += cat == "pressure" ? 1 : 0;
     }
     EXPECT_GT(tasks, 0u) << "operator task spans missing";
     EXPECT_EQ(admissions, 4u) << "one admission decision per tenant";
-    EXPECT_GT(pressure, 0u) << "pressure sweeps ran under 8 MiB HBM";
 }
 
 /** Everything a run externalizes, for equality comparison. */
@@ -128,25 +120,15 @@ struct RunResult
 {
     std::vector<uint64_t> records, windows, violations;
     std::vector<std::vector<double>> latencies;
-    uint64_t demoted_kpas = 0;
     SimTime end_time = 0;
 
-    bool
-    operator==(const RunResult &o) const
-    {
-        return records == o.records && windows == o.windows
-               && violations == o.violations
-               && latencies == o.latencies
-               && demoted_kpas == o.demoted_kpas
-               && end_time == o.end_time;
-    }
+    bool operator==(const RunResult &) const = default;
 };
 
 RunResult
 runOverload(obs::Telemetry *tele)
 {
-    ServeConfig cfg = overloadServeConfig(/*cores=*/8,
-                                          /*control_plane=*/true);
+    ServeConfig cfg = overloadServeConfig(/*cores=*/8);
     cfg.telemetry = tele;
     Server server(cfg);
     server.submitFleet(makeOverloadFleet(kOverloadRecords));
@@ -159,7 +141,6 @@ runOverload(obs::Telemetry *tele)
         r.violations.push_back(rep.sla_violations);
         r.latencies.push_back(rep.latency_samples);
     }
-    r.demoted_kpas = server.engine(0).director().demotedKpas();
     r.end_time = server.engine(0).machine().now();
     return r;
 }
@@ -172,7 +153,7 @@ TEST(ObsCostLogNeutral, TelemetryOnDoesNotPerturbTheSimulation)
     EXPECT_GT(tele.trace.size(), 0u);
     EXPECT_TRUE(off == on)
         << "tracing must be pure observation: identical records, "
-           "windows, latencies, demotions and virtual end time";
+           "windows, latencies and virtual end time";
 }
 
 /** What a faulted fleet's reports externalize, for equality. */

@@ -282,126 +282,15 @@ TEST(Server, SlaTrackerCountsViolations)
     EXPECT_GE(r.p99_s, r.p50_s);
 }
 
-TEST(ServerPressure, LiveAdmissionPacksOverstatedReservations)
+TEST(Server, ReportsPeakHbmOccupancy)
 {
-    // Reservations sum far past the budget, but the sessions' real
-    // working sets are small. Arrivals are spaced a couple of
-    // admission ticks apart so each offer is judged against a freshly
-    // measured gauge window: static mode serializes the fleet
-    // (queues on paper reservations), live mode admits everyone.
-    auto makeCfg = [](bool control_plane) {
-        ServeConfig cfg = smallConfig();
-        cfg.admission = AdmissionConfig{64_MiB, 64, 64};
-        cfg.engine.monitor_period = kNsPerMs;
-        cfg.engine.control_plane = control_plane;
-        return cfg;
-    };
-    auto fleet = [] {
-        std::vector<TenantSpec> v;
-        for (runtime::StreamId id = 1; id <= 4; ++id) {
-            // 200k records at 20 Mrec/s = 10 ms of ingest: every
-            // session outlives the whole arrival span.
-            TenantSpec t = smallTenant(id, 1, 200'000);
-            t.hbm_reserve_bytes = 30_MiB; // 4 x 30 > 64 MiB budget
-            t.arrives_at = (id - 1) * 2 * kNsPerMs;
-            v.push_back(t);
-        }
-        return v;
-    };
-
-    Server stat(makeCfg(false));
-    stat.submitFleet(fleet());
-    stat.run();
-    uint64_t queued_static = 0;
-    for (const TenantReport &r : stat.reports())
-        queued_static += r.was_queued ? 1 : 0;
-    EXPECT_EQ(queued_static, 2u) << "static mode must serialize";
-
-    Server live(makeCfg(true));
-    live.submitFleet(fleet());
-    live.run();
-    for (const TenantReport &r : live.reports()) {
-        EXPECT_EQ(r.admission, Admission::kAdmitted);
-        EXPECT_FALSE(r.was_queued)
-            << "live pressure is low: tenant " << r.spec.id
-            << " must not wait on paper reservations";
-        EXPECT_EQ(r.records, 200'000u);
-    }
-}
-
-TEST(ServerPressure, AdmissionBurstJudgedAgainstUnmeasuredReserves)
-{
-    // The whole fleet arrives within one admission tick, so every
-    // offer sees the same stale (near-zero) gauge sample. The
-    // declared reserves of the sessions just admitted must count
-    // against the later offers: exactly two 30 MiB sessions fit the
-    // 64 MiB budget up front, the rest wait for a measured window —
-    // instead of the whole burst being waved through at 2x budget.
-    ServeConfig cfg = smallConfig();
-    cfg.admission = AdmissionConfig{64_MiB, 64, 64};
-    cfg.engine.control_plane = true;
-    Server server(cfg);
-    for (runtime::StreamId id = 1; id <= 4; ++id) {
-        TenantSpec t = smallTenant(id);
-        t.hbm_reserve_bytes = 30_MiB;
-        server.submit(t);
-    }
-    server.run();
-
-    uint64_t queued = 0;
-    for (const TenantReport &r : server.reports()) {
-        EXPECT_EQ(r.admission, Admission::kAdmitted);
-        EXPECT_EQ(r.records, 40'000u) << "queued sessions still drain";
-        queued += r.was_queued ? 1 : 0;
-    }
-    EXPECT_EQ(queued, 2u)
-        << "one tick's admits must cap at the declared-reserve budget";
-}
-
-TEST(ServerPressure, LiveAdmissionReportsOccupancy)
-{
-    ServeConfig cfg = smallConfig();
-    cfg.engine.control_plane = true;
-    Server server(cfg);
+    Server server(smallConfig());
     server.submit(smallTenant(1));
     server.run();
     const TenantReport &r = server.reports()[0];
     EXPECT_EQ(r.admission, Admission::kAdmitted);
     EXPECT_GT(r.hbm_peak_bytes, 0u)
         << "per-tenant occupancy must be accounted";
-    EXPECT_EQ(r.demoted_kpas, 0u) << "no pressure, no demotion";
-}
-
-TEST(ServerPressure, SlaDemotionEngagesAndSessionsDrain)
-{
-    // Unmeetable SLA + control plane on: breaching tenants get their
-    // placement class demoted (sla_demotions counts episodes), and
-    // every session still drains fully.
-    ServeConfig cfg = smallConfig();
-    cfg.engine.cores = 1;
-    cfg.engine.target_delay = 100 * kNsPerUs; // unmeetable
-    cfg.engine.control_plane = true;
-    Server server(cfg);
-    server.submit(smallTenant(1));
-    server.submit(smallTenant(2));
-    server.run();
-
-    uint64_t demotion_episodes = 0;
-    for (const TenantReport &r : server.reports()) {
-        EXPECT_EQ(r.records, 40'000u) << "demoted tenants keep draining";
-        demotion_episodes += r.sla_demotions;
-    }
-    EXPECT_GT(demotion_episodes, 0u);
-
-    // Deterministic: the same fleet reproduces the same episodes.
-    Server again(cfg);
-    again.submit(smallTenant(1));
-    again.submit(smallTenant(2));
-    again.run();
-    uint64_t episodes_again = 0;
-    for (const TenantReport &r : again.reports())
-        episodes_again += r.sla_demotions;
-    EXPECT_EQ(episodes_again, demotion_episodes);
 }
 
 } // namespace

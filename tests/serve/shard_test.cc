@@ -4,9 +4,9 @@
  * onto the least-loaded shard under per-shard budget slices, crash
  * recoveries re-admitted through the same queue, the server-level
  * determinism contract (same fleet, any submission order =>
- * identical placement and per-tenant results), and a pressured
- * session on a two-shard fleet delivering exactly the windows of the
- * one-shard fleet.
+ * identical placement and per-tenant results), and a session whose
+ * window state overruns a scarce HBM delivering, on a two-shard
+ * fleet, exactly the windows of the one-shard fleet.
  */
 
 #include "serve/server.h"
@@ -171,37 +171,6 @@ TEST(ShardRegistry, WaitingRecoveryLeadsTheQueueUntilARelease)
     EXPECT_EQ(reg.everAdmitted(), 4u);
 }
 
-TEST(ShardRegistry, LiveReadmitJoinsUnmeasuredReserveUnderLiveHeadroom)
-{
-    TenantRegistry reg(shardedBudget(120_MiB), 3, /*live=*/true);
-    uint64_t pressure[3] = {0, 0, 0};
-    for (uint32_t s = 0; s < 3; ++s)
-        reg.setLivePressure(s, [&pressure, s] { return pressure[s]; });
-    EXPECT_EQ(reg.offer(spec(1, 10_MiB)), Admission::kAdmitted);
-    EXPECT_EQ(reg.offer(spec(2, 20_MiB)), Admission::kAdmitted);
-    EXPECT_EQ(reg.offer(spec(3, 30_MiB)), Admission::kAdmitted);
-    EXPECT_EQ(reg.shardOf(3), 2u);
-    reg.noteGaugeMarked(0);
-    reg.noteGaugeMarked(1);
-    EXPECT_EQ(reg.unmeasuredReserve(2), 30_MiB);
-
-    // Shard 0 carries the least load but measures 25 MiB of its 40:
-    // live headroom turns the 30 MiB recovery away from it and onto
-    // shard 1. The reserve leaves the dead shard's unmeasured term
-    // and joins shard 1's until its gauge window covers it.
-    pressure[0] = 25_MiB;
-    pressure[1] = 5_MiB;
-    reg.setShardDown(2);
-    const auto admitted = reg.readmit({spec(3, 30_MiB)});
-    ASSERT_EQ(admitted.size(), 1u);
-    EXPECT_EQ(reg.shardOf(3), 1u);
-    EXPECT_EQ(reg.unmeasuredReserve(0), 0u);
-    EXPECT_EQ(reg.unmeasuredReserve(1), 30_MiB);
-    EXPECT_EQ(reg.unmeasuredReserve(2), 0u);
-    reg.noteGaugeMarked(1);
-    EXPECT_EQ(reg.unmeasuredReserve(1), 0u);
-}
-
 // -------------------------------------------------------------------
 // ShardRegistry: server-level placement + determinism
 // -------------------------------------------------------------------
@@ -363,10 +332,10 @@ TEST(ShardRegistry, RepeatedShardedRunsAreBitIdentical)
     EXPECT_TRUE(Fingerprint::of(a) == Fingerprint::of(b));
 }
 
-/** The pressured fleet: one hot SumPerKey session whose open window
- *  overruns a 4 MiB HBM, so the director runs a sweep every tick. */
+/** The scarce-HBM fleet: one hot SumPerKey session whose open window
+ *  overruns a 4 MiB HBM, so the knob and the spill place its state. */
 std::unique_ptr<Server>
-runPressuredFleet(uint32_t shards)
+runScarceHbmFleet(uint32_t shards)
 {
     ServeConfig cfg;
     cfg.engine.machine = sim::MachineConfig::knl();
@@ -374,7 +343,6 @@ runPressuredFleet(uint32_t shards)
     cfg.engine.cores = 4;
     cfg.engine.max_inflight_bundles = 2048;
     cfg.engine.monitor_period = kNsPerMs;
-    cfg.engine.control_plane = true;
     cfg.admission.hbm_budget_bytes = 64_MiB;
     cfg.shards = shards;
 
@@ -394,21 +362,22 @@ runPressuredFleet(uint32_t shards)
     return server;
 }
 
-TEST(ShardRegistry, PressuredTwoShardFleetDeliversOneShardWindows)
+TEST(ShardRegistry, ScarceHbmTwoShardFleetDeliversOneShardWindows)
 {
-    // The pressure director on at more than one shard: the session
-    // stays on its placement shard under sustained high-water pressure
-    // and delivers every window whole — the same rows and checksums
-    // as the one-shard fleet, one row per key of its 10,000-key range.
-    auto one = runPressuredFleet(1);
-    auto two = runPressuredFleet(2);
+    // HBM pressure at more than one shard: the session stays on its
+    // placement shard under sustained high-water pressure and
+    // delivers every window whole — the same rows and checksums as
+    // the one-shard fleet, one row per key of its 10,000-key range.
+    auto one = runScarceHbmFleet(1);
+    auto two = runScarceHbmFleet(2);
     ASSERT_EQ(two->reports().size(), 1u);
     const TenantReport &r1 = one->reports()[0];
     const TenantReport &r2 = two->reports()[0];
     EXPECT_EQ(r2.admission, Admission::kAdmitted);
     EXPECT_EQ(r2.records, 200'000u);
     EXPECT_EQ(r2.migrations, 0u);
-    EXPECT_GT(two->engine(r2.shard).director().pressureTicks(), 0u)
+    EXPECT_GT(two->engine(r2.shard).monitor().hbmUsedStat().max(),
+              runtime::BalanceKnob::kHbmHigh * 4_MiB)
         << "the fleet must actually run under HBM pressure";
 
     ASSERT_EQ(r1.window_records.count(0), 1u);

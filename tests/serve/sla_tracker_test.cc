@@ -1,9 +1,8 @@
 /**
  * @file
- * SlaTracker breach hysteresis: one violating window puts the tenant
- * in breach (one placement demotion episode); it recovers only after
- * a streak of kRecoveryWindows in-target windows, so the placement
- * class does not flap on a single good window.
+ * SlaTracker violation counting: every externalized window is one
+ * latency sample, and exactly the windows whose latency exceeds the
+ * target count as violations.
  */
 
 #include "serve/sla_tracker.h"
@@ -63,67 +62,29 @@ class SlaTrackerTest : public ::testing::Test
     SlaTracker sla_;
 };
 
-TEST_F(SlaTrackerTest, ViolationEntersBreachOnce)
+TEST_F(SlaTrackerTest, CountsOnlyWindowsPastTheTarget)
 {
-    externalize(0, kTarget / 2);    // fine
-    externalize(1, 3 * kTarget);    // violation
-    externalize(2, 4 * kTarget);    // still violating: same episode
+    externalize(0, kTarget / 2);  // fine
+    externalize(1, 3 * kTarget);  // violation
+    externalize(2, 4 * kTarget);  // violation
+    externalize(3, kTarget);      // exactly on target: fine
     runAndObserve();
+    EXPECT_EQ(sla_.windows(), 4u);
     EXPECT_EQ(sla_.violations(), 2u);
-    EXPECT_TRUE(sla_.breached());
-    EXPECT_EQ(sla_.breaches(), 1u) << "one episode, not one per window";
+
+    // Observing again without new externalizations changes nothing.
+    runAndObserve();
+    EXPECT_EQ(sla_.windows(), 4u);
+    EXPECT_EQ(sla_.violations(), 2u);
 }
 
-TEST_F(SlaTrackerTest, RecoversOnlyAfterStreak)
-{
-    static_assert(SlaTracker::kRecoveryWindows == 4);
-    externalize(0, 3 * kTarget); // breach
-    externalize(1, 0);
-    externalize(2, 0);
-    externalize(3, 0);
-    runAndObserve();
-    EXPECT_TRUE(sla_.breached()) << "3 of 4 recovery windows seen";
-
-    externalize(4, 0);
-    runAndObserve();
-    EXPECT_FALSE(sla_.breached()) << "streak of 4 clears the breach";
-    EXPECT_EQ(sla_.breaches(), 1u);
-}
-
-TEST_F(SlaTrackerTest, ViolationMidStreakRestartsRecovery)
-{
-    static_assert(SlaTracker::kRecoveryWindows == 4);
-    externalize(0, 3 * kTarget); // breach
-    externalize(1, 0);
-    externalize(2, 0);
-    externalize(3, 0);
-    externalize(4, 3 * kTarget); // relapse before the streak completes
-    externalize(5, 0);
-    externalize(6, 0);
-    externalize(7, 0);
-    runAndObserve();
-    EXPECT_TRUE(sla_.breached());
-    EXPECT_EQ(sla_.breaches(), 1u) << "relapse extends the episode";
-
-    externalize(8, 0);
-    runAndObserve();
-    EXPECT_FALSE(sla_.breached());
-
-    // A fresh violation after recovery is a new episode.
-    externalize(9, 3 * kTarget);
-    runAndObserve();
-    EXPECT_TRUE(sla_.breached());
-    EXPECT_EQ(sla_.breaches(), 2u);
-}
-
-TEST_F(SlaTrackerTest, NeverBreachedWithoutViolations)
+TEST_F(SlaTrackerTest, NoViolationsWithinTarget)
 {
     for (columnar::WindowId w = 0; w < 6; ++w)
         externalize(w, kTarget / 4);
     runAndObserve();
+    EXPECT_EQ(sla_.windows(), 6u);
     EXPECT_EQ(sla_.violations(), 0u);
-    EXPECT_FALSE(sla_.breached());
-    EXPECT_EQ(sla_.breaches(), 0u);
 }
 
 } // namespace
